@@ -26,7 +26,6 @@ from .fourier import (
 )
 from .metrics import (
     MetricsReport,
-    ScoreWeights,
     challenge_score,
     dice,
     evaluate_masks,

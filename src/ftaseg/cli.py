@@ -57,7 +57,7 @@ def _cmd_slice(args: argparse.Namespace) -> None:
     manifest = slice_dir(
         args.input, args.out, args.val_fraction, args.seed, args.by_volume
     )
-    print(f"wrote {len(manifest)} slices into {args.out}")
+    print(f"listed {len(manifest)} slices in {Path(args.out) / 'manifest.csv'}")
 
 
 def _cmd_fta(args: argparse.Namespace) -> None:
@@ -86,8 +86,7 @@ def _cmd_train_stage1(args: argparse.Namespace) -> None:
     )
     shape = ModelShape(args.patch, args.hidden1, args.hidden2)
     ckpt, pseudo_ids = train_stage1_files(
-        args.slices, args.unlabeled, args.out, args.pseudo_slices,
-        cfg, shape, args.lr,
+        args.slices, args.unlabeled, args.out, cfg, shape, args.lr
     )
     print(f"checkpoint {ckpt}; pseudo-annotated: {','.join(sorted(pseudo_ids)) or '-'}")
 
@@ -187,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=float, default=2000.0)
     p.set_defaults(fn=_cmd_window)
 
-    p = sub.add_parser("slice", help="slice volumes along all three axes")
+    p = sub.add_parser("slice", help="list all planes of each volume in a manifest")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--val-fraction", type=float, default=None)
@@ -210,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-stage1", help="supervised bootstrap + pseudo-labels")
     p.add_argument("--slices", required=True, help="labeled slices directory")
     p.add_argument("--unlabeled", default=None, help="windowed unlabeled volumes")
-    p.add_argument("--out", required=True)
-    p.add_argument("--pseudo-slices", required=True)
+    p.add_argument("--out", required=True, help="also receives pseudo/ masks")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--pseudo-count", type=int, default=10)
     p.add_argument("--lr", type=float, default=1e-4)
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-stage2", help="consistency training")
     p.add_argument("--slices", required=True, help="labeled slices directory")
-    p.add_argument("--pseudo-slices", default=None)
+    p.add_argument("--pseudo-slices", default=None, help="stage-1 pseudo directory")
     p.add_argument("--unlabeled-slices", default=None)
     p.add_argument("--val", default=None, help="windowed validation volumes")
     p.add_argument("--init", required=True, help="stage-1 checkpoint")

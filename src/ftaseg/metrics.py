@@ -22,13 +22,6 @@ W_HD = 0.3
 
 
 @dataclass(frozen=True)
-class ScoreWeights:
-    w_dice: float = W_DICE
-    w_iou: float = W_IOU
-    w_hd: float = W_HD
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     dice: float
     iou: float

@@ -3,13 +3,15 @@
 Every stage reads and writes the on-disk formats (VOL1 volumes, slice
 manifests, SEG1 checkpoints, CSV metrics), so composing the CLI subcommands
 through files reproduces ``run_pipeline`` byte for byte at equal seeds. A run
-directory holds the resolved config snapshot, the run log, all stage
-manifests, and the metrics/scores CSVs.
+directory holds the resolved config snapshot, the run log, the windowed
+volumes, all stage manifests, and the metrics/scores CSVs. Slice manifests
+point into the windowed volumes; training planes are cut at load time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import shutil
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -28,10 +30,12 @@ from .model import (
 )
 from .phantom import PhantomSpec, ShiftSpec, apply_domain_shift, gen_phantom
 from .preprocess import (
+    ManifestEntry,
     Slice2D,
     SliceManifest,
     WindowSpec,
     build_manifest,
+    plane,
     read_manifest,
     slice_filename,
     slice_volume,
@@ -396,22 +400,8 @@ def window_dir(in_dir: Path | str, out_dir: Path | str, w: WindowSpec) -> int:
     return count
 
 
-def _save_slice(s: Slice2D, directory: Path) -> None:
-    vol = Volume(s.data.reshape(1, *s.data.shape), NORMALIZED)
-    save_volume(vol, directory / slice_filename(s.source_id, s.index, s.axis_tag))
-
-
-def _save_mask_slices(mask: MaskVolume, source_id: str, directory: Path) -> None:
-    # Mask planes follow the image-slice naming with a _mask-tagged source id.
-    d, h, w = mask.dims
-    planes = (
-        [("x", i, mask.data[:, :, i]) for i in range(w)]
-        + [("y", i, mask.data[:, i, :]) for i in range(h)]
-        + [("z", i, mask.data[i, :, :]) for i in range(d)]
-    )
-    for axis, i, plane in planes:
-        name = slice_filename(f"{source_id}{MASK_SUFFIX}", i, axis)
-        save_mask(MaskVolume(plane.reshape(1, *plane.shape)), directory / name)
+def _relpath(path: Path, start: Path) -> str:
+    return os.path.relpath(path.resolve(), start.resolve())
 
 
 def slice_dir(
@@ -421,7 +411,8 @@ def slice_dir(
     seed: int = 0,
     by_volume: bool = False,
 ) -> SliceManifest:
-    """Slice every windowed volume (and companion mask) along all three axes.
+    """Manifest every plane along all three axes of each windowed volume in
+    ``in_dir``; rows point at the volume and its companion mask.
 
     ``val_fraction`` marks a seeded validation split in the manifest; None
     leaves every slice in the train split.
@@ -430,19 +421,15 @@ def slice_dir(
     if not in_dir.is_dir():
         raise DataError(f"input directory {in_dir} does not exist")
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifests = []
+    entries: list[ManifestEntry] = []
     for path in _volume_files(in_dir):
-        vol = load_volume(path, NORMALIZED)
-        slices = slice_volume(vol, path.stem)
-        for s in slices:
-            _save_slice(s, out_dir)
-        manifests.append(build_manifest(slices))
         mask = _mask_path(path)
-        if mask.exists():
-            _save_mask_slices(load_mask(mask), path.stem, out_dir)
-    manifest = SliceManifest(
-        tuple(e for m in manifests for e in m.entries)
-    )
+        entries += build_manifest(
+            slice_volume(load_volume(path, NORMALIZED), path.stem),
+            file=_relpath(path, out_dir),
+            mask_file=_relpath(mask, out_dir) if mask.exists() else "",
+        ).entries
+    manifest = SliceManifest(tuple(entries))
     if val_fraction is not None:
         manifest = split_train_val(manifest, val_fraction, seed, by_volume)
     write_manifest(manifest, out_dir / "manifest.csv")
@@ -453,6 +440,25 @@ def slice_dir(
 # Slice set loading
 
 
+def _load_normalized(path: Path) -> Volume:
+    return load_volume(path, NORMALIZED)
+
+
+def _cut(e: ManifestEntry, path: Path, load, cache: dict) -> np.ndarray:
+    # Manifest rows come grouped by volume, so keeping only the last file
+    # loaded into ``cache`` reads every volume and mask once.
+    if path not in cache:
+        cache.clear()
+        try:
+            cache[path] = load(path).data
+        except OSError as exc:  # also an empty mask_file, which names the dir
+            raise DataError(f"cannot read {path} from the slice manifest") from exc
+    try:
+        return plane(cache[path], e.axis, e.index)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def load_train_slices(
     slices_dir: Path | str,
     manifest: SliceManifest,
@@ -460,19 +466,21 @@ def load_train_slices(
     pseudo_ids: frozenset[str] = frozenset(),
     pseudo_weight: float = 1.0,
 ) -> list[TrainSlice]:
+    """The ``split`` rows of a manifest in ``slices_dir`` as image and mask
+    planes, in manifest order."""
     slices_dir = Path(slices_dir)
+    volumes: dict = {}
+    masks: dict = {}
     out: list[TrainSlice] = []
     for e in manifest.entries:
         if e.split != split:
             continue
-        img = load_volume(slices_dir / e.file, NORMALIZED)
-        mask_file = slice_filename(f"{e.source_id}{MASK_SUFFIX}", e.index, e.axis)
-        target = load_mask(slices_dir / mask_file).data[0]
+        image = _cut(e, slices_dir / e.file, _load_normalized, volumes)
         pseudo = e.source_id in pseudo_ids
         out.append(
             TrainSlice(
-                image=Slice2D(img.data[0], e.axis, e.index, e.source_id),
-                target=target,
+                image=Slice2D(image, e.axis, e.index, e.source_id),
+                target=_cut(e, slices_dir / e.mask_file, load_mask, masks),
                 weight=pseudo_weight if pseudo else 1.0,
                 provenance="pseudo" if pseudo else "labeled",
             )
@@ -485,13 +493,15 @@ def load_unlabeled_slices(
     manifest: SliceManifest,
     exclude_ids: frozenset[str] = frozenset(),
 ) -> list[Slice2D]:
+    """Image planes of every manifest row outside ``exclude_ids``, in order."""
     slices_dir = Path(slices_dir)
+    volumes: dict = {}
     out = []
     for e in manifest.entries:
         if e.source_id in exclude_ids:
             continue
-        img = load_volume(slices_dir / e.file, NORMALIZED)
-        out.append(Slice2D(img.data[0], e.axis, e.index, e.source_id))
+        image = _cut(e, slices_dir / e.file, _load_normalized, volumes)
+        out.append(Slice2D(image, e.axis, e.index, e.source_id))
     return out
 
 
@@ -517,18 +527,17 @@ def train_stage1_files(
     slices_dir: Path | str,
     unlabeled_windowed_dir: Path | str | None,
     out_dir: Path | str,
-    pseudo_slices_dir: Path | str,
     cfg: StageConfig,
     shape: ModelShape,
     base_lr: float,
 ) -> tuple[Path, frozenset[str]]:
-    """Train on labeled slices, pseudo-annotate unlabeled volumes, and slice
-    the pseudo-annotated volumes into a second training source.
+    """Train on labeled slices and pseudo-annotate unlabeled volumes.
 
-    Returns the checkpoint path and the pseudo-annotated volume ids.
+    The pseudo masks and their slice manifest, stage 2's second training
+    source, go to ``out_dir/pseudo``. Returns the checkpoint path and the
+    pseudo-annotated volume ids.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
-    pseudo_slices_dir = Path(pseudo_slices_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = read_manifest(slices_dir / "manifest.csv")
     labeled = load_train_slices(slices_dir, manifest, "train")
@@ -544,24 +553,17 @@ def train_stage1_files(
 
     pseudo_dir = out_dir / "pseudo"
     pseudo_dir.mkdir(exist_ok=True)
-    pseudo_slices_dir.mkdir(parents=True, exist_ok=True)
     by_id = dict(unlabeled_volumes)
-    pseudo_manifests = []
+    entries: list[ManifestEntry] = []
     for vid in result.selected_ids:
-        mask = result.pseudo_masks[vid]
-        save_mask(mask, pseudo_dir / f"{vid}{MASK_SUFFIX}.vol")
-        slices = slice_volume(by_id[vid], vid)
-        for s in slices:
-            _save_slice(s, pseudo_slices_dir)
-        _save_mask_slices(mask, vid, pseudo_slices_dir)
-        pseudo_manifests.append(build_manifest(slices))
-    if pseudo_manifests:
-        merged = SliceManifest(
-            tuple(e for m in pseudo_manifests for e in m.entries)
-        )
-    else:
-        merged = SliceManifest(())
-    write_manifest(merged, pseudo_slices_dir / "manifest.csv")
+        mask_name = f"{vid}{MASK_SUFFIX}.vol"
+        save_mask(result.pseudo_masks[vid], pseudo_dir / mask_name)
+        entries += build_manifest(
+            slice_volume(by_id[vid], vid),
+            file=_relpath(Path(unlabeled_windowed_dir) / f"{vid}.vol", pseudo_dir),
+            mask_file=mask_name,
+        ).entries
+    write_manifest(SliceManifest(tuple(entries)), pseudo_dir / "manifest.csv")
 
     labeled_ids = {e.source_id for e in manifest.entries}
     lines = [
@@ -603,8 +605,8 @@ def train_stage2_files(
     """Consistency training from files; writes checkpoint, metrics history,
     and the stage manifest. Returns the checkpoint path.
 
-    The pseudo-annotated volume ids come from the pseudo slices manifest;
-    those volumes are excluded from the unlabeled pool.
+    The pseudo-annotated volume ids come from stage 1's pseudo slice
+    manifest; those volumes are excluded from the unlabeled pool.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -764,6 +766,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
 
     windowed = out / "windowed"
     slices = out / "slices"
+    # The supervised-only baseline reads no unlabeled data in either stage.
+    use_unlabeled = unlabeled_dir is not None and not cfg.supervised_only
 
     def preprocess():
         for name, src in (
@@ -775,12 +779,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
                 continue
             if not src.is_dir():
                 raise DataError(f"{name} directory {src} does not exist")
-            window_dir(src, windowed / name, cfg.window())
+            if name != "unlabeled" or use_unlabeled:
+                window_dir(src, windowed / name, cfg.window())
         slice_dir(
             windowed / "labeled", slices / "labeled",
             cfg.val_fraction, cfg.seed, cfg.split_by_volume,
         )
-        if unlabeled_dir is not None:
+        if use_unlabeled:
             slice_dir(windowed / "unlabeled", slices / "unlabeled")
 
     stage("preprocess", preprocess)
@@ -792,11 +797,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     def stage1():
         return train_stage1_files(
             slices / "labeled",
-            (windowed / "unlabeled")
-            if unlabeled_dir is not None and not cfg.supervised_only
-            else None,
+            (windowed / "unlabeled") if use_unlabeled else None,
             out / "stage1",
-            slices / "pseudo",
             stage_cfg,
             cfg.model_shape(),
             cfg.lr,
@@ -807,10 +809,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     def stage2():
         return train_stage2_files(
             slices / "labeled",
-            slices / "pseudo",
-            (slices / "unlabeled")
-            if unlabeled_dir is not None and not cfg.supervised_only
-            else None,
+            out / "stage1" / "pseudo",
+            (slices / "unlabeled") if use_unlabeled else None,
             (windowed / "val") if val_dir is not None else None,
             stage1_ckpt,
             out / "stage2",

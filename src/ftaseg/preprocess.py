@@ -1,7 +1,9 @@
 """Intensity windowing, 3-axis slicing, and the train/validation split.
 
 Slices are tagged ``x`` (fix x, shape D x H), ``y`` (fix y, shape D x W) or
-``z`` (fix z, shape H x W) and named ``<source_id>_<index>_<axis>.vol``.
+``z`` (fix z, shape H x W). A slice manifest row names a plane by its volume
+file, axis and index; planes are cut from the volume when it is loaded, and a
+plane scored on its own is named ``<source_id>_<index>_<axis>.vol``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .volume import NORMALIZED, RAW, Volume
 
 AXES = ("x", "y", "z")
 SPLITS = ("train", "val")
+MANIFEST_HEADER = ["file", "mask_file", "axis", "index", "source_id", "split"]
+
+# Grid dimension each axis tag fixes in a z-major (D, H, W) array.
+_AXIS_DIM = {"x": 2, "y": 1, "z": 0}
 
 DEFAULT_BOTTOM = 500.0
 DEFAULT_TOP = 2000.0
@@ -70,21 +76,24 @@ class Slice2D:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """Plane ``index`` along ``axis`` of the volume in ``file``; ``mask_file``
+    holds its label volume, empty for unlabeled data. Both paths are relative
+    to the manifest's directory."""
+
     file: str
     axis: str
     index: int
     source_id: str
     split: str = "train"
+    mask_file: str = ""
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise DataError(f"bad axis {self.axis!r} in manifest entry")
         if self.split not in SPLITS:
             raise DataError(f"bad split {self.split!r} in manifest entry")
-        if not self.file.endswith(f"_{self.axis}.vol"):
-            raise DataError(
-                f"file name {self.file!r} does not carry the _{self.axis} suffix"
-            )
+        if self.index < 0:
+            raise DataError(f"bad plane index {self.index} in manifest entry")
 
 
 @dataclass(frozen=True)
@@ -112,42 +121,40 @@ def window_normalize(v: Volume, w: WindowSpec = WindowSpec()) -> Volume:
     return Volume(np.clip(scaled, 0.0, 1.0), NORMALIZED)
 
 
+def plane(data: np.ndarray, axis: str, index: int) -> np.ndarray:
+    """View of plane ``index`` along ``axis`` of a z-major (D, H, W) grid."""
+    dim = _AXIS_DIM[axis]
+    if not 0 <= index < data.shape[dim]:
+        raise DataError(f"no {axis} plane {index} in a grid of dims {data.shape}")
+    return np.moveaxis(data, dim, 0)[index]
+
+
 def slice_volume(v: Volume, source_id: str = "vol") -> list[Slice2D]:
     """All D + H + W planes of a volume, ordered by (axis, index), axis x<y<z."""
-    d, h, w = v.dims
-    out: list[Slice2D] = []
-    for i in range(w):
-        out.append(Slice2D(v.data[:, :, i], "x", i, source_id))
-    for i in range(h):
-        out.append(Slice2D(v.data[:, i, :], "y", i, source_id))
-    for i in range(d):
-        out.append(Slice2D(v.data[i, :, :], "z", i, source_id))
-    return out
+    return [
+        Slice2D(plane(v.data, axis, i), axis, i, source_id)
+        for axis in AXES
+        for i in range(v.data.shape[_AXIS_DIM[axis]])
+    ]
 
 
 def slice_filename(source_id: str, index: int, axis: str) -> str:
     return f"{source_id}_{index}_{axis}.vol"
 
 
-def build_manifest(slices: Iterable[Slice2D], split: str = "train") -> SliceManifest:
-    entries = [
-        ManifestEntry(
-            file=slice_filename(s.source_id, s.index, s.axis_tag),
-            axis=s.axis_tag,
-            index=s.index,
-            source_id=s.source_id,
-            split=split,
-        )
+def build_manifest(
+    slices: Iterable[Slice2D],
+    split: str = "train",
+    file: str | None = None,
+    mask_file: str = "",
+) -> SliceManifest:
+    """Rows for planes cut from the volume at ``file`` (by default
+    ``<source_id>.vol``, the name ``window_dir`` keeps)."""
+    return SliceManifest(tuple(
+        ManifestEntry(f"{s.source_id}.vol" if file is None else file, s.axis_tag,
+                      s.index, s.source_id, split, mask_file)
         for s in slices
-    ]
-    return SliceManifest(tuple(entries))
-
-
-def merge_manifests(*manifests: SliceManifest) -> SliceManifest:
-    entries: list[ManifestEntry] = []
-    for m in manifests:
-        entries.extend(m.entries)
-    return SliceManifest(tuple(entries))
+    ))
 
 
 def split_train_val(
@@ -189,28 +196,22 @@ def split_train_val(
 
 
 def write_manifest(manifest: SliceManifest, path: Path | str) -> None:
-    """UTF-8 CSV with header ``file,axis,index,source_id,split``."""
+    """UTF-8 CSV with header ``file,mask_file,axis,index,source_id,split``."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["file", "axis", "index", "source_id", "split"])
+        writer.writerow(MANIFEST_HEADER)
         for e in manifest.entries:
-            writer.writerow([e.file, e.axis, e.index, e.source_id, e.split])
+            writer.writerow([e.file, e.mask_file, e.axis, e.index, e.source_id, e.split])
 
 
 def read_manifest(path: Path | str) -> SliceManifest:
-    entries: list[ManifestEntry] = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames != ["file", "axis", "index", "source_id", "split"]:
+        if reader.fieldnames != MANIFEST_HEADER:
             raise DataError(f"{path}: unexpected manifest header {reader.fieldnames}")
-        for row in reader:
-            entries.append(
-                ManifestEntry(
-                    file=row["file"],
-                    axis=row["axis"],
-                    index=int(row["index"]),
-                    source_id=row["source_id"],
-                    split=row["split"],
-                )
-            )
+        try:
+            entries = [ManifestEntry(**{**row, "index": int(row["index"])})
+                       for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed manifest row: {exc}") from exc
     return SliceManifest(tuple(entries))

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from ftaseg.errors import DataError, NumericError, UndefinedMetricError
 from ftaseg.metrics import (
+    W_DICE,
+    W_HD,
+    W_IOU,
     MetricsReport,
-    ScoreWeights,
     challenge_score,
     dice,
     evaluate_masks,
@@ -185,8 +187,7 @@ class TestNormalizeAndScore:
             challenge_score(0.5, 0.5, -0.1)
 
     def test_weights_sum_to_one(self):
-        w = ScoreWeights()
-        assert w.w_dice + w.w_iou + w.w_hd == 1.0
+        assert W_DICE + W_IOU + W_HD == 1.0
 
     def test_monotonicity(self):
         base = challenge_score(0.5, 0.5, 0.5)

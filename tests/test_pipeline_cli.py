@@ -11,6 +11,8 @@ from ftaseg.pipeline import (
     BenchmarkSpec,
     PipelineConfig,
     generate_benchmark,
+    load_train_slices,
+    load_unlabeled_slices,
     parse_pipeline_config,
     render_overlay,
     run_pipeline,
@@ -18,7 +20,14 @@ from ftaseg.pipeline import (
     window_dir,
     write_kv_config,
 )
-from ftaseg.preprocess import Slice2D, WindowSpec, read_manifest
+from ftaseg.preprocess import (
+    Slice2D,
+    SliceManifest,
+    WindowSpec,
+    read_manifest,
+    slice_volume,
+    write_manifest,
+)
 from ftaseg.volume import (
     NORMALIZED,
     RAW,
@@ -47,6 +56,11 @@ FAST = dict(
 
 def fast_config(**kw):
     return PipelineConfig(**{**FAST, **kw})
+
+
+def vol_depth(path):
+    # D from the VOL1 header: magic (4 bytes), dtype code (1), then D, H, W.
+    return int(np.frombuffer(path.read_bytes()[5:9], dtype="<u4")[0])
 
 
 class TestConfig:
@@ -142,12 +156,70 @@ class TestWindowSliceDirs:
         manifest = slice_dir(win, out, val_fraction=0.2, seed=3)
         assert len(manifest) == 4 + 5 + 6
         assert len(manifest.subset("val")) == 3  # floor(0.2 * 15)
-        entry = manifest.entries[0]
-        assert (out / entry.file).exists()
-        mask_file = f"v0_mask_{entry.index}_{entry.axis}.vol"
-        assert (out / mask_file).exists()
+        # Every row points back at the windowed volume and its mask; the
+        # slice directory holds nothing but the manifest.
+        for entry in manifest.entries:
+            assert (out / entry.file).resolve() == (win / "v0.vol").resolve()
+            assert (out / entry.mask_file).resolve() == (win / "v0_mask.vol").resolve()
+        assert [p.name for p in out.iterdir()] == ["manifest.csv"]
         reread = read_manifest(out / "manifest.csv")
         assert reread == manifest
+
+    def test_loaded_planes_match_slice_volume(self, tmp_path):
+        win = tmp_path / "win"
+        window_dir(self.make_raw_dir(tmp_path), win, WindowSpec())
+        out = tmp_path / "slices"
+        manifest = slice_dir(win, out, val_fraction=0.2, seed=1)
+        expected = {}
+        for vid in ("v0", "v1"):
+            vol = load_volume(win / f"{vid}.vol", NORMALIZED)
+            mask = Volume(load_mask(win / f"{vid}_mask.vol").data.astype(np.float32))
+            for s, m in zip(slice_volume(vol, vid), slice_volume(mask, vid)):
+                expected[(vid, s.axis_tag, s.index)] = (s.data, m.data)
+
+        def key(e):
+            return (e.source_id, e.axis, e.index)
+
+        for split in ("train", "val"):
+            loaded = load_train_slices(out, manifest, split)
+            rows = manifest.subset(split)
+            assert len(loaded) == len(rows)
+            for ts, e in zip(loaded, rows):
+                assert (ts.image.source_id, ts.image.axis_tag, ts.image.index) == key(e)
+                image, target = expected[key(e)]
+                assert np.array_equal(ts.image.data, image)
+                assert np.array_equal(ts.target, target)
+        unlabeled = load_unlabeled_slices(out, manifest, exclude_ids=frozenset({"v1"}))
+        rows = [e for e in manifest.entries if e.source_id == "v0"]
+        assert len(unlabeled) == len(rows)
+        for s, e in zip(unlabeled, rows):
+            assert (s.source_id, s.axis_tag, s.index) == key(e)
+            assert np.array_equal(s.data, expected[key(e)][0])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("index", 6), ("file", "gone.vol"), ("mask_file", "gone_mask.vol"),
+         ("mask_file", "")],
+    )
+    def test_bad_manifest_row_is_a_data_error(self, tmp_path, field, value):
+        win = tmp_path / "win"
+        window_dir(self.make_raw_dir(tmp_path, n=1), win, WindowSpec())
+        out = tmp_path / "slices"
+        manifest = slice_dir(win, out)
+        first = manifest.entries[0]
+        assert (first.axis, first.index) == ("x", 0)  # x planes run 0..5
+        bad = dataclasses.replace(first, **{field: value})
+        write_manifest(
+            SliceManifest((bad,) + manifest.entries[1:]), out / "manifest.csv"
+        )
+        with pytest.raises(DataError):
+            load_train_slices(out, read_manifest(out / "manifest.csv"))
+        if field != "mask_file":  # unlabeled loading reads no masks
+            with pytest.raises(DataError):
+                load_unlabeled_slices(out, read_manifest(out / "manifest.csv"))
+        rc = main(["train-stage1", "--slices", str(out), "--out", str(tmp_path / "s1"),
+                   "--epochs", "1", "--pseudo-count", "0"])
+        assert rc == 3
 
     def test_missing_dir_raises(self, tmp_path):
         with pytest.raises(DataError):
@@ -208,6 +280,9 @@ class TestRunPipeline:
         assert (tmp_path / "run" / "run.log").exists()
         assert (tmp_path / "run" / "stage1" / "manifest.txt").exists()
         assert (tmp_path / "run" / "stage2" / "manifest.txt").exists()
+        # Training planes are cut from the windowed volumes, never written.
+        vols = list((tmp_path / "run").rglob("*.vol"))
+        assert vols and all(vol_depth(p) > 1 for p in vols)
 
     def test_metrics_csv_header(self, tmp_path):
         paths = run_pipeline(fast_config(seed=2), tmp_path / "run")
@@ -234,6 +309,44 @@ class TestRunPipeline:
         stage2 = (tmp_path / "run" / "stage2" / "manifest.txt").read_text()
         assert "unlabeled_slices = 0" in stage2
         assert "supervised-only" in stage2
+        # Neither stage reads the unlabeled set, so it is not preprocessed.
+        assert not (tmp_path / "run" / "windowed" / "unlabeled").exists()
+        assert not (tmp_path / "run" / "slices" / "unlabeled").exists()
+
+    def test_supervised_only_still_checks_the_unlabeled_dir(self, tmp_path):
+        cfg = fast_config(supervised_only=True)
+        generate_benchmark(cfg.benchmark_spec(), tmp_path / "data")
+        cfg = dataclasses.replace(cfg, labeled_dir=str(tmp_path / "data" / "labeled"),
+                                  unlabeled_dir=str(tmp_path / "missing"))
+        with pytest.raises(DataError, match="unlabeled directory"):
+            run_pipeline(cfg, tmp_path / "run")
+
+    def test_without_val_dir_scores_held_out_labeled_slices(self, tmp_path):
+        cfg = fast_config(seed=5)
+        data = tmp_path / "data"
+        generate_benchmark(cfg.benchmark_spec(), data)
+        run = tmp_path / "run"
+        paths = run_pipeline(
+            dataclasses.replace(cfg, labeled_dir=str(data / "labeled"),
+                                unlabeled_dir=str(data / "unlabeled")),
+            run,
+        )
+        manifest = read_manifest(run / "slices" / "labeled" / "manifest.csv")
+        held_out = sorted(
+            manifest.subset("val"), key=lambda e: (e.source_id, e.axis, e.index)
+        )
+        assert held_out
+        lines = paths.scores_csv.read_text().strip().splitlines()
+        assert lines[0] == "case,dice,iou,hd_raw,hd_norm,score"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == [
+            f"{e.source_id}_{e.index}_{e.axis}.vol" for e in held_out
+        ] + ["mean"]
+        extent = 2 * (cfg.synth_dim - 1)  # L1 extent of a 1 x dim x dim plane
+        for r in rows:
+            dice_, iou_, hd_raw, hd_norm, score = map(float, r[1:])
+            assert all(0.0 <= v <= 1.0 for v in (dice_, iou_, hd_norm, score))
+            assert 0.0 <= hd_raw <= extent
 
 
 class TestCli:
@@ -348,13 +461,12 @@ class TestComposability:
         assert main(["train-stage1", "--slices", str(slc / "labeled"),
                      "--unlabeled", str(win / "unlabeled"),
                      "--out", str(c / "stage1"),
-                     "--pseudo-slices", str(slc / "pseudo"),
                      "--epochs", str(cfg.stage1_epochs),
                      "--pseudo-count", str(cfg.stage1_pseudo_count),
                      "--lr", str(cfg.lr), "--batch", str(cfg.batch_size),
                      "--seed", str(seed)]) == 0
         assert main(["train-stage2", "--slices", str(slc / "labeled"),
-                     "--pseudo-slices", str(slc / "pseudo"),
+                     "--pseudo-slices", str(c / "stage1" / "pseudo"),
                      "--unlabeled-slices", str(slc / "unlabeled"),
                      "--val", str(win / "val"),
                      "--init", str(c / "stage1" / "checkpoint.seg"),

@@ -9,6 +9,7 @@ from ftaseg.preprocess import (
     SliceManifest,
     WindowSpec,
     build_manifest,
+    plane,
     read_manifest,
     slice_filename,
     slice_volume,
@@ -93,6 +94,16 @@ class TestSliceVolume:
         assert shapes["y"] == (2, 4)
         assert shapes["z"] == (3, 4)
 
+    def test_plane_is_the_indexed_view(self):
+        data = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4)
+        assert np.array_equal(plane(data, "x", 3), data[:, :, 3])
+        assert np.array_equal(plane(data, "y", 1), data[:, 1, :])
+        assert np.array_equal(plane(data, "z", 0), data[0])
+        assert np.shares_memory(plane(data, "y", 1), data)
+        for axis, index in (("x", 4), ("y", 3), ("z", 2), ("z", -1)):
+            with pytest.raises(DataError):
+                plane(data, axis, index)
+
     def test_ordering_by_axis_then_index(self):
         v = Volume(np.zeros((2, 2, 2), dtype=np.float32))
         tags = [(s.axis_tag, s.index) for s in slice_volume(v)]
@@ -114,9 +125,15 @@ class TestManifestAndSplit:
         return SliceManifest(tuple(entries))
 
     def test_filename_suffix_convention(self):
+        # Planes scored on their own are named after source, index and axis.
         assert slice_filename("vol7", 12, "x") == "vol7_12_x.vol"
+
+    @pytest.mark.parametrize(
+        "axis,index,split", [("w", 0, "train"), ("x", -1, "train"), ("x", 0, "test")]
+    )
+    def test_entry_rejects_bad_axis_index_and_split(self, axis, index, split):
         with pytest.raises(DataError):
-            ManifestEntry("vol7_12_x.vol", "y", 12, "vol7")
+            ManifestEntry("vol7.vol", axis, index, "vol7", split)
 
     def test_split_floor_arithmetic_paper_count(self):
         m = self.make_manifest(1680)
@@ -172,12 +189,24 @@ class TestManifestAndSplit:
     def test_manifest_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         v = Volume(rng.random((2, 3, 4), dtype=np.float32))
-        m = split_train_val(build_manifest(slice_volume(v, "vv")), 0.2, seed=0)
+        slices = slice_volume(v, "vv")
+        m = split_train_val(
+            build_manifest(slices, mask_file="vv_mask.vol"), 0.2, seed=0
+        )
         path = tmp_path / "manifest.csv"
         write_manifest(m, path)
         assert read_manifest(path) == m
+        assert {(e.file, e.mask_file) for e in m.entries} == {("vv.vol", "vv_mask.vol")}
         header = path.read_text().splitlines()[0]
-        assert header == "file,axis,index,source_id,split"
+        assert header == "file,mask_file,axis,index,source_id,split"
+
+    def test_manifest_rejects_non_integer_index(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "file,mask_file,axis,index,source_id,split\nv.vol,,x,one,v,train\n"
+        )
+        with pytest.raises(DataError):
+            read_manifest(path)
 
     def test_manifest_entry_count_identity(self):
         v = Volume(np.zeros((3, 4, 5), dtype=np.float32))
