@@ -68,7 +68,7 @@ from .preprocess import (
     window_normalize,
 )
 from .ssl import (
-    PseudoSample,
+    PseudoLabel,
     StageConfig,
     ThresholdState,
     TrainSlice,

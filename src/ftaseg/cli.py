@@ -72,7 +72,7 @@ def _cmd_fta(args: argparse.Namespace) -> None:
     for slc, path in ((pair.z_w, args.out_a), (pair.z_u, args.out_b)):
         save_volume(Volume(slc.data.reshape(1, *slc.data.shape), RAW), path)
     print(
-        f"lambda={pair.lambda_used:.6f} beta={pair.mask_fraction_used} "
+        f"lambda={pair.lambda_used:.6f} beta={cfg.mask_fraction} "
         f"residue={pair.imag_residue:.2e}"
     )
 

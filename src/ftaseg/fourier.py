@@ -88,7 +88,6 @@ class AugmentedPair:
     z_w: Slice2D
     z_u: Slice2D
     lambda_used: float
-    mask_fraction_used: float
     imag_residue: float
 
 
@@ -184,6 +183,5 @@ def fta_augment_pair(x_w: Slice2D, x_u: Slice2D, cfg: FtaConfig) -> AugmentedPai
         z_w=Slice2D(z_w.astype(np.float32), x_w.axis_tag, x_w.index, x_w.source_id),
         z_u=Slice2D(z_u.astype(np.float32), x_u.axis_tag, x_u.index, x_u.source_id),
         lambda_used=lam,
-        mask_fraction_used=cfg.mask_fraction,
         imag_residue=max(res_w, res_u),
     )

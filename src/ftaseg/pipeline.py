@@ -36,6 +36,7 @@ from .preprocess import (
     WindowSpec,
     build_manifest,
     plane,
+    plane_keys,
     read_manifest,
     slice_filename,
     slice_volume,
@@ -463,11 +464,10 @@ def load_train_slices(
     slices_dir: Path | str,
     manifest: SliceManifest,
     split: str = "train",
-    pseudo_ids: frozenset[str] = frozenset(),
-    pseudo_weight: float = 1.0,
+    weight: float = 1.0,
 ) -> list[TrainSlice]:
     """The ``split`` rows of a manifest in ``slices_dir`` as image and mask
-    planes, in manifest order."""
+    planes with loss weight ``weight``, in manifest order."""
     slices_dir = Path(slices_dir)
     volumes: dict = {}
     masks: dict = {}
@@ -476,13 +476,11 @@ def load_train_slices(
         if e.split != split:
             continue
         image = _cut(e, slices_dir / e.file, _load_normalized, volumes)
-        pseudo = e.source_id in pseudo_ids
         out.append(
             TrainSlice(
                 image=Slice2D(image, e.axis, e.index, e.source_id),
                 target=_cut(e, slices_dir / e.mask_file, load_mask, masks),
-                weight=pseudo_weight if pseudo else 1.0,
-                provenance="pseudo" if pseudo else "labeled",
+                weight=weight,
             )
         )
     return out
@@ -533,7 +531,8 @@ def train_stage1_files(
 ) -> tuple[Path, frozenset[str]]:
     """Train on labeled slices and pseudo-annotate unlabeled volumes.
 
-    The pseudo masks and their slice manifest, stage 2's second training
+    Only the unlabeled volumes picked for pseudo-annotation are read. The
+    pseudo masks and their slice manifest, stage 2's second training
     source, go to ``out_dir/pseudo``. Returns the checkpoint path and the
     pseudo-annotated volume ids.
     """
@@ -542,27 +541,29 @@ def train_stage1_files(
     manifest = read_manifest(slices_dir / "manifest.csv")
     labeled = load_train_slices(slices_dir, manifest, "train")
 
-    unlabeled_volumes: list[tuple[str, Volume]] = []
+    unlabeled_ids: list[str] = []
     if unlabeled_windowed_dir is not None:
-        for path in _volume_files(Path(unlabeled_windowed_dir)):
-            unlabeled_volumes.append((path.stem, load_volume(path, NORMALIZED)))
+        udir = Path(unlabeled_windowed_dir)
+        unlabeled_ids = [path.stem for path in _volume_files(udir)]
 
-    result = run_stage1(labeled, unlabeled_volumes, cfg, shape, base_lr)
+    def load(vid: str) -> Volume:
+        return _load_normalized(udir / f"{vid}.vol")
+
+    result = run_stage1(labeled, unlabeled_ids, load, cfg, shape, base_lr)
     ckpt = out_dir / "checkpoint.seg"
     save_checkpoint(result.model, result.opt_state, ckpt)
 
     pseudo_dir = out_dir / "pseudo"
     pseudo_dir.mkdir(exist_ok=True)
-    by_id = dict(unlabeled_volumes)
     entries: list[ManifestEntry] = []
-    for vid in result.selected_ids:
-        mask_name = f"{vid}{MASK_SUFFIX}.vol"
-        save_mask(result.pseudo_masks[vid], pseudo_dir / mask_name)
-        entries += build_manifest(
-            slice_volume(by_id[vid], vid),
-            file=_relpath(Path(unlabeled_windowed_dir) / f"{vid}.vol", pseudo_dir),
-            mask_file=mask_name,
-        ).entries
+    for p in sorted(result.pseudo, key=lambda label: label.source_id):
+        mask_name = f"{p.source_id}{MASK_SUFFIX}.vol"
+        save_mask(MaskVolume(p.mask), pseudo_dir / mask_name)
+        file = _relpath(udir / f"{p.source_id}.vol", pseudo_dir)
+        entries += [
+            ManifestEntry(file, axis, i, p.source_id, mask_file=mask_name)
+            for axis, i in plane_keys(p.mask.shape)
+        ]
     write_manifest(SliceManifest(tuple(entries)), pseudo_dir / "manifest.csv")
 
     labeled_ids = {e.source_id for e in manifest.entries}
@@ -573,7 +574,7 @@ def train_stage1_files(
         f"batch_size = {cfg.batch_size}",
         f"base_lr = {base_lr}",
         f"labeled_volumes = {','.join(sorted(labeled_ids))}",
-        f"unlabeled_volumes = {','.join(vid for vid, _ in unlabeled_volumes)}",
+        f"unlabeled_volumes = {','.join(unlabeled_ids)}",
         f"pseudo_selected = {','.join(result.selected_ids)}",
         f"merged_volume_count = {len(labeled_ids) + len(result.selected_ids)}",
         f"final_epoch_loss = {result.epoch_losses[-1]:.6f}",
@@ -618,9 +619,7 @@ def train_stage2_files(
         pdir = Path(pseudo_slices_dir)
         pmanifest = read_manifest(pdir / "manifest.csv")
         pseudo_ids = frozenset(pmanifest.source_ids())
-        labeled += load_train_slices(
-            pdir, pmanifest, "train", pseudo_ids, cfg.pseudo_weight
-        )
+        labeled += load_train_slices(pdir, pmanifest, "train", cfg.pseudo_weight)
 
     unlabeled: list[Slice2D] = []
     if unlabeled_slices_dir is not None:

@@ -65,14 +65,6 @@ class Slice2D:
             arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -129,12 +121,16 @@ def plane(data: np.ndarray, axis: str, index: int) -> np.ndarray:
     return np.moveaxis(data, dim, 0)[index]
 
 
+def plane_keys(dims: tuple[int, ...]) -> list[tuple[str, int]]:
+    """(axis, index) of all D + H + W planes of a (D, H, W) grid, axis x<y<z."""
+    return [(axis, i) for axis in AXES for i in range(dims[_AXIS_DIM[axis]])]
+
+
 def slice_volume(v: Volume, source_id: str = "vol") -> list[Slice2D]:
-    """All D + H + W planes of a volume, ordered by (axis, index), axis x<y<z."""
+    """All planes of a volume, in ``plane_keys`` order."""
     return [
         Slice2D(plane(v.data, axis, i), axis, i, source_id)
-        for axis in AXES
-        for i in range(v.data.shape[_AXIS_DIM[axis]])
+        for axis, i in plane_keys(v.data.shape)
     ]
 
 

@@ -12,6 +12,7 @@ tracked as an EMA of batch confidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -67,71 +68,38 @@ def update_threshold(state: ThresholdState, confidences: np.ndarray) -> Threshol
 
 
 @dataclass(frozen=True)
-class PseudoSample:
-    """One pseudo-annotated plane of an unlabeled volume."""
+class PseudoLabel:
+    """Pseudo-annotation of one unlabeled volume."""
 
     source_id: str
-    axis: str
-    index: int
-    mask: np.ndarray        # (H, W) uint8 argmax labels
-    confidence: np.ndarray  # (H, W) max-class confidence
-    provenance: str = "stage1"
-
-    def __post_init__(self) -> None:
-        if self.mask.shape != self.confidence.shape:
-            raise DataError("pseudo mask and confidence shapes differ")
-        if bool((self.confidence < 0).any()) or bool((self.confidence > 1).any()):
-            raise DataError("confidence must lie in [0, 1]")
+    mask: np.ndarray  # (D, H, W) uint8 argmax labels
 
 
 def generate_pseudo_labels(
     model: PatchMLP,
-    volumes: list[tuple[str, Volume]],
+    ids: list[str],
+    load: Callable[[str], Volume],
     count: int,
     seed,
-    provenance: str = "stage1",
-) -> list[PseudoSample]:
+) -> list[PseudoLabel]:
     """Argmax pseudo-annotations for a seeded selection of volumes.
 
-    Selection is uniform without replacement; each selected volume is
-    annotated plane by plane along z.
+    Selection is uniform without replacement over ``ids``; ``load`` is
+    called only for the selected ids, and the results keep the order of
+    ``ids``.
     """
-    if count > len(volumes):
+    if count > len(ids):
         raise DataError(
-            f"requested {count} pseudo-labeled volumes, only {len(volumes)} available"
+            f"requested {count} pseudo-labeled volumes, only {len(ids)} available"
         )
     if count == 0:
         return []
     rng = np.random.default_rng(seed)
-    chosen = sorted(rng.choice(len(volumes), size=count, replace=False).tolist())
-    samples: list[PseudoSample] = []
-    for vi in chosen:
-        source_id, vol = volumes[vi]
-        probs = np.clip(_volume_probs(model, vol, source_id), 1e-15, 1.0 - 1e-15)
-        for z in range(vol.dims[0]):
-            samples.append(
-                PseudoSample(
-                    source_id=source_id,
-                    axis="z",
-                    index=z,
-                    mask=(probs[z] >= 0.5).astype(np.uint8),
-                    confidence=np.maximum(probs[z], 1.0 - probs[z]),
-                    provenance=provenance,
-                )
-            )
-    return samples
-
-
-def pseudo_masks_by_volume(samples: list[PseudoSample]) -> dict[str, MaskVolume]:
-    """Stack per-plane pseudo-annotations back into full masks."""
-    groups: dict[str, list[PseudoSample]] = {}
-    for s in samples:
-        groups.setdefault(s.source_id, []).append(s)
-    out: dict[str, MaskVolume] = {}
-    for source_id, planes in groups.items():
-        planes = sorted(planes, key=lambda s: s.index)
-        out[source_id] = MaskVolume(np.stack([s.mask for s in planes]))
-    return out
+    chosen = sorted(rng.choice(len(ids), size=count, replace=False).tolist())
+    return [
+        PseudoLabel(ids[i], predict_volume(model, load(ids[i]), ids[i]).data)
+        for i in chosen
+    ]
 
 
 def consistency_loss(
@@ -205,7 +173,6 @@ class TrainSlice:
     image: Slice2D
     target: np.ndarray
     weight: float = 1.0
-    provenance: str = "labeled"
 
     def __post_init__(self) -> None:
         if self.target.shape != self.image.data.shape:
@@ -239,11 +206,13 @@ HISTORY_HEADER = "epoch,split,dice,iou,hd_norm,score,tau"
 class Stage1Result:
     model: PatchMLP
     opt_state: AdamWState
-    pseudo_samples: list[PseudoSample]
-    pseudo_masks: dict[str, MaskVolume]
-    selected_ids: list[str]
+    pseudo: list[PseudoLabel]
     epoch_losses: list[float]
     warnings: list[str]
+
+    @property
+    def selected_ids(self) -> list[str]:
+        return sorted(p.source_id for p in self.pseudo)
 
 
 @dataclass
@@ -256,15 +225,10 @@ class Stage2Result:
     warnings: list[str]
 
 
-def _volume_probs(model: PatchMLP, v: Volume, source_id: str) -> np.ndarray:
-    slices = [Slice2D(v.data[z], "z", z, source_id) for z in range(v.dims[0])]
-    cache = model.forward_cache_multi(slices)
-    return cache["probs"].reshape(v.dims)
-
-
 def predict_volume(model: PatchMLP, v: Volume, source_id: str = "vol") -> MaskVolume:
     """Segment a volume plane by plane along z."""
-    probs = _volume_probs(model, v, source_id)
+    slices = [Slice2D(v.data[z], "z", z, source_id) for z in range(v.dims[0])]
+    probs = model.forward_cache_multi(slices)["probs"].reshape(v.dims)
     return MaskVolume((probs >= 0.5).astype(np.uint8))
 
 
@@ -301,16 +265,18 @@ def _supervised_batch(
 
 def run_stage1(
     labeled: list[TrainSlice],
-    unlabeled_volumes: list[tuple[str, Volume]],
+    unlabeled_ids: list[str],
+    load: Callable[[str], Volume],
     cfg: StageConfig,
     shape: ModelShape = ModelShape(),
     base_lr: float = 1e-4,
 ) -> Stage1Result:
     """Supervised bootstrap followed by pseudo-annotation.
 
-    The pseudo count is clamped to the available unlabeled volumes (with a
-    warning), so the merged set always holds |labeled| + min(count, pool)
-    volumes worth of annotations.
+    ``load`` maps an unlabeled id to its volume and is called only for the
+    ids picked for pseudo-annotation. The pseudo count is clamped to the
+    available unlabeled volumes (with a warning), so the merged set always
+    holds |labeled| + min(count, pool) volumes worth of annotations.
     """
     if not labeled:
         raise DataError("stage 1 requires a nonempty labeled set")
@@ -337,19 +303,13 @@ def run_stage1(
 
     warnings: list[str] = []
     count = cfg.stage1_pseudo_count
-    if count > len(unlabeled_volumes):
-        warnings.append(
-            f"pseudo count clamped from {count} to {len(unlabeled_volumes)}"
-        )
-        count = len(unlabeled_volumes)
-    samples = generate_pseudo_labels(model, unlabeled_volumes, count, pseudo_ss)
-    masks = pseudo_masks_by_volume(samples)
+    if count > len(unlabeled_ids):
+        warnings.append(f"pseudo count clamped from {count} to {len(unlabeled_ids)}")
+        count = len(unlabeled_ids)
     return Stage1Result(
         model=model,
         opt_state=opt,
-        pseudo_samples=samples,
-        pseudo_masks=masks,
-        selected_ids=sorted(masks),
+        pseudo=generate_pseudo_labels(model, unlabeled_ids, load, count, pseudo_ss),
         epoch_losses=epoch_losses,
         warnings=warnings,
     )
@@ -385,7 +345,9 @@ def run_stage2(
     is augmented in both directions at once, the labeled half feeding the
     supervised loss and the unlabeled half serving as a strong view. With an
     empty unlabeled pool the loop degrades to supervised-only training and
-    records a warning. Validation metrics are logged ``val_points`` times.
+    records a warning. Validation metrics are logged min(``val_points``,
+    iterations) times at evenly spread iterations, the last one on the
+    final model.
     """
     if not labeled:
         raise DataError("stage 2 requires a nonempty labeled set")
@@ -418,7 +380,8 @@ def run_stage2(
 
     history: list[HistoryRow] = []
     iteration_losses: list[float] = []
-    val_every = max(1, sched.total_iters // max(1, val_points))
+    n_val = min(max(1, val_points), sched.total_iters)
+    val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
 
     for it in range(sched.total_iters):
@@ -513,7 +476,7 @@ def run_stage2(
                 sup_loss + cfg.unsup_weight * unsup_loss / cfg.batch_size
             )
 
-        if val_cases and (it + 1) % val_every == 0:
+        if val_cases and it + 1 in val_iters:
             epoch += 1
             mean, _ = evaluate_volumes(model, val_cases, use_min_separation)
             history.append(

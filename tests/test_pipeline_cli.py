@@ -1,10 +1,13 @@
 import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ftaseg
 from ftaseg.cli import main
 from ftaseg.errors import ConfigError, DataError
 from ftaseg.pipeline import (
@@ -17,6 +20,7 @@ from ftaseg.pipeline import (
     render_overlay,
     run_pipeline,
     slice_dir,
+    train_stage1_files,
     window_dir,
     write_kv_config,
 )
@@ -226,6 +230,40 @@ class TestWindowSliceDirs:
             window_dir(tmp_path / "nope", tmp_path / "o", WindowSpec())
 
 
+class TestStage1Files:
+    def test_reads_only_the_unlabeled_volumes_it_picks(self, tmp_path):
+        cfg = fast_config(synth_unlabeled=6, stage1_pseudo_count=2, seed=6)
+        generate_benchmark(cfg.benchmark_spec(), tmp_path / "data")
+        win, slc = tmp_path / "win", tmp_path / "slices"
+        for sub in ("labeled", "unlabeled"):
+            window_dir(tmp_path / "data" / sub, win / sub, cfg.window())
+        slice_dir(win / "labeled", slc, cfg.val_fraction, cfg.seed)
+
+        def stage1(out):
+            return train_stage1_files(slc, win / "unlabeled", tmp_path / out,
+                                      cfg.stage_config(), cfg.model_shape(), cfg.lr)
+
+        ckpt_a, picked = stage1("a")
+        assert len(picked) == 2
+        manifest = (tmp_path / "a" / "manifest.txt").read_text()
+        assert f"pseudo_selected = {','.join(sorted(picked))}\n" in manifest
+        others = [p for p in (win / "unlabeled").glob("*.vol") if p.stem not in picked]
+        assert len(others) == 4
+        for path in others:  # unreadable unless stage 1 skips them
+            path.write_bytes(path.read_bytes()[:-4])
+
+        ckpt_b, picked_b = stage1("b")
+        assert picked_b == picked
+        assert ckpt_b.read_bytes() == ckpt_a.read_bytes()
+        pseudo_a = sorted(p.name for p in (tmp_path / "a" / "pseudo").iterdir())
+        assert pseudo_a == sorted(p.name for p in (tmp_path / "b" / "pseudo").iterdir())
+        assert len(pseudo_a) == 3  # manifest.csv and two masks
+        for name in pseudo_a:
+            assert (tmp_path / "b" / "pseudo" / name).read_bytes() == (
+                tmp_path / "a" / "pseudo" / name
+            ).read_bytes()
+
+
 class TestOverlay:
     def test_empty_masks_pure_grayscale(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -421,9 +459,12 @@ class TestCli:
         assert (tmp_path / "o.ppm").read_bytes().startswith(b"P6\n")
 
     def test_console_entrypoint(self):
+        # The child imports the same package as this test, installed or not.
+        src = str(Path(ftaseg.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "ftaseg.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         for cmd in ("synth", "window", "slice", "fta", "train-stage1",

@@ -20,10 +20,10 @@ from ftaseg.ssl import (
     TrainSlice,
     _supervised_batch,
     consistency_loss,
+    evaluate_volumes,
     feature_perturb,
     generate_pseudo_labels,
     predict_volume,
-    pseudo_masks_by_volume,
     run_stage1,
     run_stage2,
     update_threshold,
@@ -97,48 +97,61 @@ class TestThreshold:
             assert 0.5 <= state.tau <= 1.0
 
 
+def ids_and_load(volumes):
+    """The (ids, load) pair the pseudo-labelling API takes, over in-memory
+    volumes; ``loaded`` records every id read."""
+    loaded = []
+
+    def load(vid):
+        loaded.append(vid)
+        return dict(volumes)[vid]
+
+    return [vid for vid, _ in volumes], load, loaded
+
+
 class TestPseudoLabels:
     def test_argmax_semantics(self):
         rng = np.random.default_rng(0)
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 1)
         volumes = make_volumes(rng, 3)
-        samples = generate_pseudo_labels(model, volumes, 2, seed=0)
-        by_id = {}
-        for s in samples:
-            by_id.setdefault(s.source_id, []).append(s)
-        assert len(by_id) == 2
-        for vid, planes in by_id.items():
-            vol = dict(volumes)[vid]
+        ids, load, loaded = ids_and_load(volumes)
+        labels = generate_pseudo_labels(model, ids, load, 2, seed=0)
+        assert len({p.source_id for p in labels}) == 2
+        assert sorted(loaded) == sorted(p.source_id for p in labels)
+        for p in labels:
+            vol = dict(volumes)[p.source_id]
             probs = np.stack(
                 [
-                    model.predict_probs(Slice2D(vol.data[z], "z", z, vid))
+                    model.predict_probs(Slice2D(vol.data[z], "z", z, p.source_id))
                     for z in range(vol.dims[0])
                 ]
             )
-            stacked = pseudo_masks_by_volume(planes)[vid]
-            assert np.array_equal(stacked.data, (probs >= 0.5).astype(np.uint8))
-            for s in planes:
-                assert np.all(s.confidence >= 0.5 - 1e-12)
+            assert p.mask.dtype == np.uint8
+            assert np.array_equal(p.mask, (probs >= 0.5).astype(np.uint8))
 
     def test_zero_count_is_empty(self):
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 1)
-        assert generate_pseudo_labels(model, [], 0, seed=0) == []
+        assert generate_pseudo_labels(model, [], {}.__getitem__, 0, seed=0) == []
 
     def test_count_exceeding_pool_rejected(self):
         rng = np.random.default_rng(1)
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 1)
+        ids, load, _ = ids_and_load(make_volumes(rng, 2))
         with pytest.raises(DataError):
-            generate_pseudo_labels(model, make_volumes(rng, 2), 3, seed=0)
+            generate_pseudo_labels(model, ids, load, 3, seed=0)
 
     def test_selection_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 1)
         volumes = make_volumes(rng, 8)
-        ids_a = {s.source_id for s in generate_pseudo_labels(model, volumes, 3, 7)}
-        ids_b = {s.source_id for s in generate_pseudo_labels(model, volumes, 3, 7)}
-        ids_c = {s.source_id for s in generate_pseudo_labels(model, volumes, 3, 8)}
-        assert ids_a == ids_b
-        assert ids_a != ids_c
+        ids, load = [vid for vid, _ in volumes], dict(volumes).__getitem__
+
+        def picked(seed):
+            labels = generate_pseudo_labels(model, ids, load, 3, seed)
+            return {p.source_id for p in labels}
+
+        assert picked(7) == picked(7)
+        assert picked(7) != picked(8)
 
 
 class TestFeaturePerturb:
@@ -225,43 +238,50 @@ class TestConsistencyLoss:
 class TestStage1:
     def test_requires_labeled_data(self):
         with pytest.raises(DataError):
-            run_stage1([], [], StageConfig(stage1_epochs=1))
+            run_stage1([], [], {}.__getitem__, StageConfig(stage1_epochs=1))
 
     def test_merged_count_clamps_to_pool(self):
         rng = np.random.default_rng(9)
         labeled = make_train_set(rng, 4)
         volumes = make_volumes(rng, 3)
         cfg = StageConfig(stage1_epochs=1, stage1_pseudo_count=10, seed=0)
-        res = run_stage1(labeled, volumes, cfg, ModelShape(3, 4, 3))
+        ids, load, _ = ids_and_load(volumes)
+        res = run_stage1(labeled, ids, load, cfg, ModelShape(3, 4, 3))
         assert len(res.selected_ids) == min(10, len(volumes)) == 3
         assert res.warnings
 
     def test_zero_pseudo_count_no_op(self):
         rng = np.random.default_rng(10)
         cfg = StageConfig(stage1_epochs=1, stage1_pseudo_count=0, seed=0)
-        res = run_stage1(make_train_set(rng, 3), make_volumes(rng, 3), cfg,
-                         ModelShape(3, 4, 3))
+        ids, load, loaded = ids_and_load(make_volumes(rng, 3))
+        res = run_stage1(make_train_set(rng, 3), ids, load, cfg, ModelShape(3, 4, 3))
         assert res.selected_ids == []
-        assert res.pseudo_samples == []
+        assert res.pseudo == []
+        assert loaded == []
 
     def test_deterministic(self):
         def run():
             rng = np.random.default_rng(11)
             cfg = StageConfig(stage1_epochs=2, stage1_pseudo_count=2, seed=5)
+            labeled = make_train_set(rng, 5)
+            volumes = make_volumes(rng, 4)
             return run_stage1(
-                make_train_set(rng, 5), make_volumes(rng, 4), cfg, ModelShape(3, 4, 3)
+                labeled, [vid for vid, _ in volumes], dict(volumes).__getitem__,
+                cfg, ModelShape(3, 4, 3),
             )
 
         a, b = run(), run()
         assert np.array_equal(a.model.params, b.model.params)
         assert a.selected_ids == b.selected_ids
         assert a.epoch_losses == b.epoch_losses
+        for pa, pb in zip(a.pseudo, b.pseudo):
+            assert np.array_equal(pa.mask, pb.mask)
 
     def test_epoch_losses_length_and_decrease(self):
         rng = np.random.default_rng(12)
         cfg = StageConfig(stage1_epochs=8, stage1_pseudo_count=0, seed=1)
-        res = run_stage1(make_train_set(rng, 6), [], cfg, ModelShape(3, 4, 3),
-                         base_lr=1e-2)
+        res = run_stage1(make_train_set(rng, 6), [], {}.__getitem__, cfg,
+                         ModelShape(3, 4, 3), base_lr=1e-2)
         assert len(res.epoch_losses) == 8
         assert res.epoch_losses[-1] < res.epoch_losses[0]
 
@@ -322,6 +342,31 @@ class TestStage2:
         assert [row.epoch for row in res.history] == [1, 2, 3]
         assert all(row.split == "val" for row in res.history)
         assert all(0.5 <= row.tau <= 1.0 for row in res.history)
+
+    @pytest.mark.parametrize(
+        "iters,val_points",
+        [(3, 2), (10, 4), (10, 3), (12, 3), (4, 1), (2, 5)],
+    )
+    def test_validates_val_points_times_ending_on_the_final_model(
+        self, iters, val_points
+    ):
+        rng = np.random.default_rng(19)
+        labeled = make_train_set(rng, 4)
+        unlabeled = [ts.image for ts in make_train_set(rng, 4)]
+        val_cases = self.val_cases(rng)
+        res = run_stage2(
+            PatchMLP.init_random(ModelShape(3, 4, 3), 7), labeled, unlabeled,
+            val_cases, StageConfig(seed=2, batch_size=2, threshold_momentum=0.9),
+            TrainSchedule(1e-2, iters), FtaConfig(), val_points=val_points,
+        )
+        n = min(val_points, iters)
+        assert [row.epoch for row in res.history] == list(range(1, n + 1))
+        final, _ = evaluate_volumes(res.model, val_cases)
+        last = res.history[-1]
+        assert (last.dice, last.iou, last.hd_norm, last.score) == (
+            final.dice, final.iou, final.hd_norm, final.score
+        )
+        assert last.tau == res.threshold.tau  # tau moves every iteration
 
     def test_deterministic_full_run(self):
         def run():
