@@ -226,10 +226,12 @@ class Stage2Result:
 
 
 def predict_volume(model: PatchMLP, v: Volume, source_id: str = "vol") -> MaskVolume:
-    """Segment a volume plane by plane along z."""
-    slices = [Slice2D(v.data[z], "z", z, source_id) for z in range(v.dims[0])]
-    probs = model.forward_cache_multi(slices)["probs"].reshape(v.dims)
-    return MaskVolume((probs >= 0.5).astype(np.uint8))
+    """Segment a volume plane by plane along z, one forward-only pass per
+    plane, so only one plane's activations are alive at a time."""
+    mask = np.empty(v.dims, dtype=np.uint8)
+    for z in range(v.dims[0]):
+        mask[z] = model.predict_probs(Slice2D(v.data[z], "z", z, source_id)) >= 0.5
+    return MaskVolume(mask)
 
 
 def evaluate_volumes(
@@ -399,8 +401,10 @@ def run_stage2(
             weak_slices = [
                 _flip(unlabeled[int(u)], bool(f)) for u, f in zip(u_idx, flips)
             ]
-            weak_cache = model.forward_cache_multi(weak_slices)
-            weak_probs = np.clip(weak_cache["probs"], 1e-15, 1.0 - 1e-15)
+            # The weak view is never back-propagated: forward-only, per slice.
+            weak_probs = np.concatenate(
+                [model.predict_probs(s).ravel() for s in weak_slices]
+            )
             tau_state = update_threshold(
                 tau_state, np.maximum(weak_probs, 1.0 - weak_probs)
             )
@@ -441,7 +445,7 @@ def run_stage2(
                 model.forward_cache_multi(strong_slices) if strong_slices else None
             )
 
-            weak_off = np.cumsum([0] + weak_cache["sizes"])
+            weak_off = np.cumsum([0] + [s.data.size for s in weak_slices])
             fp_grad_flat = np.zeros_like(fp_cache["probs"])
             strong_grad_flat = (
                 np.zeros_like(strong_cache["probs"]) if strong_cache else None

@@ -105,10 +105,16 @@ class TestForward:
         with pytest.raises(DataError):
             model.predict_probs(rand_slice(np.random.default_rng(6), 2, 8))
 
-    def test_multi_forward_matches_single(self):
-        model = PatchMLP.init_random(ModelShape(3, 4, 3), 9)
+    @pytest.mark.parametrize(
+        "shape, n, h, w",
+        [(ModelShape(3, 4, 3), 3, 4, 5), (ModelShape(), 8, 32, 32)],
+        ids=["3x4x5", "8x32x32-default"],
+    )
+    def test_multi_forward_matches_single(self, shape, n, h, w):
+        # The second case is a stage-2 weak-view batch at the default shape.
+        model = PatchMLP.init_random(shape, 9)
         rng = np.random.default_rng(7)
-        slices = [rand_slice(rng, 4, 5) for _ in range(3)]
+        slices = [rand_slice(rng, h, w) for _ in range(n)]
         multi = model.forward_cache_multi(slices)
         stacked = np.concatenate(
             [model.predict_probs(s).ravel() for s in slices]

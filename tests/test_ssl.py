@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,15 +393,51 @@ class TestStage2:
             )
 
 
+def _noisy_model(shape: ModelShape, seed: int, noise: float) -> PatchMLP:
+    # Seeded noise on every parameter (biases included) moves the outputs
+    # away from the all-zero-bias initialisation.
+    model = PatchMLP.init_random(shape, seed)
+    model.params += np.random.default_rng(seed).normal(0.0, noise, model.params.size)
+    return model
+
+
 class TestPredictVolume:
-    def test_matches_per_slice_prediction(self):
+    @pytest.mark.parametrize(
+        "dims, shape, noise",
+        [
+            ((3, 5, 5), ModelShape(3, 4, 3), 0.0),
+            ((6, 9, 13), ModelShape(), 0.0),
+            ((48, 48, 48), ModelShape(), 0.3),
+        ],
+        ids=["3x5x5", "6x9x13", "48-cube"],
+    )
+    def test_matches_per_slice_prediction(self, dims, shape, noise):
+        # Reference: every z plane stacked into one forward_cache_multi pass.
         rng = np.random.default_rng(17)
-        model = PatchMLP.init_random(ModelShape(3, 4, 3), 6)
-        vol = Volume(rng.random((3, 5, 5), dtype=np.float32), NORMALIZED)
+        model = _noisy_model(shape, 6, noise)
+        vol = Volume(rng.random(dims, dtype=np.float32), NORMALIZED)
         pred = predict_volume(model, vol)
-        for z in range(3):
-            probs = model.predict_probs(Slice2D(vol.data[z], "z", z, "v"))
-            assert np.array_equal(pred.data[z], (probs >= 0.5).astype(np.uint8))
+        planes = [Slice2D(vol.data[z], "z", z, "v") for z in range(dims[0])]
+        probs = model.forward_cache_multi(planes)["probs"].reshape(dims)
+        assert pred.data.dtype == np.uint8
+        assert pred.data.tobytes() == (probs >= 0.5).astype(np.uint8).tobytes()
+        if noise:
+            assert 0 < pred.voxel_count() < pred.data.size
+
+    def test_peak_memory_of_a_48_cube_stays_under_8_mib(self):
+        model = _noisy_model(ModelShape(), 6, 0.3)
+        vol = Volume(
+            np.random.default_rng(17).random((48, 48, 48), dtype=np.float32),
+            NORMALIZED,
+        )
+        predict_volume(model, vol)  # warm-up
+        tracemalloc.start()
+        try:
+            predict_volume(model, vol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestStageConfig:
