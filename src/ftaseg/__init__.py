@@ -73,7 +73,6 @@ from .ssl import (
     ThresholdState,
     TrainSlice,
     consistency_loss,
-    feature_perturb,
     generate_pseudo_labels,
     run_stage1,
     run_stage2,

@@ -14,6 +14,7 @@ SEG1 checkpoint layout (little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,20 +60,31 @@ def poly_lr(sched: TrainSchedule, i: int) -> float:
 
 
 def selu(z: np.ndarray) -> np.ndarray:
-    # scale * (max(z, 0) + alpha * expm1(min(z, 0))): one transcendental,
-    # no boolean select.
-    out = np.expm1(np.minimum(z, 0.0))
-    out *= SELU_ALPHA
-    out += np.maximum(z, 0.0)
-    out *= SELU_SCALE
-    return out
+    """scale * (max(z, 0) + alpha * expm1(min(z, 0))) in a new float64 array."""
+    out = np.array(z, dtype=np.float64)
+    return _selu_(out, np.empty_like(out))
 
 
-def _selu_grad_from_activation(a: np.ndarray) -> np.ndarray:
+def _selu_(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # SELU written over z, with tmp (z's shape) as scratch: one
+    # transcendental, no boolean select.
+    np.minimum(z, 0.0, out=tmp)
+    np.expm1(tmp, out=tmp)
+    tmp *= SELU_ALPHA
+    np.maximum(z, 0.0, out=z)
+    z += tmp
+    z *= SELU_SCALE
+    return z
+
+
+def _selu_grad_(a: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # a = selu(z) before any perturbation. selu is strictly increasing with
     # selu(0) = 0, so the branch test works on a itself, and for z <= 0 the
     # derivative equals a + scale*alpha: no exponential in the backward pass.
-    return np.where(a > 0, SELU_SCALE, a + SELU_SCALE * SELU_ALPHA)
+    np.add(a, SELU_SCALE * SELU_ALPHA, out=out)
+    np.greater(a, 0.0, out=mask)
+    np.copyto(out, SELU_SCALE, where=mask)
+    return out
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -137,23 +149,69 @@ def alpha_dropout(
     activations: np.ndarray, rate: float, seed: int
 ) -> np.ndarray:
     """Saturate a fraction of units, then restore mean/variance in expectation."""
-    arr, _, _ = _alpha_dropout_cached(activations, rate, np.random.default_rng(seed))
-    return arr
-
-
-def _alpha_dropout_cached(
-    activations: np.ndarray, rate: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"perturbation rate must be in [0, 1), got {rate}")
+    a = np.asarray(activations, dtype=np.float64)
     if rate == 0.0:
-        return np.array(activations, copy=True), np.ones_like(activations), 1.0
-    keep = rng.random(activations.shape) >= rate
+        return a.copy()
+    out = np.empty_like(a)
+    _alpha_dropout_(
+        a, rate, np.random.default_rng(seed), out,
+        np.empty(a.shape, dtype=bool), np.empty_like(a),
+    )
+    return out
+
+
+def _alpha_dropout_(
+    a: np.ndarray,
+    rate: float,
+    rng: np.random.Generator,
+    out: np.ndarray,
+    keep: np.ndarray,
+    rand: np.ndarray,
+) -> float:
+    # Writes the dropped-out activations to out and the kept units to keep;
+    # rand (a's shape) is scratch. Returns the rescaling factor.
+    rng.random(out=rand)
+    np.greater_equal(rand, rate, out=keep)
     q = 1.0 - rate
     scale = (q + SELU_SATURATION**2 * rate * q) ** -0.5
     shift = -scale * rate * SELU_SATURATION
-    out = scale * np.where(keep, activations, SELU_SATURATION) + shift
-    return out, keep, scale
+    np.copyto(out, SELU_SATURATION)
+    np.copyto(out, a, where=keep)
+    out *= scale
+    out += shift
+    return scale
+
+
+class Workspace:
+    """Grow-only named float64 and bool buffers for forward and backward passes.
+
+    ``take`` returns a view of the named buffer and allocates only when a
+    pass needs more elements than the buffer holds, so repeated passes of
+    the same or a smaller size allocate nothing. The arrays a backward pass
+    reads (patches, activations, keep masks) live in the workspace of their
+    role; temporaries live in ``scratch``, which several workspaces may
+    share. A cache returned by a forward pass views these buffers, so it is
+    valid only until the next forward pass on the same workspace.
+    """
+
+    def __init__(self, scratch: "Workspace | None" = None):
+        self._flat: dict[str, np.ndarray] = {}
+        self._scratch = scratch
+
+    @property
+    def scratch(self) -> "Workspace":
+        # Not stored as self: a reference cycle would keep the buffers
+        # alive until the cyclic garbage collector happens to run.
+        return self if self._scratch is None else self._scratch
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._flat.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._flat[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
 class PatchMLP:
@@ -197,82 +255,133 @@ class PatchMLP:
         b3 = vec[o]
         return w1, b1, w2, b2, w3, b3
 
-    def _patches(self, slc: Slice2D) -> np.ndarray:
-        pad = self.shape.patch // 2
-        data = slc.data.astype(np.float64)
-        if pad > 0:
-            if min(data.shape) <= pad:
-                raise DataError(
-                    f"slice {data.shape} too small for reflect padding of {pad}"
-                )
-            data = np.pad(data, pad, mode="reflect")
+    def _build_patches(self, slices: list[Slice2D], ws: Workspace) -> np.ndarray:
+        # Each slice's k x k reflect-padded windows, mapped from [0, 1]
+        # intensities to [-1, 1] features, written straight into the
+        # workspace's patch rows in slice order.
         k = self.shape.patch
-        windows = np.lib.stride_tricks.sliding_window_view(data, (k, k))
-        flat = windows.reshape(-1, k * k)
-        return 2.0 * flat - 1.0  # [0, 1] intensities -> [-1, 1] features
+        pad = k // 2
+        rows = ws.take("patches", (sum(s.data.size for s in slices), k * k))
+        o = 0
+        for s in slices:
+            h, w = s.data.shape
+            data = s.data.astype(np.float64)
+            if pad > 0:
+                if min(data.shape) <= pad:
+                    raise DataError(
+                        f"slice {data.shape} too small for reflect padding of {pad}"
+                    )
+                data = np.pad(data, pad, mode="reflect")
+            windows = np.lib.stride_tricks.sliding_window_view(data, (k, k))
+            dst = rows[o:o + h * w].reshape(h, w, k, k)
+            np.multiply(windows, 2.0, out=dst)
+            dst -= 1.0
+            o += h * w
+        return rows
 
-    def _forward_rows(self, p: np.ndarray, perturb: Perturbation | None) -> dict:
+    def _forward_rows(
+        self, p: np.ndarray, perturb: Perturbation | None, ws: Workspace
+    ) -> dict:
         # Rows are independent pixels, so any number of slices can share one
-        # forward pass once their patch matrices are stacked.
+        # forward pass once their patch rows are stacked.
         if not np.all(np.isfinite(self.params)):
             raise NumericError("model parameters contain non-finite values")
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
-        a1_pre = selu(p @ w1.T + b1)
+        n, h1, h2 = len(p), self.shape.hidden1, self.shape.hidden2
+        tmp = ws.scratch
+
+        def dense_selu(x, w, b, name, width):
+            z = np.matmul(x, w.T, out=ws.take(name, (n, width)))
+            z += b
+            return _selu_(z, tmp.take("selu", (n, width)))
+
+        def dropout(a, rng, name, keep_name):
+            out = ws.take(name, a.shape)
+            keep = ws.take(keep_name, a.shape, bool)
+            scale = _alpha_dropout_(
+                a, perturb.rate, rng, out, keep, tmp.take("rand", a.shape)
+            )
+            return out, keep, scale
+
+        a1_pre = dense_selu(p, w1, b1, "a1_pre", h1)
         a1 = a1_pre
         keep1 = keep2 = None
         scale = 1.0
         if perturb is not None and perturb.rate > 0.0:
             rng = np.random.default_rng(perturb.seed)
-            a1, keep1, scale = _alpha_dropout_cached(a1_pre, perturb.rate, rng)
-        a2_pre = selu(a1 @ w2.T + b2)
+            a1, keep1, scale = dropout(a1_pre, rng, "a1", "keep1")
+        a2_pre = dense_selu(a1, w2, b2, "a2_pre", h2)
         a2 = a2_pre
         if perturb is not None and perturb.rate > 0.0:
-            a2, keep2, _ = _alpha_dropout_cached(a2_pre, perturb.rate, rng)
+            a2, keep2, _ = dropout(a2_pre, rng, "a2", "keep2")
         probs = sigmoid(a2 @ w3 + b3)
         return {
             "patches": p, "a1_pre": a1_pre, "a1": a1, "a2_pre": a2_pre, "a2": a2,
             "probs": probs, "keep1": keep1, "keep2": keep2, "scale": scale,
+            "ws": ws,
         }
 
-    def forward_cache(self, slc: Slice2D, perturb: Perturbation | None = None) -> dict:
-        cache = self._forward_rows(self._patches(slc), perturb)
+    def forward_cache(
+        self,
+        slc: Slice2D,
+        perturb: Perturbation | None = None,
+        ws: Workspace | None = None,
+    ) -> dict:
+        """One forward pass over a slice. The cache views ``ws`` (a fresh
+        workspace when None) and is valid until its next forward pass."""
+        ws = Workspace() if ws is None else ws
+        cache = self._forward_rows(self._build_patches([slc], ws), perturb, ws)
         cache["hw"] = slc.data.shape
         return cache
 
     def forward_cache_multi(
-        self, slices: list[Slice2D], perturb: Perturbation | None = None
+        self,
+        slices: list[Slice2D],
+        perturb: Perturbation | None = None,
+        ws: Workspace | None = None,
     ) -> dict:
         """One forward pass over several slices; probabilities stay stacked
-        in slice order and ``sizes`` records each slice's pixel count."""
-        patches = np.vstack([self._patches(s) for s in slices])
-        cache = self._forward_rows(patches, perturb)
+        in slice order and ``sizes`` records each slice's pixel count. The
+        cache is valid until the next forward pass on ``ws``."""
+        ws = Workspace() if ws is None else ws
+        cache = self._forward_rows(self._build_patches(slices, ws), perturb, ws)
         cache["sizes"] = [s.data.size for s in slices]
         return cache
 
     def predict_probs(
-        self, slc: Slice2D, perturb: Perturbation | None = None
+        self,
+        slc: Slice2D,
+        perturb: Perturbation | None = None,
+        ws: Workspace | None = None,
     ) -> np.ndarray:
         """Per-pixel foreground probability map in the open interval (0, 1)."""
-        probs = self.forward_cache(slc, perturb)["probs"].reshape(slc.data.shape)
+        probs = self.forward_cache(slc, perturb, ws)["probs"].reshape(slc.data.shape)
         return np.clip(probs, 1e-15, 1.0 - 1e-15)
 
     def grad_from_logit_grad(self, cache: dict, dz3: np.ndarray) -> np.ndarray:
+        """Parameter gradient from a per-row gradient on the output logits;
+        its deltas live in the scratch of the cache's workspace."""
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
         a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
+        tmp = cache["ws"].scratch
+
+        def backprop_selu(d, keep, a_pre):
+            # d *= keep*scale (dropout), then d *= selu'(z). Passes never
+            # overlap, so the forward SELU temporary serves here as well.
+            g = tmp.take("selu", d.shape)
+            if keep is not None:
+                d *= np.multiply(keep, cache["scale"], out=g)
+            d *= _selu_grad_(a_pre, g, tmp.take("grad_mask", d.shape, bool))
+            return d
+
         gw3 = a2.T @ dz3
         gb3 = dz3.sum()
-        da2 = np.outer(dz3, w3)
-        if cache["keep2"] is not None:
-            da2 *= cache["scale"] * cache["keep2"]
-        dz2 = da2
-        dz2 *= _selu_grad_from_activation(cache["a2_pre"])
+        dz2 = np.multiply(dz3.reshape(-1, 1), w3, out=tmp.take("d2", a2.shape))
+        backprop_selu(dz2, cache["keep2"], cache["a2_pre"])
         gw2 = dz2.T @ a1
         gb2 = dz2.sum(axis=0)
-        da1 = dz2 @ w2
-        if cache["keep1"] is not None:
-            da1 *= cache["scale"] * cache["keep1"]
-        dz1 = da1
-        dz1 *= _selu_grad_from_activation(cache["a1_pre"])
+        dz1 = np.matmul(dz2, w2, out=tmp.take("d1", a1.shape))
+        backprop_selu(dz1, cache["keep1"], cache["a1_pre"])
         gw1 = dz1.T @ p
         gb1 = dz1.sum(axis=0)
         return np.concatenate(

@@ -26,8 +26,8 @@ from .model import (
     PatchMLP,
     Perturbation,
     TrainSchedule,
+    Workspace,
     adamw_step,
-    alpha_dropout as feature_perturb,  # noqa: F401  (public SSL-level name)
     poly_lr,
 )
 from .preprocess import Slice2D
@@ -227,10 +227,13 @@ class Stage2Result:
 
 def predict_volume(model: PatchMLP, v: Volume, source_id: str = "vol") -> MaskVolume:
     """Segment a volume plane by plane along z, one forward-only pass per
-    plane, so only one plane's activations are alive at a time."""
+    plane, so only one plane's activations are alive at a time; the planes
+    reuse one workspace."""
+    ws = Workspace()
     mask = np.empty(v.dims, dtype=np.uint8)
     for z in range(v.dims[0]):
-        mask[z] = model.predict_probs(Slice2D(v.data[z], "z", z, source_id)) >= 0.5
+        plane = Slice2D(v.data[z], "z", z, source_id)
+        mask[z] = model.predict_probs(plane, ws=ws) >= 0.5
     return MaskVolume(mask)
 
 
@@ -248,10 +251,10 @@ def evaluate_volumes(
 
 
 def _supervised_batch(
-    model: PatchMLP, batch: list[TrainSlice]
+    model: PatchMLP, batch: list[TrainSlice], ws: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
-    # Mean of per-slice weighted BCE, computed in one stacked pass.
-    cache = model.forward_cache_multi([ts.image for ts in batch])
+    # Mean of per-slice weighted BCE, computed in one stacked pass on ws.
+    cache = model.forward_cache_multi([ts.image for ts in batch], ws=ws)
     probs = cache["probs"]
     targets = np.concatenate([ts.target.ravel() for ts in batch]).astype(np.float64)
     pixel_w = np.concatenate(
@@ -291,13 +294,14 @@ def run_stage1(
     per_epoch = -(-n // cfg.batch_size)
     sched = TrainSchedule(base_lr, cfg.stage1_epochs * per_epoch)
     epoch_losses: list[float] = []
+    ws = Workspace()
     it = 0
     for _ in range(cfg.stage1_epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = [labeled[i] for i in order[start:start + cfg.batch_size]]
-            loss, grad = _supervised_batch(model, batch)
+            loss, grad = _supervised_batch(model, batch, ws)
             model.params, opt = adamw_step(model.params, grad, opt, poly_lr(sched, it))
             epoch_loss += loss
             it += 1
@@ -382,6 +386,9 @@ def run_stage2(
 
     history: list[HistoryRow] = []
     iteration_losses: list[float] = []
+    # One workspace per view; their temporaries share one scratch set.
+    scratch = Workspace()
+    sup_ws, strong_ws, fp_ws, weak_ws = (Workspace(scratch) for _ in range(4))
     n_val = min(max(1, val_points), sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
@@ -390,7 +397,7 @@ def run_stage2(
         lr = poly_lr(sched, it)
         l_idx = batch_rng.choice(n_lab, size=cfg.batch_size, replace=n_lab < cfg.batch_size)
         if supervised_only:
-            loss, grad = _supervised_batch(model, [labeled[i] for i in l_idx])
+            loss, grad = _supervised_batch(model, [labeled[i] for i in l_idx], sup_ws)
             model.params, opt = adamw_step(model.params, grad, opt, lr)
             iteration_losses.append(loss)
         else:
@@ -403,7 +410,7 @@ def run_stage2(
             ]
             # The weak view is never back-propagated: forward-only, per slice.
             weak_probs = np.concatenate(
-                [model.predict_probs(s).ravel() for s in weak_slices]
+                [model.predict_probs(s, ws=weak_ws).ravel() for s in weak_slices]
             )
             tau_state = update_threshold(
                 tau_state, np.maximum(weak_probs, 1.0 - weak_probs)
@@ -440,9 +447,10 @@ def run_stage2(
                     strong_owner.append(j)
 
             perturb = Perturbation(cfg.perturb_rate, int(perturb_rng.integers(2**32)))
-            fp_cache = model.forward_cache_multi(weak_slices, perturb)
+            fp_cache = model.forward_cache_multi(weak_slices, perturb, fp_ws)
             strong_cache = (
-                model.forward_cache_multi(strong_slices) if strong_slices else None
+                model.forward_cache_multi(strong_slices, ws=strong_ws)
+                if strong_slices else None
             )
 
             weak_off = np.cumsum([0] + [s.data.size for s in weak_slices])
@@ -470,7 +478,7 @@ def run_stage2(
                     strong_grad_flat[strong_off[k]:strong_off[k + 1]] = g
                 fp_grad_flat[lo:hi] = view_grads[-1]
 
-            sup_loss, grad = _supervised_batch(model, sup_batch)
+            sup_loss, grad = _supervised_batch(model, sup_batch, sup_ws)
             w_u = cfg.unsup_weight / cfg.batch_size
             grad += w_u * model.grad_from_prob_grad(fp_cache, fp_grad_flat)
             if strong_cache is not None:

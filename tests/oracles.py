@@ -213,3 +213,109 @@ def finite_diff_grad(loss_fn, params: np.ndarray, h: float = 1e-6) -> np.ndarray
         minus[i] -= h
         out[i] = (loss_fn(plus) - loss_fn(minus)) / (2.0 * h)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Float64 reference of the patch-MLP forward and backward passes: the
+# allocating form, one fresh array per intermediate. The package's in-place
+# passes must match it byte for byte.
+
+SELU_SCALE_REF = 1.0507009873554805
+SELU_ALPHA_REF = 1.6732632423543772
+
+
+def _selu_ref(z: np.ndarray) -> np.ndarray:
+    out = np.expm1(np.minimum(z, 0.0))
+    out *= SELU_ALPHA_REF
+    out += np.maximum(z, 0.0)
+    out *= SELU_SCALE_REF
+    return out
+
+
+def _selu_grad_ref(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 0, SELU_SCALE_REF, a + SELU_SCALE_REF * SELU_ALPHA_REF)
+
+
+def _sigmoid_ref(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _alpha_dropout_ref(activations: np.ndarray, rate: float, rng):
+    saturation = -SELU_SCALE_REF * SELU_ALPHA_REF
+    keep = rng.random(activations.shape) >= rate
+    q = 1.0 - rate
+    scale = (q + saturation**2 * rate * q) ** -0.5
+    shift = -scale * rate * saturation
+    out = scale * np.where(keep, activations, saturation) + shift
+    return out, keep, scale
+
+
+def unpack_ref(vec: np.ndarray, patch: int, hidden1: int, hidden2: int):
+    k2, h1, h2 = patch * patch, hidden1, hidden2
+    o = 0
+    w1 = vec[o:o + h1 * k2].reshape(h1, k2); o += h1 * k2
+    b1 = vec[o:o + h1]; o += h1
+    w2 = vec[o:o + h2 * h1].reshape(h2, h1); o += h2 * h1
+    b2 = vec[o:o + h2]; o += h2
+    w3 = vec[o:o + h2]; o += h2
+    return w1, b1, w2, b2, w3, vec[o]
+
+
+def patches_ref(img: np.ndarray, k: int) -> np.ndarray:
+    """Reflect-padded k x k patch rows of one slice, mapped to [-1, 1]."""
+    data = img.astype(np.float64)
+    if k // 2 > 0:
+        data = np.pad(data, k // 2, mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(data, (k, k))
+    return 2.0 * windows.reshape(-1, k * k) - 1.0
+
+
+def mlp_forward_rows_ref(params, dims, p: np.ndarray, rate=None, seed=None) -> dict:
+    """Allocating forward pass over stacked patch rows; ``dims`` is
+    (patch, hidden1, hidden2), and a rate > 0 applies alpha dropout to both
+    hidden layers from one generator seeded with ``seed``."""
+    w1, b1, w2, b2, w3, b3 = unpack_ref(params, *dims)
+    a1_pre = _selu_ref(p @ w1.T + b1)
+    a1 = a1_pre
+    keep1 = keep2 = None
+    scale = 1.0
+    if rate:
+        rng = np.random.default_rng(seed)
+        a1, keep1, scale = _alpha_dropout_ref(a1_pre, rate, rng)
+    a2_pre = _selu_ref(a1 @ w2.T + b2)
+    a2 = a2_pre
+    if rate:
+        a2, keep2, _ = _alpha_dropout_ref(a2_pre, rate, rng)
+    return {
+        "patches": p, "a1_pre": a1_pre, "a1": a1, "a2_pre": a2_pre, "a2": a2,
+        "probs": _sigmoid_ref(a2 @ w3 + b3), "keep1": keep1, "keep2": keep2,
+        "scale": scale,
+    }
+
+
+def mlp_grad_ref(params, dims, cache: dict, dz3: np.ndarray) -> np.ndarray:
+    """Allocating backward pass from a per-row logit gradient."""
+    w1, b1, w2, b2, w3, b3 = unpack_ref(params, *dims)
+    a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
+    gw3 = a2.T @ dz3
+    gb3 = dz3.sum()
+    da2 = np.outer(dz3, w3)
+    if cache["keep2"] is not None:
+        da2 *= cache["scale"] * cache["keep2"]
+    dz2 = da2
+    dz2 *= _selu_grad_ref(cache["a2_pre"])
+    gw2 = dz2.T @ a1
+    gb2 = dz2.sum(axis=0)
+    da1 = dz2 @ w2
+    if cache["keep1"] is not None:
+        da1 *= cache["scale"] * cache["keep1"]
+    dz1 = da1
+    dz1 *= _selu_grad_ref(cache["a1_pre"])
+    gw1 = dz1.T @ p
+    gb1 = dz1.sum(axis=0)
+    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, np.array([gb3])])

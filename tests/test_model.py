@@ -10,6 +10,7 @@ from ftaseg.model import (
     PatchMLP,
     Perturbation,
     TrainSchedule,
+    Workspace,
     adamw_step,
     bce_loss,
     load_checkpoint,
@@ -18,7 +19,15 @@ from ftaseg.model import (
 )
 from ftaseg.preprocess import Slice2D
 
-from oracles import adam_plain, finite_diff_grad, mlp_forward_scalar, reflect_patch
+from oracles import (
+    adam_plain,
+    finite_diff_grad,
+    mlp_forward_rows_ref,
+    mlp_forward_scalar,
+    mlp_grad_ref,
+    patches_ref,
+    reflect_patch,
+)
 
 
 def rand_slice(rng, h=4, w=4):
@@ -127,6 +136,80 @@ class TestForward:
             ModelShape(4, 4, 3)  # even patch
         with pytest.raises(ConfigError):
             ModelShape(3, 0, 3)
+
+
+def _noisy(shape: ModelShape, seed: int) -> PatchMLP:
+    model = PatchMLP.init_random(shape, seed)
+    model.params += np.random.default_rng(seed).normal(0.0, 0.3, model.params.size)
+    return model
+
+
+def _dims(model: PatchMLP) -> tuple[int, int, int]:
+    return model.shape.patch, model.shape.hidden1, model.shape.hidden2
+
+
+def _ref_forward(model, slices, perturb=None) -> dict:
+    p = np.vstack([patches_ref(s.data, model.shape.patch) for s in slices])
+    if perturb is None:
+        return mlp_forward_rows_ref(model.params, _dims(model), p)
+    return mlp_forward_rows_ref(
+        model.params, _dims(model), p, perturb.rate, perturb.seed
+    )
+
+
+def _check_backward(model, cache, ref, rng):
+    # Byte equality of probabilities and of the gradient of a random logit
+    # gradient, against the allocating reference.
+    dz3 = rng.normal(size=ref["probs"].size)
+    grad = model.grad_from_logit_grad(cache, dz3)
+    assert cache["probs"].tobytes() == ref["probs"].tobytes()
+    assert grad.tobytes() == mlp_grad_ref(model.params, _dims(model), ref, dz3).tobytes()
+
+
+class TestWorkspacePasses:
+    """The in-place passes reproduce the allocating reference byte for byte."""
+
+    @pytest.mark.parametrize(
+        "perturb", [None, Perturbation(0.1, 11)], ids=["clean", "perturbed"]
+    )
+    @pytest.mark.parametrize(
+        "shape, hw", [(ModelShape(3, 4, 3), 8), (ModelShape(), 32)],
+        ids=["3x4x3", "default"],
+    )
+    def test_one_workspace_reused_at_16_8_16_slices(self, shape, hw, perturb):
+        model = _noisy(shape, 4)
+        rng = np.random.default_rng(21)
+        ws = Workspace()
+        for n in (16, 8, 16):
+            slices = [rand_slice(rng, hw, hw) for _ in range(n)]
+            cache = model.forward_cache_multi(slices, perturb, ws)
+            _check_backward(model, cache, _ref_forward(model, slices, perturb), rng)
+
+    @pytest.mark.parametrize(
+        "shape, hw", [(ModelShape(3, 4, 3), 8), (ModelShape(), 32)],
+        ids=["3x4x3", "default"],
+    )
+    def test_roles_sharing_scratch_in_stage2_order(self, shape, hw):
+        model = _noisy(shape, 5)
+        rng = np.random.default_rng(22)
+        scratch = Workspace()
+        sup_ws, strong_ws, fp_ws, weak_ws = (Workspace(scratch) for _ in range(4))
+        for it, n_strong in enumerate((16, 14)):
+            weak = [rand_slice(rng, hw, hw) for _ in range(8)]
+            strong = [rand_slice(rng, hw, hw) for _ in range(n_strong)]
+            sup = [rand_slice(rng, hw, hw) for _ in range(16)]
+            perturb = Perturbation(0.1, 100 + it)
+            for s in weak:
+                want = np.clip(_ref_forward(model, [s])["probs"], 1e-15, 1 - 1e-15)
+                got = model.predict_probs(s, ws=weak_ws)
+                assert got.tobytes() == want.reshape(hw, hw).tobytes()
+            # All three forward passes run before the first backward pass.
+            fp = model.forward_cache_multi(weak, perturb, fp_ws)
+            strong_cache = model.forward_cache_multi(strong, None, strong_ws)
+            sup_cache = model.forward_cache_multi(sup, None, sup_ws)
+            _check_backward(model, sup_cache, _ref_forward(model, sup), rng)
+            _check_backward(model, fp, _ref_forward(model, weak, perturb), rng)
+            _check_backward(model, strong_cache, _ref_forward(model, strong), rng)
 
 
 class TestLoss:

@@ -12,7 +12,9 @@ from ftaseg.model import (
     ModelShape,
     PatchMLP,
     TrainSchedule,
+    Workspace,
     adamw_step,
+    alpha_dropout,
     poly_lr,
 )
 from ftaseg.preprocess import Slice2D
@@ -23,7 +25,6 @@ from ftaseg.ssl import (
     _supervised_batch,
     consistency_loss,
     evaluate_volumes,
-    feature_perturb,
     generate_pseudo_labels,
     predict_volume,
     run_stage1,
@@ -160,12 +161,12 @@ class TestFeaturePerturb:
     def test_zero_rate_identity(self):
         rng = np.random.default_rng(3)
         acts = rng.normal(size=(64, 8))
-        assert np.array_equal(feature_perturb(acts, 0.0, 0), acts)
+        assert np.array_equal(alpha_dropout(acts, 0.0, 0), acts)
 
     def test_moments_preserved(self):
         rng = np.random.default_rng(4)
         acts = rng.normal(size=100_000)
-        out = feature_perturb(acts, 0.1, seed=5)
+        out = alpha_dropout(acts, 0.1, seed=5)
         assert abs(float(out.mean()) - float(acts.mean())) < 0.02
         assert abs(float(out.var()) / float(acts.var()) - 1.0) < 0.02
 
@@ -173,16 +174,16 @@ class TestFeaturePerturb:
         rng = np.random.default_rng(5)
         acts = rng.normal(size=(32, 4))
         assert np.array_equal(
-            feature_perturb(acts, 0.2, 9), feature_perturb(acts, 0.2, 9)
+            alpha_dropout(acts, 0.2, 9), alpha_dropout(acts, 0.2, 9)
         )
         assert not np.array_equal(
-            feature_perturb(acts, 0.2, 9), feature_perturb(acts, 0.2, 10)
+            alpha_dropout(acts, 0.2, 9), alpha_dropout(acts, 0.2, 10)
         )
 
     def test_saturated_units_share_value(self):
         rng = np.random.default_rng(6)
         acts = rng.normal(size=1000) + 10.0  # all far from saturation
-        out = feature_perturb(acts, 0.3, seed=1)
+        out = alpha_dropout(acts, 0.3, seed=1)
         # dropped units all map to the same affine image of the saturation value
         changed = out < out.mean() - 3.0
         assert changed.any()
@@ -329,6 +330,22 @@ class TestStage2:
         per = [model.loss_and_grad(ts.image, ts.target, ts.weight) for ts in batch]
         assert loss == pytest.approx(sum(l for l, _ in per) / 4, rel=1e-12)
         assert np.allclose(grad, sum(g for _, g in per) / 4, atol=1e-15)
+
+    def test_reused_workspace_keeps_a_batch_under_4_mib(self):
+        # 16 slices of 32 x 32 at the default shape: one (rows, hidden1)
+        # float64 activation is 4 MiB, so any such temporary breaks the bound.
+        rng = np.random.default_rng(16)
+        batch = make_train_set(rng, 16, hw=32)
+        model = PatchMLP.init_random(ModelShape(), 3)
+        ws = Workspace()
+        _supervised_batch(model, batch, ws)  # warm-up sizes the buffers
+        tracemalloc.start()
+        try:
+            _supervised_batch(model, batch, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_tau_bounded_and_history_logged(self):
         rng = np.random.default_rng(15)
