@@ -31,7 +31,6 @@ from .metrics import (
     evaluate_masks,
     hausdorff_l1,
     iou,
-    min_l1_separation,
     normalize_hd,
 )
 from .model import (

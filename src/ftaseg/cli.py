@@ -10,6 +10,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DataError, FtasegError, NumericError
 from .fourier import MODE_PAPER, MODES, FtaConfig, fta_augment_pair
 from .metrics import CSV_HEADER, evaluate_masks
@@ -17,6 +19,7 @@ from .model import ModelShape, TrainSchedule
 from .pipeline import (
     BenchmarkSpec,
     PipelineConfig,
+    coerce_fields,
     generate_benchmark,
     parse_benchmark_spec,
     parse_pipeline_config,
@@ -66,13 +69,13 @@ def _cmd_fta(args: argparse.Namespace) -> None:
         lambda_max=args.lambda_max,
         mask_fraction=args.beta,
         mode=args.mode,
-        seed=args.seed,
     )
-    pair = fta_augment_pair(_load_slice(args.a), _load_slice(args.b), cfg)
+    lam = cfg.draw_lambda(np.random.default_rng(args.seed))
+    pair = fta_augment_pair(_load_slice(args.a), _load_slice(args.b), lam, cfg)
     for slc, path in ((pair.z_w, args.out_a), (pair.z_u, args.out_b)):
         save_volume(Volume(slc.data.reshape(1, *slc.data.shape), RAW), path)
     print(
-        f"lambda={pair.lambda_used:.6f} beta={cfg.mask_fraction} "
+        f"lambda={lam:.6f} beta={cfg.mask_fraction} "
         f"residue={pair.imag_residue:.2e}"
     )
 
@@ -107,14 +110,12 @@ def _cmd_train_stage2(args: argparse.Namespace) -> None:
         lambda_max=args.lambda_max,
         mask_fraction=args.beta,
         mode=args.mode,
-        seed=args.seed,
     )
     ckpt = train_stage2_files(
         args.slices, args.pseudo_slices, args.unlabeled_slices, args.val,
         args.init, args.out, cfg,
         TrainSchedule(args.lr, args.iters), fta_cfg,
         val_points=args.val_points,
-        use_min_separation=args.min_separation,
     )
     print(f"checkpoint {ckpt}")
 
@@ -122,13 +123,13 @@ def _cmd_train_stage2(args: argparse.Namespace) -> None:
 def _cmd_score(args: argparse.Namespace) -> None:
     pred = load_mask(args.pred)
     gt = load_mask(args.gt)
-    report = evaluate_masks(pred, gt, use_min_separation=args.min_separation)
+    report = evaluate_masks(pred, gt)
     case = args.case or Path(args.pred).stem
     print(report.csv_row(case))
 
 
 def _cmd_score_dir(args: argparse.Namespace) -> None:
-    score_files(args.checkpoint, args.val, args.out, args.min_separation)
+    score_files(args.checkpoint, args.val, args.out)
     print(f"scores written to {args.out}")
 
 
@@ -149,21 +150,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
         key, _, val = item.partition("=")
         overrides[key.strip()] = val.strip()
     if overrides:
-        cfg = dataclasses.replace(cfg, **_coerce_overrides(overrides))
+        cfg = dataclasses.replace(cfg, **coerce_fields(PipelineConfig, overrides))
     paths = run_pipeline(cfg, args.out, echo=not args.quiet)
     print(f"scores: {paths.scores_csv}")
-
-
-def _coerce_overrides(kv: dict[str, str]) -> dict:
-    from .pipeline import _coerce
-
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    out = {}
-    for key, raw in kv.items():
-        if key not in fields:
-            raise ConfigError(f"unknown config key {key!r}")
-        out[key] = _coerce(key, raw, fields[key].default)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pseudo-weight", type=float, default=1.0)
     p.add_argument("--unsup-weight", type=float, default=0.5)
     p.add_argument("--val-points", type=int, default=10)
-    p.add_argument("--min-separation", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_train_stage2)
 
@@ -247,14 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--case", default=None)
-    p.add_argument("--min-separation", action="store_true")
     p.set_defaults(fn=_cmd_score)
 
     p = sub.add_parser("score-dir", help="score a checkpoint on validation volumes")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-separation", action="store_true")
     p.set_defaults(fn=_cmd_score_dir)
 
     p = sub.add_parser("overlay", help="render prediction/truth overlay as PPM")

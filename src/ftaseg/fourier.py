@@ -57,13 +57,12 @@ class SpectrumPair:
 
 @dataclass(frozen=True)
 class FtaConfig:
-    """Mixing policy: fixed lambda or a seeded uniform draw in [0, lambda_max]."""
+    """Mixing policy: fixed lambda or a uniform draw in [0, lambda_max]."""
 
     lambda_value: float | None = None
     lambda_max: float = 1.0
     mask_fraction: float = 0.25
     mode: str = MODE_PAPER
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("lambda_value", "lambda_max", "mask_fraction"):
@@ -75,11 +74,10 @@ class FtaConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
-    def draw_lambda(self, rng: np.random.Generator | None = None) -> float:
+    def draw_lambda(self, rng: np.random.Generator) -> float:
+        """The fixed lambda, or a uniform draw from ``rng``."""
         if self.lambda_value is not None:
             return float(self.lambda_value)
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
         return float(rng.uniform(0.0, self.lambda_max))
 
 
@@ -87,7 +85,6 @@ class FtaConfig:
 class AugmentedPair:
     z_w: Slice2D
     z_u: Slice2D
-    lambda_used: float
     imag_residue: float
 
 
@@ -151,13 +148,18 @@ def symmetrize_mask(mask: np.ndarray) -> np.ndarray:
     return np.maximum(mask, mirrored)
 
 
-def fta_augment_pair(x_w: Slice2D, x_u: Slice2D, cfg: FtaConfig) -> AugmentedPair:
-    """Blend low-frequency amplitudes of two slices, both directions at once.
+def fta_augment_pair(
+    x_w: Slice2D, x_u: Slice2D, lam: float, cfg: FtaConfig
+) -> AugmentedPair:
+    """Blend low-frequency amplitudes of two slices with weight ``lam``, both
+    directions at once; ``cfg`` gives the mask and the blend mode.
 
     Inputs must share dims and hold normalized [0, 1] intensities. Outputs
     keep each input's phase and metadata; values may exit [0, 1] slightly
     since the amplitude blend does not preserve range.
     """
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
     if x_w.data.shape != x_u.data.shape:
         raise DataError(
             f"slice dims differ: {x_w.data.shape} vs {x_u.data.shape}"
@@ -167,7 +169,6 @@ def fta_augment_pair(x_w: Slice2D, x_u: Slice2D, cfg: FtaConfig) -> AugmentedPai
             raise DataError(f"{name} is not normalized to [0, 1]")
     sp_w = dft2_forward(x_w)
     sp_u = dft2_forward(x_u)
-    lam = cfg.draw_lambda()
     h, w = x_w.data.shape
     mask = symmetrize_mask(make_center_mask(h, w, cfg.mask_fraction))
     inv = 1.0 - mask
@@ -182,6 +183,5 @@ def fta_augment_pair(x_w: Slice2D, x_u: Slice2D, cfg: FtaConfig) -> AugmentedPai
     return AugmentedPair(
         z_w=Slice2D(z_w.astype(np.float32), x_w.axis_tag, x_w.index, x_w.source_id),
         z_u=Slice2D(z_u.astype(np.float32), x_u.axis_tag, x_u.index, x_u.source_id),
-        lambda_used=lam,
         imag_residue=max(res_w, res_u),
     )

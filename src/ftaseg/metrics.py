@@ -77,15 +77,6 @@ def _l1_distance_field(vs: VoxelSet, dims: tuple[int, int, int]) -> np.ndarray:
     return ndimage.distance_transform_cdt(~occupied, metric="taxicab")
 
 
-def min_l1_separation(a: VoxelSet, b: VoxelSet) -> int:
-    """Minimum L1 distance over all cross pairs of the two sets."""
-    if len(a) == 0 or len(b) == 0:
-        raise UndefinedMetricError("min_l1_separation needs two nonempty sets")
-    dist_to_b = _l1_distance_field(b, _joint_dims(a, b))
-    x, y, z = a.coords.T
-    return int(dist_to_b[z, y, x].min())
-
-
 def hausdorff_l1(a: VoxelSet, b: VoxelSet) -> int:
     """Symmetric Hausdorff distance with L1 ground distance."""
     if len(a) == 0 or len(b) == 0:
@@ -123,15 +114,10 @@ def challenge_score(dice_val: float, iou_val: float, hd_norm: float) -> float:
     return W_DICE * dice_val + W_IOU * iou_val + W_HD * (1.0 - hd_norm)
 
 
-def evaluate_masks(
-    pred: MaskVolume, gt: MaskVolume, use_min_separation: bool = False
-) -> MetricsReport:
-    """Full report for one case.
-
-    Hausdorff is used for the distance term by default; the literal minimum
-    cross-pair separation is available behind the flag. When exactly one mask
-    is empty the distance is undefined and scored at the worst case
-    (hd_norm = 1).
+def evaluate_masks(pred: MaskVolume, gt: MaskVolume) -> MetricsReport:
+    """Full report for one case, with the L1 Hausdorff distance as the
+    distance term. When exactly one mask is empty the distance is undefined
+    and scored at the worst case (hd_norm = 1).
     """
     from .volume import to_voxel_set
 
@@ -144,10 +130,7 @@ def evaluate_masks(
         hd_raw = float(max_l1_extent(pred.dims))
         hd_norm = 1.0
     else:
-        a, b = to_voxel_set(pred), to_voxel_set(gt)
-        hd_raw = float(
-            min_l1_separation(a, b) if use_min_separation else hausdorff_l1(a, b)
-        )
+        hd_raw = float(hausdorff_l1(to_voxel_set(pred), to_voxel_set(gt)))
         hd_norm = normalize_hd(hd_raw, pred.dims)
     return MetricsReport(d, j, hd_raw, hd_norm, challenge_score(d, j, hd_norm))
 

@@ -6,10 +6,13 @@ sigmoid foreground probability. Backpropagation is exact and framework-free;
 any stronger model can plug in behind the same three operations
 (predict_probs / loss_and_grad / adamw_step).
 
-SEG1 checkpoint layout (little-endian):
+SEG1 checkpoint layout (little-endian), 28 + 4 * n_params bytes:
 
     magic "SEG1" | patch u32 | hidden1 u32 | hidden2 u32 | n_params u32 |
-    step u64 | params f32[n] | first-moment f32[n] | second-moment f32[n]
+    step u64 | params f32[n]
+
+``step`` counts the optimizer steps taken. The optimizer moments are not
+stored: every training stage starts from fresh ones.
 """
 
 from __future__ import annotations
@@ -464,22 +467,21 @@ def adamw_step(
     return new_params, new_state
 
 
-def save_checkpoint(model: PatchMLP, state: AdamWState, path: Path | str) -> None:
-    """Serialize model and optimizer state as SEG1 (deterministic bytes)."""
+def save_checkpoint(model: PatchMLP, step: int, path: Path | str) -> None:
+    """Serialize the model and its optimizer step count as SEG1
+    (deterministic bytes)."""
     s = model.shape
     with open(path, "wb") as f:
         f.write(
             _CKPT_HEADER.pack(
-                CHECKPOINT_MAGIC, s.patch, s.hidden1, s.hidden2,
-                s.n_params, state.step,
+                CHECKPOINT_MAGIC, s.patch, s.hidden1, s.hidden2, s.n_params, step
             )
         )
         f.write(model.params.astype("<f4").tobytes())
-        f.write(state.m.astype("<f4").tobytes())
-        f.write(state.v.astype("<f4").tobytes())
 
 
-def load_checkpoint(path: Path | str) -> tuple[PatchMLP, AdamWState]:
+def load_checkpoint(path: Path | str) -> tuple[PatchMLP, int]:
+    """The model and optimizer step count stored in a SEG1 checkpoint."""
     blob = Path(path).read_bytes()
     if len(blob) < _CKPT_HEADER.size or blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a SEG1 checkpoint")
@@ -487,11 +489,11 @@ def load_checkpoint(path: Path | str) -> tuple[PatchMLP, AdamWState]:
     shape = ModelShape(patch, h1, h2)
     if shape.n_params != n_params:
         raise DataError(f"{path}: parameter count mismatch in header")
-    expected = _CKPT_HEADER.size + 3 * 4 * n_params
-    if len(blob) != expected:
-        raise DataError(f"{path}: truncated checkpoint payload")
-    vecs = np.frombuffer(blob, dtype="<f4", offset=_CKPT_HEADER.size)
-    params, m, v = (vecs[i * n_params:(i + 1) * n_params] for i in range(3))
-    model = PatchMLP(shape, params.astype(np.float64))
-    state = AdamWState(m.astype(np.float64), v.astype(np.float64), step=step)
-    return model, state
+    payload = len(blob) - _CKPT_HEADER.size
+    if payload != 4 * n_params:
+        raise DataError(
+            f"{path}: expected a {4 * n_params}-byte parameter payload, "
+            f"found {payload} bytes"
+        )
+    params = np.frombuffer(blob, dtype="<f4", offset=_CKPT_HEADER.size)
+    return PatchMLP(shape, params.astype(np.float64)), step

@@ -104,15 +104,16 @@ def _coerce(name: str, raw: str, default) -> object:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 
 
-def _build_config(cls, kv: dict[str, str]):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+def coerce_fields(cls, kv: dict[str, str]) -> dict:
+    """Field values of dataclass ``cls`` parsed from strings, each by the
+    type of its field's default; an unknown key is a ConfigError."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     values = {}
     for key, raw in kv.items():
-        if key not in fields:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        default = fields[key].default
-        values[key] = _coerce(key, raw, default)
-    return cls(**values)
+        values[key] = _coerce(key, raw, defaults[key])
+    return values
 
 
 def _format_kv(cfg) -> str:
@@ -182,7 +183,8 @@ class BenchmarkSpec:
 
 
 def parse_benchmark_spec(path: Path | str) -> BenchmarkSpec:
-    return _build_config(BenchmarkSpec, _parse_kv(Path(path).read_text()))
+    kv = _parse_kv(Path(path).read_text())
+    return BenchmarkSpec(**coerce_fields(BenchmarkSpec, kv))
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,6 @@ class PipelineConfig:
     pseudo_weight: float = 1.0
     unsup_weight: float = 0.5
     supervised_only: bool = False
-    use_min_separation: bool = False
     val_points: int = 10
     synth_dim: int = 32
     synth_labeled: int = 12
@@ -257,7 +258,6 @@ class PipelineConfig:
             lambda_max=self.fta_lambda_max,
             mask_fraction=self.fta_beta,
             mode=self.fta_mode,
-            seed=self.seed,
         )
 
     def stage_config(self) -> StageConfig:
@@ -298,7 +298,8 @@ class PipelineConfig:
 
 
 def parse_pipeline_config(path: Path | str) -> PipelineConfig:
-    return _build_config(PipelineConfig, _parse_kv(Path(path).read_text()))
+    kv = _parse_kv(Path(path).read_text())
+    return PipelineConfig(**coerce_fields(PipelineConfig, kv))
 
 
 def write_kv_config(cfg, path: Path | str) -> None:
@@ -551,7 +552,7 @@ def train_stage1_files(
 
     result = run_stage1(labeled, unlabeled_ids, load, cfg, shape, base_lr)
     ckpt = out_dir / "checkpoint.seg"
-    save_checkpoint(result.model, result.opt_state, ckpt)
+    save_checkpoint(result.model, result.step, ckpt)
 
     pseudo_dir = out_dir / "pseudo"
     pseudo_dir.mkdir(exist_ok=True)
@@ -584,12 +585,6 @@ def train_stage1_files(
     return ckpt, frozenset(result.selected_ids)
 
 
-def _read_stage1_pseudo_ids(stage1_dir: Path) -> frozenset[str]:
-    kv = _parse_kv((stage1_dir / "manifest.txt").read_text(encoding="utf-8"))
-    sel = kv.get("pseudo_selected", "")
-    return frozenset(s for s in sel.split(",") if s)
-
-
 def train_stage2_files(
     slices_dir: Path | str,
     pseudo_slices_dir: Path | str | None,
@@ -601,7 +596,6 @@ def train_stage2_files(
     sched: TrainSchedule,
     fta_cfg: FtaConfig,
     val_points: int = 10,
-    use_min_separation: bool = False,
 ) -> Path:
     """Consistency training from files; writes checkpoint, metrics history,
     and the stage manifest. Returns the checkpoint path.
@@ -631,12 +625,11 @@ def train_stage2_files(
 
     model, _ = load_checkpoint(init_checkpoint)
     result = run_stage2(
-        model, labeled, unlabeled, val_cases, cfg, sched, fta_cfg,
-        val_points=val_points, use_min_separation=use_min_separation,
+        model, labeled, unlabeled, val_cases, cfg, sched, fta_cfg, val_points
     )
 
     ckpt = out_dir / "checkpoint.seg"
-    save_checkpoint(result.model, result.opt_state, ckpt)
+    save_checkpoint(result.model, result.step, ckpt)
     history = [HISTORY_HEADER] + [row.csv_row() for row in result.history]
     (out_dir / "metrics.csv").write_text("\n".join(history) + "\n", encoding="utf-8")
 
@@ -663,14 +656,13 @@ def score_files(
     model_ckpt: Path | str,
     val_windowed_dir: Path | str,
     out_csv: Path | str,
-    use_min_separation: bool = False,
 ) -> None:
     """Per-case metric rows plus a mean row for every validation volume."""
     from .ssl import evaluate_volumes
 
     model, _ = load_checkpoint(model_ckpt)
     cases = load_val_cases(val_windowed_dir)
-    mean, per_case = evaluate_volumes(model, cases, use_min_separation)
+    mean, per_case = evaluate_volumes(model, cases)
     rows = [CSV_HEADER]
     rows += [report.csv_row(cid) for cid, report in per_case]
     rows.append(mean.csv_row("mean"))
@@ -801,9 +793,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
             stage_cfg,
             cfg.model_shape(),
             cfg.lr,
-        )
+        )[0]
 
-    stage1_ckpt, _pseudo_ids = stage("stage1", stage1)
+    stage1_ckpt = stage("stage1", stage1)
 
     def stage2():
         return train_stage2_files(
@@ -817,7 +809,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
             TrainSchedule(cfg.lr, cfg.stage2_iters),
             cfg.fta_config(),
             val_points=cfg.val_points,
-            use_min_separation=cfg.use_min_separation,
         )
 
     stage2_ckpt = stage("stage2", stage2)
@@ -826,12 +817,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
 
     def score():
         if val_dir is not None:
-            score_files(
-                stage2_ckpt, windowed / "val", scores_csv, cfg.use_min_separation
-            )
+            score_files(stage2_ckpt, windowed / "val", scores_csv)
         else:
-            _score_on_slice_split(stage2_ckpt, slices / "labeled", scores_csv,
-                                  cfg.use_min_separation)
+            _score_on_slice_split(stage2_ckpt, slices / "labeled", scores_csv)
 
     stage("score", score)
     log("run finished")
@@ -847,9 +835,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     )
 
 
-def _score_on_slice_split(
-    ckpt: Path, slices_dir: Path, out_csv: Path, use_min_separation: bool
-) -> None:
+def _score_on_slice_split(ckpt: Path, slices_dir: Path, out_csv: Path) -> None:
     # Fallback scorer when no validation volumes exist: every held-out slice
     # is treated as a 1-deep volume.
     model, _ = load_checkpoint(ckpt)
@@ -863,7 +849,7 @@ def _score_on_slice_split(
         probs = model.predict_probs(ts.image)
         pred = MaskVolume((probs >= 0.5).astype(np.uint8).reshape(1, *probs.shape))
         gt = MaskVolume(ts.target.reshape(1, *ts.target.shape))
-        report = evaluate_masks(pred, gt, use_min_separation)
+        report = evaluate_masks(pred, gt)
         case = slice_filename(ts.image.source_id, ts.image.index, ts.image.axis_tag)
         rows.append(report.csv_row(case))
         reports.append(report)

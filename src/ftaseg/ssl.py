@@ -34,25 +34,22 @@ from .preprocess import Slice2D
 from .volume import MaskVolume, Volume
 
 
+# Floor of the confidence threshold: 1/C for the binary task's C = 2 classes.
+TAU_FLOOR = 0.5
+
+
 @dataclass(frozen=True)
 class ThresholdState:
-    """Self-adaptive confidence threshold, clamped to [1/C, 1]."""
+    """Self-adaptive confidence threshold, clamped to [TAU_FLOOR, 1]."""
 
     tau: float = 0.5
     momentum: float = 0.999
-    n_classes: int = 2
 
     def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ConfigError("n_classes must be >= 2")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.floor <= self.tau <= 1.0:
-            raise ConfigError(f"tau must be in [{self.floor}, 1], got {self.tau}")
-
-    @property
-    def floor(self) -> float:
-        return 1.0 / self.n_classes
+        if not TAU_FLOOR <= self.tau <= 1.0:
+            raise ConfigError(f"tau must be in [{TAU_FLOOR}, 1], got {self.tau}")
 
 
 def update_threshold(state: ThresholdState, confidences: np.ndarray) -> ThresholdState:
@@ -63,7 +60,7 @@ def update_threshold(state: ThresholdState, confidences: np.ndarray) -> Threshol
     if bool((conf < 0.0).any()) or bool((conf > 1.0).any()):
         raise DataError("confidences must lie in [0, 1]")
     tau = state.momentum * state.tau + (1.0 - state.momentum) * float(conf.mean())
-    tau = min(1.0, max(state.floor, tau))
+    tau = min(1.0, max(TAU_FLOOR, tau))
     return replace(state, tau=tau)
 
 
@@ -137,6 +134,10 @@ def consistency_loss(
     return total / denom, grads
 
 
+# Spectrally-augmented strong views per unlabeled slice in stage 2.
+STRONG_VIEWS = 2
+
+
 @dataclass(frozen=True)
 class StageConfig:
     """Knobs of the two-stage protocol."""
@@ -144,7 +145,6 @@ class StageConfig:
     stage1_epochs: int = 20
     stage1_pseudo_count: int = 10
     perturb_rate: float = 0.1
-    strong_views: int = 2
     batch_size: int = 8
     pseudo_weight: float = 1.0
     unsup_weight: float = 0.5
@@ -158,8 +158,8 @@ class StageConfig:
             raise ConfigError("stage1_pseudo_count must be >= 0")
         if not 0.0 < self.perturb_rate < 1.0:
             raise ConfigError("perturb_rate must be in (0, 1)")
-        if self.strong_views < 1 or self.batch_size < 1:
-            raise ConfigError("strong_views and batch_size must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.pseudo_weight < 0 or self.unsup_weight < 0:
             raise ConfigError("pseudo_weight and unsup_weight must be >= 0")
         if not 0.0 <= self.threshold_momentum < 1.0:
@@ -205,7 +205,7 @@ HISTORY_HEADER = "epoch,split,dice,iou,hd_norm,score,tau"
 @dataclass
 class Stage1Result:
     model: PatchMLP
-    opt_state: AdamWState
+    step: int
     pseudo: list[PseudoLabel]
     epoch_losses: list[float]
     warnings: list[str]
@@ -218,7 +218,7 @@ class Stage1Result:
 @dataclass
 class Stage2Result:
     model: PatchMLP
-    opt_state: AdamWState
+    step: int
     history: list[HistoryRow]
     threshold: ThresholdState
     iteration_losses: list[float]
@@ -240,11 +240,10 @@ def predict_volume(model: PatchMLP, v: Volume, source_id: str = "vol") -> MaskVo
 def evaluate_volumes(
     model: PatchMLP,
     cases: list[tuple[str, Volume, MaskVolume]],
-    use_min_separation: bool = False,
 ) -> tuple[MetricsReport, list[tuple[str, MetricsReport]]]:
     """Mean metrics over validation volumes, case reports in case-id order."""
     per_case = [
-        (cid, evaluate_masks(predict_volume(model, vol, cid), gt, use_min_separation))
+        (cid, evaluate_masks(predict_volume(model, vol, cid), gt))
         for cid, vol, gt in sorted(cases, key=lambda c: c[0])
     ]
     return mean_report([r for _, r in per_case]), per_case
@@ -314,7 +313,7 @@ def run_stage1(
         count = len(unlabeled_ids)
     return Stage1Result(
         model=model,
-        opt_state=opt,
+        step=opt.step,
         pseudo=generate_pseudo_labels(model, unlabeled_ids, load, count, pseudo_ss),
         epoch_losses=epoch_losses,
         warnings=warnings,
@@ -343,7 +342,6 @@ def run_stage2(
     sched: TrainSchedule,
     fta_cfg: FtaConfig,
     val_points: int = 10,
-    use_min_separation: bool = False,
 ) -> Stage2Result:
     """Consistency training on spectrally-augmented views.
 
@@ -426,21 +424,15 @@ def run_stage2(
             for j in range(cfg.batch_size):
                 ts = labeled[int(l_idx[j])]
                 weak = weak_slices[j]
-                for v in range(cfg.strong_views):
-                    lam = (
-                        fta_cfg.lambda_value
-                        if fta_cfg.lambda_value is not None
-                        else float(lam_rng.uniform(0.0, fta_cfg.lambda_max))
-                    )
+                for v in range(STRONG_VIEWS):
+                    lam = fta_cfg.draw_lambda(lam_rng)
                     if v == 0 and ts.image.data.shape == weak.data.shape:
                         donor = ts.image
                     else:
                         donor = pick_donor(weak.data.shape, int(u_idx[j]))
                     if donor is None:
                         continue
-                    pair = fta_augment_pair(
-                        donor, weak, replace(fta_cfg, lambda_value=lam)
-                    )
+                    pair = fta_augment_pair(donor, weak, lam, fta_cfg)
                     if v == 0 and donor is ts.image:
                         sup_batch.append(replace(ts, image=pair.z_w))
                     strong_slices.append(pair.z_u)
@@ -490,7 +482,7 @@ def run_stage2(
 
         if val_cases and it + 1 in val_iters:
             epoch += 1
-            mean, _ = evaluate_volumes(model, val_cases, use_min_separation)
+            mean, _ = evaluate_volumes(model, val_cases)
             history.append(
                 HistoryRow(
                     epoch, "val", mean.dice, mean.iou, mean.hd_norm,
@@ -500,7 +492,7 @@ def run_stage2(
 
     return Stage2Result(
         model=model,
-        opt_state=opt,
+        step=opt.step,
         history=history,
         threshold=tau_state,
         iteration_losses=iteration_losses,

@@ -125,16 +125,6 @@ def overlap_counts_scan(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, in
     return inter, na, nb, union
 
 
-def min_l1_scan(a: list[tuple[int, int, int]], b: list[tuple[int, int, int]]) -> int:
-    best = None
-    for p in a:
-        for q in b:
-            d = abs(p[0] - q[0]) + abs(p[1] - q[1]) + abs(p[2] - q[2])
-            if best is None or d < best:
-                best = d
-    return best
-
-
 def hausdorff_l1_scan(
     a: list[tuple[int, int, int]], b: list[tuple[int, int, int]]
 ) -> int:

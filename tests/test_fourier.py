@@ -141,7 +141,7 @@ class TestAugmentPair:
         rng = np.random.default_rng(10)
         a, b = rand_slice(rng, 6, 6), rand_slice(rng, 6, 6)
         pair = fta_augment_pair(
-            a, b, FtaConfig(lambda_value=0.0, mask_fraction=0.5, mode="standard-fda")
+            a, b, 0.0, FtaConfig(mask_fraction=0.5, mode="standard-fda")
         )
         assert np.abs(pair.z_w.data - a.data).max() < 1e-5
         assert np.abs(pair.z_u.data - b.data).max() < 1e-5
@@ -151,7 +151,7 @@ class TestAugmentPair:
         a, b = rand_slice(rng, 6, 6), rand_slice(rng, 6, 6)
         lam = 0.3
         pair = fta_augment_pair(
-            a, b, FtaConfig(lambda_value=lam, mask_fraction=0.0, mode="paper-literal")
+            a, b, lam, FtaConfig(mask_fraction=0.0, mode="paper-literal")
         )
         assert np.abs(pair.z_w.data - (1.0 - lam) * a.data).max() < 1e-5
         assert np.abs(pair.z_u.data - (1.0 - lam) * b.data).max() < 1e-5
@@ -161,8 +161,8 @@ class TestAugmentPair:
         rng = np.random.default_rng(12)
         a, b = rand_slice(rng, 4, 4), rand_slice(rng, 4, 4)
         lam = 0.5
-        cfg = FtaConfig(lambda_value=lam, mask_fraction=0.5, mode=mode)
-        pair = fta_augment_pair(a, b, cfg)
+        cfg = FtaConfig(mask_fraction=0.5, mode=mode)
+        pair = fta_augment_pair(a, b, lam, cfg)
         mask = symmetrize_mask(make_center_mask(4, 4, 0.5))
         zw, zu = fta_direct(a.data, b.data, lam, mask, mode)
         assert np.abs(pair.z_w.data - zw).max() < 1e-6
@@ -174,38 +174,57 @@ class TestAugmentPair:
             pair = fta_augment_pair(
                 rand_slice(rng, h, w),
                 rand_slice(rng, h, w),
-                FtaConfig(lambda_value=0.7, mask_fraction=0.5),
+                0.7,
+                FtaConfig(mask_fraction=0.5),
             )
             assert pair.imag_residue < 1e-6
 
     def test_swap_symmetry_exact(self):
         rng = np.random.default_rng(14)
         a, b = rand_slice(rng, 6, 4), rand_slice(rng, 6, 4)
-        cfg = FtaConfig(lambda_value=0.4, mask_fraction=0.5)
-        ab = fta_augment_pair(a, b, cfg)
-        ba = fta_augment_pair(b, a, cfg)
+        cfg = FtaConfig(mask_fraction=0.5)
+        ab = fta_augment_pair(a, b, 0.4, cfg)
+        ba = fta_augment_pair(b, a, 0.4, cfg)
         assert np.array_equal(ab.z_w.data, ba.z_u.data)
         assert np.array_equal(ab.z_u.data, ba.z_w.data)
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(15)
         with pytest.raises(DataError):
-            fta_augment_pair(rand_slice(rng, 4, 4), rand_slice(rng, 4, 5), FtaConfig())
+            fta_augment_pair(
+                rand_slice(rng, 4, 4), rand_slice(rng, 4, 5), 0.5, FtaConfig()
+            )
 
     def test_requires_normalized_inputs(self):
         rng = np.random.default_rng(16)
         bad = slice_of(rng.random((4, 4)) + 2.0)
         with pytest.raises(DataError):
-            fta_augment_pair(bad, rand_slice(rng, 4, 4), FtaConfig())
+            fta_augment_pair(bad, rand_slice(rng, 4, 4), 0.5, FtaConfig())
+
+    def test_lambda_out_of_range_rejected(self):
+        rng = np.random.default_rng(17)
+        a, b = rand_slice(rng, 4, 4), rand_slice(rng, 4, 4)
+        for lam in (-0.1, 1.5):
+            with pytest.raises(ConfigError):
+                fta_augment_pair(a, b, lam, FtaConfig())
 
     def test_lambda_draw_seeded(self):
-        cfg = FtaConfig(seed=5)
-        assert cfg.draw_lambda() == cfg.draw_lambda()
-        assert 0.0 <= cfg.draw_lambda() <= 1.0
-        assert cfg.draw_lambda() != FtaConfig(seed=6).draw_lambda()
+        cfg = FtaConfig()
+
+        def draw(seed):
+            return cfg.draw_lambda(np.random.default_rng(seed))
+
+        assert draw(5) == draw(5)
+        assert 0.0 <= draw(5) <= 1.0
+        assert draw(5) != draw(6)
+
+    def test_fixed_lambda_leaves_rng_untouched(self):
+        rng = np.random.default_rng(0)
+        assert FtaConfig(lambda_value=0.3).draw_lambda(rng) == 0.3
+        assert rng.uniform() == np.random.default_rng(0).uniform()
 
     def test_lambda_max_respected(self):
-        cfg = FtaConfig(lambda_max=0.2, seed=0)
+        cfg = FtaConfig(lambda_max=0.2)
         draws = [
             cfg.draw_lambda(np.random.default_rng(s)) for s in range(50)
         ]

@@ -15,12 +15,11 @@ from ftaseg.metrics import (
     hausdorff_l1,
     iou,
     mean_report,
-    min_l1_separation,
     normalize_hd,
 )
 from ftaseg.volume import MaskVolume, VoxelSet, to_voxel_set
 
-from oracles import hausdorff_l1_scan, min_l1_scan, overlap_counts_scan
+from oracles import hausdorff_l1_scan, overlap_counts_scan
 
 # Published leaderboard rows: (dice, iou, hd_norm) -> score
 LEADERBOARD = [
@@ -91,15 +90,15 @@ class TestDiceIou:
 
 
 class TestDistances:
-    def test_overlapping_sets_zero_separation(self):
+    def test_overlapping_sets_keep_a_distance(self):
+        # A shared voxel does not make the Hausdorff distance 0.
         a = to_voxel_set(mask_from([(1, 1, 1), (2, 2, 2)]))
         b = to_voxel_set(mask_from([(1, 1, 1), (3, 3, 3)]))
-        assert min_l1_separation(a, b) == 0
+        assert hausdorff_l1(a, b) == 3
 
     def test_single_pair_l1(self):
         a = to_voxel_set(mask_from([(0, 0, 0)]))
         b = to_voxel_set(mask_from([(1, 2, 3)]))
-        assert min_l1_separation(a, b) == 6
         assert hausdorff_l1(a, b) == 6
 
     def test_hausdorff_identity(self):
@@ -110,17 +109,15 @@ class TestDistances:
         # a point inside a spread set: directed distances differ
         a = to_voxel_set(mask_from([(0, 0, 0)]))
         b = to_voxel_set(mask_from([(0, 0, 0), (3, 3, 3)]))
-        assert min_l1_separation(a, b) == 0
         assert hausdorff_l1(a, b) == 9
 
     def test_empty_set_undefined(self):
         empty = VoxelSet(np.empty((0, 3), dtype=np.int64), (2, 2, 2))
         full = to_voxel_set(mask_from([(0, 0, 0)]))
-        for fn in (min_l1_separation, hausdorff_l1):
-            with pytest.raises(UndefinedMetricError):
-                fn(empty, full)
-            with pytest.raises(UndefinedMetricError):
-                fn(full, empty)
+        with pytest.raises(UndefinedMetricError):
+            hausdorff_l1(empty, full)
+        with pytest.raises(UndefinedMetricError):
+            hausdorff_l1(full, empty)
 
     def test_brute_force_oracles(self):
         rng = np.random.default_rng(2)
@@ -135,7 +132,6 @@ class TestDistances:
             va, vb = to_voxel_set(a), to_voxel_set(b)
             ca = [tuple(c) for c in va.coords]
             cb = [tuple(c) for c in vb.coords]
-            assert min_l1_separation(va, vb) == min_l1_scan(ca, cb)
             assert hausdorff_l1(va, vb) == hausdorff_l1_scan(ca, cb)
 
     def test_hausdorff_properties(self):
@@ -147,7 +143,6 @@ class TestDistances:
                 continue
             va, vb = to_voxel_set(a), to_voxel_set(b)
             assert hausdorff_l1(va, vb) == hausdorff_l1(vb, va)
-            assert hausdorff_l1(va, vb) >= min_l1_separation(va, vb)
             assert (hausdorff_l1(va, vb) == 0) == np.array_equal(a.data, b.data)
 
 
@@ -215,11 +210,11 @@ class TestEvaluateMasks:
             0.4 * r.dice + 0.3 * r.iou + 0.3 * (1 - r.hd_norm)
         )
 
-    def test_min_separation_flag(self):
+    def test_distance_term_is_hausdorff(self):
+        # The masks touch, so a minimum cross-pair distance would read 0.
         pred = mask_from([(0, 0, 0), (3, 3, 3)])
         gt = mask_from([(0, 0, 0)])
         assert evaluate_masks(pred, gt).hd_raw == 9.0
-        assert evaluate_masks(pred, gt, use_min_separation=True).hd_raw == 0.0
 
     def test_both_empty(self):
         e = mask_from([])

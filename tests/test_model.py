@@ -314,22 +314,27 @@ class TestAdamW:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 0)
-        state = AdamWState.fresh(model.shape.n_params)
-        state.m += 0.5
-        state.step = 17
         path = tmp_path / "m.seg"
-        save_checkpoint(model, state, path)
-        loaded, lstate = load_checkpoint(path)
+        save_checkpoint(model, 17, path)
+        loaded, step = load_checkpoint(path)
         assert loaded.shape == model.shape
-        assert np.allclose(loaded.params, model.params, atol=1e-6)
-        assert np.allclose(lstate.m, state.m)
-        assert lstate.step == 17
+        assert np.array_equal(
+            loaded.params, model.params.astype(np.float32).astype(np.float64)
+        )
+        assert step == 17
+
+    def test_layout_is_header_then_params(self, tmp_path):
+        model = PatchMLP.init_random(ModelShape(3, 4, 3), 3)
+        path = tmp_path / "m.seg"
+        save_checkpoint(model, 5, path)
+        blob = path.read_bytes()
+        assert len(blob) == 28 + 4 * model.shape.n_params
+        assert blob[28:] == model.params.astype("<f4").tobytes()
 
     def test_deterministic_bytes(self, tmp_path):
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 1)
-        state = AdamWState.fresh(model.shape.n_params)
-        save_checkpoint(model, state, tmp_path / "a.seg")
-        save_checkpoint(model, state, tmp_path / "b.seg")
+        save_checkpoint(model, 0, tmp_path / "a.seg")
+        save_checkpoint(model, 0, tmp_path / "b.seg")
         assert (tmp_path / "a.seg").read_bytes() == (tmp_path / "b.seg").read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -341,9 +346,20 @@ class TestCheckpoint:
     def test_truncated(self, tmp_path):
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 2)
         path = tmp_path / "t.seg"
-        save_checkpoint(model, AdamWState.fresh(model.shape.n_params), path)
+        save_checkpoint(model, 0, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_layout_with_optimizer_moments_rejected(self, tmp_path):
+        # A payload that still carries both optimizer moments after the
+        # params: three float32 vectors of n_params each.
+        model = PatchMLP.init_random(ModelShape(3, 4, 3), 4)
+        n = model.shape.n_params
+        path = tmp_path / "old.seg"
+        save_checkpoint(model, 9, path)
+        path.write_bytes(path.read_bytes() + bytes(2 * 4 * n))
+        with pytest.raises(DataError, match=f"{4 * n}-byte .* found {12 * n} bytes"):
             load_checkpoint(path)
 
 

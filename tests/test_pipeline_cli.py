@@ -420,6 +420,51 @@ class TestCli:
                           str(tmp_path / "run"), "--quiet")
         assert rc == 2
 
+    def test_pipeline_unknown_key_exit_2(self, tmp_path, capsys):
+        # A key that is not a config field fails instead of being ignored.
+        # The fast config keeps a run short should the key be accepted.
+        out = str(tmp_path / "run")
+        cfg = tmp_path / "cfg.txt"
+        write_kv_config(fast_config(), cfg)
+        rc = self.run_cli("pipeline", "--config", str(cfg), "--set",
+                          "use_min_separation=true", "--out", out, "--quiet")
+        assert rc == 2
+        cfg.write_text(cfg.read_text() + "use_min_separation = true\n")
+        rc = self.run_cli("pipeline", "--config", str(cfg), "--out", out, "--quiet")
+        assert rc == 2
+        assert "unknown config key 'use_min_separation'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--pred", "p.vol", "--gt", "g.vol"],
+        ["score-dir", "--checkpoint", "c.seg", "--val", "v", "--out", "s.csv"],
+        ["train-stage2", "--slices", "s", "--init", "c.seg", "--out", "o"],
+    ], ids=lambda argv: argv[0])
+    def test_min_separation_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(*argv, "--min-separation")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --min-separation" in capsys.readouterr().err
+
+    def test_score_dir_rejects_checkpoint_with_moments_exit_3(self, tmp_path, capsys):
+        # A payload that still carries both optimizer moments after the
+        # params: 3 * n_params float32 values.
+        val = tmp_path / "val"
+        val.mkdir()
+        rng = np.random.default_rng(6)
+        data = rng.random((4, 4, 4)).astype(np.float32)
+        save_volume(Volume(data, NORMALIZED), val / "v0.vol")
+        save_mask(MaskVolume((data > 0.5).astype(np.uint8)), val / "v0_mask.vol")
+        model = ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0)
+        ckpt = tmp_path / "old.seg"
+        ftaseg.save_checkpoint(model, 3, ckpt)
+        ckpt.write_bytes(ckpt.read_bytes() + bytes(8 * model.shape.n_params))
+        rc = self.run_cli("score-dir", "--checkpoint", str(ckpt), "--val", str(val),
+                          "--out", str(tmp_path / "scores.csv"))
+        assert rc == 3
+        assert "parameter payload" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
     def test_pipeline_missing_labeled_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         write_kv_config(fast_config(labeled_dir=str(tmp_path / "nope")), cfg)
@@ -441,6 +486,21 @@ class TestCli:
         za = load_volume(tmp_path / "za.vol")
         a = load_volume(tmp_path / "a.vol")
         assert np.abs(za.data - a.data).max() < 1e-5  # identity at lambda 0
+
+    def test_fta_draws_lambda_from_the_seed(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        for name in ("a", "b"):
+            data = rng.random((1, 6, 6)).astype(np.float32)
+            save_volume(Volume(data, NORMALIZED), tmp_path / f"{name}.vol")
+        rc = self.run_cli(
+            "fta", "--a", str(tmp_path / "a.vol"), "--b", str(tmp_path / "b.vol"),
+            "--out-a", str(tmp_path / "za.vol"), "--out-b", str(tmp_path / "zb.vol"),
+            "--seed", "5", "--lambda-max", "0.7",
+        )
+        assert rc == 0
+        lam = np.random.default_rng(5).uniform(0.0, 0.7)
+        out = capsys.readouterr().out
+        assert out.startswith(f"lambda={lam:.6f} beta=0.25 residue=")
 
     def test_overlay_subcommand(self, tmp_path):
         rng = np.random.default_rng(5)

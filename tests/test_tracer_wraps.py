@@ -1,7 +1,15 @@
-"""Every name the benchmark tracer wraps must exist in ``ftaseg``.
+"""The benchmark harness in ``bench/`` must keep working against ``ftaseg``.
 
-``bench/tracer.py`` skips a missing name with a printed warning, so a
-rename in ``src/`` would otherwise silently drop that layer's metrics.
+The harness is not edited alongside ``src/``, so these tests pin what it
+uses of the program:
+
+- every name the tracer wraps exists; ``bench/tracer.py`` skips a missing
+  name with a printed warning, so a rename in ``src/`` would otherwise
+  silently drop that layer's metrics;
+- each pass counts once under the tracer's ``model.*`` wrappers;
+- ``bench/checks.py`` loads every checkpoint with ``load_checkpoint``
+  and unpacks a ``(model, _)`` pair, so a checkpoint that
+  ``save_checkpoint`` writes must pass its check.
 """
 
 from __future__ import annotations
@@ -11,10 +19,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import checks  # noqa: E402
 import numpy as np  # noqa: E402
 import tracer  # noqa: E402
 
-from ftaseg.model import ModelShape, PatchMLP  # noqa: E402
+from ftaseg.model import ModelShape, PatchMLP, save_checkpoint  # noqa: E402
 from ftaseg.preprocess import Slice2D  # noqa: E402
 
 
@@ -47,3 +56,12 @@ def test_model_wraps_count_each_pass_once():
     assert m["model.forward.rows"] == 3072
     assert m["model.forward.calls"] == 2
     assert m["model.backward.rows"] == 2048
+
+
+def test_checker_accepts_saved_checkpoints(tmp_path):
+    model = PatchMLP.init_random(ModelShape(), 0)
+    path = tmp_path / "checkpoint.seg"
+    save_checkpoint(model, 12, path)
+    assert checks.check_checkpoints([path]) == []
+    path.write_bytes(path.read_bytes() + bytes(8 * model.shape.n_params))
+    assert len(checks.check_checkpoints([path])) == 1
