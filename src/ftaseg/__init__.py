@@ -17,9 +17,7 @@ from .errors import (
 from .fourier import (
     AugmentedPair,
     FtaConfig,
-    SpectrumPair,
     dft2_forward,
-    dft2_inverse,
     fta_augment_pair,
     make_center_mask,
     symmetrize_mask,
@@ -39,7 +37,6 @@ from .model import (
     PatchMLP,
     TrainSchedule,
     adamw_step,
-    bce_loss,
     load_checkpoint,
     poly_lr,
     save_checkpoint,
@@ -79,13 +76,11 @@ from .ssl import (
 )
 from .volume import (
     MaskVolume,
-    VoxelSet,
     Volume,
     load_mask,
     load_volume,
     save_mask,
     save_volume,
-    to_voxel_set,
 )
 
 __version__ = "0.1.0"

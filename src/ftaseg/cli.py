@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FtasegError, NumericError
 from .fourier import MODE_PAPER, MODES, FtaConfig, fta_augment_pair
-from .metrics import CSV_HEADER, evaluate_masks
+from .metrics import evaluate_masks
 from .model import ModelShape, TrainSchedule
 from .pipeline import (
     BenchmarkSpec,

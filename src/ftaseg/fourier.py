@@ -22,38 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .preprocess import Slice2D
 
 MODE_PAPER = "paper-literal"
 MODE_FDA = "standard-fda"
 MODES = (MODE_PAPER, MODE_FDA)
-
-# Non-symmetric spectra are a caller bug, not roundoff: fail well above the
-# float64 noise floor.
-RESIDUE_LIMIT = 1e-3
-
-
-@dataclass(frozen=True)
-class SpectrumPair:
-    """Amplitude and phase of a 2D spectrum, DC bin at (H//2, W//2)."""
-
-    amplitude: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitude, dtype=np.float64)
-        ph = np.asarray(self.phase, dtype=np.float64)
-        if amp.ndim != 2 or amp.shape != ph.shape:
-            raise DataError(
-                f"amplitude/phase must be matching 2D arrays, got "
-                f"{amp.shape} and {ph.shape}"
-            )
-        if bool((amp < 0).any()):
-            raise DataError("amplitude spectrum must be non-negative")
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "phase", ph)
-
 
 @dataclass(frozen=True)
 class FtaConfig:
@@ -88,32 +62,17 @@ class AugmentedPair:
     imag_residue: float
 
 
-def dft2_forward(s: Slice2D) -> SpectrumPair:
-    """Unnormalized forward 2D DFT as (modulus, argument), center-shifted."""
+def dft2_forward(s: Slice2D) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized forward 2D DFT as (amplitude, phase), center-shifted."""
     spec = np.fft.fftshift(np.fft.fft2(s.data.astype(np.float64)))
-    return SpectrumPair(np.abs(spec), np.angle(spec))
+    return np.abs(spec), np.angle(spec)
 
 
 def _reconstruct(amplitude: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, float]:
+    # Inverse of dft2_forward: the real part and the max-abs imaginary residue.
     spec = amplitude * np.exp(1j * phase)
     z = np.fft.ifft2(np.fft.ifftshift(spec))
     return z.real, float(np.abs(z.imag).max())
-
-
-def dft2_inverse(sp: SpectrumPair, like: Slice2D | None = None) -> Slice2D:
-    """Inverse transform of amplitude * exp(i*phase), real part.
-
-    Raises NumericError when the imaginary residue reaches 1e-3 in max-abs,
-    which signals a spectrum without conjugate symmetry.
-    """
-    real, residue = _reconstruct(sp.amplitude, sp.phase)
-    if residue >= RESIDUE_LIMIT:
-        raise NumericError(
-            f"imaginary residue {residue:.3e} from a non-symmetric spectrum"
-        )
-    if like is None:
-        return Slice2D(real.astype(np.float32), "z", 0, "ifft")
-    return Slice2D(real.astype(np.float32), like.axis_tag, like.index, like.source_id)
 
 
 def make_center_mask(h: int, w: int, mask_fraction: float) -> np.ndarray:
@@ -167,19 +126,19 @@ def fta_augment_pair(
     for name, s in (("x_w", x_w), ("x_u", x_u)):
         if bool((s.data < 0.0).any()) or bool((s.data > 1.0).any()):
             raise DataError(f"{name} is not normalized to [0, 1]")
-    sp_w = dft2_forward(x_w)
-    sp_u = dft2_forward(x_u)
+    amp_w, phase_w = dft2_forward(x_w)
+    amp_u, phase_u = dft2_forward(x_u)
     h, w = x_w.data.shape
     mask = symmetrize_mask(make_center_mask(h, w, cfg.mask_fraction))
     inv = 1.0 - mask
     if cfg.mode == MODE_PAPER:
-        a_w = (1.0 - lam) * sp_w.amplitude * inv + lam * sp_u.amplitude * mask
-        a_u = (1.0 - lam) * sp_u.amplitude * inv + lam * sp_w.amplitude * mask
+        a_w = (1.0 - lam) * amp_w * inv + lam * amp_u * mask
+        a_u = (1.0 - lam) * amp_u * inv + lam * amp_w * mask
     else:
-        a_w = sp_w.amplitude * inv + ((1.0 - lam) * sp_w.amplitude + lam * sp_u.amplitude) * mask
-        a_u = sp_u.amplitude * inv + ((1.0 - lam) * sp_u.amplitude + lam * sp_w.amplitude) * mask
-    z_w, res_w = _reconstruct(a_w, sp_w.phase)
-    z_u, res_u = _reconstruct(a_u, sp_u.phase)
+        a_w = amp_w * inv + ((1.0 - lam) * amp_w + lam * amp_u) * mask
+        a_u = amp_u * inv + ((1.0 - lam) * amp_u + lam * amp_w) * mask
+    z_w, res_w = _reconstruct(a_w, phase_w)
+    z_u, res_u = _reconstruct(a_u, phase_u)
     return AugmentedPair(
         z_w=Slice2D(z_w.astype(np.float32), x_w.axis_tag, x_w.index, x_w.source_id),
         z_u=Slice2D(z_u.astype(np.float32), x_u.axis_tag, x_u.index, x_u.source_id),

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DataError, NumericError, UndefinedMetricError
-from .volume import MaskVolume, VoxelSet
+from .volume import MaskVolume
 
 W_DICE = 0.4
 W_IOU = 0.3
@@ -39,9 +39,13 @@ class MetricsReport:
 CSV_HEADER = "case,dice,iou,hd_raw,hd_norm,score"
 
 
-def _overlap_counts(a: MaskVolume, b: MaskVolume) -> tuple[int, int, int]:
+def _check_dims(a: MaskVolume, b: MaskVolume) -> None:
     if a.dims != b.dims:
         raise DataError(f"mask dims differ: {a.dims} vs {b.dims}")
+
+
+def _overlap_counts(a: MaskVolume, b: MaskVolume) -> tuple[int, int, int]:
+    _check_dims(a, b)
     inter = int(np.count_nonzero(a.data & b.data))
     return inter, a.voxel_count(), b.voxel_count()
 
@@ -63,29 +67,17 @@ def iou(a: MaskVolume, b: MaskVolume) -> float:
     return inter / union
 
 
-def _joint_dims(a: VoxelSet, b: VoxelSet) -> tuple[int, int, int]:
-    # L1 geodesics stay inside the bounding box of their endpoints, so a grid
-    # covering both sets yields exact cross distances.
-    return tuple(max(x, y) for x, y in zip(a.dims, b.dims))  # type: ignore[return-value]
-
-
-def _l1_distance_field(vs: VoxelSet, dims: tuple[int, int, int]) -> np.ndarray:
-    # Exact taxicab distance from every grid voxel to the nearest set voxel.
-    occupied = np.zeros(dims, dtype=bool)
-    x, y, z = vs.coords.T
-    occupied[z, y, x] = True
-    return ndimage.distance_transform_cdt(~occupied, metric="taxicab")
-
-
-def hausdorff_l1(a: VoxelSet, b: VoxelSet) -> int:
-    """Symmetric Hausdorff distance with L1 ground distance."""
-    if len(a) == 0 or len(b) == 0:
-        raise UndefinedMetricError("hausdorff_l1 needs two nonempty sets")
-    dims = _joint_dims(a, b)
-    ax, ay, az = a.coords.T
-    bx, by, bz = b.coords.T
-    a_to_b = _l1_distance_field(b, dims)[az, ay, ax].max()
-    b_to_a = _l1_distance_field(a, dims)[bz, by, bx].max()
+def hausdorff_l1(a: MaskVolume, b: MaskVolume) -> int:
+    """Symmetric Hausdorff distance between the foreground voxels of two
+    masks, with L1 ground distance."""
+    _check_dims(a, b)
+    in_a, in_b = a.data.astype(bool), b.data.astype(bool)
+    if not in_a.any() or not in_b.any():
+        raise UndefinedMetricError("hausdorff_l1 needs two nonempty masks")
+    # Exact taxicab distance from every voxel to the nearest voxel of the
+    # other mask: L1 geodesics stay inside the grid's box.
+    a_to_b = ndimage.distance_transform_cdt(~in_b, metric="taxicab")[in_a].max()
+    b_to_a = ndimage.distance_transform_cdt(~in_a, metric="taxicab")[in_b].max()
     return int(max(a_to_b, b_to_a))
 
 
@@ -119,8 +111,6 @@ def evaluate_masks(pred: MaskVolume, gt: MaskVolume) -> MetricsReport:
     distance term. When exactly one mask is empty the distance is undefined
     and scored at the worst case (hd_norm = 1).
     """
-    from .volume import to_voxel_set
-
     d = dice(pred, gt)
     j = iou(pred, gt)
     np_, ng = pred.voxel_count(), gt.voxel_count()
@@ -130,7 +120,7 @@ def evaluate_masks(pred: MaskVolume, gt: MaskVolume) -> MetricsReport:
         hd_raw = float(max_l1_extent(pred.dims))
         hd_norm = 1.0
     else:
-        hd_raw = float(hausdorff_l1(to_voxel_set(pred), to_voxel_set(gt)))
+        hd_raw = float(hausdorff_l1(pred, gt))
         hd_norm = normalize_hd(hd_raw, pred.dims)
     return MetricsReport(d, j, hd_raw, hd_norm, challenge_score(d, j, hd_norm))
 

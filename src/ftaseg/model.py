@@ -2,9 +2,9 @@
 
 The reference model maps each pixel's k x k neighborhood (reflect-padded,
 intensities affinely mapped to [-1, 1]) through two SELU hidden layers to a
-sigmoid foreground probability. Backpropagation is exact and framework-free;
-any stronger model can plug in behind the same three operations
-(predict_probs / loss_and_grad / adamw_step).
+sigmoid foreground probability. Backpropagation is exact and framework-free.
+The training engine calls forward_cache_multi, then grad_from_logit_grad or
+grad_from_prob_grad, then adamw_step; inference calls predict_probs.
 
 SEG1 checkpoint layout (little-endian), 28 + 4 * n_params bytes:
 
@@ -32,8 +32,6 @@ SELU_ALPHA = 1.6732632423543772
 # Negative saturation value that self-normalizing dropout resets units to.
 SELU_SATURATION = -SELU_SCALE * SELU_ALPHA
 
-BCE_EPS = 1e-7
-
 CHECKPOINT_MAGIC = b"SEG1"
 _CKPT_HEADER = struct.Struct("<4sIIIIQ")
 
@@ -60,12 +58,6 @@ def poly_lr(sched: TrainSchedule, i: int) -> float:
             f"iteration {i} outside schedule [0, {sched.total_iters}]"
         )
     return sched.base_lr * (1.0 - i / sched.total_iters) ** sched.power
-
-
-def selu(z: np.ndarray) -> np.ndarray:
-    """scale * (max(z, 0) + alpha * expm1(min(z, 0))) in a new float64 array."""
-    out = np.array(z, dtype=np.float64)
-    return _selu_(out, np.empty_like(out))
 
 
 def _selu_(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -97,15 +89,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def bce_loss(probs: np.ndarray, targets: np.ndarray, eps: float = BCE_EPS) -> float:
-    """Mean binary cross-entropy with probabilities clipped to [eps, 1-eps]."""
-    p = np.clip(np.asarray(probs, dtype=np.float64), eps, 1.0 - eps)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise DataError(f"probs/targets shapes differ: {p.shape} vs {t.shape}")
-    return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log1p(-p)))
 
 
 @dataclass(frozen=True)
@@ -146,23 +129,6 @@ class Perturbation:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"perturbation rate must be in [0, 1), got {self.rate}")
-
-
-def alpha_dropout(
-    activations: np.ndarray, rate: float, seed: int
-) -> np.ndarray:
-    """Saturate a fraction of units, then restore mean/variance in expectation."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"perturbation rate must be in [0, 1), got {rate}")
-    a = np.asarray(activations, dtype=np.float64)
-    if rate == 0.0:
-        return a.copy()
-    out = np.empty_like(a)
-    _alpha_dropout_(
-        a, rate, np.random.default_rng(seed), out,
-        np.empty(a.shape, dtype=bool), np.empty_like(a),
-    )
-    return out
 
 
 def _alpha_dropout_(
@@ -333,9 +299,7 @@ class PatchMLP:
         """One forward pass over a slice. The cache views ``ws`` (a fresh
         workspace when None) and is valid until its next forward pass."""
         ws = Workspace() if ws is None else ws
-        cache = self._forward_rows(self._build_patches([slc], ws), perturb, ws)
-        cache["hw"] = slc.data.shape
-        return cache
+        return self._forward_rows(self._build_patches([slc], ws), perturb, ws)
 
     def forward_cache_multi(
         self,
@@ -390,27 +354,6 @@ class PatchMLP:
         return np.concatenate(
             [gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, np.array([gb3])]
         )
-
-    def loss_and_grad(
-        self,
-        slc: Slice2D,
-        target: np.ndarray,
-        weight: float = 1.0,
-        perturb: Perturbation | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """Mean BCE against a binary target map plus the exact parameter gradient."""
-        t = np.asarray(target, dtype=np.float64).ravel()
-        cache = self.forward_cache(slc, perturb)
-        probs = cache["probs"]
-        if t.size != probs.size:
-            raise DataError(
-                f"target size {t.size} does not match slice {cache['hw']}"
-            )
-        loss = bce_loss(probs, t)
-        # Clipped pixels contribute zero gradient (the loss is flat there).
-        inside = (probs > BCE_EPS) & (probs < 1.0 - BCE_EPS)
-        dz3 = np.where(inside, probs - t, 0.0) / t.size
-        return weight * loss, weight * self.grad_from_logit_grad(cache, dz3)
 
     def grad_from_prob_grad(self, cache: dict, dloss_dprobs: np.ndarray) -> np.ndarray:
         """Parameter gradient from a per-pixel gradient on output probabilities."""

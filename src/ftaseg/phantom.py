@@ -107,12 +107,7 @@ def ellipsoid_mask(
     ellipsoid when the normalized squared offsets sum to at most 1.
     """
     d, h, w = dims
-    zz, yy, xx = np.meshgrid(
-        np.arange(d, dtype=np.float64),
-        np.arange(h, dtype=np.float64),
-        np.arange(w, dtype=np.float64),
-        indexing="ij",
-    )
+    zz, yy, xx = np.ogrid[:d, :h, :w]
     cx, cy, cz = center
     rx, ry, rz = radii
     inside = (
@@ -147,12 +142,7 @@ def smooth_bias_field(
     if amplitude == 0.0:
         return np.zeros(dims)
     d, h, w = dims
-    coords = np.meshgrid(
-        np.arange(d, dtype=np.float64),
-        np.arange(h, dtype=np.float64),
-        np.arange(w, dtype=np.float64),
-        indexing="ij",
-    )
+    coords = np.ogrid[:d, :h, :w]
     field = np.zeros(dims)
     for _ in range(2):
         phase = rng.uniform(0.0, 2.0 * np.pi)

@@ -20,7 +20,6 @@ from .errors import ConfigError, DataError
 from .fourier import FtaConfig, fta_augment_pair
 from .metrics import MetricsReport, evaluate_masks, mean_report
 from .model import (
-    BCE_EPS,
     AdamWState,
     ModelShape,
     PatchMLP,
@@ -33,6 +32,9 @@ from .model import (
 from .preprocess import Slice2D
 from .volume import MaskVolume, Volume
 
+
+# Probability clip of the cross-entropy losses; clipped pixels get no gradient.
+BCE_EPS = 1e-7
 
 # Floor of the confidence threshold: 1/C for the binary task's C = 2 classes.
 TAU_FLOOR = 0.5

@@ -89,34 +89,6 @@ class MaskVolume:
         return int(np.count_nonzero(self.data))
 
 
-@dataclass(frozen=True)
-class VoxelSet:
-    """Sparse (x, y, z) coordinate view of a binary mask."""
-
-    coords: np.ndarray  # (N, 3) int64, columns x, y, z
-    dims: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        arr = np.array(self.coords, dtype=np.int64, copy=True).reshape(-1, 3)
-        d, h, w = self.dims
-        if arr.size:
-            if arr.min() < 0 or (arr >= np.array([w, h, d])).any():
-                raise DataError("voxel coordinates outside bounding dims")
-            if len(np.unique(arr, axis=0)) != len(arr):
-                raise DataError("duplicate voxel coordinates")
-        object.__setattr__(self, "coords", _freeze(arr))
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
-def to_voxel_set(m: MaskVolume) -> VoxelSet:
-    """Nonzero voxels of a mask as (x, y, z) triples in z-major scan order."""
-    zyx = np.argwhere(m.data)
-    return VoxelSet(zyx[:, ::-1], m.dims)
-
-
 def _check_volume(v: Volume) -> None:
     # Re-run the range invariant: instances forged around the constructor
     # must not reach disk.

@@ -309,3 +309,19 @@ def mlp_grad_ref(params, dims, cache: dict, dz3: np.ndarray) -> np.ndarray:
     gw1 = dz1.T @ p
     gb1 = dz1.sum(axis=0)
     return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, np.array([gb3])])
+
+
+def bce_ref(probs: np.ndarray, targets: np.ndarray, eps: float = 1e-7):
+    """Mean binary cross-entropy over one slice's pixels, probabilities
+    clipped to [eps, 1 - eps], and its gradient on the output logits; a
+    clipped pixel gets none."""
+    n = len(probs)
+    loss = 0.0
+    dz3 = np.zeros(n)
+    for i in range(n):
+        p = min(max(float(probs[i]), eps), 1.0 - eps)
+        t = float(targets[i])
+        loss -= t * math.log(p) + (1.0 - t) * math.log(1.0 - p)
+        if eps < probs[i] < 1.0 - eps:
+            dz3[i] = (probs[i] - t) / n
+    return loss / n, dz3

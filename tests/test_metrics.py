@@ -17,7 +17,7 @@ from ftaseg.metrics import (
     mean_report,
     normalize_hd,
 )
-from ftaseg.volume import MaskVolume, VoxelSet, to_voxel_set
+from ftaseg.volume import MaskVolume
 
 from oracles import hausdorff_l1_scan, overlap_counts_scan
 
@@ -66,8 +66,11 @@ class TestDiceIou:
         assert iou(e, e) == 1.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(DataError):
-            dice(mask_from([], (2, 2, 2)), mask_from([], (3, 3, 3)))
+        a = mask_from([(0, 0, 0)], (2, 2, 2))
+        b = mask_from([(0, 0, 0)], (3, 3, 3))
+        for metric in (dice, iou, hausdorff_l1):
+            with pytest.raises(DataError):
+                metric(a, b)
 
     def test_counting_oracle(self):
         rng = np.random.default_rng(0)
@@ -92,28 +95,28 @@ class TestDiceIou:
 class TestDistances:
     def test_overlapping_sets_keep_a_distance(self):
         # A shared voxel does not make the Hausdorff distance 0.
-        a = to_voxel_set(mask_from([(1, 1, 1), (2, 2, 2)]))
-        b = to_voxel_set(mask_from([(1, 1, 1), (3, 3, 3)]))
+        a = mask_from([(1, 1, 1), (2, 2, 2)])
+        b = mask_from([(1, 1, 1), (3, 3, 3)])
         assert hausdorff_l1(a, b) == 3
 
     def test_single_pair_l1(self):
-        a = to_voxel_set(mask_from([(0, 0, 0)]))
-        b = to_voxel_set(mask_from([(1, 2, 3)]))
+        a = mask_from([(0, 0, 0)])
+        b = mask_from([(1, 2, 3)])
         assert hausdorff_l1(a, b) == 6
 
     def test_hausdorff_identity(self):
-        a = to_voxel_set(mask_from([(0, 1, 2), (3, 2, 1)]))
+        a = mask_from([(0, 1, 2), (3, 2, 1)])
         assert hausdorff_l1(a, a) == 0
 
     def test_hausdorff_asymmetric_case(self):
         # a point inside a spread set: directed distances differ
-        a = to_voxel_set(mask_from([(0, 0, 0)]))
-        b = to_voxel_set(mask_from([(0, 0, 0), (3, 3, 3)]))
+        a = mask_from([(0, 0, 0)])
+        b = mask_from([(0, 0, 0), (3, 3, 3)])
         assert hausdorff_l1(a, b) == 9
 
     def test_empty_set_undefined(self):
-        empty = VoxelSet(np.empty((0, 3), dtype=np.int64), (2, 2, 2))
-        full = to_voxel_set(mask_from([(0, 0, 0)]))
+        empty = mask_from([])
+        full = mask_from([(0, 0, 0)])
         with pytest.raises(UndefinedMetricError):
             hausdorff_l1(empty, full)
         with pytest.raises(UndefinedMetricError):
@@ -129,10 +132,9 @@ class TestDistances:
                 continue
             if a.voxel_count() > 50 or b.voxel_count() > 50:
                 continue
-            va, vb = to_voxel_set(a), to_voxel_set(b)
-            ca = [tuple(c) for c in va.coords]
-            cb = [tuple(c) for c in vb.coords]
-            assert hausdorff_l1(va, vb) == hausdorff_l1_scan(ca, cb)
+            ca = [tuple(c) for c in np.argwhere(a.data)]
+            cb = [tuple(c) for c in np.argwhere(b.data)]
+            assert hausdorff_l1(a, b) == hausdorff_l1_scan(ca, cb)
 
     def test_hausdorff_properties(self):
         rng = np.random.default_rng(3)
@@ -141,9 +143,8 @@ class TestDistances:
             b = random_mask(rng, (4, 4, 4), 0.3)
             if a.voxel_count() == 0 or b.voxel_count() == 0:
                 continue
-            va, vb = to_voxel_set(a), to_voxel_set(b)
-            assert hausdorff_l1(va, vb) == hausdorff_l1(vb, va)
-            assert (hausdorff_l1(va, vb) == 0) == np.array_equal(a.data, b.data)
+            assert hausdorff_l1(a, b) == hausdorff_l1(b, a)
+            assert (hausdorff_l1(a, b) == 0) == np.array_equal(a.data, b.data)
 
 
 class TestNormalizeAndScore:

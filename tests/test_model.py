@@ -12,12 +12,12 @@ from ftaseg.model import (
     TrainSchedule,
     Workspace,
     adamw_step,
-    bce_loss,
     load_checkpoint,
     poly_lr,
     save_checkpoint,
 )
 from ftaseg.preprocess import Slice2D
+from ftaseg.ssl import TrainSlice, _supervised_batch
 
 from oracles import (
     adam_plain,
@@ -212,36 +212,55 @@ class TestWorkspacePasses:
             _check_backward(model, strong_cache, _ref_forward(model, strong), rng)
 
 
+def train_slice(rng, h=4, w=4, weight=1.0):
+    target = (rng.random((h, w)) < 0.4).astype(np.uint8)
+    return TrainSlice(rand_slice(rng, h, w), target, weight)
+
+
 class TestLoss:
+    """The supervised loss the training engine runs: ``ssl._supervised_batch``."""
+
     def test_bce_at_half_is_ln2(self):
-        probs = np.full(10, 0.5)
-        targets = (np.arange(10) % 2).astype(float)
-        assert bce_loss(probs, targets) == pytest.approx(math.log(2.0), rel=1e-12)
+        shape = ModelShape(3, 4, 3)
+        model = PatchMLP(shape, np.zeros(shape.n_params))
+        batch = [train_slice(np.random.default_rng(i), 4, 3 + i) for i in range(3)]
+        loss, _ = _supervised_batch(model, batch)
+        assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_bce_perfect_prediction_near_zero(self):
-        eps = 1e-7
-        probs = np.array([eps, 1 - eps, eps])
-        targets = np.array([0.0, 1.0, 0.0])
-        assert bce_loss(probs, targets) == pytest.approx(0.0, abs=1e-6)
+        # Zero weights and an output bias of +-40 predict 1 or 0 everywhere;
+        # clipped pixels contribute no gradient.
+        shape = ModelShape(3, 4, 3)
+        s = rand_slice(np.random.default_rng(0))
+        for bias, label in ((40.0, 1), (-40.0, 0)):
+            params = np.zeros(shape.n_params)
+            params[-1] = bias
+            batch = [TrainSlice(s, np.full((4, 4), label, dtype=np.uint8))]
+            loss, grad = _supervised_batch(PatchMLP(shape, params), batch)
+            assert loss == pytest.approx(0.0, abs=1e-6)
+            assert not grad.any()
 
     def test_bce_shape_mismatch(self):
+        # A target is checked against its slice before it reaches the loss.
+        s = rand_slice(np.random.default_rng(0), 4, 4)
         with pytest.raises(DataError):
-            bce_loss(np.zeros(3), np.zeros(4))
+            TrainSlice(s, np.zeros((4, 5), dtype=np.uint8))
 
     def test_gradient_matches_finite_differences(self):
         shape = ModelShape(3, 4, 3)
         rng = np.random.default_rng(8)
-        for trial in range(6):
+        for trial in range(4):
             model = PatchMLP.init_random(shape, trial)
-            s = rand_slice(rng, 4, 4)
-            target = (rng.random((4, 4)) < 0.4).astype(np.uint8)
-            perturb = Perturbation(0.3, trial) if trial % 2 else None
-            _, grad = model.loss_and_grad(s, target, perturb=perturb)
+            # Labeled and pseudo-labeled slices carry different weights.
+            batch = [
+                train_slice(rng, 4, 4, 1.0),
+                train_slice(rng, 4, 5, 0.5),
+                train_slice(rng, 3, 4, 2.0),
+            ]
+            _, grad = _supervised_batch(model, batch)
 
             def loss_at(params):
-                return PatchMLP(shape, params).loss_and_grad(
-                    s, target, perturb=perturb
-                )[0]
+                return _supervised_batch(PatchMLP(shape, params), batch)[0]
 
             fd = finite_diff_grad(loss_at, model.params)
             rel = np.abs(grad - fd) / np.maximum.reduce(
@@ -252,10 +271,10 @@ class TestLoss:
     def test_weight_scales_loss_and_grad(self):
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 1)
         rng = np.random.default_rng(9)
-        s = rand_slice(rng)
-        t = (rng.random((4, 4)) < 0.5).astype(np.uint8)
-        l1, g1 = model.loss_and_grad(s, t)
-        l2, g2 = model.loss_and_grad(s, t, weight=0.25)
+        batch = [train_slice(rng) for _ in range(2)]
+        scaled = [TrainSlice(ts.image, ts.target, 0.25) for ts in batch]
+        l1, g1 = _supervised_batch(model, batch)
+        l2, g2 = _supervised_batch(model, scaled)
         assert l2 == pytest.approx(0.25 * l1)
         assert np.allclose(g2, 0.25 * g1)
 
@@ -371,13 +390,13 @@ class TestTrainingSmoke:
         img[2:6, 2:6] = rng.uniform(0.8, 1.0, (4, 4))
         target = np.zeros((8, 8), dtype=np.uint8)
         target[2:6, 2:6] = 1
-        s = Slice2D(img, "z", 0, "t")
+        batch = [TrainSlice(Slice2D(img, "z", 0, "t"), target)]
         model = PatchMLP.init_random(ModelShape(3, 8, 4), 5)
         state = AdamWState.fresh(model.shape.n_params)
         sched = TrainSchedule(5e-3, 500)
         loss = None
         for i in range(500):
-            loss, grad = model.loss_and_grad(s, target)
+            loss, grad = _supervised_batch(model, batch)
             if loss < 0.1:
                 break
             model.params, state = adamw_step(

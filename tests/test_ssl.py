@@ -12,9 +12,10 @@ from ftaseg.model import (
     ModelShape,
     PatchMLP,
     TrainSchedule,
+    Perturbation,
     Workspace,
+    _alpha_dropout_,
     adamw_step,
-    alpha_dropout,
     poly_lr,
 )
 from ftaseg.preprocess import Slice2D
@@ -33,7 +34,13 @@ from ftaseg.ssl import (
 )
 from ftaseg.volume import RAW, NORMALIZED, MaskVolume, Volume
 
-from oracles import finite_diff_grad
+from oracles import (
+    bce_ref,
+    finite_diff_grad,
+    mlp_forward_rows_ref,
+    mlp_grad_ref,
+    patches_ref,
+)
 
 
 def make_train_set(rng, n=6, hw=8):
@@ -157,6 +164,16 @@ class TestPseudoLabels:
         assert picked(7) != picked(8)
 
 
+def alpha_dropout(acts, rate, seed):
+    # The model's in-place dropout, written to fresh buffers.
+    out = np.empty_like(acts)
+    _alpha_dropout_(
+        acts, rate, np.random.default_rng(seed), out,
+        np.empty(acts.shape, dtype=bool), np.empty_like(acts),
+    )
+    return out
+
+
 class TestFeaturePerturb:
     def test_zero_rate_identity(self):
         rng = np.random.default_rng(3)
@@ -236,6 +253,37 @@ class TestConsistencyLoss:
 
             fd = finite_diff_grad(loss_at, views[vi], h=1e-7)
             assert np.abs(grads[vi] - fd).max() < 1e-5
+
+
+class TestUnsupervisedGradient:
+    """The strong and the perturbed views train through grad_from_prob_grad
+    on the consistency loss against a fixed weak view."""
+
+    @pytest.mark.parametrize(
+        "perturb", [None, Perturbation(0.3, 7)], ids=["strong", "perturbed"]
+    )
+    def test_matches_finite_differences(self, perturb):
+        rng = np.random.default_rng(20)
+        shape = ModelShape(3, 4, 3)
+        model = PatchMLP.init_random(shape, 2)
+        views = [
+            Slice2D(rng.random((4, 5), dtype=np.float32), "z", i, "u") for i in range(2)
+        ]
+        weak = rng.random(40)
+
+        def loss_at(params):
+            cache = PatchMLP(shape, params).forward_cache_multi(views, perturb)
+            return consistency_loss(weak, [cache["probs"]], tau=0.6)[0]
+
+        cache = model.forward_cache_multi(views, perturb)
+        _, (dloss_dprobs,) = consistency_loss(weak, [cache["probs"]], tau=0.6)
+        grad = model.grad_from_prob_grad(cache, dloss_dprobs)
+        fd = finite_diff_grad(loss_at, model.params)
+        assert np.abs(fd).max() > 1e-3
+        rel = np.abs(grad - fd) / np.maximum.reduce(
+            [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-6)]
+        )
+        assert rel.max() < 1e-4
 
 
 class TestStage1:
@@ -326,10 +374,18 @@ class TestStage2:
         rng = np.random.default_rng(14)
         batch = make_train_set(rng, 4)
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 3)
+        batch[1] = TrainSlice(batch[1].image, batch[1].target, 0.5)
         loss, grad = _supervised_batch(model, batch)
-        per = [model.loss_and_grad(ts.image, ts.target, ts.weight) for ts in batch]
-        assert loss == pytest.approx(sum(l for l, _ in per) / 4, rel=1e-12)
-        assert np.allclose(grad, sum(g for _, g in per) / 4, atol=1e-15)
+        dims = (3, 4, 3)
+        want_loss, want_grad = 0.0, np.zeros(model.shape.n_params)
+        for ts in batch:
+            p = patches_ref(ts.image.data, 3)
+            ref = mlp_forward_rows_ref(model.params, dims, p)
+            l, dz3 = bce_ref(ref["probs"], ts.target.ravel())
+            want_loss += ts.weight * l / 4
+            want_grad += ts.weight * mlp_grad_ref(model.params, dims, ref, dz3) / 4
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert np.allclose(grad, want_grad, atol=1e-15)
 
     def test_reused_workspace_keeps_a_batch_under_4_mib(self):
         # 16 slices of 32 x 32 at the default shape: one (rows, hidden1)

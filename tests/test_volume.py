@@ -9,12 +9,10 @@ from ftaseg.volume import (
     RAW,
     MaskVolume,
     Volume,
-    VoxelSet,
     load_mask,
     load_volume,
     save_mask,
     save_volume,
-    to_voxel_set,
 )
 
 from oracles import count_nonzero_scan
@@ -65,6 +63,12 @@ class TestVolumeInvariants:
             MaskVolume(np.full((2, 2, 2), 2, dtype=np.uint8))
         with pytest.raises(DataError):
             MaskVolume(np.full((2, 2, 2), 0.5))
+
+    def test_voxel_count_matches_scan_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m = random_mask(rng, tuple(rng.integers(1, 6, 3)))
+            assert m.voxel_count() == count_nonzero_scan(m.data)
 
 
 class TestVol1RoundTrip:
@@ -181,43 +185,3 @@ class TestVol1RoundTrip:
             save_mask(m, tmp / "m.vol")
             assert np.array_equal(load_mask(tmp / "m.vol").data, m.data)
 
-
-class TestVoxelSet:
-    def test_empty_mask_empty_set(self):
-        vs = to_voxel_set(MaskVolume(np.zeros((2, 2, 2), dtype=np.uint8)))
-        assert len(vs) == 0
-
-    def test_singleton(self):
-        arr = np.zeros((4, 4, 4), dtype=np.uint8)
-        arr[3, 2, 1] = 1  # (z, y, x) = (3, 2, 1)
-        vs = to_voxel_set(MaskVolume(arr))
-        assert vs.coords.tolist() == [[1, 2, 3]]
-
-    def test_cardinality_matches_scan_oracle(self):
-        rng = np.random.default_rng(11)
-        m = random_mask(rng, (4, 4, 4))
-        vs = to_voxel_set(m)
-        assert len(vs) == count_nonzero_scan(m.data)
-
-    def test_cardinality_equals_mask_sum_property(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            m = random_mask(rng, tuple(rng.integers(1, 6, 3)))
-            assert len(to_voxel_set(m)) == int(m.data.sum())
-
-    def test_z_major_order(self):
-        arr = np.zeros((2, 2, 2), dtype=np.uint8)
-        arr[0, 1, 0] = 1
-        arr[1, 0, 1] = 1
-        arr[0, 0, 1] = 1
-        vs = to_voxel_set(MaskVolume(arr))
-        # scan order: z, then y, then x fastest
-        assert vs.coords.tolist() == [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
-
-    def test_bounds_enforced(self):
-        with pytest.raises(DataError):
-            VoxelSet(np.array([[5, 0, 0]]), (2, 2, 2))
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DataError):
-            VoxelSet(np.array([[0, 0, 0], [0, 0, 0]]), (2, 2, 2))
