@@ -64,12 +64,6 @@ class TestVolumeInvariants:
         with pytest.raises(DataError):
             MaskVolume(np.full((2, 2, 2), 0.5))
 
-    def test_voxel_count_matches_scan_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = random_mask(rng, tuple(rng.integers(1, 6, 3)))
-            assert m.voxel_count() == count_nonzero_scan(m.data)
-
 
 class TestVol1RoundTrip:
     def test_volume_round_trip_bytes_and_values(self, tmp_path):
@@ -185,3 +179,17 @@ class TestVol1RoundTrip:
             save_mask(m, tmp / "m.vol")
             assert np.array_equal(load_mask(tmp / "m.vol").data, m.data)
 
+
+class TestVoxelSet:
+    """The foreground voxel set of a mask, counted by MaskVolume.voxel_count."""
+
+    def test_cardinality_matches_scan_oracle(self):
+        rng = np.random.default_rng(11)
+        m = random_mask(rng, (4, 4, 4))
+        assert m.voxel_count() == count_nonzero_scan(m.data)
+
+    def test_cardinality_equals_mask_sum_property(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            m = random_mask(rng, tuple(rng.integers(1, 6, 3)))
+            assert m.voxel_count() == int(m.data.sum())
