@@ -56,7 +56,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .preprocess import (
-    Slice2D,
     SliceManifest,
     WindowSpec,
     slice_volume,

@@ -31,16 +31,16 @@ from .pipeline import (
     train_stage2_files,
     window_dir,
 )
-from .preprocess import Slice2D, WindowSpec
+from .preprocess import WindowSpec
 from .ssl import StageConfig
 from .volume import RAW, NORMALIZED, Volume, load_mask, load_volume, save_volume
 
 
-def _load_slice(path: str, value_unit: str = NORMALIZED) -> Slice2D:
+def _load_slice(path: str, value_unit: str = NORMALIZED) -> np.ndarray:
     vol = load_volume(path, value_unit)
     if vol.dims[0] != 1:
         raise DataError(f"{path}: expected a slice file (depth 1), got {vol.dims}")
-    return Slice2D(vol.data[0], "z", 0, Path(path).stem)
+    return vol.data[0]
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
@@ -72,8 +72,8 @@ def _cmd_fta(args: argparse.Namespace) -> None:
     )
     lam = cfg.draw_lambda(np.random.default_rng(args.seed))
     pair = fta_augment_pair(_load_slice(args.a), _load_slice(args.b), lam, cfg)
-    for slc, path in ((pair.z_w, args.out_a), (pair.z_u, args.out_b)):
-        save_volume(Volume(slc.data.reshape(1, *slc.data.shape), RAW), path)
+    for plane, path in ((pair.z_w, args.out_a), (pair.z_u, args.out_b)):
+        save_volume(Volume(plane[np.newaxis], RAW), path)
     print(
         f"lambda={lam:.6f} beta={cfg.mask_fraction} "
         f"residue={pair.imag_residue:.2e}"
@@ -134,10 +134,9 @@ def _cmd_score_dir(args: argparse.Namespace) -> None:
 
 
 def _cmd_overlay(args: argparse.Namespace) -> None:
-    slc = _load_slice(args.slice)
     pred = load_mask(args.pred).data[0]
     gt = load_mask(args.gt).data[0]
-    render_overlay(slc, pred, gt, args.out)
+    render_overlay(_load_slice(args.slice), pred, gt, args.out)
     print(f"overlay written to {args.out}")
 
 

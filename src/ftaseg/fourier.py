@@ -1,6 +1,6 @@
-"""Spectral decomposition of 2D slices and low-frequency amplitude exchange.
+"""Spectral decomposition of 2D planes and low-frequency amplitude exchange.
 
-A slice pair is augmented by blending the amplitude spectra inside a
+A plane pair is augmented by blending the amplitude spectra inside a
 centered low-frequency region while each image keeps its own phase, then
 transforming back. Spectra use the center-shifted layout with the DC bin at
 (H//2, W//2).
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .preprocess import Slice2D
 
 MODE_PAPER = "paper-literal"
 MODE_FDA = "standard-fda"
@@ -57,14 +56,17 @@ class FtaConfig:
 
 @dataclass(frozen=True)
 class AugmentedPair:
-    z_w: Slice2D
-    z_u: Slice2D
+    """The two augmented planes (float32) and the larger imaginary residue
+    of their reconstructions."""
+
+    z_w: np.ndarray
+    z_u: np.ndarray
     imag_residue: float
 
 
-def dft2_forward(s: Slice2D) -> tuple[np.ndarray, np.ndarray]:
+def dft2_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized forward 2D DFT as (amplitude, phase), center-shifted."""
-    spec = np.fft.fftshift(np.fft.fft2(s.data.astype(np.float64)))
+    spec = np.fft.fftshift(np.fft.fft2(u.astype(np.float64)))
     return np.abs(spec), np.angle(spec)
 
 
@@ -108,27 +110,25 @@ def symmetrize_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def fta_augment_pair(
-    x_w: Slice2D, x_u: Slice2D, lam: float, cfg: FtaConfig
+    x_w: np.ndarray, x_u: np.ndarray, lam: float, cfg: FtaConfig
 ) -> AugmentedPair:
-    """Blend low-frequency amplitudes of two slices with weight ``lam``, both
+    """Blend low-frequency amplitudes of two planes with weight ``lam``, both
     directions at once; ``cfg`` gives the mask and the blend mode.
 
     Inputs must share dims and hold normalized [0, 1] intensities. Outputs
-    keep each input's phase and metadata; values may exit [0, 1] slightly
-    since the amplitude blend does not preserve range.
+    keep each input's phase; values may exit [0, 1] slightly since the
+    amplitude blend does not preserve range.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    if x_w.data.shape != x_u.data.shape:
-        raise DataError(
-            f"slice dims differ: {x_w.data.shape} vs {x_u.data.shape}"
-        )
-    for name, s in (("x_w", x_w), ("x_u", x_u)):
-        if bool((s.data < 0.0).any()) or bool((s.data > 1.0).any()):
+    if x_w.shape != x_u.shape:
+        raise DataError(f"plane dims differ: {x_w.shape} vs {x_u.shape}")
+    for name, u in (("x_w", x_w), ("x_u", x_u)):
+        if bool((u < 0.0).any()) or bool((u > 1.0).any()):
             raise DataError(f"{name} is not normalized to [0, 1]")
     amp_w, phase_w = dft2_forward(x_w)
     amp_u, phase_u = dft2_forward(x_u)
-    h, w = x_w.data.shape
+    h, w = x_w.shape
     mask = symmetrize_mask(make_center_mask(h, w, cfg.mask_fraction))
     inv = 1.0 - mask
     if cfg.mode == MODE_PAPER:
@@ -140,7 +140,5 @@ def fta_augment_pair(
     z_w, res_w = _reconstruct(a_w, phase_w)
     z_u, res_u = _reconstruct(a_u, phase_u)
     return AugmentedPair(
-        z_w=Slice2D(z_w.astype(np.float32), x_w.axis_tag, x_w.index, x_w.source_id),
-        z_u=Slice2D(z_u.astype(np.float32), x_u.axis_tag, x_u.index, x_u.source_id),
-        imag_residue=max(res_w, res_u),
+        z_w.astype(np.float32), z_u.astype(np.float32), max(res_w, res_u)
     )

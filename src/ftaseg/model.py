@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .preprocess import Slice2D
 
 SELU_SCALE = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -224,21 +223,21 @@ class PatchMLP:
         b3 = vec[o]
         return w1, b1, w2, b2, w3, b3
 
-    def _build_patches(self, slices: list[Slice2D], ws: Workspace) -> np.ndarray:
-        # Each slice's k x k reflect-padded windows, mapped from [0, 1]
+    def _build_patches(self, planes: list[np.ndarray], ws: Workspace) -> np.ndarray:
+        # Each plane's k x k reflect-padded windows, mapped from [0, 1]
         # intensities to [-1, 1] features, written straight into the
-        # workspace's patch rows in slice order.
+        # workspace's patch rows in plane order.
         k = self.shape.patch
         pad = k // 2
-        rows = ws.take("patches", (sum(s.data.size for s in slices), k * k))
+        rows = ws.take("patches", (sum(u.size for u in planes), k * k))
         o = 0
-        for s in slices:
-            h, w = s.data.shape
-            data = s.data.astype(np.float64)
+        for u in planes:
+            h, w = u.shape
+            data = u.astype(np.float64)
             if pad > 0:
                 if min(data.shape) <= pad:
                     raise DataError(
-                        f"slice {data.shape} too small for reflect padding of {pad}"
+                        f"plane {data.shape} too small for reflect padding of {pad}"
                     )
                 data = np.pad(data, pad, mode="reflect")
             windows = np.lib.stride_tricks.sliding_window_view(data, (k, k))
@@ -251,7 +250,7 @@ class PatchMLP:
     def _forward_rows(
         self, p: np.ndarray, perturb: Perturbation | None, ws: Workspace
     ) -> dict:
-        # Rows are independent pixels, so any number of slices can share one
+        # Rows are independent pixels, so any number of planes can share one
         # forward pass once their patch rows are stacked.
         if not np.all(np.isfinite(self.params)):
             raise NumericError("model parameters contain non-finite values")
@@ -292,37 +291,35 @@ class PatchMLP:
 
     def forward_cache(
         self,
-        slc: Slice2D,
+        plane: np.ndarray,
         perturb: Perturbation | None = None,
         ws: Workspace | None = None,
     ) -> dict:
-        """One forward pass over a slice. The cache views ``ws`` (a fresh
+        """One forward pass over a 2D plane. The cache views ``ws`` (a fresh
         workspace when None) and is valid until its next forward pass."""
         ws = Workspace() if ws is None else ws
-        return self._forward_rows(self._build_patches([slc], ws), perturb, ws)
+        return self._forward_rows(self._build_patches([plane], ws), perturb, ws)
 
     def forward_cache_multi(
         self,
-        slices: list[Slice2D],
+        planes: list[np.ndarray],
         perturb: Perturbation | None = None,
         ws: Workspace | None = None,
     ) -> dict:
-        """One forward pass over several slices; probabilities stay stacked
-        in slice order and ``sizes`` records each slice's pixel count. The
-        cache is valid until the next forward pass on ``ws``."""
+        """One forward pass over several 2D planes; probabilities stay
+        stacked in plane order. The cache is valid until the next forward
+        pass on ``ws``."""
         ws = Workspace() if ws is None else ws
-        cache = self._forward_rows(self._build_patches(slices, ws), perturb, ws)
-        cache["sizes"] = [s.data.size for s in slices]
-        return cache
+        return self._forward_rows(self._build_patches(planes, ws), perturb, ws)
 
     def predict_probs(
         self,
-        slc: Slice2D,
+        plane: np.ndarray,
         perturb: Perturbation | None = None,
         ws: Workspace | None = None,
     ) -> np.ndarray:
         """Per-pixel foreground probability map in the open interval (0, 1)."""
-        probs = self.forward_cache(slc, perturb, ws)["probs"].reshape(slc.data.shape)
+        probs = self.forward_cache(plane, perturb, ws)["probs"].reshape(plane.shape)
         return np.clip(probs, 1e-15, 1.0 - 1e-15)
 
     def grad_from_logit_grad(self, cache: dict, dz3: np.ndarray) -> np.ndarray:
@@ -429,7 +426,10 @@ def load_checkpoint(path: Path | str) -> tuple[PatchMLP, int]:
     if len(blob) < _CKPT_HEADER.size or blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a SEG1 checkpoint")
     _, patch, h1, h2, n_params, step = _CKPT_HEADER.unpack_from(blob)
-    shape = ModelShape(patch, h1, h2)
+    try:
+        shape = ModelShape(patch, h1, h2)
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad model shape in header: {exc}") from exc
     if shape.n_params != n_params:
         raise DataError(f"{path}: parameter count mismatch in header")
     payload = len(blob) - _CKPT_HEADER.size

@@ -31,7 +31,6 @@ from .model import (
 from .phantom import PhantomSpec, ShiftSpec, apply_domain_shift, gen_phantom
 from .preprocess import (
     ManifestEntry,
-    Slice2D,
     SliceManifest,
     WindowSpec,
     build_manifest,
@@ -85,9 +84,9 @@ _OPTIONAL_FLOATS = {"fta_lambda"}
 
 
 def _coerce(name: str, raw: str, default) -> object:
-    if name in _OPTIONAL_FLOATS:
-        return None if raw == "" else float(raw)
     try:
+        if name in _OPTIONAL_FLOATS:
+            return None if raw == "" else float(raw)
         if isinstance(default, bool):
             low = raw.lower()
             if low in ("true", "1", "yes"):
@@ -313,18 +312,16 @@ def write_kv_config(cfg, path: Path | str) -> None:
 class RunLog:
     """Line-oriented UTF-8 log with ISO-8601 timestamps."""
 
-    def __init__(self, path: Path | None, echo: bool = False):
+    def __init__(self, path: Path, echo: bool = False):
         self.path = path
         self.echo = echo
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("", encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("", encoding="utf-8")
 
     def __call__(self, msg: str) -> None:
         line = f"{datetime.now().isoformat(timespec='seconds')} {msg}"
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(line + "\n")
+        with open(self.path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
         if self.echo:
             print(line)
 
@@ -427,7 +424,8 @@ def slice_dir(
     for path in _volume_files(in_dir):
         mask = _mask_path(path)
         entries += build_manifest(
-            slice_volume(load_volume(path, NORMALIZED), path.stem),
+            slice_volume(load_volume(path, NORMALIZED)),
+            path.stem,
             file=_relpath(path, out_dir),
             mask_file=_relpath(mask, out_dir) if mask.exists() else "",
         ).entries
@@ -476,10 +474,9 @@ def load_train_slices(
     for e in manifest.entries:
         if e.split != split:
             continue
-        image = _cut(e, slices_dir / e.file, _load_normalized, volumes)
         out.append(
             TrainSlice(
-                image=Slice2D(image, e.axis, e.index, e.source_id),
+                image=_cut(e, slices_dir / e.file, _load_normalized, volumes),
                 target=_cut(e, slices_dir / e.mask_file, load_mask, masks),
                 weight=weight,
             )
@@ -491,17 +488,15 @@ def load_unlabeled_slices(
     slices_dir: Path | str,
     manifest: SliceManifest,
     exclude_ids: frozenset[str] = frozenset(),
-) -> list[Slice2D]:
+) -> list[np.ndarray]:
     """Image planes of every manifest row outside ``exclude_ids``, in order."""
     slices_dir = Path(slices_dir)
     volumes: dict = {}
-    out = []
-    for e in manifest.entries:
-        if e.source_id in exclude_ids:
-            continue
-        image = _cut(e, slices_dir / e.file, _load_normalized, volumes)
-        out.append(Slice2D(image, e.axis, e.index, e.source_id))
-    return out
+    return [
+        _cut(e, slices_dir / e.file, _load_normalized, volumes)
+        for e in manifest.entries
+        if e.source_id not in exclude_ids
+    ]
 
 
 def load_val_cases(
@@ -615,7 +610,7 @@ def train_stage2_files(
         pseudo_ids = frozenset(pmanifest.source_ids())
         labeled += load_train_slices(pdir, pmanifest, "train", cfg.pseudo_weight)
 
-    unlabeled: list[Slice2D] = []
+    unlabeled: list[np.ndarray] = []
     if unlabeled_slices_dir is not None:
         udir = Path(unlabeled_slices_dir)
         umanifest = read_manifest(udir / "manifest.csv")
@@ -674,18 +669,18 @@ def score_files(
 
 
 def render_overlay(
-    slc: Slice2D, pred: np.ndarray, gt: np.ndarray, path: Path | str
+    plane: np.ndarray, pred: np.ndarray, gt: np.ndarray, path: Path | str
 ) -> None:
-    """Binary PPM (P6): grayscale base; prediction, ground truth and their
-    overlap tinted in red, green and blue respectively."""
+    """Binary PPM (P6) of a 2D plane: grayscale base; prediction, ground
+    truth and their overlap tinted in red, green and blue respectively."""
     pred = np.asarray(pred, dtype=bool)
     gt = np.asarray(gt, dtype=bool)
-    if pred.shape != slc.data.shape or gt.shape != slc.data.shape:
+    if pred.shape != plane.shape or gt.shape != plane.shape:
         raise DataError(
-            f"overlay shapes differ: slice {slc.data.shape}, pred {pred.shape}, "
+            f"overlay shapes differ: slice {plane.shape}, pred {pred.shape}, "
             f"gt {gt.shape}"
         )
-    g = np.round(np.clip(slc.data, 0.0, 1.0) * 255.0).astype(np.uint8)
+    g = np.round(np.clip(plane, 0.0, 1.0) * 255.0).astype(np.uint8)
     rgb = np.stack([g, g, g], axis=-1)
     half = (g // 2).astype(np.uint8)
     for tint, region in (
@@ -708,9 +703,6 @@ def render_overlay(
 @dataclass
 class PipelinePaths:
     out: Path
-    data_labeled: Path
-    data_unlabeled: Path
-    data_val: Path | None
     scores_csv: Path
     stage2_metrics: Path
     stage1_ckpt: Path
@@ -825,9 +817,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     log("run finished")
     return PipelinePaths(
         out=out,
-        data_labeled=labeled_dir,
-        data_unlabeled=unlabeled_dir if unlabeled_dir is not None else out,
-        data_val=val_dir,
         scores_csv=scores_csv,
         stage2_metrics=out / "stage2" / "metrics.csv",
         stage1_ckpt=stage1_ckpt,
@@ -843,15 +832,19 @@ def _score_on_slice_split(ckpt: Path, slices_dir: Path, out_csv: Path) -> None:
     val = load_train_slices(slices_dir, manifest, "val")
     if not val:
         raise DataError("no validation slices in the split")
+    # load_train_slices keeps manifest order, so the val rows name the planes.
+    cases = sorted(
+        zip(manifest.subset("val"), val),
+        key=lambda c: (c[0].source_id, c[0].axis, c[0].index),
+    )
     reports = []
     rows = [CSV_HEADER]
-    for ts in sorted(val, key=lambda t: (t.image.source_id, t.image.axis_tag, t.image.index)):
+    for e, ts in cases:
         probs = model.predict_probs(ts.image)
         pred = MaskVolume((probs >= 0.5).astype(np.uint8).reshape(1, *probs.shape))
         gt = MaskVolume(ts.target.reshape(1, *ts.target.shape))
         report = evaluate_masks(pred, gt)
-        case = slice_filename(ts.image.source_id, ts.image.index, ts.image.axis_tag)
-        rows.append(report.csv_row(case))
+        rows.append(report.csv_row(slice_filename(e.source_id, e.index, e.axis)))
         reports.append(report)
     rows.append(mean_report(reports).csv_row("mean"))
     out_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -1,6 +1,6 @@
 """Intensity windowing, 3-axis slicing, and the train/validation split.
 
-Slices are tagged ``x`` (fix x, shape D x H), ``y`` (fix y, shape D x W) or
+Planes are tagged ``x`` (fix x, shape D x H), ``y`` (fix y, shape D x W) or
 ``z`` (fix z, shape H x W). A slice manifest row names a plane by its volume
 file, axis and index; planes are cut from the volume when it is loaded, and a
 plane scored on its own is named ``<source_id>_<index>_<axis>.vol``.
@@ -40,30 +40,6 @@ class WindowSpec:
     def __post_init__(self) -> None:
         if not self.bottom < self.top:
             raise ConfigError(f"window bottom {self.bottom} must be < top {self.top}")
-
-
-@dataclass(frozen=True)
-class Slice2D:
-    """One 2D plane of a volume, with its slicing axis and position."""
-
-    data: np.ndarray
-    axis_tag: str
-    index: int
-    source_id: str = "vol"
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.ndim != 2 or min(arr.shape) < 1:
-            raise DataError(f"slice data must be 2D and nonempty, got {arr.shape}")
-        if self.axis_tag not in AXES:
-            raise DataError(f"axis_tag must be one of {AXES}, got {self.axis_tag!r}")
-        if self.index < 0:
-            raise DataError(f"slice index must be >= 0, got {self.index}")
-        if arr.flags.writeable:
-            if arr is self.data:  # never mutate a caller-owned array
-                arr = arr.copy()
-            arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
 
 
 @dataclass(frozen=True)
@@ -126,12 +102,10 @@ def plane_keys(dims: tuple[int, ...]) -> list[tuple[str, int]]:
     return [(axis, i) for axis in AXES for i in range(dims[_AXIS_DIM[axis]])]
 
 
-def slice_volume(v: Volume, source_id: str = "vol") -> list[Slice2D]:
-    """All planes of a volume, in ``plane_keys`` order."""
-    return [
-        Slice2D(plane(v.data, axis, i), axis, i, source_id)
-        for axis, i in plane_keys(v.data.shape)
-    ]
+def slice_volume(v: Volume) -> list[tuple[str, int, np.ndarray]]:
+    """``(axis, index, plane)`` for all planes of a volume, in ``plane_keys``
+    order; each plane is a read-only view of the volume."""
+    return [(axis, i, plane(v.data, axis, i)) for axis, i in plane_keys(v.data.shape)]
 
 
 def slice_filename(source_id: str, index: int, axis: str) -> str:
@@ -139,17 +113,18 @@ def slice_filename(source_id: str, index: int, axis: str) -> str:
 
 
 def build_manifest(
-    slices: Iterable[Slice2D],
+    planes: Iterable[tuple[str, int, np.ndarray]],
+    source_id: str,
     split: str = "train",
     file: str | None = None,
     mask_file: str = "",
 ) -> SliceManifest:
-    """Rows for planes cut from the volume at ``file`` (by default
-    ``<source_id>.vol``, the name ``window_dir`` keeps)."""
+    """Rows for ``slice_volume`` planes of the volume ``source_id`` stored at
+    ``file`` (by default ``<source_id>.vol``, the name ``window_dir`` keeps)."""
+    file = f"{source_id}.vol" if file is None else file
     return SliceManifest(tuple(
-        ManifestEntry(f"{s.source_id}.vol" if file is None else file, s.axis_tag,
-                      s.index, s.source_id, split, mask_file)
-        for s in slices
+        ManifestEntry(file, axis, i, source_id, split, mask_file)
+        for axis, i, _ in planes
     ))
 
 

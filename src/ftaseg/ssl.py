@@ -29,7 +29,6 @@ from .model import (
     adamw_step,
     poly_lr,
 )
-from .preprocess import Slice2D
 from .volume import MaskVolume, Volume
 
 
@@ -96,7 +95,7 @@ def generate_pseudo_labels(
     rng = np.random.default_rng(seed)
     chosen = sorted(rng.choice(len(ids), size=count, replace=False).tolist())
     return [
-        PseudoLabel(ids[i], predict_volume(model, load(ids[i]), ids[i]).data)
+        PseudoLabel(ids[i], predict_volume(model, load(ids[i])).data)
         for i in chosen
     ]
 
@@ -170,17 +169,17 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class TrainSlice:
-    """A supervised training plane: image, binary target, loss weight."""
+    """A supervised training plane: 2D image, binary target, loss weight."""
 
-    image: Slice2D
+    image: np.ndarray
     target: np.ndarray
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.target.shape != self.image.data.shape:
+        if self.target.shape != self.image.shape:
             raise DataError(
-                f"target shape {self.target.shape} does not match slice "
-                f"{self.image.data.shape}"
+                f"target shape {self.target.shape} does not match plane "
+                f"{self.image.shape}"
             )
 
 
@@ -227,15 +226,14 @@ class Stage2Result:
     warnings: list[str]
 
 
-def predict_volume(model: PatchMLP, v: Volume, source_id: str = "vol") -> MaskVolume:
+def predict_volume(model: PatchMLP, v: Volume) -> MaskVolume:
     """Segment a volume plane by plane along z, one forward-only pass per
     plane, so only one plane's activations are alive at a time; the planes
     reuse one workspace."""
     ws = Workspace()
     mask = np.empty(v.dims, dtype=np.uint8)
     for z in range(v.dims[0]):
-        plane = Slice2D(v.data[z], "z", z, source_id)
-        mask[z] = model.predict_probs(plane, ws=ws) >= 0.5
+        mask[z] = model.predict_probs(v.data[z], ws=ws) >= 0.5
     return MaskVolume(mask)
 
 
@@ -245,7 +243,7 @@ def evaluate_volumes(
 ) -> tuple[MetricsReport, list[tuple[str, MetricsReport]]]:
     """Mean metrics over validation volumes, case reports in case-id order."""
     per_case = [
-        (cid, evaluate_masks(predict_volume(model, vol, cid), gt))
+        (cid, evaluate_masks(predict_volume(model, vol), gt))
         for cid, vol, gt in sorted(cases, key=lambda c: c[0])
     ]
     return mean_report([r for _, r in per_case]), per_case
@@ -329,16 +327,10 @@ def _by_shape(shapes: list[tuple[int, int]]) -> dict[tuple[int, int], list[int]]
     return groups
 
 
-def _flip(s: Slice2D, do_flip: bool) -> Slice2D:
-    if not do_flip:
-        return s
-    return Slice2D(s.data[:, ::-1], s.axis_tag, s.index, s.source_id)
-
-
 def run_stage2(
     model: PatchMLP,
     labeled: list[TrainSlice],
-    unlabeled: list[Slice2D],
+    unlabeled: list[np.ndarray],
     val_cases: list[tuple[str, Volume, MaskVolume]],
     cfg: StageConfig,
     sched: TrainSchedule,
@@ -372,10 +364,10 @@ def run_stage2(
     opt = AdamWState.fresh(model.shape.n_params)
     tau_state = ThresholdState(momentum=cfg.threshold_momentum)
     n_lab, n_unl = len(labeled), len(unlabeled)
-    labeled_by_shape = _by_shape([ts.image.data.shape for ts in labeled])
-    unlabeled_by_shape = _by_shape([s.data.shape for s in unlabeled])
+    labeled_by_shape = _by_shape([ts.image.shape for ts in labeled])
+    unlabeled_by_shape = _by_shape([u.shape for u in unlabeled])
 
-    def pick_donor(shape: tuple[int, int], exclude: int) -> Slice2D | None:
+    def pick_donor(shape: tuple[int, int], exclude: int) -> np.ndarray | None:
         pool = labeled_by_shape.get(shape)
         if pool:
             return labeled[pool[int(donor_rng.integers(len(pool)))]].image
@@ -405,55 +397,54 @@ def run_stage2(
                 n_unl, size=cfg.batch_size, replace=n_unl < cfg.batch_size
             )
             flips = flip_rng.integers(0, 2, size=cfg.batch_size)
-            weak_slices = [
-                _flip(unlabeled[int(u)], bool(f)) for u, f in zip(u_idx, flips)
+            weak_planes = [
+                unlabeled[int(u)][:, ::-1] if f else unlabeled[int(u)]
+                for u, f in zip(u_idx, flips)
             ]
-            # The weak view is never back-propagated: forward-only, per slice.
+            # The weak view is never back-propagated: forward-only, per plane.
             weak_probs = np.concatenate(
-                [model.predict_probs(s, ws=weak_ws).ravel() for s in weak_slices]
+                [model.predict_probs(u, ws=weak_ws).ravel() for u in weak_planes]
             )
             tau_state = update_threshold(
                 tau_state, np.maximum(weak_probs, 1.0 - weak_probs)
             )
 
             # Mutual spectral augmentation: the first strong view of each
-            # unlabeled slice is produced by the same call that augments its
-            # paired labeled slice, and that augmented labeled slice joins
+            # unlabeled plane is produced by the same call that augments its
+            # paired labeled plane, and that augmented labeled plane joins
             # the clean one in the supervised batch.
             sup_batch: list[TrainSlice] = [labeled[int(i)] for i in l_idx]
-            strong_slices: list[Slice2D] = []
+            strong_planes: list[np.ndarray] = []
             strong_owner: list[int] = []
             for j in range(cfg.batch_size):
                 ts = labeled[int(l_idx[j])]
-                weak = weak_slices[j]
+                weak = weak_planes[j]
                 for v in range(STRONG_VIEWS):
                     lam = fta_cfg.draw_lambda(lam_rng)
-                    if v == 0 and ts.image.data.shape == weak.data.shape:
+                    if v == 0 and ts.image.shape == weak.shape:
                         donor = ts.image
                     else:
-                        donor = pick_donor(weak.data.shape, int(u_idx[j]))
+                        donor = pick_donor(weak.shape, int(u_idx[j]))
                     if donor is None:
                         continue
                     pair = fta_augment_pair(donor, weak, lam, fta_cfg)
                     if v == 0 and donor is ts.image:
                         sup_batch.append(replace(ts, image=pair.z_w))
-                    strong_slices.append(pair.z_u)
+                    strong_planes.append(pair.z_u)
                     strong_owner.append(j)
 
             perturb = Perturbation(cfg.perturb_rate, int(perturb_rng.integers(2**32)))
-            fp_cache = model.forward_cache_multi(weak_slices, perturb, fp_ws)
+            fp_cache = model.forward_cache_multi(weak_planes, perturb, fp_ws)
             strong_cache = (
-                model.forward_cache_multi(strong_slices, ws=strong_ws)
-                if strong_slices else None
+                model.forward_cache_multi(strong_planes, ws=strong_ws)
+                if strong_planes else None
             )
 
-            weak_off = np.cumsum([0] + [s.data.size for s in weak_slices])
+            weak_off = np.cumsum([0] + [u.size for u in weak_planes])
+            strong_off = np.cumsum([0] + [u.size for u in strong_planes])
             fp_grad_flat = np.zeros_like(fp_cache["probs"])
             strong_grad_flat = (
                 np.zeros_like(strong_cache["probs"]) if strong_cache else None
-            )
-            strong_off = (
-                np.cumsum([0] + strong_cache["sizes"]) if strong_cache else None
             )
             unsup_loss = 0.0
             for j in range(cfg.batch_size):

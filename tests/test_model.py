@@ -16,7 +16,6 @@ from ftaseg.model import (
     poly_lr,
     save_checkpoint,
 )
-from ftaseg.preprocess import Slice2D
 from ftaseg.ssl import TrainSlice, _supervised_batch
 
 from oracles import (
@@ -31,7 +30,7 @@ from oracles import (
 
 
 def rand_slice(rng, h=4, w=4):
-    return Slice2D(rng.random((h, w), dtype=np.float32), "z", 0, "t")
+    return rng.random((h, w), dtype=np.float32)
 
 
 class TestPolyLr:
@@ -93,7 +92,7 @@ class TestForward:
         w1, b1, w2, b2, w3, b3 = model._unpack(model.params)
         for r in range(3):
             for c in range(3):
-                patch = reflect_patch(s.data.astype(np.float64), r, c, 3)
+                patch = reflect_patch(s.astype(np.float64), r, c, 3)
                 feats = 2.0 * patch.ravel() - 1.0
                 want = mlp_forward_scalar(w1, b1, w2, b2, w3, float(b3), feats)
                 assert probs[r, c] == pytest.approx(want, abs=1e-6)
@@ -149,7 +148,7 @@ def _dims(model: PatchMLP) -> tuple[int, int, int]:
 
 
 def _ref_forward(model, slices, perturb=None) -> dict:
-    p = np.vstack([patches_ref(s.data, model.shape.patch) for s in slices])
+    p = np.vstack([patches_ref(s, model.shape.patch) for s in slices])
     if perturb is None:
         return mlp_forward_rows_ref(model.params, _dims(model), p)
     return mlp_forward_rows_ref(
@@ -390,7 +389,7 @@ class TestTrainingSmoke:
         img[2:6, 2:6] = rng.uniform(0.8, 1.0, (4, 4))
         target = np.zeros((8, 8), dtype=np.uint8)
         target[2:6, 2:6] = 1
-        batch = [TrainSlice(Slice2D(img, "z", 0, "t"), target)]
+        batch = [TrainSlice(img, target)]
         model = PatchMLP.init_random(ModelShape(3, 8, 4), 5)
         state = AdamWState.fresh(model.shape.n_params)
         sched = TrainSchedule(5e-3, 500)

@@ -25,7 +25,6 @@ from ftaseg.pipeline import (
     write_kv_config,
 )
 from ftaseg.preprocess import (
-    Slice2D,
     SliceManifest,
     WindowSpec,
     read_manifest,
@@ -87,9 +86,10 @@ class TestConfig:
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("stage2_iters = many\n")
-        with pytest.raises(ConfigError):
-            parse_pipeline_config(path)
+        for key, raw in (("stage2_iters", "many"), ("fta_lambda", "0.x")):
+            path.write_text(f"{key} = {raw}\n")
+            with pytest.raises(ConfigError, match=f"bad value for {key}"):
+                parse_pipeline_config(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -178,8 +178,10 @@ class TestWindowSliceDirs:
         for vid in ("v0", "v1"):
             vol = load_volume(win / f"{vid}.vol", NORMALIZED)
             mask = Volume(load_mask(win / f"{vid}_mask.vol").data.astype(np.float32))
-            for s, m in zip(slice_volume(vol, vid), slice_volume(mask, vid)):
-                expected[(vid, s.axis_tag, s.index)] = (s.data, m.data)
+            for (axis, i, image), (_, _, target) in zip(
+                slice_volume(vol), slice_volume(mask)
+            ):
+                expected[(vid, axis, i)] = (image, target)
 
         def key(e):
             return (e.source_id, e.axis, e.index)
@@ -189,16 +191,14 @@ class TestWindowSliceDirs:
             rows = manifest.subset(split)
             assert len(loaded) == len(rows)
             for ts, e in zip(loaded, rows):
-                assert (ts.image.source_id, ts.image.axis_tag, ts.image.index) == key(e)
                 image, target = expected[key(e)]
-                assert np.array_equal(ts.image.data, image)
+                assert np.array_equal(ts.image, image)
                 assert np.array_equal(ts.target, target)
         unlabeled = load_unlabeled_slices(out, manifest, exclude_ids=frozenset({"v1"}))
         rows = [e for e in manifest.entries if e.source_id == "v0"]
         assert len(unlabeled) == len(rows)
-        for s, e in zip(unlabeled, rows):
-            assert (s.source_id, s.axis_tag, s.index) == key(e)
-            assert np.array_equal(s.data, expected[key(e)][0])
+        for u, e in zip(unlabeled, rows):
+            assert np.array_equal(u, expected[key(e)][0])
 
     @pytest.mark.parametrize(
         "field,value",
@@ -267,7 +267,7 @@ class TestStage1Files:
 class TestOverlay:
     def test_empty_masks_pure_grayscale(self, tmp_path):
         rng = np.random.default_rng(1)
-        slc = Slice2D(rng.random((3, 4), dtype=np.float32), "z", 0, "s")
+        slc = rng.random((3, 4), dtype=np.float32)
         empty = np.zeros((3, 4), dtype=np.uint8)
         path = tmp_path / "o.ppm"
         render_overlay(slc, empty, empty, path)
@@ -278,7 +278,7 @@ class TestOverlay:
         assert np.array_equal(rgb[..., 1], rgb[..., 2])
 
     def test_agreement_shows_only_overlap_tint(self, tmp_path):
-        slc = Slice2D(np.full((2, 2), 0.5, dtype=np.float32), "z", 0, "s")
+        slc = np.full((2, 2), 0.5, dtype=np.float32)
         mask = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         path = tmp_path / "o.ppm"
         render_overlay(slc, mask, mask, path)
@@ -293,7 +293,7 @@ class TestOverlay:
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(2)
-        slc = Slice2D(rng.random((5, 5), dtype=np.float32), "z", 0, "s")
+        slc = rng.random((5, 5), dtype=np.float32)
         pred = (rng.random((5, 5)) < 0.3).astype(np.uint8)
         gt = (rng.random((5, 5)) < 0.3).astype(np.uint8)
         render_overlay(slc, pred, gt, tmp_path / "a.ppm")
@@ -301,7 +301,7 @@ class TestOverlay:
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
     def test_shape_mismatch(self, tmp_path):
-        slc = Slice2D(np.zeros((2, 2), dtype=np.float32), "z", 0, "s")
+        slc = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(DataError):
             render_overlay(slc, np.zeros((3, 3)), np.zeros((2, 2)), tmp_path / "x.ppm")
 
@@ -415,10 +415,16 @@ class TestCli:
 
     def test_pipeline_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
-        cfg.write_text("window_bottom = 3000\n")  # bottom >= top
-        rc = self.run_cli("pipeline", "--config", str(cfg), "--out",
-                          str(tmp_path / "run"), "--quiet")
-        assert rc == 2
+        for text, extra, msg in (
+            ("window_bottom = 3000\n", [], "window bottom"),  # bottom >= top
+            ("fta_lambda = 0.x\n", [], "bad value for fta_lambda"),
+            ("", ["--set", "fta_lambda=abc"], "bad value for fta_lambda"),
+        ):
+            cfg.write_text(text)
+            rc = self.run_cli("pipeline", "--config", str(cfg), "--out",
+                              str(tmp_path / "run"), "--quiet", *extra)
+            assert rc == 2
+            assert f"config error: {msg}" in capsys.readouterr().err
 
     def test_pipeline_unknown_key_exit_2(self, tmp_path, capsys):
         # A key that is not a config field fails instead of being ignored.
@@ -463,6 +469,31 @@ class TestCli:
                           "--out", str(tmp_path / "scores.csv"))
         assert rc == 3
         assert "parameter payload" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize(
+        "offset, value", [(4, 4), (8, 0)], ids=["even-patch", "zero-hidden1"]
+    )
+    def test_score_dir_rejects_checkpoint_with_bad_shape_exit_3(
+        self, tmp_path, capsys, offset, value
+    ):
+        # A header whose patch or hidden width ModelShape refuses is bad
+        # file content, not a bad configuration.
+        val = tmp_path / "val"
+        val.mkdir()
+        data = np.random.default_rng(7).random((4, 4, 4)).astype(np.float32)
+        save_volume(Volume(data, NORMALIZED), val / "v0.vol")
+        save_mask(MaskVolume((data > 0.5).astype(np.uint8)), val / "v0_mask.vol")
+        ckpt = tmp_path / "bad.seg"
+        model = ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0)
+        ftaseg.save_checkpoint(model, 3, ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        blob[offset:offset + 4] = value.to_bytes(4, "little")
+        ckpt.write_bytes(bytes(blob))
+        rc = self.run_cli("score-dir", "--checkpoint", str(ckpt), "--val", str(val),
+                          "--out", str(tmp_path / "scores.csv"))
+        assert rc == 3
+        assert f"data error: {ckpt}: bad model shape" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
 
     def test_pipeline_missing_labeled_exit_3(self, tmp_path):

@@ -77,19 +77,19 @@ class TestSliceVolume:
         v = vol_of([[[3.5]]])
         slices = slice_volume(v)
         assert len(slices) == 3
-        assert {s.axis_tag for s in slices} == {"x", "y", "z"}
-        assert all(s.data.shape == (1, 1) and s.data[0, 0] == 3.5 for s in slices)
+        assert {axis for axis, _, _ in slices} == {"x", "y", "z"}
+        assert all(u.shape == (1, 1) and u[0, 0] == 3.5 for _, _, u in slices)
 
     def test_z_reassembly_identity(self):
         rng = np.random.default_rng(5)
         v = Volume(rng.random((5, 6, 7), dtype=np.float32))
-        z_slices = [s for s in slice_volume(v) if s.axis_tag == "z"]
-        stacked = np.stack([s.data for s in sorted(z_slices, key=lambda s: s.index)])
+        z_slices = [(i, u) for axis, i, u in slice_volume(v) if axis == "z"]
+        stacked = np.stack([u for _, u in sorted(z_slices, key=lambda s: s[0])])
         assert np.array_equal(stacked, v.data)
 
     def test_slice_shapes_per_axis(self):
         v = Volume(np.zeros((2, 3, 4), dtype=np.float32))
-        shapes = {s.axis_tag: s.data.shape for s in slice_volume(v)}
+        shapes = {axis: u.shape for axis, _, u in slice_volume(v)}
         assert shapes["x"] == (2, 3)  # fix x -> depth x height
         assert shapes["y"] == (2, 4)
         assert shapes["z"] == (3, 4)
@@ -106,7 +106,7 @@ class TestSliceVolume:
 
     def test_ordering_by_axis_then_index(self):
         v = Volume(np.zeros((2, 2, 2), dtype=np.float32))
-        tags = [(s.axis_tag, s.index) for s in slice_volume(v)]
+        tags = [(axis, i) for axis, i, _ in slice_volume(v)]
         assert tags == sorted(tags)
 
     @settings(max_examples=30, deadline=None)
@@ -189,9 +189,8 @@ class TestManifestAndSplit:
     def test_manifest_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         v = Volume(rng.random((2, 3, 4), dtype=np.float32))
-        slices = slice_volume(v, "vv")
         m = split_train_val(
-            build_manifest(slices, mask_file="vv_mask.vol"), 0.2, seed=0
+            build_manifest(slice_volume(v), "vv", mask_file="vv_mask.vol"), 0.2, seed=0
         )
         path = tmp_path / "manifest.csv"
         write_manifest(m, path)
@@ -210,5 +209,5 @@ class TestManifestAndSplit:
 
     def test_manifest_entry_count_identity(self):
         v = Volume(np.zeros((3, 4, 5), dtype=np.float32))
-        m = build_manifest(slice_volume(v, "s"))
+        m = build_manifest(slice_volume(v), "s")
         assert len(m) == 3 + 4 + 5

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftaseg.errors import ConfigError, DataError
-from ftaseg.fourier import FtaConfig
+from ftaseg.fourier import FtaConfig, fta_augment_pair
 from ftaseg.model import (
     AdamWState,
     ModelShape,
@@ -18,8 +18,8 @@ from ftaseg.model import (
     adamw_step,
     poly_lr,
 )
-from ftaseg.preprocess import Slice2D
 from ftaseg.ssl import (
+    STRONG_VIEWS,
     StageConfig,
     ThresholdState,
     TrainSlice,
@@ -48,7 +48,7 @@ def make_train_set(rng, n=6, hw=8):
     for i in range(n):
         img = rng.random((hw, hw), dtype=np.float32)
         target = (rng.random((hw, hw)) < 0.3).astype(np.uint8)
-        out.append(TrainSlice(Slice2D(img, "z", i, f"s{i}"), target))
+        out.append(TrainSlice(img, target))
     return out
 
 
@@ -130,12 +130,7 @@ class TestPseudoLabels:
         assert sorted(loaded) == sorted(p.source_id for p in labels)
         for p in labels:
             vol = dict(volumes)[p.source_id]
-            probs = np.stack(
-                [
-                    model.predict_probs(Slice2D(vol.data[z], "z", z, p.source_id))
-                    for z in range(vol.dims[0])
-                ]
-            )
+            probs = np.stack([model.predict_probs(u) for u in vol.data])
             assert p.mask.dtype == np.uint8
             assert np.array_equal(p.mask, (probs >= 0.5).astype(np.uint8))
 
@@ -266,9 +261,7 @@ class TestUnsupervisedGradient:
         rng = np.random.default_rng(20)
         shape = ModelShape(3, 4, 3)
         model = PatchMLP.init_random(shape, 2)
-        views = [
-            Slice2D(rng.random((4, 5), dtype=np.float32), "z", i, "u") for i in range(2)
-        ]
+        views = [rng.random((4, 5), dtype=np.float32) for _ in range(2)]
         weak = rng.random(40)
 
         def loss_at(params):
@@ -379,7 +372,7 @@ class TestStage2:
         dims = (3, 4, 3)
         want_loss, want_grad = 0.0, np.zeros(model.shape.n_params)
         for ts in batch:
-            p = patches_ref(ts.image.data, 3)
+            p = patches_ref(ts.image, 3)
             ref = mlp_forward_rows_ref(model.params, dims, p)
             l, dz3 = bce_ref(ref["probs"], ts.target.ravel())
             want_loss += ts.weight * l / 4
@@ -458,6 +451,48 @@ class TestStage2:
         assert np.array_equal(a.model.params, b.model.params)
         assert a.iteration_losses == b.iteration_losses
 
+    def test_donor_fallbacks_on_mixed_plane_shapes(self, monkeypatch):
+        # Labeled planes are all 8 x 8. A 6 x 9 weak view finds its donor in
+        # the unlabeled pool (the other 6 x 9 plane); a 5 x 7 one has none,
+        # so both of its strong views are skipped.
+        shapes = [(8, 8), (6, 9), (6, 9), (5, 7)]
+        cfg = StageConfig(seed=1, batch_size=4)
+        sched = TrainSchedule(1e-3, 6)
+        pairs = []
+
+        def recording(a, b, lam, fta_cfg):
+            pairs.append((a.shape, b.shape))
+            return fta_augment_pair(a, b, lam, fta_cfg)
+
+        monkeypatch.setattr("ftaseg.ssl.fta_augment_pair", recording)
+
+        def run():
+            rng = np.random.default_rng(21)
+            labeled = make_train_set(rng, 4)
+            unlabeled = [rng.random(s, dtype=np.float32) for s in shapes]
+            before = [u.copy() for u in [ts.image for ts in labeled] + unlabeled]
+            res = run_stage2(
+                PatchMLP.init_random(ModelShape(3, 4, 3), 8), labeled, unlabeled,
+                [], cfg, sched, FtaConfig(),
+            )
+            after = [ts.image for ts in labeled] + unlabeled
+            assert all(np.array_equal(x, y) for x, y in zip(before, after))
+            return res
+
+        a = run()
+        assert all(sw == su for sw, su in pairs)
+        assert (6, 9) in {sw for sw, _ in pairs}
+        # A batch of 4 from 4 planes draws each once per iteration, and 3 of
+        # the 4 have a donor: 36 of the 48 strong views are made.
+        n_views = STRONG_VIEWS * cfg.batch_size * sched.total_iters
+        assert len(pairs) == STRONG_VIEWS * 3 * sched.total_iters == 36 < n_views
+
+        pairs.clear()
+        b = run()
+        assert len(pairs) == 36
+        assert np.array_equal(a.model.params, b.model.params)
+        assert a.iteration_losses == b.iteration_losses
+
     def test_requires_labeled(self):
         with pytest.raises(DataError):
             run_stage2(
@@ -490,7 +525,7 @@ class TestPredictVolume:
         model = _noisy_model(shape, 6, noise)
         vol = Volume(rng.random(dims, dtype=np.float32), NORMALIZED)
         pred = predict_volume(model, vol)
-        planes = [Slice2D(vol.data[z], "z", z, "v") for z in range(dims[0])]
+        planes = [vol.data[z] for z in range(dims[0])]
         probs = model.forward_cache_multi(planes)["probs"].reshape(dims)
         assert pred.data.dtype == np.uint8
         assert pred.data.tobytes() == (probs >= 0.5).astype(np.uint8).tobytes()

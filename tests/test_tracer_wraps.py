@@ -24,7 +24,6 @@ import numpy as np  # noqa: E402
 import tracer  # noqa: E402
 
 from ftaseg.model import ModelShape, PatchMLP, save_checkpoint  # noqa: E402
-from ftaseg.preprocess import Slice2D  # noqa: E402
 
 
 def test_every_wrapped_name_resolves():
@@ -40,9 +39,7 @@ def test_model_wraps_count_each_pass_once():
     # forward_cache and forward_cache_multi are both wrapped as
     # model.forward; if one called the other, its rows would count twice.
     rng = np.random.default_rng(0)
-    planes = [
-        Slice2D(rng.random((32, 32), dtype=np.float32), "z", i, "t") for i in range(3)
-    ]
+    planes = [rng.random((32, 32), dtype=np.float32) for _ in range(3)]
     model = PatchMLP.init_random(ModelShape(), 0)
     t = tracer.Tracer()
     t.install([w for w in tracer.WRAPS if w[2].startswith("model.")])
