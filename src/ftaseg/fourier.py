@@ -13,7 +13,8 @@ Two blend modes are provided:
 ``paper-literal`` attenuates the unmasked band by (1-l) and so is not the
 identity at l=0; ``standard-fda`` only touches the masked center and reduces
 to the identity at l=0. Both compute the mirrored blend for the second image
-in the same call.
+in the same call. A call takes one pair of planes, or a stack of pairs of
+equal shape with one l per pair; transforms run over the last two axes.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class FtaConfig:
 
 @dataclass(frozen=True)
 class AugmentedPair:
-    """The two augmented planes (float32) and the larger imaginary residue
-    of their reconstructions."""
+    """The two augmented planes or plane stacks (float32) and the largest
+    imaginary residue of their reconstructions."""
 
     z_w: np.ndarray
     z_u: np.ndarray
@@ -65,15 +66,16 @@ class AugmentedPair:
 
 
 def dft2_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized forward 2D DFT as (amplitude, phase), center-shifted."""
-    spec = np.fft.fftshift(np.fft.fft2(u.astype(np.float64)))
+    """Unnormalized forward 2D DFT over the last two axes as (amplitude,
+    phase), center-shifted."""
+    spec = np.fft.fftshift(np.fft.fft2(u.astype(np.float64)), axes=(-2, -1))
     return np.abs(spec), np.angle(spec)
 
 
 def _reconstruct(amplitude: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, float]:
     # Inverse of dft2_forward: the real part and the max-abs imaginary residue.
     spec = amplitude * np.exp(1j * phase)
-    z = np.fft.ifft2(np.fft.ifftshift(spec))
+    z = np.fft.ifft2(np.fft.ifftshift(spec, axes=(-2, -1)))
     return z.real, float(np.abs(z.imag).max())
 
 
@@ -110,25 +112,31 @@ def symmetrize_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def fta_augment_pair(
-    x_w: np.ndarray, x_u: np.ndarray, lam: float, cfg: FtaConfig
+    x_w: np.ndarray, x_u: np.ndarray, lam, cfg: FtaConfig
 ) -> AugmentedPair:
     """Blend low-frequency amplitudes of two planes with weight ``lam``, both
     directions at once; ``cfg`` gives the mask and the blend mode.
 
-    Inputs must share dims and hold normalized [0, 1] intensities. Outputs
-    keep each input's phase; values may exit [0, 1] slightly since the
-    amplitude blend does not preserve range.
+    ``x_w`` and ``x_u`` are two (h, w) planes with a scalar ``lam``, or two
+    (n, h, w) stacks paired by index with one ``lam`` per pair. Inputs must
+    share dims and hold normalized [0, 1] intensities. Outputs keep each
+    input's phase; values may exit [0, 1] slightly since the amplitude blend
+    does not preserve range.
     """
-    if not 0.0 <= lam <= 1.0:
+    lam = np.asarray(lam, dtype=np.float64)
+    if not bool(((lam >= 0.0) & (lam <= 1.0)).all()):
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
     if x_w.shape != x_u.shape:
         raise DataError(f"plane dims differ: {x_w.shape} vs {x_u.shape}")
+    if lam.shape != x_w.shape[:-2]:
+        raise DataError(f"{lam.size} lambdas for planes of shape {x_w.shape}")
     for name, u in (("x_w", x_w), ("x_u", x_u)):
         if bool((u < 0.0).any()) or bool((u > 1.0).any()):
             raise DataError(f"{name} is not normalized to [0, 1]")
     amp_w, phase_w = dft2_forward(x_w)
     amp_u, phase_u = dft2_forward(x_u)
-    h, w = x_w.shape
+    h, w = x_w.shape[-2:]
+    lam = lam[..., None, None]
     mask = symmetrize_mask(make_center_mask(h, w, cfg.mask_fraction))
     inv = 1.0 - mask
     if cfg.mode == MODE_PAPER:

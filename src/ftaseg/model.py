@@ -4,7 +4,9 @@ The reference model maps each pixel's k x k neighborhood (reflect-padded,
 intensities affinely mapped to [-1, 1]) through two SELU hidden layers to a
 sigmoid foreground probability. Backpropagation is exact and framework-free.
 The training engine calls forward_cache_multi, then grad_from_logit_grad or
-grad_from_prob_grad, then adamw_step; inference calls predict_probs.
+grad_from_prob_grad, then adamw_step; inference calls predict_probs. A
+perturbed forward pass also returns the unperturbed probabilities of the
+same rows, and a backward pass consumes the cache it reads.
 
 SEG1 checkpoint layout (little-endian), 28 + 4 * n_params bytes:
 
@@ -17,6 +19,7 @@ stored: every training stage starts from fresh ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -31,6 +34,10 @@ SELU_ALPHA = 1.6732632423543772
 # Negative saturation value that self-normalizing dropout resets units to.
 SELU_SATURATION = -SELU_SCALE * SELU_ALPHA
 
+# Rows per chunk of the elementwise SELU and SELU-gradient passes, so their
+# temporaries stay this many rows tall whatever the number of rows.
+ROW_CHUNK = 4096
+
 CHECKPOINT_MAGIC = b"SEG1"
 _CKPT_HEADER = struct.Struct("<4sIIIIQ")
 
@@ -44,8 +51,8 @@ class TrainSchedule:
     power: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if self.total_iters < 1:
             raise ConfigError(f"total_iters must be >= 1, got {self.total_iters}")
 
@@ -59,15 +66,18 @@ def poly_lr(sched: TrainSchedule, i: int) -> float:
     return sched.base_lr * (1.0 - i / sched.total_iters) ** sched.power
 
 
-def _selu_(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    # SELU written over z, with tmp (z's shape) as scratch: one
-    # transcendental, no boolean select.
-    np.minimum(z, 0.0, out=tmp)
-    np.expm1(tmp, out=tmp)
-    tmp *= SELU_ALPHA
-    np.maximum(z, 0.0, out=z)
-    z += tmp
-    z *= SELU_SCALE
+def _selu_(z: np.ndarray, scratch: "Workspace") -> np.ndarray:
+    # SELU written over z a chunk of rows at a time, with a chunk-sized
+    # scratch buffer: one transcendental, no boolean select.
+    for r0 in range(0, len(z), ROW_CHUNK):
+        zc = z[r0:r0 + ROW_CHUNK]
+        tmp = scratch.take("selu", zc.shape)
+        np.minimum(zc, 0.0, out=tmp)
+        np.expm1(tmp, out=tmp)
+        tmp *= SELU_ALPHA
+        np.maximum(zc, 0.0, out=zc)
+        zc += tmp
+        zc *= SELU_SCALE
     return z
 
 
@@ -136,12 +146,11 @@ def _alpha_dropout_(
     rng: np.random.Generator,
     out: np.ndarray,
     keep: np.ndarray,
-    rand: np.ndarray,
 ) -> float:
     # Writes the dropped-out activations to out and the kept units to keep;
-    # rand (a's shape) is scratch. Returns the rescaling factor.
-    rng.random(out=rand)
-    np.greater_equal(rand, rate, out=keep)
+    # the uniform draws pass through out first. Returns the rescaling factor.
+    rng.random(out=out)
+    np.greater_equal(out, rate, out=keep)
     q = 1.0 - rate
     scale = (q + SELU_SATURATION**2 * rate * q) ** -0.5
     shift = -scale * rate * SELU_SATURATION
@@ -160,8 +169,10 @@ class Workspace:
     the same or a smaller size allocate nothing. The arrays a backward pass
     reads (patches, activations, keep masks) live in the workspace of their
     role; temporaries live in ``scratch``, which several workspaces may
-    share. A cache returned by a forward pass views these buffers, so it is
-    valid only until the next forward pass on the same workspace.
+    share as long as their passes never run at the same time. A cache
+    returned by a forward pass views these buffers, so it is valid only
+    until the next forward pass on the same workspace, and a backward pass
+    consumes it.
     """
 
     def __init__(self, scratch: "Workspace | None" = None):
@@ -226,32 +237,40 @@ class PatchMLP:
     def _build_patches(self, planes: list[np.ndarray], ws: Workspace) -> np.ndarray:
         # Each plane's k x k reflect-padded windows, mapped from [0, 1]
         # intensities to [-1, 1] features, written straight into the
-        # workspace's patch rows in plane order.
+        # workspace's patch rows in plane order. Each run of equal-shape
+        # planes is stacked, padded and windowed once.
         k = self.shape.patch
         pad = k // 2
         rows = ws.take("patches", (sum(u.size for u in planes), k * k))
         o = 0
-        for u in planes:
-            h, w = u.shape
-            data = u.astype(np.float64)
+        for (h, w), run in itertools.groupby(planes, key=lambda u: u.shape):
+            data = np.array(list(run), dtype=np.float64)
             if pad > 0:
-                if min(data.shape) <= pad:
+                if min(h, w) <= pad:
                     raise DataError(
-                        f"plane {data.shape} too small for reflect padding of {pad}"
+                        f"plane {(h, w)} too small for reflect padding of {pad}"
                     )
-                data = np.pad(data, pad, mode="reflect")
-            windows = np.lib.stride_tricks.sliding_window_view(data, (k, k))
-            dst = rows[o:o + h * w].reshape(h, w, k, k)
+                data = np.pad(data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+            windows = np.lib.stride_tricks.sliding_window_view(
+                data, (k, k), axis=(1, 2)
+            )
+            n = len(data) * h * w
+            dst = rows[o:o + n].reshape(windows.shape)
             np.multiply(windows, 2.0, out=dst)
             dst -= 1.0
-            o += h * w
+            o += n
         return rows
 
     def _forward_rows(
-        self, p: np.ndarray, perturb: Perturbation | None, ws: Workspace
+        self,
+        p: np.ndarray,
+        perturb: Perturbation | None,
+        ws: Workspace,
+        sizes: list[int],
     ) -> dict:
         # Rows are independent pixels, so any number of planes can share one
-        # forward pass once their patch rows are stacked.
+        # forward pass once their patch rows are stacked; ``sizes`` gives
+        # each plane's row count.
         if not np.all(np.isfinite(self.params)):
             raise NumericError("model parameters contain non-finite values")
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
@@ -261,17 +280,28 @@ class PatchMLP:
         def dense_selu(x, w, b, name, width):
             z = np.matmul(x, w.T, out=ws.take(name, (n, width)))
             z += b
-            return _selu_(z, tmp.take("selu", (n, width)))
+            return _selu_(z, tmp)
 
         def dropout(a, rng, name, keep_name):
             out = ws.take(name, a.shape)
             keep = ws.take(keep_name, a.shape, bool)
-            scale = _alpha_dropout_(
-                a, perturb.rate, rng, out, keep, tmp.take("rand", a.shape)
-            )
-            return out, keep, scale
+            return out, keep, _alpha_dropout_(a, perturb.rate, rng, out, keep)
 
         a1_pre = dense_selu(p, w1, b1, "a1_pre", h1)
+        cache: dict = {}
+        if perturb is not None:
+            # The unperturbed view of the same rows, forward only: layer 2
+            # over a1_pre, in the buffer that the perturbed layer 2
+            # overwrites next, then the head plane by plane as in
+            # predict_probs. A matrix-vector product can round its last few
+            # rows differently with the number of rows, so one product over
+            # all planes would not give predict_probs' bytes.
+            weak_a2 = dense_selu(a1_pre, w2, b2, "a2_pre", h2)
+            ends = np.cumsum(sizes)
+            weak = np.concatenate(
+                [sigmoid(weak_a2[e - n:e] @ w3 + b3) for n, e in zip(sizes, ends)]
+            )
+            cache["weak_probs"] = np.clip(weak, 1e-15, 1.0 - 1e-15)
         a1 = a1_pre
         keep1 = keep2 = None
         scale = 1.0
@@ -283,11 +313,11 @@ class PatchMLP:
         if perturb is not None and perturb.rate > 0.0:
             a2, keep2, _ = dropout(a2_pre, rng, "a2", "keep2")
         probs = sigmoid(a2 @ w3 + b3)
-        return {
-            "patches": p, "a1_pre": a1_pre, "a1": a1, "a2_pre": a2_pre, "a2": a2,
-            "probs": probs, "keep1": keep1, "keep2": keep2, "scale": scale,
-            "ws": ws,
-        }
+        cache.update(
+            patches=p, a1_pre=a1_pre, a1=a1, a2_pre=a2_pre, a2=a2, probs=probs,
+            keep1=keep1, keep2=keep2, scale=scale, ws=ws,
+        )
+        return cache
 
     def forward_cache(
         self,
@@ -298,7 +328,9 @@ class PatchMLP:
         """One forward pass over a 2D plane. The cache views ``ws`` (a fresh
         workspace when None) and is valid until its next forward pass."""
         ws = Workspace() if ws is None else ws
-        return self._forward_rows(self._build_patches([plane], ws), perturb, ws)
+        return self._forward_rows(
+            self._build_patches([plane], ws), perturb, ws, [plane.size]
+        )
 
     def forward_cache_multi(
         self,
@@ -308,9 +340,13 @@ class PatchMLP:
     ) -> dict:
         """One forward pass over several 2D planes; probabilities stay
         stacked in plane order. The cache is valid until the next forward
-        pass on ``ws``."""
+        pass on ``ws``. With ``perturb``, ``"weak_probs"`` also holds the
+        unperturbed probabilities of the same rows, clipped like
+        ``predict_probs``."""
         ws = Workspace() if ws is None else ws
-        return self._forward_rows(self._build_patches(planes, ws), perturb, ws)
+        return self._forward_rows(
+            self._build_patches(planes, ws), perturb, ws, [u.size for u in planes]
+        )
 
     def predict_probs(
         self,
@@ -323,29 +359,50 @@ class PatchMLP:
         return np.clip(probs, 1e-15, 1.0 - 1e-15)
 
     def grad_from_logit_grad(self, cache: dict, dz3: np.ndarray) -> np.ndarray:
-        """Parameter gradient from a per-row gradient on the output logits;
-        its deltas live in the scratch of the cache's workspace."""
+        """Parameter gradient from a per-row gradient on the output logits.
+
+        The pass consumes its cache: its deltas overwrite the cache's
+        ``a2_pre`` and ``a1_pre`` (and ``a2``/``a1`` when they are the same
+        buffers), so each cache serves one backward pass. Its temporaries
+        live in the scratch of the cache's workspace.
+        """
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
         a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
         tmp = cache["ws"].scratch
 
-        def backprop_selu(d, keep, a_pre):
-            # d *= keep*scale (dropout), then d *= selu'(z). Passes never
-            # overlap, so the forward SELU temporary serves here as well.
-            g = tmp.take("selu", d.shape)
-            if keep is not None:
-                d *= np.multiply(keep, cache["scale"], out=g)
-            d *= _selu_grad_(a_pre, g, tmp.take("grad_mask", d.shape, bool))
-            return d
+        def backprop_selu(a_pre, keep, upstream):
+            # Overwrites a_pre, a chunk of rows at a time, with the delta
+            # upstream * keep*scale (dropout) * selu'(z); each chunk's
+            # derivative is taken before its rows are overwritten.
+            for r0 in range(0, len(a_pre), ROW_CHUNK):
+                rows = slice(r0, r0 + ROW_CHUNK)
+                d = a_pre[rows]
+                g = _selu_grad_(
+                    d, tmp.take("selu", d.shape), tmp.take("grad_mask", d.shape, bool)
+                )
+                upstream(rows, d)
+                if keep is not None:
+                    d *= np.multiply(
+                        keep[rows], cache["scale"], out=tmp.take("keep_scale", d.shape)
+                    )
+                d *= g
+            return a_pre
 
+        # Each weight gradient is formed before the deltas overwrite the
+        # activations it reads.
         gw3 = a2.T @ dz3
         gb3 = dz3.sum()
-        dz2 = np.multiply(dz3.reshape(-1, 1), w3, out=tmp.take("d2", a2.shape))
-        backprop_selu(dz2, cache["keep2"], cache["a2_pre"])
+        dz3_col = dz3.reshape(-1, 1)
+        dz2 = backprop_selu(
+            cache["a2_pre"], cache["keep2"],
+            lambda rows, out: np.multiply(dz3_col[rows], w3, out=out),
+        )
         gw2 = dz2.T @ a1
         gb2 = dz2.sum(axis=0)
-        dz1 = np.matmul(dz2, w2, out=tmp.take("d1", a1.shape))
-        backprop_selu(dz1, cache["keep1"], cache["a1_pre"])
+        dz1 = backprop_selu(
+            cache["a1_pre"], cache["keep1"],
+            lambda rows, out: np.matmul(dz2[rows], w2, out=out),
+        )
         gw1 = dz1.T @ p
         gb1 = dz1.sum(axis=0)
         return np.concatenate(

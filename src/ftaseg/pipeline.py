@@ -56,6 +56,7 @@ from .volume import (
     Volume,
     load_mask,
     load_volume,
+    read_dims,
     save_mask,
     save_volume,
 )
@@ -247,6 +248,8 @@ class PipelineConfig:
         self.fta_config()
         self.stage_config()
         self.model_shape()
+        TrainSchedule(self.lr, self.stage2_iters)
+        self.benchmark_spec()
 
     def window(self) -> WindowSpec:
         return WindowSpec(self.window_bottom, self.window_top)
@@ -381,6 +384,21 @@ def _volume_files(directory: Path) -> list[Path]:
 
 def _mask_path(vol_path: Path) -> Path:
     return vol_path.with_name(f"{vol_path.stem}{MASK_SUFFIX}.vol")
+
+
+def _check_plane_dims(directory: Path, patch: int, along_z_only: bool) -> None:
+    # Reflect padding needs every side of a plane longer than patch // 2.
+    # Training planes are cut along all three axes; validation volumes are
+    # predicted along z only, so only their H and W are plane sides.
+    pad = patch // 2
+    for path in _volume_files(directory):
+        dims = read_dims(path)
+        sides = dims[1:] if along_z_only else dims
+        if min(sides) <= pad:
+            raise DataError(
+                f"{path}: dims {'x'.join(map(str, dims))} cut planes with a side "
+                f"<= {pad}, too small for patch {patch}"
+            )
 
 
 def window_dir(in_dir: Path | str, out_dir: Path | str, w: WindowSpec) -> int:
@@ -763,6 +781,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
             if not src.is_dir():
                 raise DataError(f"{name} directory {src} does not exist")
             if name != "unlabeled" or use_unlabeled:
+                _check_plane_dims(src, cfg.patch, along_z_only=name == "val")
                 window_dir(src, windowed / name, cfg.window())
         slice_dir(
             windowed / "labeled", slices / "labeled",

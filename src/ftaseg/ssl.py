@@ -6,11 +6,15 @@ labeled set. Stage 2 continues training on the merged set while unlabeled
 slices contribute a consistency loss: the confident pixels of a weak view
 (identity or flip) supervise two spectrally-augmented strong views and one
 feature-perturbed view, gated by a self-adaptive confidence threshold
-tracked as an EMA of batch confidence.
+tracked as an EMA of batch confidence. Each stage-2 step runs in two lanes:
+a worker thread takes the supervised batch while the calling thread takes
+the consistency views.
 """
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -161,8 +165,10 @@ class StageConfig:
             raise ConfigError("perturb_rate must be in (0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.pseudo_weight < 0 or self.unsup_weight < 0:
-            raise ConfigError("pseudo_weight and unsup_weight must be >= 0")
+        for name in ("pseudo_weight", "unsup_weight"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {val}")
         if not 0.0 <= self.threshold_momentum < 1.0:
             raise ConfigError("threshold_momentum must be in [0, 1)")
 
@@ -378,110 +384,139 @@ def run_stage2(
 
     history: list[HistoryRow] = []
     iteration_losses: list[float] = []
-    # One workspace per view; their temporaries share one scratch set.
-    scratch = Workspace()
-    sup_ws, strong_ws, fp_ws, weak_ws = (Workspace(scratch) for _ in range(4))
+    # One workspace per view. The supervised view runs on the worker lane
+    # with its own scratch; the perturbed and strong views share this one's.
+    sup_ws, scratch = Workspace(), Workspace()
+    strong_ws, fp_ws = Workspace(scratch), Workspace(scratch)
     n_val = min(max(1, val_points), sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
 
-    for it in range(sched.total_iters):
-        lr = poly_lr(sched, it)
-        l_idx = batch_rng.choice(n_lab, size=cfg.batch_size, replace=n_lab < cfg.batch_size)
-        if supervised_only:
-            loss, grad = _supervised_batch(model, [labeled[i] for i in l_idx], sup_ws)
-            model.params, opt = adamw_step(model.params, grad, opt, lr)
-            iteration_losses.append(loss)
-        else:
-            u_idx = batch_rng.choice(
-                n_unl, size=cfg.batch_size, replace=n_unl < cfg.batch_size
+    # The worker lane only reads model.params and writes only sup_ws; every
+    # random draw stays on this thread. The supervised-only branch never
+    # submits, so no worker thread starts.
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        for it in range(sched.total_iters):
+            lr = poly_lr(sched, it)
+            l_idx = batch_rng.choice(
+                n_lab, size=cfg.batch_size, replace=n_lab < cfg.batch_size
             )
-            flips = flip_rng.integers(0, 2, size=cfg.batch_size)
-            weak_planes = [
-                unlabeled[int(u)][:, ::-1] if f else unlabeled[int(u)]
-                for u, f in zip(u_idx, flips)
-            ]
-            # The weak view is never back-propagated: forward-only, per plane.
-            weak_probs = np.concatenate(
-                [model.predict_probs(u, ws=weak_ws).ravel() for u in weak_planes]
-            )
-            tau_state = update_threshold(
-                tau_state, np.maximum(weak_probs, 1.0 - weak_probs)
-            )
-
-            # Mutual spectral augmentation: the first strong view of each
-            # unlabeled plane is produced by the same call that augments its
-            # paired labeled plane, and that augmented labeled plane joins
-            # the clean one in the supervised batch.
-            sup_batch: list[TrainSlice] = [labeled[int(i)] for i in l_idx]
-            strong_planes: list[np.ndarray] = []
-            strong_owner: list[int] = []
-            for j in range(cfg.batch_size):
-                ts = labeled[int(l_idx[j])]
-                weak = weak_planes[j]
-                for v in range(STRONG_VIEWS):
-                    lam = fta_cfg.draw_lambda(lam_rng)
-                    if v == 0 and ts.image.shape == weak.shape:
-                        donor = ts.image
-                    else:
-                        donor = pick_donor(weak.shape, int(u_idx[j]))
-                    if donor is None:
-                        continue
-                    pair = fta_augment_pair(donor, weak, lam, fta_cfg)
-                    if v == 0 and donor is ts.image:
-                        sup_batch.append(replace(ts, image=pair.z_w))
-                    strong_planes.append(pair.z_u)
-                    strong_owner.append(j)
-
-            perturb = Perturbation(cfg.perturb_rate, int(perturb_rng.integers(2**32)))
-            fp_cache = model.forward_cache_multi(weak_planes, perturb, fp_ws)
-            strong_cache = (
-                model.forward_cache_multi(strong_planes, ws=strong_ws)
-                if strong_planes else None
-            )
-
-            weak_off = np.cumsum([0] + [u.size for u in weak_planes])
-            strong_off = np.cumsum([0] + [u.size for u in strong_planes])
-            fp_grad_flat = np.zeros_like(fp_cache["probs"])
-            strong_grad_flat = (
-                np.zeros_like(strong_cache["probs"]) if strong_cache else None
-            )
-            unsup_loss = 0.0
-            for j in range(cfg.batch_size):
-                segs = [k for k, owner in enumerate(strong_owner) if owner == j]
-                views = [
-                    strong_cache["probs"][strong_off[k]:strong_off[k + 1]]
-                    for k in segs
+            if supervised_only:
+                loss, grad = _supervised_batch(
+                    model, [labeled[i] for i in l_idx], sup_ws
+                )
+                model.params, opt = adamw_step(model.params, grad, opt, lr)
+                iteration_losses.append(loss)
+            else:
+                u_idx = batch_rng.choice(
+                    n_unl, size=cfg.batch_size, replace=n_unl < cfg.batch_size
+                )
+                flips = flip_rng.integers(0, 2, size=cfg.batch_size)
+                weak_planes = [
+                    unlabeled[int(u)][:, ::-1] if f else unlabeled[int(u)]
+                    for u, f in zip(u_idx, flips)
                 ]
-                lo, hi = weak_off[j], weak_off[j + 1]
-                views.append(fp_cache["probs"][lo:hi])
-                loss_j, view_grads = consistency_loss(
-                    weak_probs[lo:hi], views, tau_state.tau
-                )
-                unsup_loss += loss_j
-                for k, g in zip(segs, view_grads[:-1]):
-                    strong_grad_flat[strong_off[k]:strong_off[k + 1]] = g
-                fp_grad_flat[lo:hi] = view_grads[-1]
 
-            sup_loss, grad = _supervised_batch(model, sup_batch, sup_ws)
-            w_u = cfg.unsup_weight / cfg.batch_size
-            grad += w_u * model.grad_from_prob_grad(fp_cache, fp_grad_flat)
-            if strong_cache is not None:
-                grad += w_u * model.grad_from_prob_grad(strong_cache, strong_grad_flat)
-            model.params, opt = adamw_step(model.params, grad, opt, lr)
-            iteration_losses.append(
-                sup_loss + cfg.unsup_weight * unsup_loss / cfg.batch_size
-            )
-
-        if val_cases and it + 1 in val_iters:
-            epoch += 1
-            mean, _ = evaluate_volumes(model, val_cases)
-            history.append(
-                HistoryRow(
-                    epoch, "val", mean.dice, mean.iou, mean.hd_norm,
-                    mean.score, tau_state.tau,
+                # Mutual spectral augmentation: the first strong view of each
+                # unlabeled plane is produced by the same pair that augments
+                # its paired labeled plane, and that augmented labeled plane
+                # joins the clean one in the supervised batch. Lambdas and
+                # donors are drawn view by view; the pairs are then augmented
+                # in one call per plane shape.
+                views: list[tuple[int, np.ndarray, float, bool]] = []
+                for j in range(cfg.batch_size):
+                    ts = labeled[int(l_idx[j])]
+                    weak = weak_planes[j]
+                    for v in range(STRONG_VIEWS):
+                        lam = fta_cfg.draw_lambda(lam_rng)
+                        if v == 0 and ts.image.shape == weak.shape:
+                            donor = ts.image
+                        else:
+                            donor = pick_donor(weak.shape, int(u_idx[j]))
+                        if donor is not None:
+                            views.append((j, donor, lam, v == 0 and donor is ts.image))
+                z_w = [None] * len(views)
+                strong_planes = [None] * len(views)
+                for group in _by_shape([d.shape for _, d, _, _ in views]).values():
+                    pair = fta_augment_pair(
+                        np.stack([views[k][1] for k in group]),
+                        np.stack([weak_planes[views[k][0]] for k in group]),
+                        np.array([views[k][2] for k in group]),
+                        fta_cfg,
+                    )
+                    for k, zw, zu in zip(group, pair.z_w, pair.z_u):
+                        z_w[k], strong_planes[k] = zw, zu
+                sup_batch = [labeled[int(i)] for i in l_idx] + [
+                    replace(labeled[int(l_idx[j])], image=zw)
+                    for (j, _, _, paired), zw in zip(views, z_w) if paired
+                ]
+                strong_owner = [j for j, _, _, _ in views]
+                perturb = Perturbation(
+                    cfg.perturb_rate, int(perturb_rng.integers(2**32))
                 )
-            )
+                sup = lane.submit(_supervised_batch, model, sup_batch, sup_ws)
+
+                # The consistency lane. The perturbed pass also yields the
+                # weak view, which is never back-propagated.
+                fp_cache = model.forward_cache_multi(weak_planes, perturb, fp_ws)
+                weak_probs = fp_cache["weak_probs"]
+                tau_state = update_threshold(
+                    tau_state, np.maximum(weak_probs, 1.0 - weak_probs)
+                )
+                strong_cache = (
+                    model.forward_cache_multi(strong_planes, ws=strong_ws)
+                    if strong_planes else None
+                )
+
+                weak_off = np.cumsum([0] + [u.size for u in weak_planes])
+                strong_off = np.cumsum([0] + [u.size for u in strong_planes])
+                fp_grad_flat = np.zeros_like(fp_cache["probs"])
+                strong_grad_flat = (
+                    np.zeros_like(strong_cache["probs"]) if strong_cache else None
+                )
+                unsup_loss = 0.0
+                for j in range(cfg.batch_size):
+                    segs = [k for k, owner in enumerate(strong_owner) if owner == j]
+                    view_probs = [
+                        strong_cache["probs"][strong_off[k]:strong_off[k + 1]]
+                        for k in segs
+                    ]
+                    lo, hi = weak_off[j], weak_off[j + 1]
+                    view_probs.append(fp_cache["probs"][lo:hi])
+                    loss_j, view_grads = consistency_loss(
+                        weak_probs[lo:hi], view_probs, tau_state.tau
+                    )
+                    unsup_loss += loss_j
+                    for k, g in zip(segs, view_grads[:-1]):
+                        strong_grad_flat[strong_off[k]:strong_off[k + 1]] = g
+                    fp_grad_flat[lo:hi] = view_grads[-1]
+                fp_grad = model.grad_from_prob_grad(fp_cache, fp_grad_flat)
+                strong_grad = (
+                    model.grad_from_prob_grad(strong_cache, strong_grad_flat)
+                    if strong_cache is not None else None
+                )
+
+                # Join; the gradients add in a fixed order whichever lane
+                # finished first.
+                sup_loss, grad = sup.result()
+                w_u = cfg.unsup_weight / cfg.batch_size
+                grad += w_u * fp_grad
+                if strong_grad is not None:
+                    grad += w_u * strong_grad
+                model.params, opt = adamw_step(model.params, grad, opt, lr)
+                iteration_losses.append(
+                    sup_loss + cfg.unsup_weight * unsup_loss / cfg.batch_size
+                )
+
+            if val_cases and it + 1 in val_iters:
+                epoch += 1
+                mean, _ = evaluate_volumes(model, val_cases)
+                history.append(
+                    HistoryRow(
+                        epoch, "val", mean.dice, mean.iou, mean.hd_norm,
+                        mean.score, tau_state.tau,
+                    )
+                )
 
     return Stage2Result(
         model=model,

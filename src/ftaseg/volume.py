@@ -123,6 +123,16 @@ def _read(path: Path | str) -> tuple[int, tuple[int, int, int], bytes]:
     return dtype_code, (d, h, w), blob[_HEADER.size:]
 
 
+def read_dims(path: Path | str) -> tuple[int, int, int]:
+    """The (D, H, W) dims of a VOL1 file, read from its header alone."""
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size or head[:4] != MAGIC:
+        raise DataError(f"{path}: not a VOL1 file")
+    _, _, d, h, w = _HEADER.unpack(head)
+    return d, h, w
+
+
 def save_volume(v: Volume, path: Path | str) -> None:
     """Write an intensity volume as VOL1 (deterministic bytes)."""
     _check_volume(v)

@@ -211,6 +211,26 @@ class TestWorkspacePasses:
             _check_backward(model, strong_cache, _ref_forward(model, strong), rng)
 
 
+    @pytest.mark.parametrize(
+        "shape, hw", [(ModelShape(3, 4, 3), 8), (ModelShape(), 32)],
+        ids=["3x4x3", "default"],
+    )
+    def test_perturbed_pass_also_returns_the_weak_view(self, shape, hw):
+        # Runs of mixed shapes and a flipped view, as stage 2 stacks them:
+        # the weak view equals per-plane predict_probs, and the perturbed
+        # pass and its gradient still equal the reference.
+        model = _noisy(shape, 6)
+        rng = np.random.default_rng(23)
+        planes = [rand_slice(rng, hw, hw) for _ in range(3)]
+        planes += [rand_slice(rng, hw - 2, hw + 1) for _ in range(2)]
+        planes += [rand_slice(rng, hw, hw)[:, ::-1], rand_slice(rng, hw, hw)]
+        perturb = Perturbation(0.1, 7)
+        cache = model.forward_cache_multi(planes, perturb)
+        want = np.concatenate([model.predict_probs(u).ravel() for u in planes])
+        assert cache["weak_probs"].tobytes() == want.tobytes()
+        _check_backward(model, cache, _ref_forward(model, planes, perturb), rng)
+
+
 def train_slice(rng, h=4, w=4, weight=1.0):
     target = (rng.random((h, w)) < 0.4).astype(np.uint8)
     return TrainSlice(rand_slice(rng, h, w), target, weight)

@@ -42,6 +42,8 @@ from ftaseg.volume import (
     save_volume,
 )
 
+from test_ssl import fail_in_supervised_lane
+
 FAST = dict(
     synth_dim=12,
     synth_labeled=2,
@@ -54,6 +56,17 @@ FAST = dict(
     stage1_pseudo_count=1,
     stage2_iters=6,
     val_points=2,
+)
+
+
+# Settings that parse as numbers but that no run can use, with the start of
+# the error each one raises.
+UNUSABLE_SETTINGS = (
+    ("lr", "nan", "base_lr must be finite"),
+    ("lr", "inf", "base_lr must be finite"),
+    ("unsup_weight", "nan", "unsup_weight must be finite"),
+    ("pseudo_weight", "inf", "pseudo_weight must be finite"),
+    ("synth_labeled", "-1", "volume counts must be >= 0"),
 )
 
 
@@ -86,9 +99,13 @@ class TestConfig:
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        for key, raw in (("stage2_iters", "many"), ("fta_lambda", "0.x")):
+        for key, raw, msg in (
+            ("stage2_iters", "many", "bad value for stage2_iters"),
+            ("fta_lambda", "0.x", "bad value for fta_lambda"),
+            *UNUSABLE_SETTINGS,
+        ):
             path.write_text(f"{key} = {raw}\n")
-            with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            with pytest.raises(ConfigError, match=msg):
                 parse_pipeline_config(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -415,16 +432,30 @@ class TestCli:
 
     def test_pipeline_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
+        # From the fast config, so that a regression fails in seconds.
+        write_kv_config(fast_config(), cfg)
+        fast = cfg.read_text()
+        unusable = [
+            case
+            for key, raw, msg in UNUSABLE_SETTINGS
+            for case in (
+                (f"{fast}{key} = {raw}\n", [], msg),
+                (fast, ["--set", f"{key}={raw}"], msg),
+            )
+        ]
         for text, extra, msg in (
             ("window_bottom = 3000\n", [], "window bottom"),  # bottom >= top
             ("fta_lambda = 0.x\n", [], "bad value for fta_lambda"),
             ("", ["--set", "fta_lambda=abc"], "bad value for fta_lambda"),
+            *unusable,
         ):
             cfg.write_text(text)
             rc = self.run_cli("pipeline", "--config", str(cfg), "--out",
                               str(tmp_path / "run"), "--quiet", *extra)
             assert rc == 2
             assert f"config error: {msg}" in capsys.readouterr().err
+            # Rejected at parse time: no stage started, so no run dir.
+            assert not (tmp_path / "run").exists()
 
     def test_pipeline_unknown_key_exit_2(self, tmp_path, capsys):
         # A key that is not a config field fails instead of being ignored.
@@ -495,6 +526,42 @@ class TestCli:
         assert rc == 3
         assert f"data error: {ckpt}: bad model shape" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
+
+    def test_pipeline_rejects_thin_volume_in_preprocess_exit_3(self, tmp_path, capsys):
+        # A 32 x 32 x 2 unlabeled volume cuts planes 2 pixels wide, too
+        # narrow for the 5 x 5 patch: preprocess fails before stage 1 trains.
+        cfg = fast_config()
+        data = tmp_path / "data"
+        generate_benchmark(cfg.benchmark_spec(), data)
+        thin = np.full((32, 32, 2), 800.0, dtype=np.float32)
+        save_volume(Volume(thin, RAW), data / "unlabeled" / "thin.vol")
+        path = tmp_path / "cfg.txt"
+        write_kv_config(
+            dataclasses.replace(
+                cfg, labeled_dir=str(data / "labeled"),
+                unlabeled_dir=str(data / "unlabeled"), val_dir=str(data / "val"),
+            ),
+            path,
+        )
+        run = tmp_path / "run"
+        rc = self.run_cli("pipeline", "--config", str(path), "--out", str(run), "--quiet")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: [preprocess]" in err
+        assert "thin.vol" in err
+        assert not (run / "stage1").exists()
+
+    def test_pipeline_numeric_error_in_supervised_lane_exit_4(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fail_in_supervised_lane(monkeypatch)
+        path = tmp_path / "cfg.txt"
+        write_kv_config(fast_config(), path)
+        rc = self.run_cli(
+            "pipeline", "--config", str(path), "--out", str(tmp_path / "run"), "--quiet"
+        )
+        assert rc == 4
+        assert "numeric error: [stage2]" in capsys.readouterr().err
 
     def test_pipeline_missing_labeled_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

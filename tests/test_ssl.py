@@ -1,11 +1,14 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftaseg.errors import ConfigError, DataError
+from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.fourier import FtaConfig, fta_augment_pair
 from ftaseg.model import (
     AdamWState,
@@ -50,6 +53,48 @@ def make_train_set(rng, n=6, hw=8):
         target = (rng.random((hw, hw)) < 0.3).astype(np.uint8)
         out.append(TrainSlice(img, target))
     return out
+
+
+class InlineExecutor:
+    """A stand-in for ``ThreadPoolExecutor`` that runs each submitted call
+    at once on the calling thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:  # noqa: BLE001 - handed to the caller
+            future.set_exception(exc)
+        return future
+
+
+def fail_in_supervised_lane(monkeypatch) -> list:
+    """Make stage 2's supervised batch run on non-finite parameters when it
+    runs off the main thread; returns the list that collects the raised
+    errors."""
+    raised = []
+
+    def batch(model, *args):
+        if threading.current_thread() is not threading.main_thread():
+            bad = PatchMLP(model.shape, np.full(model.shape.n_params, np.nan))
+            try:
+                return _supervised_batch(bad, *args)
+            except NumericError as exc:
+                raised.append(exc)
+                raise
+        return _supervised_batch(model, *args)
+
+    monkeypatch.setattr("ftaseg.ssl._supervised_batch", batch)
+    return raised
 
 
 def make_volumes(rng, n=5, dim=6):
@@ -164,7 +209,7 @@ def alpha_dropout(acts, rate, seed):
     out = np.empty_like(acts)
     _alpha_dropout_(
         acts, rate, np.random.default_rng(seed), out,
-        np.empty(acts.shape, dtype=bool), np.empty_like(acts),
+        np.empty(acts.shape, dtype=bool),
     )
     return out
 
@@ -461,7 +506,8 @@ class TestStage2:
         pairs = []
 
         def recording(a, b, lam, fta_cfg):
-            pairs.append((a.shape, b.shape))
+            # One call augments a stack of pairs; record each pair.
+            pairs.extend((x.shape, y.shape) for x, y in zip(a, b))
             return fta_augment_pair(a, b, lam, fta_cfg)
 
         monkeypatch.setattr("ftaseg.ssl.fta_augment_pair", recording)
@@ -492,6 +538,55 @@ class TestStage2:
         assert len(pairs) == 36
         assert np.array_equal(a.model.params, b.model.params)
         assert a.iteration_losses == b.iteration_losses
+
+    def lanes_run(self, seed=31):
+        rng = np.random.default_rng(seed)
+        labeled = make_train_set(rng, 5)
+        unlabeled = [ts.image for ts in make_train_set(rng, 6)]
+        return run_stage2(
+            PatchMLP.init_random(ModelShape(3, 4, 3), 6), labeled, unlabeled,
+            self.val_cases(rng), StageConfig(seed=4, batch_size=3),
+            TrainSchedule(1e-2, 8), FtaConfig(), val_points=2,
+        )
+
+    def test_two_lanes_equal_one_inline_lane(self, monkeypatch):
+        # The supervised batch runs on a worker thread; run inline, before
+        # the consistency views, it must give the same bytes.
+        threads = threading.active_count()
+        lanes = []
+
+        def recording(*args):
+            lanes.append(threading.current_thread() is threading.main_thread())
+            return _supervised_batch(*args)
+
+        monkeypatch.setattr("ftaseg.ssl._supervised_batch", recording)
+        # A short switch interval makes the lanes interleave finely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            two = self.lanes_run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert lanes and not any(lanes)
+
+        monkeypatch.setattr("ftaseg.ssl.ThreadPoolExecutor", InlineExecutor)
+        lanes.clear()
+        one = self.lanes_run()
+        assert lanes and all(lanes)
+        assert two.model.params.tobytes() == one.model.params.tobytes()
+        assert (np.array(two.iteration_losses).tobytes()
+                == np.array(one.iteration_losses).tobytes())
+        assert two.history and two.history == one.history
+        assert two.threshold == one.threshold
+
+    def test_numeric_error_in_supervised_lane_surfaces_unchanged(self, monkeypatch):
+        raised = fail_in_supervised_lane(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="non-finite") as info:
+            self.lanes_run()
+        assert info.value is raised[0]
+        assert threading.active_count() == threads
 
     def test_requires_labeled(self):
         with pytest.raises(DataError):

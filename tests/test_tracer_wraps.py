@@ -6,7 +6,8 @@ uses of the program:
 - every name the tracer wraps exists; ``bench/tracer.py`` skips a missing
   name with a printed warning, so a rename in ``src/`` would otherwise
   silently drop that layer's metrics;
-- each pass counts once under the tracer's ``model.*`` wrappers;
+- each pass counts once under the tracer's ``model.*`` wrappers, also when
+  stage 2 runs its supervised passes on a worker thread;
 - ``bench/checks.py`` loads every checkpoint with ``load_checkpoint``
   and unpacks a ``(model, _)`` pair, so a checkpoint that
   ``save_checkpoint`` writes must pass its check.
@@ -23,7 +24,14 @@ import checks  # noqa: E402
 import numpy as np  # noqa: E402
 import tracer  # noqa: E402
 
-from ftaseg.model import ModelShape, PatchMLP, save_checkpoint  # noqa: E402
+from ftaseg.fourier import FtaConfig  # noqa: E402
+from ftaseg.model import (  # noqa: E402
+    ModelShape,
+    PatchMLP,
+    TrainSchedule,
+    save_checkpoint,
+)
+from ftaseg.ssl import StageConfig, TrainSlice, run_stage2  # noqa: E402
 
 
 def test_every_wrapped_name_resolves():
@@ -53,6 +61,32 @@ def test_model_wraps_count_each_pass_once():
     assert m["model.forward.rows"] == 3072
     assert m["model.forward.calls"] == 2
     assert m["model.backward.rows"] == 2048
+
+
+def test_model_wraps_count_rows_of_a_two_lane_stage2_run():
+    # Per iteration at batch_size=2 on 8 x 8 planes: 4 supervised planes
+    # (2 clean, 2 augmented) on the worker lane, 4 strong and 2 perturbed
+    # on the calling one, 10 planes of 64 rows each way. The weak view
+    # shares the perturbed pass and adds no forward rows.
+    rng = np.random.default_rng(1)
+    labeled = [
+        TrainSlice(rng.random((8, 8), dtype=np.float32),
+                   (rng.random((8, 8)) < 0.3).astype(np.uint8))
+        for _ in range(4)
+    ]
+    unlabeled = [rng.random((8, 8), dtype=np.float32) for _ in range(4)]
+    t = tracer.Tracer()
+    t.install([w for w in tracer.WRAPS if w[2].startswith("model.")])
+    try:
+        run_stage2(
+            PatchMLP.init_random(ModelShape(), 0), labeled, unlabeled, [],
+            StageConfig(seed=0, batch_size=2), TrainSchedule(1e-3, 3), FtaConfig(),
+        )
+    finally:
+        t.restore()
+    m = t.layer_metrics()
+    assert m["model.forward.rows"] == 3 * 640
+    assert m["model.backward.rows"] == 3 * 640
 
 
 def test_checker_accepts_saved_checkpoints(tmp_path):
