@@ -111,7 +111,7 @@ def _cmd_train_stage2(args: argparse.Namespace) -> None:
         mask_fraction=args.beta,
         mode=args.mode,
     )
-    ckpt = train_stage2_files(
+    ckpt, _ = train_stage2_files(
         args.slices, args.pseudo_slices, args.unlabeled_slices, args.val,
         args.init, args.out, cfg,
         TrainSchedule(args.lr, args.iters), fta_cfg,

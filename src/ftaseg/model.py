@@ -92,12 +92,12 @@ def _selu_grad_(a: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each side divides the same terms as the
+    # split form 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z))
+    # below, so the bytes match it without boolean indexing.
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FtasegError
 from .fourier import MODES, FtaConfig
-from .metrics import CSV_HEADER, evaluate_masks, mean_report
+from .metrics import CSV_HEADER, MetricsReport, evaluate_masks, mean_report
 from .model import (
     ModelShape,
     TrainSchedule,
@@ -545,7 +545,8 @@ def train_stage1_files(
 ) -> tuple[Path, frozenset[str]]:
     """Train on labeled slices and pseudo-annotate unlabeled volumes.
 
-    Only the unlabeled volumes picked for pseudo-annotation are read. The
+    Only the unlabeled volumes picked for pseudo-annotation are read; the
+    headers of all of them are checked for plane size before training. The
     pseudo masks and their slice manifest, stage 2's second training
     source, go to ``out_dir/pseudo``. Returns the checkpoint path and the
     pseudo-annotated volume ids.
@@ -558,6 +559,7 @@ def train_stage1_files(
     unlabeled_ids: list[str] = []
     if unlabeled_windowed_dir is not None:
         udir = Path(unlabeled_windowed_dir)
+        _check_plane_dims(udir, shape.patch, along_z_only=False)
         unlabeled_ids = [path.stem for path in _volume_files(udir)]
 
     def load(vid: str) -> Volume:
@@ -609,14 +611,22 @@ def train_stage2_files(
     sched: TrainSchedule,
     fta_cfg: FtaConfig,
     val_points: int = 10,
-) -> Path:
+) -> tuple[Path, list[tuple[str, MetricsReport]]]:
     """Consistency training from files; writes checkpoint, metrics history,
-    and the stage manifest. Returns the checkpoint path.
+    and the stage manifest. Returns the checkpoint path and the last
+    validation's per-case reports, which are the checkpoint's scores on
+    ``val_windowed_dir`` (empty without one).
 
     The pseudo-annotated volume ids come from stage 1's pseudo slice
-    manifest; those volumes are excluded from the unlabeled pool.
+    manifest; those volumes are excluded from the unlabeled pool. The
+    validation volumes' plane size is checked before training.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
+    model, _ = load_checkpoint(init_checkpoint)
+    if val_windowed_dir is not None:
+        _check_plane_dims(
+            Path(val_windowed_dir), model.shape.patch, along_z_only=True
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = read_manifest(slices_dir / "manifest.csv")
@@ -636,7 +646,6 @@ def train_stage2_files(
 
     val_cases = [] if val_windowed_dir is None else load_val_cases(val_windowed_dir)
 
-    model, _ = load_checkpoint(init_checkpoint)
     result = run_stage2(
         model, labeled, unlabeled, val_cases, cfg, sched, fta_cfg, val_points
     )
@@ -662,7 +671,17 @@ def train_stage2_files(
     ]
     lines += [f"warning = {w}" for w in result.warnings]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ckpt
+    return ckpt, result.val_reports
+
+
+def write_scores(
+    per_case: list[tuple[str, MetricsReport]], out_csv: Path | str
+) -> None:
+    """Per-case metric rows plus their mean row, as a scores CSV."""
+    rows = [CSV_HEADER]
+    rows += [report.csv_row(cid) for cid, report in per_case]
+    rows.append(mean_report([report for _, report in per_case]).csv_row("mean"))
+    Path(out_csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def score_files(
@@ -674,12 +693,8 @@ def score_files(
     from .ssl import evaluate_volumes
 
     model, _ = load_checkpoint(model_ckpt)
-    cases = load_val_cases(val_windowed_dir)
-    mean, per_case = evaluate_volumes(model, cases)
-    rows = [CSV_HEADER]
-    rows += [report.csv_row(cid) for cid, report in per_case]
-    rows.append(mean.csv_row("mean"))
-    Path(out_csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _, per_case = evaluate_volumes(model, load_val_cases(val_windowed_dir))
+    write_scores(per_case, out_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +837,15 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
             val_points=cfg.val_points,
         )
 
-    stage2_ckpt = stage("stage2", stage2)
+    stage2_ckpt, val_reports = stage("stage2", stage2)
 
     scores_csv = out / "scores.csv"
 
     def score():
+        # Stage 2's last validation ran on the checkpoint's parameters over
+        # the same volumes, so its reports are the scores.
         if val_dir is not None:
-            score_files(stage2_ckpt, windowed / "val", scores_csv)
+            write_scores(val_reports, scores_csv)
         else:
             _score_on_slice_split(stage2_ckpt, slices / "labeled", scores_csv)
 

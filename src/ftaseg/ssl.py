@@ -230,16 +230,29 @@ class Stage2Result:
     threshold: ThresholdState
     iteration_losses: list[float]
     warnings: list[str]
+    # Per-case reports of the last validation, on the final model; empty
+    # without validation cases.
+    val_reports: list[tuple[str, MetricsReport]]
 
 
 def predict_volume(model: PatchMLP, v: Volume) -> MaskVolume:
     """Segment a volume plane by plane along z, one forward-only pass per
-    plane, so only one plane's activations are alive at a time; the planes
-    reuse one workspace."""
-    ws = Workspace()
+    plane, in two lanes: a worker thread takes the upper half of the planes
+    and the calling thread the lower half. Each lane reuses one workspace,
+    so only one plane's activations per lane are alive at a time."""
     mask = np.empty(v.dims, dtype=np.uint8)
-    for z in range(v.dims[0]):
-        mask[z] = model.predict_probs(v.data[z], ws=ws) >= 0.5
+
+    def lane(planes: range) -> None:
+        # Reads model.params only and writes only its own rows of mask.
+        ws = Workspace()
+        for z in planes:
+            mask[z] = model.predict_probs(v.data[z], ws=ws) >= 0.5
+
+    depth = v.dims[0]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        upper = worker.submit(lane, range(depth // 2, depth))
+        lane(range(depth // 2))
+        upper.result()
     return MaskVolume(mask)
 
 
@@ -351,7 +364,9 @@ def run_stage2(
     empty unlabeled pool the loop degrades to supervised-only training and
     records a warning. Validation metrics are logged min(``val_points``,
     iterations) times at evenly spread iterations, the last one on the
-    final model.
+    final model. After the last step the parameters are rounded through
+    float32, as a SEG1 checkpoint stores them, so the returned model and
+    the last validation are exactly the saved model's.
     """
     if not labeled:
         raise DataError("stage 2 requires a nonempty labeled set")
@@ -384,6 +399,7 @@ def run_stage2(
 
     history: list[HistoryRow] = []
     iteration_losses: list[float] = []
+    val_reports: list[tuple[str, MetricsReport]] = []
     # One workspace per view. The supervised view runs on the worker lane
     # with its own scratch; the perturbed and strong views share this one's.
     sup_ws, scratch = Workspace(), Workspace()
@@ -508,9 +524,11 @@ def run_stage2(
                     sup_loss + cfg.unsup_weight * unsup_loss / cfg.batch_size
                 )
 
+            if it + 1 == sched.total_iters:
+                model.params = model.params.astype(np.float32).astype(np.float64)
             if val_cases and it + 1 in val_iters:
                 epoch += 1
-                mean, _ = evaluate_volumes(model, val_cases)
+                mean, val_reports = evaluate_volumes(model, val_cases)
                 history.append(
                     HistoryRow(
                         epoch, "val", mean.dice, mean.iou, mean.hd_norm,
@@ -525,4 +543,5 @@ def run_stage2(
         threshold=tau_state,
         iteration_losses=iteration_losses,
         warnings=warnings,
+        val_reports=val_reports,
     )

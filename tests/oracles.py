@@ -226,7 +226,9 @@ def _selu_grad_ref(a: np.ndarray) -> np.ndarray:
     return np.where(a > 0, SELU_SCALE_REF, a + SELU_SCALE_REF * SELU_ALPHA_REF)
 
 
-def _sigmoid_ref(z: np.ndarray) -> np.ndarray:
+def sigmoid_ref(z: np.ndarray) -> np.ndarray:
+    """Split-branch sigmoid: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z))
+    below, each branch by boolean indexing."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -283,7 +285,7 @@ def mlp_forward_rows_ref(params, dims, p: np.ndarray, rate=None, seed=None) -> d
         a2, keep2, _ = _alpha_dropout_ref(a2_pre, rate, rng)
     return {
         "patches": p, "a1_pre": a1_pre, "a1": a1, "a2_pre": a2_pre, "a2": a2,
-        "probs": _sigmoid_ref(a2 @ w3 + b3), "keep1": keep1, "keep2": keep2,
+        "probs": sigmoid_ref(a2 @ w3 + b3), "keep1": keep1, "keep2": keep2,
         "scale": scale,
     }
 

@@ -15,6 +15,7 @@ from ftaseg.model import (
     load_checkpoint,
     poly_lr,
     save_checkpoint,
+    sigmoid,
 )
 from ftaseg.ssl import TrainSlice, _supervised_batch
 
@@ -26,6 +27,7 @@ from oracles import (
     mlp_grad_ref,
     patches_ref,
     reflect_patch,
+    sigmoid_ref,
 )
 
 
@@ -63,6 +65,23 @@ class TestPolyLr:
             TrainSchedule(0.0, 10)
         with pytest.raises(ConfigError):
             TrainSchedule(1e-4, 0)
+
+
+class TestSigmoid:
+    # NaN is left out: the two forms return NaNs of different sign, and a
+    # finite-parameter check runs before every forward pass.
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf]
+
+    def test_edges_match_split_form_bytes(self):
+        z = np.array(self.EDGES)
+        assert sigmoid(z).tobytes() == sigmoid_ref(z).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2304, 16384])
+    def test_random_normals_match_split_form_bytes(self, n):
+        z = np.random.default_rng(n).normal(0.0, 4.0, n)
+        out = sigmoid(z)
+        assert out.dtype == np.float64 and out.shape == z.shape
+        assert out.tobytes() == sigmoid_ref(z).tobytes()
 
 
 class TestForward:

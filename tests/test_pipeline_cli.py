@@ -19,6 +19,7 @@ from ftaseg.pipeline import (
     parse_pipeline_config,
     render_overlay,
     run_pipeline,
+    score_files,
     slice_dir,
     train_stage1_files,
     window_dir,
@@ -31,6 +32,7 @@ from ftaseg.preprocess import (
     slice_volume,
     write_manifest,
 )
+from ftaseg.ssl import evaluate_volumes
 from ftaseg.volume import (
     NORMALIZED,
     RAW,
@@ -345,6 +347,29 @@ class TestRunPipeline:
         assert lines[0] == "epoch,split,dice,iou,hd_norm,score,tau"
         assert len(lines) == 1 + 2  # val_points rows
 
+    def test_validates_once_per_point_and_scores_the_last(self, tmp_path, monkeypatch):
+        # scores.csv comes from stage 2's last validation, which runs on the
+        # checkpoint's parameters: nothing predicts the volumes again.
+        calls = []
+
+        def counting(model, cases):
+            calls.append(len(cases))
+            return evaluate_volumes(model, cases)
+
+        monkeypatch.setattr("ftaseg.ssl.evaluate_volumes", counting)
+        cfg = fast_config(seed=8, synth_val=3, val_points=3)
+        paths = run_pipeline(cfg, tmp_path / "run")
+        assert calls == [3] * cfg.val_points
+        # metrics.csv: epoch,split,dice,iou,hd_norm,score,tau;
+        # scores.csv: case,dice,iou,hd_raw,hd_norm,score.
+        last = paths.stage2_metrics.read_text().splitlines()[-1].split(",")
+        mean = paths.scores_csv.read_text().splitlines()[-1].split(",")
+        assert mean[0] == "mean"
+        assert last[2:6] == [mean[1], mean[2], mean[4], mean[5]]
+        score_files(paths.stage2_ckpt, tmp_path / "run" / "windowed" / "val",
+                    tmp_path / "rescored.csv")
+        assert (tmp_path / "rescored.csv").read_text() == paths.scores_csv.read_text()
+
     def test_missing_labeled_dir_fails_in_preprocess(self, tmp_path):
         cfg = fast_config(labeled_dir=str(tmp_path / "missing"))
         with pytest.raises(DataError, match=r"\[preprocess\]"):
@@ -550,6 +575,63 @@ class TestCli:
         assert "data error: [preprocess]" in err
         assert "thin.vol" in err
         assert not (run / "stage1").exists()
+
+    def thin_stage_inputs(self, tmp_path):
+        # Windowed fast-benchmark sets, the unlabeled and validation ones
+        # with one extra 32 x 32 x 2 volume (and mask), and the labeled
+        # slice manifest.
+        cfg = fast_config()
+        data, win = tmp_path / "data", tmp_path / "win"
+        generate_benchmark(cfg.benchmark_spec(), data)
+        thin = np.full((32, 32, 2), 800.0, dtype=np.float32)
+        for sub in ("unlabeled", "val"):
+            save_volume(Volume(thin, RAW), data / sub / "thin.vol")
+            save_mask(MaskVolume(np.zeros(thin.shape, np.uint8)),
+                      data / sub / "thin_mask.vol")
+        for sub in ("labeled", "unlabeled", "val"):
+            window_dir(data / sub, win / sub, cfg.window())
+        slice_dir(win / "labeled", tmp_path / "slices", cfg.val_fraction, cfg.seed)
+        return win, tmp_path / "slices"
+
+    def test_train_stage1_rejects_thin_unlabeled_volume_exit_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Planes cut along the 2-deep axis are 2 pixels wide, too narrow
+        # for the 5 x 5 patch: the check runs before stage 1 trains.
+        win, slices = self.thin_stage_inputs(tmp_path)
+        monkeypatch.setattr("ftaseg.pipeline.run_stage1",
+                            lambda *args: pytest.fail("stage 1 trained"))
+        out = tmp_path / "stage1"
+        rc = self.run_cli("train-stage1", "--slices", str(slices),
+                          "--unlabeled", str(win / "unlabeled"), "--out", str(out),
+                          "--epochs", "1", "--pseudo-count", "1")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(win / "unlabeled" / "thin.vol") in err
+        assert not (out / "checkpoint.seg").exists()
+
+    def test_train_stage2_rejects_thin_val_volume_exit_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Validation volumes are predicted along z, so their W of 2 is a
+        # plane side; the check runs before stage 2 trains.
+        win, slices = self.thin_stage_inputs(tmp_path)
+        monkeypatch.setattr("ftaseg.pipeline.run_stage2",
+                            lambda *args: pytest.fail("stage 2 trained"))
+        init = tmp_path / "init.seg"
+        ftaseg.save_checkpoint(
+            ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0), 0, init
+        )
+        out = tmp_path / "stage2"
+        rc = self.run_cli("train-stage2", "--slices", str(slices),
+                          "--val", str(win / "val"), "--init", str(init),
+                          "--out", str(out), "--iters", "2", "--val-points", "1")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(win / "val" / "thin.vol") in err
+        assert not (out / "checkpoint.seg").exists()
 
     def test_pipeline_numeric_error_in_supervised_lane_exit_4(
         self, tmp_path, capsys, monkeypatch

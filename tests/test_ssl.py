@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.fourier import FtaConfig, fta_augment_pair
+from ftaseg.metrics import mean_report
 from ftaseg.model import (
     AdamWState,
     ModelShape,
@@ -19,7 +20,9 @@ from ftaseg.model import (
     Workspace,
     _alpha_dropout_,
     adamw_step,
+    load_checkpoint,
     poly_lr,
+    save_checkpoint,
 )
 from ftaseg.ssl import (
     STRONG_VIEWS,
@@ -405,7 +408,10 @@ class TestStage2:
             loss, grad = _supervised_batch(oracle, [labeled[i] for i in idx])
             oracle.params, opt = adamw_step(oracle.params, grad, opt, lr)
             losses.append(loss)
-        assert np.array_equal(res.model.params, oracle.params)
+        # Stage 2 hands back its final parameters rounded as SEG1 stores them.
+        assert np.array_equal(
+            res.model.params, oracle.params.astype(np.float32).astype(np.float64)
+        )
         assert res.iteration_losses == losses
 
     def test_supervised_batch_matches_per_slice_mean(self):
@@ -588,6 +594,41 @@ class TestStage2:
         assert info.value is raised[0]
         assert threading.active_count() == threads
 
+    def test_final_model_and_validation_are_the_checkpoints(self, tmp_path):
+        rng = np.random.default_rng(33)
+        cases = self.val_cases(rng) + [
+            (f"v{i}", Volume(rng.random((3, 7, 5), dtype=np.float32), NORMALIZED),
+             MaskVolume((rng.random((3, 7, 5)) < 0.3).astype(np.uint8)))
+            for i in (1, 2)
+        ]
+        res = run_stage2(
+            PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
+            [ts.image for ts in make_train_set(rng, 6)], cases,
+            StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 8), FtaConfig(),
+            val_points=3,
+        )
+        path = tmp_path / "stage2.seg"
+        save_checkpoint(res.model, res.step, path)
+        loaded, _ = load_checkpoint(path)
+        assert res.model.params.tobytes() == loaded.params.tobytes()
+        assert len(res.history) == 3
+        assert res.val_reports == evaluate_volumes(loaded, cases)[1]
+        assert [cid for cid, _ in res.val_reports] == ["v0", "v1", "v2"]
+        mean = mean_report([r for _, r in res.val_reports])
+        last = res.history[-1]
+        assert (last.dice, last.iou, last.hd_norm, last.score) == (
+            mean.dice, mean.iou, mean.hd_norm, mean.score
+        )
+
+    def test_without_val_cases_no_reports(self):
+        rng = np.random.default_rng(34)
+        res = run_stage2(
+            PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
+            [], [], StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 3),
+            FtaConfig(),
+        )
+        assert res.history == [] and res.val_reports == []
+
     def test_requires_labeled(self):
         with pytest.raises(DataError):
             run_stage2(
@@ -626,6 +667,95 @@ class TestPredictVolume:
         assert pred.data.tobytes() == (probs >= 0.5).astype(np.uint8).tobytes()
         if noise:
             assert 0 < pred.voxel_count() < pred.data.size
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 6, 6), (2, 6, 6), (5, 6, 6), (48, 6, 6), (5, 9, 13), (7, 16, 6)],
+        ids=["D1", "D2", "D5", "D48", "5x9x13", "7x16x6"],
+    )
+    def test_two_lanes_equal_one_inline_lane(self, dims, monkeypatch):
+        rng = np.random.default_rng(19)
+        model = _noisy_model(ModelShape(), 6, 0.3)
+        vol = Volume(rng.random(dims, dtype=np.float32), NORMALIZED)
+        lanes = []
+        predict = model.predict_probs
+
+        def recording(plane, *args, **kwargs):
+            lanes.append(threading.current_thread() is threading.main_thread())
+            return predict(plane, *args, **kwargs)
+
+        model.predict_probs = recording
+        threads = threading.active_count()
+        two = predict_volume(model, vol)
+        assert threading.active_count() == threads
+        assert len(lanes) == dims[0]
+        assert lanes.count(False) == dims[0] - dims[0] // 2  # the worker's half
+
+        monkeypatch.setattr("ftaseg.ssl.ThreadPoolExecutor", InlineExecutor)
+        lanes.clear()
+        one = predict_volume(model, vol)
+        assert lanes == [True] * dims[0]
+        assert two.data.tobytes() == one.data.tobytes()
+
+    def test_concurrent_calls_under_fine_switching(self):
+        # Three callers run six lanes at once: every lane keeps to its own
+        # rows and workspace, and model.params is only read.
+        model = _noisy_model(ModelShape(), 6, 0.3)
+        vol = Volume(
+            np.random.default_rng(23).random((9, 12, 10), dtype=np.float32), NORMALIZED
+        )
+        expected = predict_volume(model, vol).data.tobytes()
+        results = []
+        callers = [
+            threading.Thread(
+                target=lambda: results.append(predict_volume(model, vol).data.tobytes())
+            )
+            for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [expected] * 3
+
+    def test_non_finite_params_raise_numeric_error(self):
+        shape = ModelShape(3, 4, 3)
+        model = PatchMLP(shape, np.full(shape.n_params, np.nan))
+        vol = Volume(np.zeros((4, 5, 5), dtype=np.float32), NORMALIZED)
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="non-finite"):
+            predict_volume(model, vol)
+        assert threading.active_count() == threads
+
+    def test_worker_lane_error_surfaces_unchanged(self):
+        # Only the worker lane fails; the calling thread's planes succeed.
+        model = _noisy_model(ModelShape(3, 4, 3), 6, 0.3)
+        bad = PatchMLP(model.shape, np.full(model.shape.n_params, np.nan))
+        predict = model.predict_probs
+        raised = []
+
+        def worker_fails(plane, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                return predict(plane, *args, **kwargs)
+            try:
+                return bad.predict_probs(plane, *args, **kwargs)
+            except NumericError as exc:
+                raised.append(exc)
+                raise
+
+        model.predict_probs = worker_fails
+        vol = Volume(np.zeros((4, 5, 5), dtype=np.float32), NORMALIZED)
+        threads = threading.active_count()
+        with pytest.raises(NumericError) as info:
+            predict_volume(model, vol)
+        assert info.value is raised[0]
+        assert threading.active_count() == threads
 
     def test_peak_memory_of_a_48_cube_stays_under_8_mib(self):
         model = _noisy_model(ModelShape(), 6, 0.3)
