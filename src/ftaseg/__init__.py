@@ -42,6 +42,7 @@ from .model import (
     save_checkpoint,
 )
 from .phantom import (
+    BenchmarkSpec,
     PhantomSpec,
     ShiftSpec,
     apply_domain_shift,
@@ -49,7 +50,6 @@ from .phantom import (
     gen_phantom,
 )
 from .pipeline import (
-    BenchmarkSpec,
     PipelineConfig,
     generate_benchmark,
     render_overlay,

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FtasegError, NumericError
-from .fourier import MODE_PAPER, MODES, FtaConfig, fta_augment_pair
+from .fourier import MODES, FtaConfig, fta_augment_pair
 from .metrics import evaluate_masks
 from .model import ModelShape, TrainSchedule
+from .phantom import BenchmarkSpec
 from .pipeline import (
-    BenchmarkSpec,
     PipelineConfig,
     coerce_fields,
     generate_benchmark,
@@ -63,13 +63,19 @@ def _cmd_slice(args: argparse.Namespace) -> None:
     print(f"listed {len(manifest)} slices in {Path(args.out) / 'manifest.csv'}")
 
 
+def _add_fta_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lambda", dest="lam", type=float, default=FtaConfig.lambda_value)
+    p.add_argument("--lambda-max", type=float, default=FtaConfig.lambda_max)
+    p.add_argument("--beta", type=float, default=FtaConfig.mask_fraction)
+    p.add_argument("--mode", choices=MODES, default=FtaConfig.mode)
+
+
+def _fta_config(args: argparse.Namespace) -> FtaConfig:
+    return FtaConfig(args.lam, args.lambda_max, args.beta, args.mode)
+
+
 def _cmd_fta(args: argparse.Namespace) -> None:
-    cfg = FtaConfig(
-        lambda_value=args.lam,
-        lambda_max=args.lambda_max,
-        mask_fraction=args.beta,
-        mode=args.mode,
-    )
+    cfg = _fta_config(args)
     lam = cfg.draw_lambda(np.random.default_rng(args.seed))
     pair = fta_augment_pair(_load_slice(args.a), _load_slice(args.b), lam, cfg)
     for plane, path in ((pair.z_w, args.out_a), (pair.z_u, args.out_b)):
@@ -82,10 +88,8 @@ def _cmd_fta(args: argparse.Namespace) -> None:
 
 def _cmd_train_stage1(args: argparse.Namespace) -> None:
     cfg = StageConfig(
-        stage1_epochs=args.epochs,
-        stage1_pseudo_count=args.pseudo_count,
-        batch_size=args.batch,
-        seed=args.seed,
+        stage1_epochs=args.epochs, stage1_pseudo_count=args.pseudo_count,
+        batch_size=args.batch, seed=args.seed,
     )
     shape = ModelShape(args.patch, args.hidden1, args.hidden2)
     ckpt, pseudo_ids = train_stage1_files(
@@ -96,25 +100,14 @@ def _cmd_train_stage1(args: argparse.Namespace) -> None:
 
 def _cmd_train_stage2(args: argparse.Namespace) -> None:
     cfg = StageConfig(
-        stage1_epochs=1,
-        stage1_pseudo_count=0,
-        perturb_rate=args.perturb,
-        batch_size=args.batch,
-        pseudo_weight=args.pseudo_weight,
-        unsup_weight=args.unsup_weight,
-        threshold_momentum=args.momentum,
-        seed=args.seed,
-    )
-    fta_cfg = FtaConfig(
-        lambda_value=args.lam,
-        lambda_max=args.lambda_max,
-        mask_fraction=args.beta,
-        mode=args.mode,
+        perturb_rate=args.perturb, batch_size=args.batch,
+        pseudo_weight=args.pseudo_weight, unsup_weight=args.unsup_weight,
+        threshold_momentum=args.momentum, seed=args.seed,
     )
     ckpt, _ = train_stage2_files(
         args.slices, args.pseudo_slices, args.unlabeled_slices, args.val,
         args.init, args.out, cfg,
-        TrainSchedule(args.lr, args.iters), fta_cfg,
+        TrainSchedule(args.lr, args.iters), _fta_config(args),
         val_points=args.val_points,
     )
     print(f"checkpoint {ckpt}")
@@ -170,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("window", help="window-normalize raw volumes")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bottom", type=float, default=500.0)
-    p.add_argument("--top", type=float, default=2000.0)
+    p.add_argument("--bottom", type=float, default=WindowSpec.bottom)
+    p.add_argument("--top", type=float, default=WindowSpec.top)
     p.set_defaults(fn=_cmd_window)
 
     p = sub.add_parser("slice", help="list all planes of each volume in a manifest")
@@ -179,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--val-fraction", type=float, default=None)
     p.add_argument("--by-volume", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.set_defaults(fn=_cmd_slice)
 
     p = sub.add_parser("fta", help="spectrally augment a slice pair")
@@ -187,25 +180,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="second slice file")
     p.add_argument("--out-a", required=True)
     p.add_argument("--out-b", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-max", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.25)
-    p.add_argument("--mode", choices=MODES, default=MODE_PAPER)
-    p.add_argument("--seed", type=int, default=0)
+    _add_fta_args(p)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.set_defaults(fn=_cmd_fta)
 
     p = sub.add_parser("train-stage1", help="supervised bootstrap + pseudo-labels")
     p.add_argument("--slices", required=True, help="labeled slices directory")
     p.add_argument("--unlabeled", default=None, help="windowed unlabeled volumes")
     p.add_argument("--out", required=True, help="also receives pseudo/ masks")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--pseudo-count", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--patch", type=int, default=5)
-    p.add_argument("--hidden1", type=int, default=32)
-    p.add_argument("--hidden2", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=StageConfig.stage1_epochs)
+    p.add_argument("--pseudo-count", type=int, default=StageConfig.stage1_pseudo_count)
+    p.add_argument("--lr", type=float, default=TrainSchedule.base_lr)
+    p.add_argument("--batch", type=int, default=StageConfig.batch_size)
+    p.add_argument("--patch", type=int, default=ModelShape.patch)
+    p.add_argument("--hidden1", type=int, default=ModelShape.hidden1)
+    p.add_argument("--hidden2", type=int, default=ModelShape.hidden2)
+    p.add_argument("--seed", type=int, default=StageConfig.seed)
     p.set_defaults(fn=_cmd_train_stage1)
 
     p = sub.add_parser("train-stage2", help="consistency training")
@@ -215,19 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", default=None, help="windowed validation volumes")
     p.add_argument("--init", required=True, help="stage-1 checkpoint")
     p.add_argument("--out", required=True)
-    p.add_argument("--iters", type=int, default=1500)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-max", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.25)
-    p.add_argument("--mode", choices=MODES, default=MODE_PAPER)
-    p.add_argument("--perturb", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.999)
-    p.add_argument("--pseudo-weight", type=float, default=1.0)
-    p.add_argument("--unsup-weight", type=float, default=0.5)
-    p.add_argument("--val-points", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=TrainSchedule.total_iters)
+    p.add_argument("--lr", type=float, default=TrainSchedule.base_lr)
+    p.add_argument("--batch", type=int, default=StageConfig.batch_size)
+    _add_fta_args(p)
+    p.add_argument("--perturb", type=float, default=StageConfig.perturb_rate)
+    p.add_argument("--momentum", type=float, default=StageConfig.threshold_momentum)
+    p.add_argument("--pseudo-weight", type=float, default=StageConfig.pseudo_weight)
+    p.add_argument("--unsup-weight", type=float, default=StageConfig.unsup_weight)
+    p.add_argument("--val-points", type=int, default=PipelineConfig.val_points)
+    p.add_argument("--seed", type=int, default=StageConfig.seed)
     p.set_defaults(fn=_cmd_train_stage2)
 
     p = sub.add_parser("score", help="score one predicted mask against truth")

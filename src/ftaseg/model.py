@@ -47,7 +47,7 @@ class TrainSchedule:
     """Polynomial decay: lr = base_lr * (1 - i / total_iters) ** power."""
 
     base_lr: float = 1e-4
-    total_iters: int = 1000
+    total_iters: int = 1500
     power: float = 0.9
 
     def __post_init__(self) -> None:
@@ -437,8 +437,9 @@ class AdamWState:
             raise DataError("second moments must be non-negative")
 
     @classmethod
-    def fresh(cls, n_params: int, weight_decay: float = 1e-4) -> "AdamWState":
-        return cls(np.zeros(n_params), np.zeros(n_params), weight_decay=weight_decay)
+    def fresh(cls, n_params: int, **hyper) -> "AdamWState":
+        """Zero moments at step 0; ``hyper`` overrides hyper-parameters."""
+        return cls(np.zeros(n_params), np.zeros(n_params), **hyper)
 
 
 def adamw_step(

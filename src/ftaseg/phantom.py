@@ -21,16 +21,70 @@ PLACEMENT_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
-class PhantomSpec:
-    dims: tuple[int, int, int] = (32, 32, 32)
+class BenchmarkSpec:
+    """Synthetic benchmark: source-domain labeled data, shifted-domain
+    unlabeled and validation data. Its phantom values are also
+    ``PhantomSpec``'s defaults."""
+
+    dim: int = 32
+    labeled: int = 12
+    unlabeled: int = 40
+    val: int = 10
     ellipsoids: int = 3
-    radius_x: tuple[float, float] = (3.0, 6.0)
-    radius_y: tuple[float, float] = (3.0, 6.0)
-    radius_z: tuple[float, float] = (3.0, 6.0)
+    radius_min: float = 3.0
+    radius_max: float = 6.0
     fg_mean: float = 1400.0
+    fg_spread: float = 0.0
     fg_std: float = 40.0
     bg_mean: float = 300.0
     bg_std: float = 40.0
+    shift_gain: float = 0.82
+    shift_bias: float = 150.0
+    shift_gamma: float = 1.0
+    shift_field: float = 140.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if min(self.labeled, self.unlabeled, self.val) < 0:
+            raise ConfigError("volume counts must be >= 0")
+        if self.fg_spread < 0:
+            raise ConfigError("fg_spread must be >= 0")
+
+    def phantom_spec(self, seed: int) -> PhantomSpec:
+        # Per-volume foreground level drawn around fg_mean: each scan gets
+        # its own contrast, so 12 labeled volumes undersample the range.
+        r = (self.radius_min, self.radius_max)
+        fg = self.fg_mean
+        if self.fg_spread > 0:
+            rng = np.random.default_rng(seed)
+            fg = float(rng.uniform(fg - self.fg_spread, fg + self.fg_spread))
+        return PhantomSpec(
+            dims=(self.dim,) * 3, ellipsoids=self.ellipsoids,
+            radius_x=r, radius_y=r, radius_z=r, fg_mean=fg, fg_std=self.fg_std,
+            bg_mean=self.bg_mean, bg_std=self.bg_std, seed=seed,
+        )
+
+    def shift_spec(self, seed: int) -> ShiftSpec:
+        return ShiftSpec(
+            gain=self.shift_gain, bias=self.shift_bias,
+            gamma=self.shift_gamma, field_amplitude=self.shift_field,
+            seed=seed,
+        )
+
+
+@dataclass(frozen=True)
+class PhantomSpec:
+    dims: tuple[int, int, int] = (BenchmarkSpec.dim,) * 3
+    ellipsoids: int = BenchmarkSpec.ellipsoids
+    radius_x: tuple[float, float] = (
+        BenchmarkSpec.radius_min, BenchmarkSpec.radius_max
+    )
+    radius_y: tuple[float, float] = radius_x
+    radius_z: tuple[float, float] = radius_x
+    fg_mean: float = BenchmarkSpec.fg_mean
+    fg_std: float = BenchmarkSpec.fg_std
+    bg_mean: float = BenchmarkSpec.bg_mean
+    bg_std: float = BenchmarkSpec.bg_std
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FtasegError
-from .fourier import MODES, FtaConfig
+from .fourier import FtaConfig
 from .metrics import CSV_HEADER, MetricsReport, evaluate_masks, mean_report
 from .model import (
     ModelShape,
@@ -28,7 +28,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .phantom import PhantomSpec, ShiftSpec, apply_domain_shift, gen_phantom
+from .phantom import BenchmarkSpec, apply_domain_shift, gen_phantom
 from .preprocess import (
     ManifestEntry,
     SliceManifest,
@@ -81,12 +81,10 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-_OPTIONAL_FLOATS = {"fta_lambda"}
-
-
 def _coerce(name: str, raw: str, default) -> object:
+    # A field whose default is None is an optional float; empty means None.
     try:
-        if name in _OPTIONAL_FLOATS:
+        if default is None:
             return None if raw == "" else float(raw)
         if isinstance(default, bool):
             low = raw.lower()
@@ -128,69 +126,42 @@ def _format_kv(cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """Synthetic benchmark: source-domain labeled data, shifted-domain
-    unlabeled and validation data."""
-
-    dim: int = 32
-    labeled: int = 12
-    unlabeled: int = 40
-    val: int = 10
-    ellipsoids: int = 3
-    radius_min: float = 3.0
-    radius_max: float = 6.0
-    fg_mean: float = 1400.0
-    fg_spread: float = 0.0
-    fg_std: float = 40.0
-    bg_mean: float = 300.0
-    bg_std: float = 40.0
-    shift_gain: float = 0.82
-    shift_bias: float = 150.0
-    shift_gamma: float = 1.0
-    shift_field: float = 140.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.labeled, self.unlabeled, self.val) < 0:
-            raise ConfigError("volume counts must be >= 0")
-        if self.fg_spread < 0:
-            raise ConfigError("fg_spread must be >= 0")
-
-    def phantom_spec(self, seed: int) -> PhantomSpec:
-        # Per-volume foreground level drawn around fg_mean: each scan gets
-        # its own contrast, so 12 labeled volumes undersample the range.
-        r = (self.radius_min, self.radius_max)
-        fg = self.fg_mean
-        if self.fg_spread > 0:
-            rng = np.random.default_rng(seed)
-            fg = float(rng.uniform(fg - self.fg_spread, fg + self.fg_spread))
-        return PhantomSpec(
-            dims=(self.dim, self.dim, self.dim),
-            ellipsoids=self.ellipsoids,
-            radius_x=r, radius_y=r, radius_z=r,
-            fg_mean=fg, fg_std=self.fg_std,
-            bg_mean=self.bg_mean, bg_std=self.bg_std,
-            seed=seed,
-        )
-
-    def shift_spec(self, seed: int) -> ShiftSpec:
-        return ShiftSpec(
-            gain=self.shift_gain, bias=self.shift_bias,
-            gamma=self.shift_gamma, field_amplitude=self.shift_field,
-            seed=seed,
-        )
-
-
 def parse_benchmark_spec(path: Path | str) -> BenchmarkSpec:
     kv = _parse_kv(Path(path).read_text())
     return BenchmarkSpec(**coerce_fields(BenchmarkSpec, kv))
+
+
+# Each sub-config's flat keys: its field names behind a prefix, except the
+# renamed ones; a field renamed to None has no key and keeps its default.
+_FLAT_KEYS: dict[type, tuple[str, dict[str, str | None]]] = {
+    WindowSpec: ("window_", {}),
+    FtaConfig: ("fta_", {"lambda_value": "fta_lambda", "mask_fraction": "fta_beta"}),
+    StageConfig: ("", {}),
+    ModelShape: ("", {}),
+    TrainSchedule: (
+        "", {"base_lr": "lr", "total_iters": "stage2_iters", "power": None}
+    ),
+    BenchmarkSpec: ("synth_", {
+        "shift_gain": "shift_gain", "shift_bias": "shift_bias",
+        "shift_gamma": "shift_gamma", "shift_field": "shift_field", "seed": "seed",
+    }),
+}
+
+
+def flat_keys(cls: type) -> dict[str, str]:
+    """Field name -> ``PipelineConfig`` key of each keyed field of ``cls``."""
+    prefix, renames = _FLAT_KEYS[cls]
+    keys = {f.name: renames.get(f.name, prefix + f.name)
+            for f in dataclasses.fields(cls)}
+    return {name: key for name, key in keys.items() if key is not None}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Full pipeline configuration; every field has a runnable default.
 
+    The fields are the flat ``key = value`` keys, in ``config.txt``'s order.
+    A field backed by a sub-config takes that sub-config's default.
     Empty ``labeled_dir`` synthesizes the bundled benchmark into the run
     directory first.
     """
@@ -198,105 +169,73 @@ class PipelineConfig:
     labeled_dir: str = ""
     unlabeled_dir: str = ""
     val_dir: str = ""
-    seed: int = 0
-    window_bottom: float = 500.0
-    window_top: float = 2000.0
+    seed: int = StageConfig.seed
+    window_bottom: float = WindowSpec.bottom
+    window_top: float = WindowSpec.top
     val_fraction: float = 0.1
     split_by_volume: bool = False
-    fta_lambda: float | None = None
-    fta_lambda_max: float = 1.0
-    fta_beta: float = 0.25
-    fta_mode: str = "paper-literal"
-    stage1_epochs: int = 20
-    stage1_pseudo_count: int = 10
-    stage2_iters: int = 1500
-    batch_size: int = 8
-    lr: float = 1e-4
-    patch: int = 5
-    hidden1: int = 32
-    hidden2: int = 16
-    perturb_rate: float = 0.1
-    threshold_momentum: float = 0.999
-    pseudo_weight: float = 1.0
-    unsup_weight: float = 0.5
+    fta_lambda: float | None = FtaConfig.lambda_value
+    fta_lambda_max: float = FtaConfig.lambda_max
+    fta_beta: float = FtaConfig.mask_fraction
+    fta_mode: str = FtaConfig.mode
+    stage1_epochs: int = StageConfig.stage1_epochs
+    stage1_pseudo_count: int = StageConfig.stage1_pseudo_count
+    stage2_iters: int = TrainSchedule.total_iters
+    batch_size: int = StageConfig.batch_size
+    lr: float = TrainSchedule.base_lr
+    patch: int = ModelShape.patch
+    hidden1: int = ModelShape.hidden1
+    hidden2: int = ModelShape.hidden2
+    perturb_rate: float = StageConfig.perturb_rate
+    threshold_momentum: float = StageConfig.threshold_momentum
+    pseudo_weight: float = StageConfig.pseudo_weight
+    unsup_weight: float = StageConfig.unsup_weight
     supervised_only: bool = False
     val_points: int = 10
-    synth_dim: int = 32
-    synth_labeled: int = 12
-    synth_unlabeled: int = 40
-    synth_val: int = 10
-    synth_ellipsoids: int = 3
-    synth_radius_min: float = 3.0
-    synth_radius_max: float = 6.0
-    synth_fg_mean: float = 1400.0
-    synth_fg_spread: float = 0.0
-    synth_fg_std: float = 40.0
-    synth_bg_mean: float = 300.0
-    synth_bg_std: float = 40.0
-    shift_gain: float = 0.82
-    shift_bias: float = 150.0
-    shift_gamma: float = 1.0
-    shift_field: float = 140.0
+    synth_dim: int = BenchmarkSpec.dim
+    synth_labeled: int = BenchmarkSpec.labeled
+    synth_unlabeled: int = BenchmarkSpec.unlabeled
+    synth_val: int = BenchmarkSpec.val
+    synth_ellipsoids: int = BenchmarkSpec.ellipsoids
+    synth_radius_min: float = BenchmarkSpec.radius_min
+    synth_radius_max: float = BenchmarkSpec.radius_max
+    synth_fg_mean: float = BenchmarkSpec.fg_mean
+    synth_fg_spread: float = BenchmarkSpec.fg_spread
+    synth_fg_std: float = BenchmarkSpec.fg_std
+    synth_bg_mean: float = BenchmarkSpec.bg_mean
+    synth_bg_std: float = BenchmarkSpec.bg_std
+    shift_gain: float = BenchmarkSpec.shift_gain
+    shift_bias: float = BenchmarkSpec.shift_bias
+    shift_gamma: float = BenchmarkSpec.shift_gamma
+    shift_field: float = BenchmarkSpec.shift_field
 
     def __post_init__(self) -> None:
-        if self.fta_mode not in MODES:
-            raise ConfigError(f"fta_mode must be one of {MODES}")
         if self.stage2_iters < 1 or self.val_points < 1:
             raise ConfigError("stage2_iters and val_points must be >= 1")
-        # Construct the derived configs so bad values fail at parse time.
-        self.window()
-        self.fta_config()
-        self.stage_config()
-        self.model_shape()
-        TrainSchedule(self.lr, self.stage2_iters)
-        self.benchmark_spec()
+        # Build every sub-config so bad values fail at parse time.
+        for cls in _FLAT_KEYS:
+            self._build(cls)
+
+    def _build(self, cls: type):
+        return cls(**{name: getattr(self, key) for name, key in flat_keys(cls).items()})
 
     def window(self) -> WindowSpec:
-        return WindowSpec(self.window_bottom, self.window_top)
+        return self._build(WindowSpec)
 
     def fta_config(self) -> FtaConfig:
-        return FtaConfig(
-            lambda_value=self.fta_lambda,
-            lambda_max=self.fta_lambda_max,
-            mask_fraction=self.fta_beta,
-            mode=self.fta_mode,
-        )
+        return self._build(FtaConfig)
 
     def stage_config(self) -> StageConfig:
-        return StageConfig(
-            stage1_epochs=self.stage1_epochs,
-            stage1_pseudo_count=self.stage1_pseudo_count,
-            perturb_rate=self.perturb_rate,
-            batch_size=self.batch_size,
-            pseudo_weight=self.pseudo_weight,
-            unsup_weight=self.unsup_weight,
-            threshold_momentum=self.threshold_momentum,
-            seed=self.seed,
-        )
+        return self._build(StageConfig)
 
     def model_shape(self) -> ModelShape:
-        return ModelShape(self.patch, self.hidden1, self.hidden2)
+        return self._build(ModelShape)
+
+    def train_schedule(self) -> TrainSchedule:
+        return self._build(TrainSchedule)
 
     def benchmark_spec(self) -> BenchmarkSpec:
-        return BenchmarkSpec(
-            dim=self.synth_dim,
-            labeled=self.synth_labeled,
-            unlabeled=self.synth_unlabeled,
-            val=self.synth_val,
-            ellipsoids=self.synth_ellipsoids,
-            radius_min=self.synth_radius_min,
-            radius_max=self.synth_radius_max,
-            fg_mean=self.synth_fg_mean,
-            fg_spread=self.synth_fg_spread,
-            fg_std=self.synth_fg_std,
-            bg_mean=self.synth_bg_mean,
-            bg_std=self.synth_bg_std,
-            shift_gain=self.shift_gain,
-            shift_bias=self.shift_bias,
-            shift_gamma=self.shift_gamma,
-            shift_field=self.shift_field,
-            seed=self.seed,
-        )
+        return self._build(BenchmarkSpec)
 
 
 def parse_pipeline_config(path: Path | str) -> PipelineConfig:
@@ -386,12 +325,12 @@ def _mask_path(vol_path: Path) -> Path:
     return vol_path.with_name(f"{vol_path.stem}{MASK_SUFFIX}.vol")
 
 
-def _check_plane_dims(directory: Path, patch: int, along_z_only: bool) -> None:
+def _check_plane_dims(paths: list[Path], patch: int, along_z_only: bool) -> None:
     # Reflect padding needs every side of a plane longer than patch // 2.
     # Training planes are cut along all three axes; validation volumes are
     # predicted along z only, so only their H and W are plane sides.
     pad = patch // 2
-    for path in _volume_files(directory):
+    for path in paths:
         dims = read_dims(path)
         sides = dims[1:] if along_z_only else dims
         if min(sides) <= pad:
@@ -402,14 +341,18 @@ def _check_plane_dims(directory: Path, patch: int, along_z_only: bool) -> None:
 
 
 def window_dir(in_dir: Path | str, out_dir: Path | str, w: WindowSpec) -> int:
-    """Window-normalize every volume; companion masks are copied verbatim."""
+    """Window-normalize every volume; companion masks are copied verbatim.
+    A raw volume with a NaN or infinite voxel is a DataError."""
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     if not in_dir.is_dir():
         raise DataError(f"input directory {in_dir} does not exist")
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
     for path in _volume_files(in_dir):
-        save_volume(window_normalize(load_volume(path), w), out_dir / path.name)
+        vol = load_volume(path)
+        if not np.isfinite(vol.data).all():
+            raise DataError(f"{path}: raw volume has NaN or infinite values")
+        save_volume(window_normalize(vol, w), out_dir / path.name)
         mask = _mask_path(path)
         if mask.exists():
             shutil.copyfile(mask, out_dir / mask.name)
@@ -475,6 +418,12 @@ def _cut(e: ManifestEntry, path: Path, load, cache: dict) -> np.ndarray:
         return plane(cache[path], e.axis, e.index)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _check_manifest_dims(slices_dir: Path, manifest: SliceManifest, patch: int) -> None:
+    # Every volume a training manifest names is cut along all three axes.
+    files = list(dict.fromkeys(slices_dir / e.file for e in manifest.entries))
+    _check_plane_dims(files, patch, along_z_only=False)
 
 
 def load_train_slices(
@@ -546,21 +495,23 @@ def train_stage1_files(
     """Train on labeled slices and pseudo-annotate unlabeled volumes.
 
     Only the unlabeled volumes picked for pseudo-annotation are read; the
-    headers of all of them are checked for plane size before training. The
-    pseudo masks and their slice manifest, stage 2's second training
-    source, go to ``out_dir/pseudo``. Returns the checkpoint path and the
-    pseudo-annotated volume ids.
+    headers of all of them, and of the labeled volumes, are checked for
+    plane size before training. The pseudo masks and their slice manifest,
+    stage 2's second training source, go to ``out_dir/pseudo``. Returns the
+    checkpoint path and the pseudo-annotated volume ids.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = read_manifest(slices_dir / "manifest.csv")
     labeled = load_train_slices(slices_dir, manifest, "train")
+    _check_manifest_dims(slices_dir, manifest, shape.patch)
 
     unlabeled_ids: list[str] = []
     if unlabeled_windowed_dir is not None:
         udir = Path(unlabeled_windowed_dir)
-        _check_plane_dims(udir, shape.patch, along_z_only=False)
-        unlabeled_ids = [path.stem for path in _volume_files(udir)]
+        ufiles = _volume_files(udir)
+        _check_plane_dims(ufiles, shape.patch, along_z_only=False)
+        unlabeled_ids = [path.stem for path in ufiles]
 
     def load(vid: str) -> Volume:
         return _load_normalized(udir / f"{vid}.vol")
@@ -610,7 +561,7 @@ def train_stage2_files(
     cfg: StageConfig,
     sched: TrainSchedule,
     fta_cfg: FtaConfig,
-    val_points: int = 10,
+    val_points: int,
 ) -> tuple[Path, list[tuple[str, MetricsReport]]]:
     """Consistency training from files; writes checkpoint, metrics history,
     and the stage manifest. Returns the checkpoint path and the last
@@ -618,31 +569,35 @@ def train_stage2_files(
     ``val_windowed_dir`` (empty without one).
 
     The pseudo-annotated volume ids come from stage 1's pseudo slice
-    manifest; those volumes are excluded from the unlabeled pool. The
-    validation volumes' plane size is checked before training.
+    manifest; those volumes are excluded from the unlabeled pool. The plane
+    size of the validation volumes and of every volume a slice manifest
+    names is checked before training.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     model, _ = load_checkpoint(init_checkpoint)
+    patch = model.shape.patch
     if val_windowed_dir is not None:
-        _check_plane_dims(
-            Path(val_windowed_dir), model.shape.patch, along_z_only=True
-        )
+        val_files = _volume_files(Path(val_windowed_dir))
+        _check_plane_dims(val_files, patch, along_z_only=True)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = read_manifest(slices_dir / "manifest.csv")
     labeled = load_train_slices(slices_dir, manifest, "train")
+    _check_manifest_dims(slices_dir, manifest, patch)
     pseudo_ids: frozenset[str] = frozenset()
     if pseudo_slices_dir is not None:
         pdir = Path(pseudo_slices_dir)
         pmanifest = read_manifest(pdir / "manifest.csv")
         pseudo_ids = frozenset(pmanifest.source_ids())
         labeled += load_train_slices(pdir, pmanifest, "train", cfg.pseudo_weight)
+        _check_manifest_dims(pdir, pmanifest, patch)
 
     unlabeled: list[np.ndarray] = []
     if unlabeled_slices_dir is not None:
         udir = Path(unlabeled_slices_dir)
         umanifest = read_manifest(udir / "manifest.csv")
         unlabeled = load_unlabeled_slices(udir, umanifest, exclude_ids=pseudo_ids)
+        _check_manifest_dims(udir, umanifest, patch)
 
     val_cases = [] if val_windowed_dir is None else load_val_cases(val_windowed_dir)
 
@@ -796,7 +751,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
             if not src.is_dir():
                 raise DataError(f"{name} directory {src} does not exist")
             if name != "unlabeled" or use_unlabeled:
-                _check_plane_dims(src, cfg.patch, along_z_only=name == "val")
+                _check_plane_dims(
+                    _volume_files(src), cfg.patch, along_z_only=name == "val"
+                )
                 window_dir(src, windowed / name, cfg.window())
         slice_dir(
             windowed / "labeled", slices / "labeled",
@@ -832,7 +789,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
             stage1_ckpt,
             out / "stage2",
             stage_cfg,
-            TrainSchedule(cfg.lr, cfg.stage2_iters),
+            cfg.train_schedule(),
             cfg.fta_config(),
             val_points=cfg.val_points,
         )

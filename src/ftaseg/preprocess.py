@@ -25,17 +25,13 @@ MANIFEST_HEADER = ["file", "mask_file", "axis", "index", "source_id", "split"]
 # Grid dimension each axis tag fixes in a z-major (D, H, W) array.
 _AXIS_DIM = {"x": 2, "y": 1, "z": 0}
 
-DEFAULT_BOTTOM = 500.0
-DEFAULT_TOP = 2000.0
-DEFAULT_VAL_FRACTION = 0.10
-
 
 @dataclass(frozen=True)
 class WindowSpec:
     """Intensity window [bottom, top] mapped linearly onto [0, 1]."""
 
-    bottom: float = DEFAULT_BOTTOM
-    top: float = DEFAULT_TOP
+    bottom: float = 500.0
+    top: float = 2000.0
 
     def __post_init__(self) -> None:
         if not self.bottom < self.top:
@@ -130,7 +126,7 @@ def build_manifest(
 
 def split_train_val(
     manifest: SliceManifest,
-    val_fraction: float = DEFAULT_VAL_FRACTION,
+    val_fraction: float,
     seed: int = 0,
     by_volume: bool = False,
 ) -> SliceManifest:

@@ -43,12 +43,46 @@ BCE_EPS = 1e-7
 TAU_FLOOR = 0.5
 
 
+# Spectrally-augmented strong views per unlabeled slice in stage 2.
+STRONG_VIEWS = 2
+
+
+@dataclass(frozen=True)
+class StageConfig:
+    """Knobs of the two-stage protocol."""
+
+    stage1_epochs: int = 20
+    stage1_pseudo_count: int = 10
+    perturb_rate: float = 0.1
+    batch_size: int = 8
+    pseudo_weight: float = 1.0
+    unsup_weight: float = 0.5
+    threshold_momentum: float = 0.999
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.stage1_epochs < 1:
+            raise ConfigError("stage1_epochs must be >= 1")
+        if self.stage1_pseudo_count < 0:
+            raise ConfigError("stage1_pseudo_count must be >= 0")
+        if not 0.0 < self.perturb_rate < 1.0:
+            raise ConfigError("perturb_rate must be in (0, 1)")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        for name in ("pseudo_weight", "unsup_weight"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {val}")
+        if not 0.0 <= self.threshold_momentum < 1.0:
+            raise ConfigError("threshold_momentum must be in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ThresholdState:
     """Self-adaptive confidence threshold, clamped to [TAU_FLOOR, 1]."""
 
-    tau: float = 0.5
-    momentum: float = 0.999
+    tau: float = TAU_FLOOR
+    momentum: float = StageConfig.threshold_momentum
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.momentum < 1.0:
@@ -137,40 +171,6 @@ def consistency_loss(
         g[inside] = (v[inside] - labels[inside]) / (v[inside] * (1.0 - v[inside])) / denom
         grads.append(g)
     return total / denom, grads
-
-
-# Spectrally-augmented strong views per unlabeled slice in stage 2.
-STRONG_VIEWS = 2
-
-
-@dataclass(frozen=True)
-class StageConfig:
-    """Knobs of the two-stage protocol."""
-
-    stage1_epochs: int = 20
-    stage1_pseudo_count: int = 10
-    perturb_rate: float = 0.1
-    batch_size: int = 8
-    pseudo_weight: float = 1.0
-    unsup_weight: float = 0.5
-    threshold_momentum: float = 0.999
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.stage1_epochs < 1:
-            raise ConfigError("stage1_epochs must be >= 1")
-        if self.stage1_pseudo_count < 0:
-            raise ConfigError("stage1_pseudo_count must be >= 0")
-        if not 0.0 < self.perturb_rate < 1.0:
-            raise ConfigError("perturb_rate must be in (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        for name in ("pseudo_weight", "unsup_weight"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {val}")
-        if not 0.0 <= self.threshold_momentum < 1.0:
-            raise ConfigError("threshold_momentum must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def run_stage1(
     load: Callable[[str], Volume],
     cfg: StageConfig,
     shape: ModelShape = ModelShape(),
-    base_lr: float = 1e-4,
+    base_lr: float = TrainSchedule.base_lr,
 ) -> Stage1Result:
     """Supervised bootstrap followed by pseudo-annotation.
 
@@ -354,7 +354,7 @@ def run_stage2(
     cfg: StageConfig,
     sched: TrainSchedule,
     fta_cfg: FtaConfig,
-    val_points: int = 10,
+    val_points: int,
 ) -> Stage2Result:
     """Consistency training on spectrally-augmented views.
 

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import ftaseg
-from ftaseg.cli import main
+from ftaseg.cli import build_parser, main
 from ftaseg.errors import ConfigError, DataError
+from ftaseg.fourier import FtaConfig
+from ftaseg.model import ModelShape, TrainSchedule
 from ftaseg.pipeline import (
     BenchmarkSpec,
     PipelineConfig,
+    flat_keys,
     generate_benchmark,
     load_train_slices,
     load_unlabeled_slices,
@@ -32,7 +35,7 @@ from ftaseg.preprocess import (
     slice_volume,
     write_manifest,
 )
-from ftaseg.ssl import evaluate_volumes
+from ftaseg.ssl import StageConfig, evaluate_volumes
 from ftaseg.volume import (
     NORMALIZED,
     RAW,
@@ -118,6 +121,73 @@ class TestConfig:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig(fta_mode="nope")
+
+    # The flat keys in config.txt's order.
+    KEYS = (
+        "labeled_dir", "unlabeled_dir", "val_dir", "seed", "window_bottom",
+        "window_top", "val_fraction", "split_by_volume", "fta_lambda",
+        "fta_lambda_max", "fta_beta", "fta_mode", "stage1_epochs",
+        "stage1_pseudo_count", "stage2_iters", "batch_size", "lr", "patch",
+        "hidden1", "hidden2", "perturb_rate", "threshold_momentum",
+        "pseudo_weight", "unsup_weight", "supervised_only", "val_points",
+        "synth_dim", "synth_labeled", "synth_unlabeled", "synth_val",
+        "synth_ellipsoids", "synth_radius_min", "synth_radius_max",
+        "synth_fg_mean", "synth_fg_spread", "synth_fg_std", "synth_bg_mean",
+        "synth_bg_std", "shift_gain", "shift_bias", "shift_gamma", "shift_field",
+    )
+    SUB_CONFIGS = (
+        WindowSpec, FtaConfig, StageConfig, ModelShape, TrainSchedule, BenchmarkSpec,
+    )
+
+    def test_keys_in_config_file_order(self):
+        assert tuple(f.name for f in dataclasses.fields(PipelineConfig)) == self.KEYS
+
+    def test_flat_defaults_are_the_sub_config_defaults(self):
+        cfg = PipelineConfig()
+        backed = set()
+        for cls in self.SUB_CONFIGS:
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            for name, key in flat_keys(cls).items():
+                assert getattr(cfg, key) == defaults[name], (cls.__name__, name)
+                backed.add(key)
+        # Every key but the data paths, val_fraction, split_by_volume,
+        # supervised_only and val_points.
+        assert len(backed) == 35
+
+    def test_builders_give_the_default_sub_configs(self):
+        cfg = PipelineConfig()
+        assert cfg.window() == WindowSpec()
+        assert cfg.fta_config() == FtaConfig()
+        assert cfg.stage_config() == StageConfig()
+        assert cfg.model_shape() == ModelShape()
+        assert cfg.train_schedule() == TrainSchedule()
+        assert cfg.benchmark_spec() == BenchmarkSpec()
+
+    FTA_FLAGS = {
+        "lam": "fta_lambda", "lambda_max": "fta_lambda_max", "beta": "fta_beta",
+        "mode": "fta_mode", "seed": "seed",
+    }
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["window", "--in", "i", "--out", "o"],
+         {"bottom": "window_bottom", "top": "window_top"}),
+        (["fta", "--a", "a", "--b", "b", "--out-a", "x", "--out-b", "y"], FTA_FLAGS),
+        (["train-stage1", "--slices", "s", "--out", "o"],
+         {"epochs": "stage1_epochs", "pseudo_count": "stage1_pseudo_count",
+          "lr": "lr", "batch": "batch_size", "patch": "patch",
+          "hidden1": "hidden1", "hidden2": "hidden2", "seed": "seed"}),
+        (["train-stage2", "--slices", "s", "--init", "i", "--out", "o"],
+         {**FTA_FLAGS, "iters": "stage2_iters", "lr": "lr", "batch": "batch_size",
+          "perturb": "perturb_rate", "momentum": "threshold_momentum",
+          "pseudo_weight": "pseudo_weight", "unsup_weight": "unsup_weight",
+          "val_points": "val_points"}),
+    ])
+    def test_cli_defaults_are_the_config_defaults(self, argv, flags):
+        args = build_parser().parse_args(argv)
+        cfg = PipelineConfig()
+        assert {dest: getattr(args, dest) for dest in flags} == {
+            dest: getattr(cfg, key) for dest, key in flags.items()
+        }
 
 
 class TestBenchmark:
@@ -592,6 +662,51 @@ class TestCli:
             window_dir(data / sub, win / sub, cfg.window())
         slice_dir(win / "labeled", tmp_path / "slices", cfg.val_fraction, cfg.seed)
         return win, tmp_path / "slices"
+
+    @pytest.mark.parametrize("stage", ["train-stage1", "train-stage2"])
+    def test_stage_rejects_thin_labeled_volume_exit_3(
+        self, tmp_path, capsys, monkeypatch, stage
+    ):
+        # A 12 x 12 x 2 labeled volume passes window and slice, but its
+        # planes cut along the 2-deep axis are too narrow for the 5 x 5
+        # patch: each stage checks its slice manifest's volumes first.
+        data, win, slices = tmp_path / "data", tmp_path / "win", tmp_path / "slices"
+        generate_benchmark(fast_config().benchmark_spec(), data)
+        thin = np.full((12, 12, 2), 800.0, dtype=np.float32)
+        save_volume(Volume(thin, RAW), data / "labeled" / "thin.vol")
+        save_mask(MaskVolume(np.zeros(thin.shape, np.uint8)),
+                  data / "labeled" / "thin_mask.vol")
+        assert self.run_cli("window", "--in", str(data / "labeled"), "--out", str(win)) == 0
+        assert self.run_cli("slice", "--in", str(win), "--out", str(slices)) == 0
+        capsys.readouterr()
+        for fn in ("run_stage1", "run_stage2"):
+            monkeypatch.setattr(f"ftaseg.pipeline.{fn}",
+                                lambda *args, **kw: pytest.fail("a stage trained"))
+        init = tmp_path / "init.seg"
+        ftaseg.save_checkpoint(
+            ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0), 0, init
+        )
+        extra = ["--init", str(init)] if stage == "train-stage2" else []
+        out = tmp_path / "out"
+        rc = self.run_cli(stage, "--slices", str(slices), "--out", str(out), *extra)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "thin.vol: dims 12x12x2" in err
+        assert not (out / "checkpoint.seg").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_window_rejects_non_finite_raw_volume_exit_3(self, tmp_path, capsys, bad):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        data = np.full((4, 5, 6), 800.0, dtype=np.float32)
+        data[1, 2, 3] = bad
+        save_volume(Volume(data, RAW), raw / "v.vol")
+        rc = self.run_cli("window", "--in", str(raw), "--out", str(tmp_path / "win"))
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {raw / 'v.vol'}: raw volume has NaN or infinite values\n"
+        )
 
     def test_train_stage1_rejects_thin_unlabeled_volume_exit_3(
         self, tmp_path, capsys, monkeypatch

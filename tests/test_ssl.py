@@ -392,7 +392,7 @@ class TestStage2:
         sched = TrainSchedule(1e-3, 25)
         res = run_stage2(
             PatchMLP(model.shape, model.params), labeled, [], [], cfg, sched,
-            FtaConfig(),
+            FtaConfig(), val_points=1,
         )
         assert res.warnings and "supervised-only" in res.warnings[0]
 
@@ -495,7 +495,7 @@ class TestStage2:
             cfg = StageConfig(seed=6, batch_size=2)
             return run_stage2(
                 PatchMLP.init_random(ModelShape(3, 4, 3), 5), labeled, unlabeled,
-                [], cfg, TrainSchedule(1e-3, 10), FtaConfig(),
+                [], cfg, TrainSchedule(1e-3, 10), FtaConfig(), val_points=1,
             )
 
         a, b = run(), run()
@@ -525,7 +525,7 @@ class TestStage2:
             before = [u.copy() for u in [ts.image for ts in labeled] + unlabeled]
             res = run_stage2(
                 PatchMLP.init_random(ModelShape(3, 4, 3), 8), labeled, unlabeled,
-                [], cfg, sched, FtaConfig(),
+                [], cfg, sched, FtaConfig(), val_points=1,
             )
             after = [ts.image for ts in labeled] + unlabeled
             assert all(np.array_equal(x, y) for x, y in zip(before, after))
@@ -625,7 +625,7 @@ class TestStage2:
         res = run_stage2(
             PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
             [], [], StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 3),
-            FtaConfig(),
+            FtaConfig(), val_points=1,
         )
         assert res.history == [] and res.val_reports == []
 
@@ -633,7 +633,7 @@ class TestStage2:
         with pytest.raises(DataError):
             run_stage2(
                 PatchMLP.init_random(ModelShape(3, 4, 3), 0), [], [], [],
-                StageConfig(), TrainSchedule(1e-4, 5), FtaConfig(),
+                StageConfig(), TrainSchedule(1e-4, 5), FtaConfig(), val_points=1,
             )
 
 

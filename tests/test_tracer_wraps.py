@@ -81,6 +81,7 @@ def test_model_wraps_count_rows_of_a_two_lane_stage2_run():
         run_stage2(
             PatchMLP.init_random(ModelShape(), 0), labeled, unlabeled, [],
             StageConfig(seed=0, batch_size=2), TrainSchedule(1e-3, 3), FtaConfig(),
+            val_points=1,
         )
     finally:
         t.restore()
