@@ -8,6 +8,13 @@ grad_from_prob_grad, then adamw_step; inference calls predict_probs. A
 perturbed forward pass also returns the unperturbed probabilities of the
 same rows, and a backward pass consumes the cache it reads.
 
+A model computes in the dtype of its parameters: float32 from
+``init_random``, ``adamw_step`` and ``load_checkpoint``, the precision a
+checkpoint stores. Patches, activations and weight gradients are in that
+dtype; the output logits are widened to float64, so probabilities, losses
+and the gradient a backward pass returns are float64, and AdamW updates in
+float64 before rounding the parameters back.
+
 SEG1 checkpoint layout (little-endian), 28 + 4 * n_params bytes:
 
     magic "SEG1" | patch u32 | hidden1 u32 | hidden2 u32 | n_params u32 |
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,7 +79,7 @@ def _selu_(z: np.ndarray, scratch: "Workspace") -> np.ndarray:
     # scratch buffer: one transcendental, no boolean select.
     for r0 in range(0, len(z), ROW_CHUNK):
         zc = z[r0:r0 + ROW_CHUNK]
-        tmp = scratch.take("selu", zc.shape)
+        tmp = scratch.take("selu", zc.shape, z.dtype)
         np.minimum(zc, 0.0, out=tmp)
         np.expm1(tmp, out=tmp)
         tmp *= SELU_ALPHA
@@ -81,13 +89,21 @@ def _selu_(z: np.ndarray, scratch: "Workspace") -> np.ndarray:
     return z
 
 
-def _selu_grad_(a: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _selu_grad_(a: np.ndarray, scratch: "Workspace") -> np.ndarray:
     # a = selu(z) before any perturbation. selu is strictly increasing with
     # selu(0) = 0, so the branch test works on a itself, and for z <= 0 the
     # derivative equals a + scale*alpha: no exponential in the backward pass.
+    # The branches are blended as out - out*mask + scale*mask with a 0/1
+    # mask, which is exact for finite a and cheaper than a masked copy.
+    out = scratch.take("selu", a.shape, a.dtype)
+    mask = scratch.take("selu_mask", a.shape, a.dtype)
+    prod = scratch.take("selu_prod", a.shape, a.dtype)
     np.add(a, SELU_SCALE * SELU_ALPHA, out=out)
     np.greater(a, 0.0, out=mask)
-    np.copyto(out, SELU_SCALE, where=mask)
+    np.multiply(out, mask, out=prod)
+    out -= prod
+    mask *= SELU_SCALE
+    out += mask
     return out
 
 
@@ -146,27 +162,36 @@ def _alpha_dropout_(
     rng: np.random.Generator,
     out: np.ndarray,
     keep: np.ndarray,
+    draws: np.ndarray,
 ) -> float:
-    # Writes the dropped-out activations to out and the kept units to keep;
-    # the uniform draws pass through out first. Returns the rescaling factor.
-    rng.random(out=out)
-    np.greater_equal(out, rate, out=keep)
+    # Writes the dropped-out activations to out and the kept units to keep.
+    # The uniforms are float64 draws into ``draws`` whatever the dtype of a,
+    # so the keep mask depends only on the generator. The units are blended
+    # as keep*a + drop*saturation, exact for finite a and cheaper than a
+    # masked copy. Returns the rescaling factor.
+    rng.random(out=draws)
+    np.greater_equal(draws, rate, out=keep)
+    np.less(draws, rate, out=draws)
+    draws *= SELU_SATURATION
+    np.multiply(keep, a, out=out)
+    out += draws
     q = 1.0 - rate
     scale = (q + SELU_SATURATION**2 * rate * q) ** -0.5
     shift = -scale * rate * SELU_SATURATION
-    np.copyto(out, SELU_SATURATION)
-    np.copyto(out, a, where=keep)
     out *= scale
     out += shift
     return scale
 
 
 class Workspace:
-    """Grow-only named float64 and bool buffers for forward and backward passes.
+    """Grow-only named buffers for forward and backward passes.
 
-    ``take`` returns a view of the named buffer and allocates only when a
-    pass needs more elements than the buffer holds, so repeated passes of
-    the same or a smaller size allocate nothing. The arrays a backward pass
+    ``take`` returns a view of the named buffer in the dtype the pass asks
+    for: the model parameters' dtype for patches, activations and deltas,
+    bool for keep masks and float64 for dropout's uniform draws. It
+    allocates only when a pass needs more elements than the buffer holds or
+    another dtype, so repeated passes of the same or a smaller size
+    allocate nothing. The arrays a backward pass
     reads (patches, activations, keep masks) live in the workspace of their
     role; temporaries live in ``scratch``, which several workspaces may
     share as long as their passes never run at the same time. A cache
@@ -185,7 +210,7 @@ class Workspace:
         # alive until the cyclic garbage collector happens to run.
         return self if self._scratch is None else self._scratch
 
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         size = math.prod(shape)
         buf = self._flat.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
@@ -194,10 +219,15 @@ class Workspace:
 
 
 class PatchMLP:
-    """Reference segmenter over k x k patch features with a flat param vector."""
+    """Reference segmenter over k x k patch features with a flat param vector.
+
+    It computes in the dtype of its parameters: float32 or float64 as
+    given, other dtypes promoted to at least float32.
+    """
 
     def __init__(self, shape: ModelShape, params: np.ndarray):
-        params = np.array(params, dtype=np.float64, copy=True).ravel()
+        params = np.asarray(params)
+        params = params.astype(np.promote_types(params.dtype, np.float32)).ravel()
         if params.size != shape.n_params:
             raise DataError(
                 f"parameter count {params.size} does not match shape "
@@ -219,7 +249,7 @@ class PatchMLP:
             rng.normal(0.0, h2**-0.5, h2),
             np.zeros(1),
         ]
-        return cls(shape, np.concatenate(parts))
+        return cls(shape, np.concatenate(parts).astype(np.float32))
 
     def _unpack(
         self, vec: np.ndarray
@@ -241,10 +271,11 @@ class PatchMLP:
         # planes is stacked, padded and windowed once.
         k = self.shape.patch
         pad = k // 2
-        rows = ws.take("patches", (sum(u.size for u in planes), k * k))
+        dtype = self.params.dtype
+        rows = ws.take("patches", (sum(u.size for u in planes), k * k), dtype)
         o = 0
         for (h, w), run in itertools.groupby(planes, key=lambda u: u.shape):
-            data = np.array(list(run), dtype=np.float64)
+            data = np.array(list(run), dtype=dtype)
             if pad > 0:
                 if min(h, w) <= pad:
                     raise DataError(
@@ -275,33 +306,41 @@ class PatchMLP:
             raise NumericError("model parameters contain non-finite values")
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
         n, h1, h2 = len(p), self.shape.hidden1, self.shape.hidden2
+        dtype = self.params.dtype
         tmp = ws.scratch
+        ends = np.cumsum(sizes)
 
         def dense_selu(x, w, b, name, width):
-            z = np.matmul(x, w.T, out=ws.take(name, (n, width)))
+            z = np.matmul(x, w.T, out=ws.take(name, (n, width), dtype))
             z += b
             return _selu_(z, tmp)
 
         def dropout(a, rng, name, keep_name):
-            out = ws.take(name, a.shape)
+            out = ws.take(name, a.shape, dtype)
             keep = ws.take(keep_name, a.shape, bool)
-            return out, keep, _alpha_dropout_(a, perturb.rate, rng, out, keep)
+            draws = tmp.take("draws", a.shape, np.float64)
+            return out, keep, _alpha_dropout_(a, perturb.rate, rng, out, keep, draws)
+
+        def head(a):
+            # One matrix-vector product per plane, as a pass over that plane
+            # alone computes it: the product can round a row differently
+            # with the number of rows it is given, so one product over all
+            # planes would not give each plane's bytes. The logits are
+            # widened to float64 before the sigmoid.
+            z = np.empty(n, dtype)
+            for m, e in zip(sizes, ends):
+                np.matmul(a[e - m:e], w3, out=z[e - m:e])
+            z += b3
+            return sigmoid(z.astype(np.float64))
 
         a1_pre = dense_selu(p, w1, b1, "a1_pre", h1)
         cache: dict = {}
         if perturb is not None:
             # The unperturbed view of the same rows, forward only: layer 2
             # over a1_pre, in the buffer that the perturbed layer 2
-            # overwrites next, then the head plane by plane as in
-            # predict_probs. A matrix-vector product can round its last few
-            # rows differently with the number of rows, so one product over
-            # all planes would not give predict_probs' bytes.
+            # overwrites next, then the head.
             weak_a2 = dense_selu(a1_pre, w2, b2, "a2_pre", h2)
-            ends = np.cumsum(sizes)
-            weak = np.concatenate(
-                [sigmoid(weak_a2[e - n:e] @ w3 + b3) for n, e in zip(sizes, ends)]
-            )
-            cache["weak_probs"] = np.clip(weak, 1e-15, 1.0 - 1e-15)
+            cache["weak_probs"] = np.clip(head(weak_a2), 1e-15, 1.0 - 1e-15)
         a1 = a1_pre
         keep1 = keep2 = None
         scale = 1.0
@@ -312,7 +351,7 @@ class PatchMLP:
         a2 = a2_pre
         if perturb is not None and perturb.rate > 0.0:
             a2, keep2, _ = dropout(a2_pre, rng, "a2", "keep2")
-        probs = sigmoid(a2 @ w3 + b3)
+        probs = head(a2)
         cache.update(
             patches=p, a1_pre=a1_pre, a1=a1, a2_pre=a2_pre, a2=a2, probs=probs,
             keep1=keep1, keep2=keep2, scale=scale, ws=ws,
@@ -359,16 +398,20 @@ class PatchMLP:
         return np.clip(probs, 1e-15, 1.0 - 1e-15)
 
     def grad_from_logit_grad(self, cache: dict, dz3: np.ndarray) -> np.ndarray:
-        """Parameter gradient from a per-row gradient on the output logits.
+        """Parameter gradient (float64) from a per-row gradient on the
+        output logits.
 
-        The pass consumes its cache: its deltas overwrite the cache's
-        ``a2_pre`` and ``a1_pre`` (and ``a2``/``a1`` when they are the same
-        buffers), so each cache serves one backward pass. Its temporaries
-        live in the scratch of the cache's workspace.
+        The pass runs in the parameters' dtype and consumes its cache: its
+        deltas overwrite the cache's ``a2_pre`` and ``a1_pre`` (and
+        ``a2``/``a1`` when they are the same buffers), so each cache serves
+        one backward pass. Its temporaries live in the scratch of the
+        cache's workspace.
         """
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
         a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
         tmp = cache["ws"].scratch
+        dtype = self.params.dtype
+        dz3 = np.asarray(dz3, dtype=dtype)
 
         def backprop_selu(a_pre, keep, upstream):
             # Overwrites a_pre, a chunk of rows at a time, with the delta
@@ -377,13 +420,12 @@ class PatchMLP:
             for r0 in range(0, len(a_pre), ROW_CHUNK):
                 rows = slice(r0, r0 + ROW_CHUNK)
                 d = a_pre[rows]
-                g = _selu_grad_(
-                    d, tmp.take("selu", d.shape), tmp.take("grad_mask", d.shape, bool)
-                )
+                g = _selu_grad_(d, tmp)
                 upstream(rows, d)
                 if keep is not None:
                     d *= np.multiply(
-                        keep[rows], cache["scale"], out=tmp.take("keep_scale", d.shape)
+                        keep[rows], cache["scale"],
+                        out=tmp.take("keep_scale", d.shape, dtype),
                     )
                 d *= g
             return a_pre
@@ -406,7 +448,8 @@ class PatchMLP:
         gw1 = dz1.T @ p
         gb1 = dz1.sum(axis=0)
         return np.concatenate(
-            [gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, np.array([gb3])]
+            [gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, np.array([gb3])],
+            dtype=np.float64,
         )
 
     def grad_from_prob_grad(self, cache: dict, dloss_dprobs: np.ndarray) -> np.ndarray:
@@ -445,7 +488,11 @@ class AdamWState:
 def adamw_step(
     params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: float
 ) -> tuple[np.ndarray, AdamWState]:
-    """One decoupled-weight-decay Adam update; returns new params and state."""
+    """One decoupled-weight-decay Adam update; returns new params and state.
+
+    The update is computed in float64; the new parameters keep the dtype of
+    ``params``.
+    """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape:
         raise DataError("params and grads must have equal length")
@@ -456,26 +503,38 @@ def adamw_step(
     v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
     m_hat = m / (1.0 - state.beta1**t)
     v_hat = v / (1.0 - state.beta2**t)
-    new_params = params * (1.0 - lr * state.weight_decay) - lr * m_hat / (
-        np.sqrt(v_hat) + state.eps
-    )
+    new_params = np.asarray(params, dtype=np.float64) * (
+        1.0 - lr * state.weight_decay
+    ) - lr * m_hat / (np.sqrt(v_hat) + state.eps)
     new_state = AdamWState(
         m, v, t, state.beta1, state.beta2, state.eps, state.weight_decay
     )
-    return new_params, new_state
+    return new_params.astype(params.dtype, copy=False), new_state
 
 
 def save_checkpoint(model: PatchMLP, step: int, path: Path | str) -> None:
     """Serialize the model and its optimizer step count as SEG1
-    (deterministic bytes)."""
+    (deterministic bytes).
+
+    The bytes go to a sibling temporary file that then replaces ``path``,
+    so a write that fails leaves any previous checkpoint intact and no
+    temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
     s = model.shape
-    with open(path, "wb") as f:
-        f.write(
-            _CKPT_HEADER.pack(
-                CHECKPOINT_MAGIC, s.patch, s.hidden1, s.hidden2, s.n_params, step
+    try:
+        with open(tmp, "wb") as f:
+            f.write(
+                _CKPT_HEADER.pack(
+                    CHECKPOINT_MAGIC, s.patch, s.hidden1, s.hidden2, s.n_params, step
+                )
             )
-        )
-        f.write(model.params.astype("<f4").tobytes())
+            f.write(model.params.astype("<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: Path | str) -> tuple[PatchMLP, int]:
@@ -497,4 +556,4 @@ def load_checkpoint(path: Path | str) -> tuple[PatchMLP, int]:
             f"found {payload} bytes"
         )
     params = np.frombuffer(blob, dtype="<f4", offset=_CKPT_HEADER.size)
-    return PatchMLP(shape, params.astype(np.float64)), step
+    return PatchMLP(shape, params), step

@@ -364,9 +364,7 @@ def run_stage2(
     empty unlabeled pool the loop degrades to supervised-only training and
     records a warning. Validation metrics are logged min(``val_points``,
     iterations) times at evenly spread iterations, the last one on the
-    final model. After the last step the parameters are rounded through
-    float32, as a SEG1 checkpoint stores them, so the returned model and
-    the last validation are exactly the saved model's.
+    final model.
     """
     if not labeled:
         raise DataError("stage 2 requires a nonempty labeled set")
@@ -524,8 +522,6 @@ def run_stage2(
                     sup_loss + cfg.unsup_weight * unsup_loss / cfg.batch_size
                 )
 
-            if it + 1 == sched.total_iters:
-                model.params = model.params.astype(np.float32).astype(np.float64)
             if val_cases and it + 1 in val_iters:
                 epoch += 1
                 mean, val_reports = evaluate_volumes(model, val_cases)

@@ -223,6 +223,7 @@ def _selu_ref(z: np.ndarray) -> np.ndarray:
 
 
 def _selu_grad_ref(a: np.ndarray) -> np.ndarray:
+    # A select by mask, computed in a's dtype.
     return np.where(a > 0, SELU_SCALE_REF, a + SELU_SCALE_REF * SELU_ALPHA_REF)
 
 
@@ -238,6 +239,8 @@ def sigmoid_ref(z: np.ndarray) -> np.ndarray:
 
 
 def _alpha_dropout_ref(activations: np.ndarray, rate: float, rng):
+    # A select by mask from float64 uniform draws, computed in the dtype of
+    # the activations.
     saturation = -SELU_SCALE_REF * SELU_ALPHA_REF
     keep = rng.random(activations.shape) >= rate
     q = 1.0 - rate
@@ -267,10 +270,15 @@ def patches_ref(img: np.ndarray, k: int) -> np.ndarray:
     return 2.0 * windows.reshape(-1, k * k) - 1.0
 
 
-def mlp_forward_rows_ref(params, dims, p: np.ndarray, rate=None, seed=None) -> dict:
+def mlp_forward_rows_ref(
+    params, dims, p: np.ndarray, rate=None, seed=None, sizes=None
+) -> dict:
     """Allocating forward pass over stacked patch rows; ``dims`` is
     (patch, hidden1, hidden2), and a rate > 0 applies alpha dropout to both
-    hidden layers from one generator seeded with ``seed``."""
+    hidden layers from one generator seeded with ``seed``. ``sizes`` gives
+    each plane's row count (default: one plane); the head's matrix-vector
+    product runs plane by plane, since it can round a row differently with
+    the number of rows it is given."""
     w1, b1, w2, b2, w3, b3 = unpack_ref(params, *dims)
     a1_pre = _selu_ref(p @ w1.T + b1)
     a1 = a1_pre
@@ -283,9 +291,12 @@ def mlp_forward_rows_ref(params, dims, p: np.ndarray, rate=None, seed=None) -> d
     a2 = a2_pre
     if rate:
         a2, keep2, _ = _alpha_dropout_ref(a2_pre, rate, rng)
+    sizes = [len(p)] if sizes is None else sizes
+    ends = np.cumsum(sizes)
+    logits = np.concatenate([a2[e - m:e] @ w3 for m, e in zip(sizes, ends)])
     return {
         "patches": p, "a1_pre": a1_pre, "a1": a1, "a2_pre": a2_pre, "a2": a2,
-        "probs": sigmoid_ref(a2 @ w3 + b3), "keep1": keep1, "keep2": keep2,
+        "probs": sigmoid_ref(logits + b3), "keep1": keep1, "keep2": keep2,
         "scale": scale,
     }
 

@@ -5,12 +5,16 @@ import pytest
 
 from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.model import (
+    SELU_ALPHA,
+    SELU_SCALE,
     AdamWState,
     ModelShape,
     PatchMLP,
     Perturbation,
     TrainSchedule,
     Workspace,
+    _alpha_dropout_,
+    _selu_grad_,
     adamw_step,
     load_checkpoint,
     poly_lr,
@@ -20,6 +24,8 @@ from ftaseg.model import (
 from ftaseg.ssl import TrainSlice, _supervised_batch
 
 from oracles import (
+    _alpha_dropout_ref,
+    _selu_grad_ref,
     adam_plain,
     finite_diff_grad,
     mlp_forward_rows_ref,
@@ -33,6 +39,12 @@ from oracles import (
 
 def rand_slice(rng, h=4, w=4):
     return rng.random((h, w), dtype=np.float32)
+
+
+def float64_model(shape: ModelShape, seed: int) -> PatchMLP:
+    # init_random's parameters widened to float64: the same code then
+    # computes in float64, the oracles' precision.
+    return PatchMLP(shape, PatchMLP.init_random(shape, seed).params.astype(np.float64))
 
 
 class TestPolyLr:
@@ -157,7 +169,7 @@ class TestForward:
 
 
 def _noisy(shape: ModelShape, seed: int) -> PatchMLP:
-    model = PatchMLP.init_random(shape, seed)
+    model = float64_model(shape, seed)
     model.params += np.random.default_rng(seed).normal(0.0, 0.3, model.params.size)
     return model
 
@@ -168,10 +180,11 @@ def _dims(model: PatchMLP) -> tuple[int, int, int]:
 
 def _ref_forward(model, slices, perturb=None) -> dict:
     p = np.vstack([patches_ref(s, model.shape.patch) for s in slices])
+    sizes = [s.size for s in slices]
     if perturb is None:
-        return mlp_forward_rows_ref(model.params, _dims(model), p)
+        return mlp_forward_rows_ref(model.params, _dims(model), p, sizes=sizes)
     return mlp_forward_rows_ref(
-        model.params, _dims(model), p, perturb.rate, perturb.seed
+        model.params, _dims(model), p, perturb.rate, perturb.seed, sizes
     )
 
 
@@ -288,7 +301,7 @@ class TestLoss:
         shape = ModelShape(3, 4, 3)
         rng = np.random.default_rng(8)
         for trial in range(4):
-            model = PatchMLP.init_random(shape, trial)
+            model = float64_model(shape, trial)
             # Labeled and pseudo-labeled slices carry different weights.
             batch = [
                 train_slice(rng, 4, 4, 1.0),
@@ -375,10 +388,43 @@ class TestCheckpoint:
         save_checkpoint(model, 17, path)
         loaded, step = load_checkpoint(path)
         assert loaded.shape == model.shape
-        assert np.array_equal(
-            loaded.params, model.params.astype(np.float32).astype(np.float64)
-        )
+        assert loaded.params.dtype == np.float32
+        assert loaded.params.tobytes() == model.params.tobytes()
         assert step == 17
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        # The second save fails after the header and half the payload are
+        # written: the first checkpoint survives and no temporary file stays.
+        path = tmp_path / "checkpoint.seg"
+        save_checkpoint(PatchMLP.init_random(ModelShape(3, 4, 3), 0), 1, path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.f.write(data[:len(data) // 2])
+                    raise OSError("No space left on device")
+                return self.f.write(data)
+
+        monkeypatch.setattr(
+            "ftaseg.model.open", lambda *a, **k: FailingFile(open(*a, **k)),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(PatchMLP.init_random(ModelShape(3, 4, 3), 1), 2, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.seg"]
 
     def test_layout_is_header_then_params(self, tmp_path):
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 3)
@@ -418,6 +464,94 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + bytes(2 * 4 * n))
         with pytest.raises(DataError, match=f"{4 * n}-byte .* found {12 * n} bytes"):
             load_checkpoint(path)
+
+
+class TestBranchFreeMasks:
+    """The 0/1 blends in the SELU gradient and in dropout give the bytes of
+    a select by mask, in both dtypes."""
+
+    @staticmethod
+    def selu_outputs(dtype) -> np.ndarray:
+        # SELU outputs at the edges: signed zeros, the smallest and largest
+        # magnitudes of the dtype, both sides of 0 and the negative limit.
+        info = np.finfo(dtype)
+        edges = [0.0, -0.0, info.smallest_subnormal, info.tiny, 1e-30, 1.0,
+                 1e30, info.max, -info.smallest_subnormal, -info.tiny, -1e-30,
+                 -1.0, -SELU_SCALE * SELU_ALPHA]
+        rng = np.random.default_rng(40)
+        normals = rng.normal(0.0, 2.0, 64 * 8 - len(edges))
+        a = np.concatenate([np.array(edges, dtype=dtype), normals.astype(dtype)])
+        return np.maximum(a, dtype(-SELU_SCALE * SELU_ALPHA)).reshape(64, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selu_grad_matches_select(self, dtype):
+        a = self.selu_outputs(dtype)
+        got = _selu_grad_(a, Workspace())
+        assert got.dtype == dtype
+        assert got.tobytes() == _selu_grad_ref(a).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_matches_select(self, dtype):
+        a = self.selu_outputs(dtype)
+        out, keep = np.empty_like(a), np.empty(a.shape, dtype=bool)
+        scale = _alpha_dropout_(
+            a, 0.3, np.random.default_rng(41), out, keep, np.empty(a.shape)
+        )
+        want, want_keep, want_scale = _alpha_dropout_ref(
+            a, 0.3, np.random.default_rng(41)
+        )
+        assert 0 < keep.sum() < keep.size and scale == want_scale
+        assert np.array_equal(keep, want_keep)
+        assert out.dtype == dtype
+        assert out.tobytes() == want.tobytes()
+
+
+class TestFloat32:
+    """Float32 parameters from every source, and a float32 model against
+    the float64 model on the same parameters."""
+
+    def test_every_source_gives_float32(self, tmp_path):
+        model = PatchMLP.init_random(ModelShape(3, 4, 3), 0)
+        assert model.params.dtype == np.float32
+        grad = np.ones(model.shape.n_params)
+        new, state = adamw_step(model.params, grad, AdamWState.fresh(grad.size), 0.1)
+        assert new.dtype == np.float32
+        assert state.m.dtype == state.v.dtype == np.float64
+        save_checkpoint(model, 0, tmp_path / "m.seg")
+        assert load_checkpoint(tmp_path / "m.seg")[0].params.dtype == np.float32
+
+    def test_adamw_rounds_its_float64_update(self):
+        params = np.random.default_rng(42).normal(size=16).astype(np.float32)
+        grads = np.random.default_rng(43).normal(size=16)
+        new, _ = adamw_step(params, grads, AdamWState.fresh(16), 0.05)
+        want, _ = adamw_step(params.astype(np.float64), grads, AdamWState.fresh(16), 0.05)
+        assert new.tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize(
+        "perturb", [None, Perturbation(0.1, 11)], ids=["clean", "perturbed"]
+    )
+    def test_matches_float64_model_on_same_params(self, perturb):
+        # Bounds from float32's epsilon (1.2e-7): a probability carries a
+        # few roundings per layer, and each gradient entry sums 8,192 rows
+        # whose terms each carry a few more.
+        model = PatchMLP.init_random(ModelShape(), 12)
+        model.params += np.random.default_rng(12).normal(0.0, 0.3, model.params.size)
+        wide = PatchMLP(model.shape, model.params.astype(np.float64))
+        rng = np.random.default_rng(24)
+        planes = [rand_slice(rng, 32, 32) for _ in range(8)]
+        cache = model.forward_cache_multi(planes, perturb)
+        ref = wide.forward_cache_multi(planes, perturb)
+        assert cache["probs"].dtype == np.float64
+        assert np.abs(cache["probs"] - ref["probs"]).max() < 1e-5
+        if perturb is not None:
+            assert np.array_equal(cache["keep1"], ref["keep1"])
+            assert np.array_equal(cache["keep2"], ref["keep2"])
+            assert np.abs(cache["weak_probs"] - ref["weak_probs"]).max() < 1e-5
+        dz3 = rng.normal(size=cache["probs"].size) / cache["probs"].size
+        grad = model.grad_from_logit_grad(cache, dz3)
+        want = wide.grad_from_logit_grad(ref, dz3)
+        assert grad.dtype == np.float64
+        assert np.abs(grad - want).max() < 1e-4 * np.abs(want).max()
 
 
 class TestTrainingSmoke:

@@ -49,6 +49,12 @@ from oracles import (
 )
 
 
+def float64_model(shape: ModelShape, seed: int) -> PatchMLP:
+    # init_random's parameters widened to float64: the same code then
+    # computes in float64, the oracles' precision.
+    return PatchMLP(shape, PatchMLP.init_random(shape, seed).params.astype(np.float64))
+
+
 def make_train_set(rng, n=6, hw=8):
     out = []
     for i in range(n):
@@ -212,7 +218,7 @@ def alpha_dropout(acts, rate, seed):
     out = np.empty_like(acts)
     _alpha_dropout_(
         acts, rate, np.random.default_rng(seed), out,
-        np.empty(acts.shape, dtype=bool),
+        np.empty(acts.shape, dtype=bool), np.empty(acts.shape),
     )
     return out
 
@@ -308,7 +314,7 @@ class TestUnsupervisedGradient:
     def test_matches_finite_differences(self, perturb):
         rng = np.random.default_rng(20)
         shape = ModelShape(3, 4, 3)
-        model = PatchMLP.init_random(shape, 2)
+        model = float64_model(shape, 2)
         views = [rng.random((4, 5), dtype=np.float32) for _ in range(2)]
         weak = rng.random(40)
 
@@ -369,6 +375,20 @@ class TestStage1:
         for pa, pb in zip(a.pseudo, b.pseudo):
             assert np.array_equal(pa.mask, pb.mask)
 
+    def test_model_equals_its_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(35)
+        cfg = StageConfig(stage1_epochs=2, stage1_pseudo_count=1, seed=3)
+        ids, load, _ = ids_and_load(make_volumes(rng, 2))
+        res = run_stage1(make_train_set(rng, 5), ids, load, cfg, ModelShape(3, 4, 3))
+        save_checkpoint(res.model, res.step, tmp_path / "stage1.seg")
+        loaded, step = load_checkpoint(tmp_path / "stage1.seg")
+        assert res.model.params.dtype == np.float32
+        assert res.model.params.tobytes() == loaded.params.tobytes()
+        assert step == res.step == 2
+        (pseudo,) = res.pseudo
+        want = predict_volume(loaded, load(pseudo.source_id)).data
+        assert np.array_equal(pseudo.mask, want)
+
     def test_epoch_losses_length_and_decrease(self):
         rng = np.random.default_rng(12)
         cfg = StageConfig(stage1_epochs=8, stage1_pseudo_count=0, seed=1)
@@ -408,16 +428,13 @@ class TestStage2:
             loss, grad = _supervised_batch(oracle, [labeled[i] for i in idx])
             oracle.params, opt = adamw_step(oracle.params, grad, opt, lr)
             losses.append(loss)
-        # Stage 2 hands back its final parameters rounded as SEG1 stores them.
-        assert np.array_equal(
-            res.model.params, oracle.params.astype(np.float32).astype(np.float64)
-        )
+        assert res.model.params.tobytes() == oracle.params.tobytes()
         assert res.iteration_losses == losses
 
     def test_supervised_batch_matches_per_slice_mean(self):
         rng = np.random.default_rng(14)
         batch = make_train_set(rng, 4)
-        model = PatchMLP.init_random(ModelShape(3, 4, 3), 3)
+        model = float64_model(ModelShape(3, 4, 3), 3)
         batch[1] = TrainSlice(batch[1].image, batch[1].target, 0.5)
         loss, grad = _supervised_batch(model, batch)
         dims = (3, 4, 3)
