@@ -43,8 +43,6 @@ from .model import (
 )
 from .phantom import (
     BenchmarkSpec,
-    PhantomSpec,
-    ShiftSpec,
     apply_domain_shift,
     ellipsoid_mask,
     gen_phantom,

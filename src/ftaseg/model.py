@@ -50,13 +50,16 @@ CHECKPOINT_MAGIC = b"SEG1"
 _CKPT_HEADER = struct.Struct("<4sIIIIQ")
 
 
+# Exponent of the polynomial learning-rate decay.
+LR_POWER = 0.9
+
+
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Polynomial decay: lr = base_lr * (1 - i / total_iters) ** power."""
+    """Polynomial decay: lr = base_lr * (1 - i / total_iters) ** LR_POWER."""
 
     base_lr: float = 1e-4
     total_iters: int = 1500
-    power: float = 0.9
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
@@ -71,7 +74,7 @@ def poly_lr(sched: TrainSchedule, i: int) -> float:
         raise ConfigError(
             f"iteration {i} outside schedule [0, {sched.total_iters}]"
         )
-    return sched.base_lr * (1.0 - i / sched.total_iters) ** sched.power
+    return sched.base_lr * (1.0 - i / sched.total_iters) ** LR_POWER
 
 
 def _selu_(z: np.ndarray, scratch: "Workspace") -> np.ndarray:

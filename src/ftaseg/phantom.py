@@ -1,5 +1,7 @@
 """Seeded tooth-phantom volumes and a device-style domain-shift simulator.
 
+One ``BenchmarkSpec`` describes the synthetic benchmark: its volume counts,
+the phantoms and the shift applied to the unlabeled and validation sets.
 Phantoms are K non-overlapping axis-aligned ellipsoids of foreground
 intensity on a constant background plus Gaussian noise; the mask is the
 exact analytic ellipsoid membership, so brute-force voxel counting can
@@ -10,6 +12,8 @@ touches masks.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +27,8 @@ PLACEMENT_ATTEMPTS = 1000
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """Synthetic benchmark: source-domain labeled data, shifted-domain
-    unlabeled and validation data. Its phantom values are also
-    ``PhantomSpec``'s defaults."""
+    unlabeled and validation data, all ``dim``-cubes. Construction rejects
+    every value ``gen_phantom`` or ``apply_domain_shift`` cannot use."""
 
     dim: int = 32
     labeled: int = 12
@@ -45,87 +49,31 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(val):
+                raise ConfigError(f"{f.name} must be finite, got {val}")
         if min(self.labeled, self.unlabeled, self.val) < 0:
             raise ConfigError("volume counts must be >= 0")
-        if self.fg_spread < 0:
-            raise ConfigError("fg_spread must be >= 0")
-
-    def phantom_spec(self, seed: int) -> PhantomSpec:
-        # Per-volume foreground level drawn around fg_mean: each scan gets
-        # its own contrast, so 12 labeled volumes undersample the range.
-        r = (self.radius_min, self.radius_max)
-        fg = self.fg_mean
-        if self.fg_spread > 0:
-            rng = np.random.default_rng(seed)
-            fg = float(rng.uniform(fg - self.fg_spread, fg + self.fg_spread))
-        return PhantomSpec(
-            dims=(self.dim,) * 3, ellipsoids=self.ellipsoids,
-            radius_x=r, radius_y=r, radius_z=r, fg_mean=fg, fg_std=self.fg_std,
-            bg_mean=self.bg_mean, bg_std=self.bg_std, seed=seed,
-        )
-
-    def shift_spec(self, seed: int) -> ShiftSpec:
-        return ShiftSpec(
-            gain=self.shift_gain, bias=self.shift_bias,
-            gamma=self.shift_gamma, field_amplitude=self.shift_field,
-            seed=seed,
-        )
-
-
-@dataclass(frozen=True)
-class PhantomSpec:
-    dims: tuple[int, int, int] = (BenchmarkSpec.dim,) * 3
-    ellipsoids: int = BenchmarkSpec.ellipsoids
-    radius_x: tuple[float, float] = (
-        BenchmarkSpec.radius_min, BenchmarkSpec.radius_max
-    )
-    radius_y: tuple[float, float] = radius_x
-    radius_z: tuple[float, float] = radius_x
-    fg_mean: float = BenchmarkSpec.fg_mean
-    fg_std: float = BenchmarkSpec.fg_std
-    bg_mean: float = BenchmarkSpec.bg_mean
-    bg_std: float = BenchmarkSpec.bg_std
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        if min(self.dims) < 1:
-            raise ConfigError(f"dims must all be >= 1, got {self.dims}")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.ellipsoids < 0:
-            raise ConfigError("ellipsoid count must be >= 0")
-        d, h, w = self.dims
-        for (lo, hi), extent, name in (
-            (self.radius_x, w, "radius_x"),
-            (self.radius_y, h, "radius_y"),
-            (self.radius_z, d, "radius_z"),
-        ):
-            if not 0 < lo <= hi:
-                raise ConfigError(f"{name} range must satisfy 0 < lo <= hi")
-            if self.ellipsoids > 0 and 2 * hi >= extent:
-                raise ConfigError(f"{name} upper bound {hi} does not fit in {extent}")
+            raise ConfigError(f"ellipsoids must be >= 0, got {self.ellipsoids}")
+        if not 0 < self.radius_min <= self.radius_max:
+            raise ConfigError("radius range must satisfy 0 < radius_min <= radius_max")
+        if self.ellipsoids > 0 and 2 * self.radius_max >= self.dim:
+            raise ConfigError(
+                f"radius_max {self.radius_max} does not fit in dim {self.dim}"
+            )
+        for name in ("fg_spread", "fg_std", "bg_std", "shift_field"):
+            if (val := getattr(self, name)) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {val}")
+        for name in ("shift_gain", "shift_gamma"):
+            if (val := getattr(self, name)) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {val}")
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    gain: float = 1.0
-    bias: float = 0.0
-    gamma: float = 1.0
-    field_amplitude: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.gain <= 0:
-            raise ConfigError(f"gain must be > 0, got {self.gain}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.field_amplitude < 0:
-            raise ConfigError("field_amplitude must be >= 0")
-
-
-def _place_ellipsoids(spec: PhantomSpec, rng: np.random.Generator) -> list[tuple]:
-    d, h, w = spec.dims
-    ranges = (spec.radius_x, spec.radius_y, spec.radius_z)
-    extents = (w, h, d)
+def _place_ellipsoids(spec: BenchmarkSpec, rng: np.random.Generator) -> list[tuple]:
     placed: list[tuple] = []  # (center xyz, radii xyz)
     attempts = 0
     while len(placed) < spec.ellipsoids:
@@ -135,10 +83,8 @@ def _place_ellipsoids(spec: PhantomSpec, rng: np.random.Generator) -> list[tuple
                 f"after {PLACEMENT_ATTEMPTS} attempts"
             )
         attempts += 1
-        radii = np.array([rng.uniform(lo, hi) for lo, hi in ranges])
-        center = np.array(
-            [rng.uniform(r, ext - 1 - r) for r, ext in zip(radii, extents)]
-        )
+        radii = rng.uniform(spec.radius_min, spec.radius_max, 3)
+        center = rng.uniform(radii, spec.dim - 1 - radii)
         # Bounding-sphere test keeps the membership masks disjoint.
         r_max = radii.max()
         ok = all(
@@ -170,17 +116,23 @@ def ellipsoid_mask(
     return MaskVolume(inside.astype(np.uint8))
 
 
-def gen_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
-    """Deterministic (volume, mask) pair for a spec; mask is exact membership."""
-    d, h, w = spec.dims
-    rng = np.random.default_rng(spec.seed)
-    mask = np.zeros((d, h, w), dtype=np.uint8)
-    if spec.ellipsoids > 0:
-        for center, radii in _place_ellipsoids(spec, rng):
-            mask |= ellipsoid_mask(spec.dims, tuple(center), tuple(radii)).data
-    noise = rng.standard_normal((d, h, w))
+def gen_phantom(spec: BenchmarkSpec, seed: int) -> tuple[Volume, MaskVolume]:
+    """Deterministic (volume, mask) pair for a spec and a per-volume seed;
+    the mask is exact membership. ``spec.seed`` is not read."""
+    dims = (spec.dim,) * 3
+    fg = spec.fg_mean
+    if spec.fg_spread > 0:
+        # Per-volume foreground level drawn around fg_mean: each scan gets
+        # its own contrast, so 12 labeled volumes undersample the range.
+        rng = np.random.default_rng(seed)
+        fg = float(rng.uniform(fg - spec.fg_spread, fg + spec.fg_spread))
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(dims, dtype=np.uint8)
+    for center, radii in _place_ellipsoids(spec, rng):
+        mask |= ellipsoid_mask(dims, tuple(center), tuple(radii)).data
+    noise = rng.standard_normal(dims)
     std = np.where(mask == 1, spec.fg_std, spec.bg_std)
-    data = np.where(mask == 1, spec.fg_mean, spec.bg_mean) + std * noise
+    data = np.where(mask == 1, fg, spec.bg_mean) + std * noise
     return Volume(data.astype(np.float32), RAW), MaskVolume(mask)
 
 
@@ -208,14 +160,15 @@ def smooth_bias_field(
     return field
 
 
-def apply_domain_shift(v: Volume, s: ShiftSpec) -> Volume:
-    """gain * v**gamma + bias + smooth bias field; ground truth is unaffected."""
+def apply_domain_shift(v: Volume, spec: BenchmarkSpec, seed: int) -> Volume:
+    """shift_gain * v**shift_gamma + shift_bias + a smooth bias field of
+    amplitude shift_field drawn from ``seed``; ground truth is unaffected."""
     if v.value_unit != RAW:
         raise DataError("domain shift applies to raw-intensity volumes")
-    rng = np.random.default_rng(s.seed)
+    rng = np.random.default_rng(seed)
     base = v.data.astype(np.float64)
-    if s.gamma != 1.0:  # fractional powers need a non-negative base
-        base = np.power(np.maximum(base, 0.0), s.gamma)
-    shifted = s.gain * base + s.bias
-    shifted = shifted + smooth_bias_field(v.dims, s.field_amplitude, rng)
+    if spec.shift_gamma != 1.0:  # fractional powers need a non-negative base
+        base = np.power(np.maximum(base, 0.0), spec.shift_gamma)
+    shifted = spec.shift_gain * base + spec.shift_bias
+    shifted = shifted + smooth_bias_field(v.dims, spec.shift_field, rng)
     return Volume(shifted.astype(np.float32), RAW)

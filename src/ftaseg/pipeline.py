@@ -132,15 +132,13 @@ def parse_benchmark_spec(path: Path | str) -> BenchmarkSpec:
 
 
 # Each sub-config's flat keys: its field names behind a prefix, except the
-# renamed ones; a field renamed to None has no key and keeps its default.
-_FLAT_KEYS: dict[type, tuple[str, dict[str, str | None]]] = {
+# renamed ones.
+_FLAT_KEYS: dict[type, tuple[str, dict[str, str]]] = {
     WindowSpec: ("window_", {}),
     FtaConfig: ("fta_", {"lambda_value": "fta_lambda", "mask_fraction": "fta_beta"}),
     StageConfig: ("", {}),
     ModelShape: ("", {}),
-    TrainSchedule: (
-        "", {"base_lr": "lr", "total_iters": "stage2_iters", "power": None}
-    ),
+    TrainSchedule: ("", {"base_lr": "lr", "total_iters": "stage2_iters"}),
     BenchmarkSpec: ("synth_", {
         "shift_gain": "shift_gain", "shift_bias": "shift_bias",
         "shift_gamma": "shift_gamma", "shift_field": "shift_field", "seed": "seed",
@@ -151,9 +149,8 @@ _FLAT_KEYS: dict[type, tuple[str, dict[str, str | None]]] = {
 def flat_keys(cls: type) -> dict[str, str]:
     """Field name -> ``PipelineConfig`` key of each keyed field of ``cls``."""
     prefix, renames = _FLAT_KEYS[cls]
-    keys = {f.name: renames.get(f.name, prefix + f.name)
+    return {f.name: renames.get(f.name, prefix + f.name)
             for f in dataclasses.fields(cls)}
-    return {name: key for name, key in keys.items() if key is not None}
 
 
 @dataclass(frozen=True)
@@ -212,6 +209,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.stage2_iters < 1 or self.val_points < 1:
             raise ConfigError("stage2_iters and val_points must be >= 1")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(
+                f"val_fraction must be in (0, 1), got {self.val_fraction}"
+            )
         # Build every sub-config so bad values fail at parse time.
         for cls in _FLAT_KEYS:
             self._build(cls)
@@ -278,16 +279,14 @@ def generate_benchmark(spec: BenchmarkSpec, out_dir: Path | str) -> None:
     children = np.random.SeedSequence(spec.seed).spawn(
         spec.labeled + 2 * (spec.unlabeled + spec.val)
     )
-    seeds = [int(c.generate_state(1)[0]) for c in children]
+    seeds = (int(c.generate_state(1)[0]) for c in children)
     rows = ["id,split,file,mask_file"]
 
-    def emit(split: str, idx: int, shifted: bool, with_mask: bool, si: int) -> int:
+    def emit(split: str, idx: int, shifted: bool, with_mask: bool) -> None:
         vid = f"{split[:3]}_{idx:03d}"
-        vol, mask = gen_phantom(spec.phantom_spec(seeds[si]))
-        si += 1
+        vol, mask = gen_phantom(spec, next(seeds))
         if shifted:
-            vol = apply_domain_shift(vol, spec.shift_spec(seeds[si]))
-            si += 1
+            vol = apply_domain_shift(vol, spec, next(seeds))
         sub = out / split
         sub.mkdir(parents=True, exist_ok=True)
         save_volume(vol, sub / f"{vid}.vol")
@@ -296,15 +295,13 @@ def generate_benchmark(spec: BenchmarkSpec, out_dir: Path | str) -> None:
             mask_name = f"{vid}{MASK_SUFFIX}.vol"
             save_mask(mask, sub / mask_name)
         rows.append(f"{vid},{split},{vid}.vol,{mask_name}")
-        return si
 
-    si = 0
     for i in range(spec.labeled):
-        si = emit("labeled", i, shifted=False, with_mask=True, si=si)
+        emit("labeled", i, shifted=False, with_mask=True)
     for i in range(spec.unlabeled):
-        si = emit("unlabeled", i, shifted=True, with_mask=False, si=si)
+        emit("unlabeled", i, shifted=True, with_mask=False)
     for i in range(spec.val):
-        si = emit("val", i, shifted=True, with_mask=True, si=si)
+        emit("val", i, shifted=True, with_mask=True)
     (out / "benchmark.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

@@ -9,6 +9,7 @@ plane scored on its own is named ``<source_id>_<index>_<axis>.vol``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -34,6 +35,10 @@ class WindowSpec:
     top: float = 2000.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.bottom) and math.isfinite(self.top)):
+            raise ConfigError(
+                f"window bounds must be finite, got [{self.bottom}, {self.top}]"
+            )
         if not self.bottom < self.top:
             raise ConfigError(f"window bottom {self.bottom} must be < top {self.top}")
 

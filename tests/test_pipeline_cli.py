@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,24 @@ UNUSABLE_SETTINGS = (
     ("unsup_weight", "nan", "unsup_weight must be finite"),
     ("pseudo_weight", "inf", "pseudo_weight must be finite"),
     ("synth_labeled", "-1", "volume counts must be >= 0"),
+    ("shift_gain", "0", "shift_gain must be > 0"),
+    ("shift_gamma", "-1", "shift_gamma must be > 0"),
+    ("shift_field", "-5", "shift_field must be >= 0"),
+    ("shift_bias", "inf", "shift_bias must be finite"),
+    ("synth_fg_mean", "nan", "fg_mean must be finite"),
+    ("synth_bg_std", "-40", "bg_std must be >= 0"),
+    ("synth_radius_min", "0", "radius range must satisfy 0 < radius_min"),
+    ("synth_radius_max", "6.5", "radius_max 6.5 does not fit in dim 12"),
+    ("synth_ellipsoids", "-1", "ellipsoids must be >= 0"),
+    ("synth_dim", "0", "dim must be >= 1"),
+    ("val_fraction", "nan", "val_fraction must be in"),
+    ("window_top", "inf", "window bounds must be finite"),
+)
+
+# Every float key, optional or not: each must reject NaN and +-inf when the
+# config is built.
+FLOAT_KEYS = tuple(
+    f.name for f in dataclasses.fields(PipelineConfig) if "float" in f.type
 )
 
 
@@ -104,12 +123,15 @@ class TestConfig:
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
+        # On top of the fast config, whose 12-cube some settings do not fit.
+        write_kv_config(fast_config(), path)
+        fast = path.read_text()
         for key, raw, msg in (
             ("stage2_iters", "many", "bad value for stage2_iters"),
             ("fta_lambda", "0.x", "bad value for fta_lambda"),
             *UNUSABLE_SETTINGS,
         ):
-            path.write_text(f"{key} = {raw}\n")
+            path.write_text(f"{fast}{key} = {raw}\n")
             with pytest.raises(ConfigError, match=msg):
                 parse_pipeline_config(path)
 
@@ -141,6 +163,13 @@ class TestConfig:
 
     def test_keys_in_config_file_order(self):
         assert tuple(f.name for f in dataclasses.fields(PipelineConfig)) == self.KEYS
+        assert len(FLOAT_KEYS) == 22
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_keys_reject_non_finite_values(self, key, value):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**{key: value})
 
     def test_flat_defaults_are_the_sub_config_defaults(self):
         cfg = PipelineConfig()
