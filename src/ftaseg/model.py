@@ -4,9 +4,9 @@ The reference model maps each pixel's k x k neighborhood (reflect-padded,
 intensities affinely mapped to [-1, 1]) through two SELU hidden layers to a
 sigmoid foreground probability. Backpropagation is exact and framework-free.
 The training engine calls forward_cache_multi, then grad_from_logit_grad or
-grad_from_prob_grad, then adamw_step; inference calls predict_probs. A
-perturbed forward pass also returns the unperturbed probabilities of the
-same rows, and a backward pass consumes the cache it reads.
+grad_from_prob_grad, then adamw_step; inference calls forward_cache_multi
+alone. A perturbed forward pass also returns the unperturbed probabilities
+of the same rows, and a backward pass consumes the cache it reads.
 
 A model computes in the dtype of its parameters: float32 from
 ``init_random``, ``adamw_step`` and ``load_checkpoint``, the precision a
@@ -42,8 +42,8 @@ SELU_ALPHA = 1.6732632423543772
 # Negative saturation value that self-normalizing dropout resets units to.
 SELU_SATURATION = -SELU_SCALE * SELU_ALPHA
 
-# Rows per chunk of the elementwise SELU and SELU-gradient passes, so their
-# temporaries stay this many rows tall whatever the number of rows.
+# Rows per chunk of the elementwise SELU, SELU-gradient and dropout passes,
+# whose temporaries stay this tall, and the most rows an inference pass stacks.
 ROW_CHUNK = 4096
 
 CHECKPOINT_MAGIC = b"SEG1"
@@ -165,19 +165,22 @@ def _alpha_dropout_(
     rng: np.random.Generator,
     out: np.ndarray,
     keep: np.ndarray,
-    draws: np.ndarray,
+    scratch: "Workspace",
 ) -> float:
-    # Writes the dropped-out activations to out and the kept units to keep.
-    # The uniforms are float64 draws into ``draws`` whatever the dtype of a,
-    # so the keep mask depends only on the generator. The units are blended
-    # as keep*a + drop*saturation, exact for finite a and cheaper than a
-    # masked copy. Returns the rescaling factor.
+    # Writes the dropped-out activations to out and the kept units to keep;
+    # returns the rescaling factor. The uniforms are float64 draws whatever
+    # a's dtype, so keep depends only on the generator. The units blend as
+    # keep*a + drop*saturation in a's dtype, exact for finite a and cheaper
+    # than a masked copy, chunk by chunk in the SELU buffer (idle between layers).
+    draws = scratch.take("draws", a.shape, np.float64)
     rng.random(out=draws)
     np.greater_equal(draws, rate, out=keep)
-    np.less(draws, rate, out=draws)
-    draws *= SELU_SATURATION
     np.multiply(keep, a, out=out)
-    out += draws
+    for r0 in range(0, len(a), ROW_CHUNK):
+        d = draws[r0:r0 + ROW_CHUNK]
+        drop = np.less(d, rate, out=scratch.take("selu", d.shape, a.dtype))
+        drop *= SELU_SATURATION
+        out[r0:r0 + ROW_CHUNK] += drop
     q = 1.0 - rate
     scale = (q + SELU_SATURATION**2 * rate * q) ** -0.5
     shift = -scale * rate * SELU_SATURATION
@@ -321,8 +324,7 @@ class PatchMLP:
         def dropout(a, rng, name, keep_name):
             out = ws.take(name, a.shape, dtype)
             keep = ws.take(keep_name, a.shape, bool)
-            draws = tmp.take("draws", a.shape, np.float64)
-            return out, keep, _alpha_dropout_(a, perturb.rate, rng, out, keep, draws)
+            return out, keep, _alpha_dropout_(a, perturb.rate, rng, out, keep, tmp)
 
         def head(a):
             # One matrix-vector product per plane, as a pass over that plane

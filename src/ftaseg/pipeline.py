@@ -402,24 +402,25 @@ def _load_normalized(path: Path) -> Volume:
     return load_volume(path, NORMALIZED)
 
 
-def _cut(e: ManifestEntry, path: Path, load, cache: dict) -> np.ndarray:
+def _cut(e: ManifestEntry, root: Path, name: str, load, cache: dict) -> np.ndarray:
     # Manifest rows come grouped by volume, so keeping only the last file
-    # loaded into ``cache`` reads every volume and mask once.
-    if path not in cache:
+    # loaded into ``cache``, keyed by name, reads every volume and mask once.
+    if name not in cache:
         cache.clear()
+        path = root / name
         try:
-            cache[path] = load(path).data
+            cache[name] = load(path).data
         except OSError as exc:  # also an empty mask_file, which names the dir
             raise DataError(f"cannot read {path} from the slice manifest") from exc
     try:
-        return plane(cache[path], e.axis, e.index)
+        return plane(cache[name], e.axis, e.index)
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{root / name}: {exc}") from exc
 
 
 def _check_manifest_dims(slices_dir: Path, manifest: SliceManifest, patch: int) -> None:
     # Every volume a training manifest names is cut along all three axes.
-    files = list(dict.fromkeys(slices_dir / e.file for e in manifest.entries))
+    files = [slices_dir / f for f in dict.fromkeys(e.file for e in manifest.entries)]
     _check_plane_dims(files, patch, along_z_only=False)
 
 
@@ -440,8 +441,8 @@ def load_train_slices(
             continue
         out.append(
             TrainSlice(
-                image=_cut(e, slices_dir / e.file, _load_normalized, volumes),
-                target=_cut(e, slices_dir / e.mask_file, load_mask, masks),
+                image=_cut(e, slices_dir, e.file, _load_normalized, volumes),
+                target=_cut(e, slices_dir, e.mask_file, load_mask, masks),
                 weight=weight,
             )
         )
@@ -457,7 +458,7 @@ def load_unlabeled_slices(
     slices_dir = Path(slices_dir)
     volumes: dict = {}
     return [
-        _cut(e, slices_dir / e.file, _load_normalized, volumes)
+        _cut(e, slices_dir, e.file, _load_normalized, volumes)
         for e in manifest.entries
         if e.source_id not in exclude_ids
     ]

@@ -95,7 +95,7 @@ def plane(data: np.ndarray, axis: str, index: int) -> np.ndarray:
     dim = _AXIS_DIM[axis]
     if not 0 <= index < data.shape[dim]:
         raise DataError(f"no {axis} plane {index} in a grid of dims {data.shape}")
-    return np.moveaxis(data, dim, 0)[index]
+    return data[(slice(None),) * dim + (index,)]
 
 
 def plane_keys(dims: tuple[int, ...]) -> list[tuple[str, int]]:

@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError
 from .fourier import FtaConfig, fta_augment_pair
 from .metrics import MetricsReport, evaluate_masks, mean_report
 from .model import (
+    ROW_CHUNK,
     AdamWState,
     ModelShape,
     PatchMLP,
@@ -235,34 +236,30 @@ class Stage2Result:
     val_reports: list[tuple[str, MetricsReport]]
 
 
-def predict_volume(model: PatchMLP, v: Volume) -> MaskVolume:
-    """Segment a volume plane by plane along z, one forward-only pass per
-    plane, in two lanes: a worker thread takes the upper half of the planes
-    and the calling thread the lower half. Each lane reuses one workspace,
-    so only one plane's activations per lane are alive at a time."""
+def predict_volume(
+    model: PatchMLP, v: Volume, ws: Workspace | None = None
+) -> MaskVolume:
+    """Segment a volume on the calling thread in forward-only passes on ``ws``
+    (fresh when None) over stacks of z planes of at most ``ROW_CHUNK`` rows,
+    or one plane; each plane's mask has the bytes of a pass over it alone."""
+    depth, h, w = v.dims
+    step = max(1, ROW_CHUNK // (h * w))
     mask = np.empty(v.dims, dtype=np.uint8)
-
-    def lane(planes: range) -> None:
-        # Reads model.params only and writes only its own rows of mask.
-        ws = Workspace()
-        for z in planes:
-            mask[z] = model.predict_probs(v.data[z], ws=ws) >= 0.5
-
-    depth = v.dims[0]
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        upper = worker.submit(lane, range(depth // 2, depth))
-        lane(range(depth // 2))
-        upper.result()
+    ws = Workspace() if ws is None else ws
+    for z in range(0, depth, step):
+        probs = model.forward_cache_multi(list(v.data[z:z + step]), ws=ws)["probs"]
+        mask[z:z + step] = probs.reshape(-1, h, w) >= 0.5
     return MaskVolume(mask)
 
 
 def evaluate_volumes(
     model: PatchMLP,
     cases: list[tuple[str, Volume, MaskVolume]],
+    ws: Workspace | None = None,
 ) -> tuple[MetricsReport, list[tuple[str, MetricsReport]]]:
     """Mean metrics over validation volumes, case reports in case-id order."""
     per_case = [
-        (cid, evaluate_masks(predict_volume(model, vol), gt))
+        (cid, evaluate_masks(predict_volume(model, vol, ws), gt))
         for cid, vol, gt in sorted(cases, key=lambda c: c[0])
     ]
     return mean_report([r for _, r in per_case]), per_case
@@ -398,8 +395,8 @@ def run_stage2(
     history: list[HistoryRow] = []
     iteration_losses: list[float] = []
     val_reports: list[tuple[str, MetricsReport]] = []
-    # One workspace per view. The supervised view runs on the worker lane
-    # with its own scratch; the perturbed and strong views share this one's.
+    # One workspace per view. The supervised one, with its own scratch for the
+    # worker lane, also serves validation; the other views share ``scratch``.
     sup_ws, scratch = Workspace(), Workspace()
     strong_ws, fp_ws = Workspace(scratch), Workspace(scratch)
     n_val = min(max(1, val_points), sched.total_iters)
@@ -524,7 +521,7 @@ def run_stage2(
 
             if val_cases and it + 1 in val_iters:
                 epoch += 1
-                mean, val_reports = evaluate_volumes(model, val_cases)
+                mean, val_reports = evaluate_volumes(model, val_cases, sup_ws)
                 history.append(
                     HistoryRow(
                         epoch, "val", mean.dice, mean.iou, mean.hd_norm,

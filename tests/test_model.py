@@ -5,6 +5,7 @@ import pytest
 
 from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.model import (
+    ROW_CHUNK,
     SELU_ALPHA,
     SELU_SCALE,
     AdamWState,
@@ -494,15 +495,24 @@ class TestBranchFreeMasks:
     def test_dropout_matches_select(self, dtype):
         a = self.selu_outputs(dtype)
         out, keep = np.empty_like(a), np.empty(a.shape, dtype=bool)
-        scale = _alpha_dropout_(
-            a, 0.3, np.random.default_rng(41), out, keep, np.empty(a.shape)
-        )
+        scale = _alpha_dropout_(a, 0.3, np.random.default_rng(41), out, keep, Workspace())
         want, want_keep, want_scale = _alpha_dropout_ref(
             a, 0.3, np.random.default_rng(41)
         )
         assert 0 < keep.sum() < keep.size and scale == want_scale
         assert np.array_equal(keep, want_keep)
         assert out.dtype == dtype
+        assert out.tobytes() == want.tobytes()
+
+    def test_dropout_blends_across_row_chunks(self):
+        # The saturation term is formed chunk by chunk: rows past the first
+        # chunk and a short last chunk blend like the select.
+        a = np.random.default_rng(42).normal(size=(2 * ROW_CHUNK + 5, 4))
+        a = a.astype(np.float32)
+        out, keep = np.empty_like(a), np.empty(a.shape, dtype=bool)
+        _alpha_dropout_(a, 0.3, np.random.default_rng(43), out, keep, Workspace())
+        want, want_keep, _ = _alpha_dropout_ref(a, 0.3, np.random.default_rng(43))
+        assert np.array_equal(keep, want_keep)
         assert out.tobytes() == want.tobytes()
 
 

@@ -451,9 +451,9 @@ class TestRunPipeline:
         # checkpoint's parameters: nothing predicts the volumes again.
         calls = []
 
-        def counting(model, cases):
+        def counting(model, cases, *args):
             calls.append(len(cases))
-            return evaluate_volumes(model, cases)
+            return evaluate_volumes(model, cases, *args)
 
         monkeypatch.setattr("ftaseg.ssl.evaluate_volumes", counting)
         cfg = fast_config(seed=8, synth_val=3, val_points=3)

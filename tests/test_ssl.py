@@ -218,7 +218,7 @@ def alpha_dropout(acts, rate, seed):
     out = np.empty_like(acts)
     _alpha_dropout_(
         acts, rate, np.random.default_rng(seed), out,
-        np.empty(acts.shape, dtype=bool), np.empty(acts.shape),
+        np.empty(acts.shape, dtype=bool), Workspace(),
     )
     return out
 
@@ -686,37 +686,54 @@ class TestPredictVolume:
             assert 0 < pred.voxel_count() < pred.data.size
 
     @pytest.mark.parametrize(
-        "dims",
-        [(1, 6, 6), (2, 6, 6), (5, 6, 6), (48, 6, 6), (5, 9, 13), (7, 16, 6)],
-        ids=["D1", "D2", "D5", "D48", "5x9x13", "7x16x6"],
+        "dims, stacks",
+        [
+            ((1, 6, 6), [1]),
+            ((2, 6, 6), [2]),
+            ((5, 6, 6), [5]),
+            ((48, 6, 6), [48]),
+            ((5, 9, 13), [5]),
+            ((7, 16, 6), [7]),
+            ((50, 12, 10), [34, 16]),  # 34 planes of 120 rows fit 4096
+            ((3, 70, 70), [1, 1, 1]),  # one 4900-row plane exceeds 4096
+        ],
+        ids=["D1", "D2", "D5", "D48", "5x9x13", "7x16x6", "50x12x10", "3x70x70"],
     )
-    def test_two_lanes_equal_one_inline_lane(self, dims, monkeypatch):
+    def test_stacked_passes_equal_per_plane_prediction(self, dims, stacks):
         rng = np.random.default_rng(19)
         model = _noisy_model(ModelShape(), 6, 0.3)
         vol = Volume(rng.random(dims, dtype=np.float32), NORMALIZED)
-        lanes = []
-        predict = model.predict_probs
+        passes = []
+        forward = model.forward_cache_multi
 
-        def recording(plane, *args, **kwargs):
-            lanes.append(threading.current_thread() is threading.main_thread())
-            return predict(plane, *args, **kwargs)
+        def recording(planes, *args, **kwargs):
+            passes.append(
+                (len(planes), threading.current_thread() is threading.main_thread())
+            )
+            return forward(planes, *args, **kwargs)
 
-        model.predict_probs = recording
+        model.forward_cache_multi = recording
         threads = threading.active_count()
-        two = predict_volume(model, vol)
+        pred = predict_volume(model, vol)
         assert threading.active_count() == threads
-        assert len(lanes) == dims[0]
-        assert lanes.count(False) == dims[0] - dims[0] // 2  # the worker's half
+        assert passes == [(n, True) for n in stacks]
+        per_plane = np.stack([model.predict_probs(p) >= 0.5 for p in vol.data])
+        assert pred.data.tobytes() == per_plane.astype(np.uint8).tobytes()
 
-        monkeypatch.setattr("ftaseg.ssl.ThreadPoolExecutor", InlineExecutor)
-        lanes.clear()
-        one = predict_volume(model, vol)
-        assert lanes == [True] * dims[0]
-        assert two.data.tobytes() == one.data.tobytes()
+    def test_reused_training_workspace_gives_fresh_bytes(self):
+        # Stage-2 validation predicts on the supervised batch's workspace,
+        # whose buffers a larger forward and backward pass left dirty.
+        rng = np.random.default_rng(29)
+        model = _noisy_model(ModelShape(), 6, 0.3)
+        vol = Volume(rng.random((9, 40, 40), dtype=np.float32), NORMALIZED)
+        ws = Workspace()
+        _supervised_batch(model, make_train_set(rng, n=8, hw=40), ws)
+        reused = predict_volume(model, vol, ws)
+        assert reused.data.tobytes() == predict_volume(model, vol).data.tobytes()
 
     def test_concurrent_calls_under_fine_switching(self):
-        # Three callers run six lanes at once: every lane keeps to its own
-        # rows and workspace, and model.params is only read.
+        # Three callers predict at once: each keeps to its own mask and
+        # workspace, and model.params is only read.
         model = _noisy_model(ModelShape(), 6, 0.3)
         vol = Volume(
             np.random.default_rng(23).random((9, 12, 10), dtype=np.float32), NORMALIZED
@@ -750,28 +767,30 @@ class TestPredictVolume:
             predict_volume(model, vol)
         assert threading.active_count() == threads
 
-    def test_worker_lane_error_surfaces_unchanged(self):
-        # Only the worker lane fails; the calling thread's planes succeed.
+    def test_later_stack_error_surfaces_unchanged(self):
+        # The first stack of planes succeeds; the second one fails.
         model = _noisy_model(ModelShape(3, 4, 3), 6, 0.3)
         bad = PatchMLP(model.shape, np.full(model.shape.n_params, np.nan))
-        predict = model.predict_probs
-        raised = []
+        forward = model.forward_cache_multi
+        passes, raised = [], []
 
-        def worker_fails(plane, *args, **kwargs):
-            if threading.current_thread() is threading.main_thread():
-                return predict(plane, *args, **kwargs)
+        def second_fails(planes, *args, **kwargs):
+            passes.append(len(planes))
+            if len(passes) == 1:
+                return forward(planes, *args, **kwargs)
             try:
-                return bad.predict_probs(plane, *args, **kwargs)
+                return bad.forward_cache_multi(planes, *args, **kwargs)
             except NumericError as exc:
                 raised.append(exc)
                 raise
 
-        model.predict_probs = worker_fails
-        vol = Volume(np.zeros((4, 5, 5), dtype=np.float32), NORMALIZED)
+        model.forward_cache_multi = second_fails
+        vol = Volume(np.zeros((50, 12, 10), dtype=np.float32), NORMALIZED)
         threads = threading.active_count()
         with pytest.raises(NumericError) as info:
             predict_volume(model, vol)
         assert info.value is raised[0]
+        assert passes == [34, 16]
         assert threading.active_count() == threads
 
     def test_peak_memory_of_a_48_cube_stays_under_8_mib(self):
