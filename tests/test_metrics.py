@@ -122,10 +122,27 @@ class TestDistances:
         with pytest.raises(UndefinedMetricError):
             hausdorff_l1(full, empty)
 
+    def test_opposite_corners_of_a_flat_grid(self):
+        # Non-cubic dims: a transform that rotates the wrong axis in gets a
+        # different sum.
+        dims = (48, 33, 7)
+        a = mask_from([(0, 0, 0)], dims)
+        b = mask_from([(6, 32, 47)], dims)
+        assert hausdorff_l1(a, b) == 47 + 32 + 6
+
+    def test_one_voxel_against_a_full_mask(self):
+        # The voxel lies inside the full mask, so only the full mask's far
+        # corner counts: from (z, y, x) = (1, 3, 0) in a (7, 4, 2) grid it
+        # is (6, 0, 1).
+        a = mask_from([(0, 3, 1)], (7, 4, 2))
+        full = MaskVolume(np.ones((7, 4, 2), dtype=np.uint8))
+        assert hausdorff_l1(a, full) == hausdorff_l1(full, a) == 5 + 3 + 1
+
     def test_brute_force_oracles(self):
         rng = np.random.default_rng(2)
         for _ in range(60):
-            dims = tuple(rng.integers(2, 6, 3))
+            # Axes of length 1 and non-cubic grids included.
+            dims = tuple(rng.integers(1, 10, 3))
             a = random_mask(rng, dims, 0.25)
             b = random_mask(rng, dims, 0.25)
             if a.voxel_count() == 0 or b.voxel_count() == 0:

@@ -842,18 +842,29 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "o.ppm").read_bytes().startswith(b"P6\n")
 
-    def test_console_entrypoint(self):
+    @staticmethod
+    def _child(*args: str) -> subprocess.CompletedProcess:
         # The child imports the same package as this test, installed or not.
         src = str(Path(ftaseg.__file__).parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ftaseg.cli", "--help"],
+        return subprocess.run(
+            [sys.executable, *args],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_console_entrypoint(self):
+        proc = self._child("-m", "ftaseg.cli", "--help")
         assert proc.returncode == 0
         for cmd in ("synth", "window", "slice", "fta", "train-stage1",
                     "train-stage2", "score", "overlay", "pipeline"):
             assert cmd in proc.stdout
+
+    def test_imports_no_scipy(self):
+        # numpy and the standard library are the only runtime dependencies.
+        proc = self._child("-c", "import sys, ftaseg, ftaseg.pipeline, ftaseg.cli; print("
+                           "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestComposability:
