@@ -15,6 +15,9 @@ identity at l=0; ``standard-fda`` only touches the masked center and reduces
 to the identity at l=0. Both compute the mirrored blend for the second image
 in the same call. A call takes one pair of planes, or a stack of pairs of
 equal shape with one l per pair; transforms run over the last two axes.
+Given a ``Workspace``, a call computes in its buffers, which stop growing
+after the first call of the largest stack; stacks go through in chunks of at
+most ``ROW_CHUNK`` pixels, so only the output buffers grow with the stack.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .model import ROW_CHUNK, Workspace
 
 MODE_PAPER = "paper-literal"
 MODE_FDA = "standard-fda"
@@ -58,25 +62,70 @@ class FtaConfig:
 @dataclass(frozen=True)
 class AugmentedPair:
     """The two augmented planes or plane stacks (float32) and the largest
-    imaginary residue of their reconstructions."""
+    imaginary residue of their reconstructions. The planes view the
+    workspace of the call that made them."""
 
     z_w: np.ndarray
     z_u: np.ndarray
     imag_residue: float
 
 
+def _roll2(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, shift: int) -> np.ndarray:
+    # dst = np.roll(src, (shift * (h // 2), shift * (w // 2)), axes=(-2, -1)),
+    # through tmp: fftshift for shift = 1, ifftshift for -1. take() with
+    # in-range indices and mode="wrap" writes straight to its out array.
+    h, w = src.shape[-2:]
+    cols = (np.arange(w) - shift * (w // 2)) % w
+    rows = (np.arange(h) - shift * (h // 2)) % h
+    np.take(src, cols, axis=-1, out=tmp, mode="wrap")
+    return np.take(tmp, rows, axis=-2, out=dst, mode="wrap")
+
+
+def _spectrum(u: np.ndarray, ws: Workspace, name: str) -> tuple[np.ndarray, np.ndarray]:
+    # Center-shifted forward DFT of u as (amplitude, phase) in the buffers
+    # name_amp and name_phase. The 2D transform is the axis -1 then axis -2
+    # pair of 1D transforms that np.fft.fft2 runs, here between two complex
+    # buffers, and the phase is np.angle's arctan2(imag, real).
+    c = ws.take("fta_c", u.shape, np.complex128)
+    d = ws.take("fta_d", u.shape, np.complex128)
+    c[...] = u
+    np.fft.fft(c, axis=-1, out=d)
+    np.fft.fft(d, axis=-2, out=c)
+    spec = _roll2(c, c, d, 1)
+    amp = np.abs(spec, out=ws.take(f"{name}_amp", u.shape, np.float64))
+    phase = np.arctan2(
+        spec.imag, spec.real, out=ws.take(f"{name}_phase", u.shape, np.float64)
+    )
+    return amp, phase
+
+
+def _inverse(
+    amplitude: np.ndarray, phase: np.ndarray, ws: Workspace
+) -> tuple[np.ndarray, float]:
+    # Inverse of _spectrum: the complex result, which views ws's buffer
+    # fta_c, and the max-abs imaginary residue.
+    c = ws.take("fta_c", phase.shape, np.complex128)
+    d = ws.take("fta_d", phase.shape, np.complex128)
+    np.multiply(1j, phase, out=c)
+    np.exp(c, out=c)
+    np.multiply(amplitude, c, out=c)
+    _roll2(c, c, d, -1)
+    np.fft.ifft(c, axis=-1, out=d)
+    z = np.fft.ifft(d, axis=-2, out=c)
+    residue = np.abs(z.imag, out=ws.take("fta_residue", z.shape, np.float64))
+    return z, float(residue.max())
+
+
 def dft2_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized forward 2D DFT over the last two axes as (amplitude,
     phase), center-shifted."""
-    spec = np.fft.fftshift(np.fft.fft2(u.astype(np.float64)), axes=(-2, -1))
-    return np.abs(spec), np.angle(spec)
+    return _spectrum(u, Workspace(), "x")
 
 
 def _reconstruct(amplitude: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, float]:
     # Inverse of dft2_forward: the real part and the max-abs imaginary residue.
-    spec = amplitude * np.exp(1j * phase)
-    z = np.fft.ifft2(np.fft.ifftshift(spec, axes=(-2, -1)))
-    return z.real, float(np.abs(z.imag).max())
+    z, residue = _inverse(amplitude, phase, Workspace())
+    return z.real, residue
 
 
 def make_center_mask(h: int, w: int, mask_fraction: float) -> np.ndarray:
@@ -112,7 +161,8 @@ def symmetrize_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def fta_augment_pair(
-    x_w: np.ndarray, x_u: np.ndarray, lam, cfg: FtaConfig
+    x_w: np.ndarray, x_u: np.ndarray, lam, cfg: FtaConfig,
+    ws: Workspace | None = None,
 ) -> AugmentedPair:
     """Blend low-frequency amplitudes of two planes with weight ``lam``, both
     directions at once; ``cfg`` gives the mask and the blend mode.
@@ -121,7 +171,9 @@ def fta_augment_pair(
     (n, h, w) stacks paired by index with one ``lam`` per pair. Inputs must
     share dims and hold normalized [0, 1] intensities. Outputs keep each
     input's phase; values may exit [0, 1] slightly since the amplitude blend
-    does not preserve range.
+    does not preserve range. The transforms and the outputs use the
+    buffers of ``ws`` (fresh when None), so the outputs are valid until the
+    next call on ``ws``.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if not bool(((lam >= 0.0) & (lam <= 1.0)).all()):
@@ -133,20 +185,51 @@ def fta_augment_pair(
     for name, u in (("x_w", x_w), ("x_u", x_u)):
         if bool((u < 0.0).any()) or bool((u > 1.0).any()):
             raise DataError(f"{name} is not normalized to [0, 1]")
-    amp_w, phase_w = dft2_forward(x_w)
-    amp_u, phase_u = dft2_forward(x_u)
+    ws = Workspace() if ws is None else ws
     h, w = x_w.shape[-2:]
-    lam = lam[..., None, None]
     mask = symmetrize_mask(make_center_mask(h, w, cfg.mask_fraction))
     inv = 1.0 - mask
-    if cfg.mode == MODE_PAPER:
-        a_w = (1.0 - lam) * amp_w * inv + lam * amp_u * mask
-        a_u = (1.0 - lam) * amp_u * inv + lam * amp_w * mask
-    else:
-        a_w = amp_w * inv + ((1.0 - lam) * amp_w + lam * amp_u) * mask
-        a_u = amp_u * inv + ((1.0 - lam) * amp_u + lam * amp_w) * mask
-    z_w, res_w = _reconstruct(a_w, phase_w)
-    z_u, res_u = _reconstruct(a_u, phase_u)
-    return AugmentedPair(
-        z_w.astype(np.float32), z_u.astype(np.float32), max(res_w, res_u)
-    )
+
+    def blend(own, other, lam, name):
+        # The operations, in their order, of
+        #   paper-literal: (1 - l) * own * inv + l * other * mask
+        #   standard-fda:  own * inv + ((1 - l) * own + l * other) * mask
+        keep = 1.0 - lam
+        out = ws.take(name, own.shape, np.float64)
+        term = ws.take("fta_term", own.shape, np.float64)
+        if cfg.mode == MODE_PAPER:
+            np.multiply(keep, own, out=out)
+            out *= inv
+            np.multiply(lam, other, out=term)
+        else:
+            np.multiply(own, inv, out=out)
+            np.multiply(keep, own, out=term)
+            term += np.multiply(
+                lam, other, out=ws.take("fta_term2", own.shape, np.float64)
+            )
+        term *= mask
+        out += term
+        return out
+
+    # A single pair is a stack of one. Pairs are independent, so the stack
+    # goes through in chunks of at most ROW_CHUNK pixels (or one pair),
+    # which bounds every buffer but the outputs.
+    z_w = ws.take("fta_z_w", x_w.shape, np.float32)
+    z_u = ws.take("fta_z_u", x_w.shape, np.float32)
+    stacks = [a.reshape(-1, h, w) for a in (x_w, x_u, z_w, z_u)]
+    lams = lam.reshape(-1, 1, 1)
+    step = max(1, ROW_CHUNK // (h * w))
+    res_w, res_u = [], []
+    for i in range(0, len(lams), step):
+        x_w_c, x_u_c, z_w_c, z_u_c = (a[i:i + step] for a in stacks)
+        amp_w, phase_w = _spectrum(x_w_c, ws, "fta_w")
+        amp_u, phase_u = _spectrum(x_u_c, ws, "fta_u")
+        a_w = blend(amp_w, amp_u, lams[i:i + step], "fta_a_w")
+        a_u = blend(amp_u, amp_w, lams[i:i + step], "fta_a_u")
+        z, residue = _inverse(a_w, phase_w, ws)
+        z_w_c[...] = z.real
+        res_w.append(residue)
+        z, residue = _inverse(a_u, phase_u, ws)
+        z_u_c[...] = z.real
+        res_u.append(residue)
+    return AugmentedPair(z_w, z_u, max(float(np.max(res_w)), float(np.max(res_u))))

@@ -110,13 +110,34 @@ def _selu_grad_(a: np.ndarray, scratch: "Workspace") -> np.ndarray:
     return out
 
 
+def _sigmoid_(z: np.ndarray, scratch: "Workspace") -> np.ndarray:
+    # Sigmoid written over the 1D array z a chunk of rows at a time, with
+    # chunk-sized scratch buffers. exp(-|z|) never overflows; each side
+    # divides the same terms as the split form 1 / (1 + exp(-z)) for z >= 0
+    # and exp(z) / (1 + exp(z)) below, so the bytes match it without
+    # boolean indexing.
+    for r0 in range(0, len(z), ROW_CHUNK):
+        zc = z[r0:r0 + ROW_CHUNK]
+        e = scratch.take("sigmoid_e", zc.shape, z.dtype)
+        d = scratch.take("sigmoid_d", zc.shape, z.dtype)
+        pos = scratch.take("sigmoid_pos", zc.shape, bool)
+        np.greater_equal(zc, 0, out=pos)
+        np.abs(zc, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.add(1.0, e, out=d)
+        np.divide(e, d, out=zc)
+        np.divide(1.0, d, out=d)
+        np.copyto(zc, d, where=pos)
+    return z
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; each side divides the same terms as the
-    # split form 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z))
-    # below, so the bytes match it without boolean indexing.
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    """Elementwise logistic function, in z's float dtype (float64 for ints)."""
+    z = np.asarray(z)
+    out = z.astype(np.result_type(z, 1.0))
+    _sigmoid_(out.reshape(-1), Workspace())
+    return out
 
 
 @dataclass(frozen=True)
@@ -194,16 +215,16 @@ class Workspace:
 
     ``take`` returns a view of the named buffer in the dtype the pass asks
     for: the model parameters' dtype for patches, activations and deltas,
-    bool for keep masks and float64 for dropout's uniform draws. It
-    allocates only when a pass needs more elements than the buffer holds or
-    another dtype, so repeated passes of the same or a smaller size
-    allocate nothing. The arrays a backward pass
-    reads (patches, activations, keep masks) live in the workspace of their
-    role; temporaries live in ``scratch``, which several workspaces may
-    share as long as their passes never run at the same time. A cache
-    returned by a forward pass views these buffers, so it is valid only
-    until the next forward pass on the same workspace, and a backward pass
-    consumes it.
+    bool for keep masks, float64 for probabilities and dropout's uniform
+    draws. It allocates only when a pass needs more elements than the
+    buffer holds or another dtype, so repeated passes of the same or a
+    smaller size allocate nothing. The arrays a backward pass reads
+    (patches, activations, keep masks) and the probabilities live in the
+    workspace of their role; temporaries live in ``scratch``, which several
+    workspaces may share as long as their passes never run at the same
+    time. A cache returned by a forward pass views these buffers, so it is
+    valid only until the next forward pass on the same workspace, and a
+    backward pass consumes it.
     """
 
     def __init__(self, scratch: "Workspace | None" = None):
@@ -274,20 +295,31 @@ class PatchMLP:
         # Each plane's k x k reflect-padded windows, mapped from [0, 1]
         # intensities to [-1, 1] features, written straight into the
         # workspace's patch rows in plane order. Each run of equal-shape
-        # planes is stacked, padded and windowed once.
+        # planes is stacked into a scratch buffer, padded there and windowed
+        # once. The padding copies rows, then columns over the padded
+        # height, as np.pad(mode="reflect") does.
         k = self.shape.patch
         pad = k // 2
         dtype = self.params.dtype
         rows = ws.take("patches", (sum(u.size for u in planes), k * k), dtype)
         o = 0
         for (h, w), run in itertools.groupby(planes, key=lambda u: u.shape):
-            data = np.array(list(run), dtype=dtype)
-            if pad > 0:
-                if min(h, w) <= pad:
-                    raise DataError(
-                        f"plane {(h, w)} too small for reflect padding of {pad}"
-                    )
-                data = np.pad(data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+            if pad > 0 and min(h, w) <= pad:
+                raise DataError(
+                    f"plane {(h, w)} too small for reflect padding of {pad}"
+                )
+            run = list(run)
+            data = ws.scratch.take(
+                "padded", (len(run), h + 2 * pad, w + 2 * pad), dtype
+            )
+            cols = slice(pad, pad + w)
+            np.stack(run, out=data[:, pad:pad + h, cols])
+            for i in range(1, pad + 1):
+                data[:, pad - i, cols] = data[:, pad + i, cols]
+                data[:, pad + h - 1 + i, cols] = data[:, pad + h - 1 - i, cols]
+            for i in range(1, pad + 1):
+                data[:, :, pad - i] = data[:, :, pad + i]
+                data[:, :, pad + w - 1 + i] = data[:, :, pad + w - 1 - i]
             windows = np.lib.stride_tricks.sliding_window_view(
                 data, (k, k), axis=(1, 2)
             )
@@ -326,17 +358,20 @@ class PatchMLP:
             keep = ws.take(keep_name, a.shape, bool)
             return out, keep, _alpha_dropout_(a, perturb.rate, rng, out, keep, tmp)
 
-        def head(a):
+        def head(a, name):
             # One matrix-vector product per plane, as a pass over that plane
             # alone computes it: the product can round a row differently
             # with the number of rows it is given, so one product over all
             # planes would not give each plane's bytes. The logits are
-            # widened to float64 before the sigmoid.
-            z = np.empty(n, dtype)
+            # widened to float64 into the named buffer, where the sigmoid
+            # overwrites them with the probabilities.
+            z = tmp.take("logits", (n,), dtype)
             for m, e in zip(sizes, ends):
                 np.matmul(a[e - m:e], w3, out=z[e - m:e])
             z += b3
-            return sigmoid(z.astype(np.float64))
+            probs = ws.take(name, (n,), np.float64)
+            probs[...] = z
+            return _sigmoid_(probs, tmp)
 
         a1_pre = dense_selu(p, w1, b1, "a1_pre", h1)
         cache: dict = {}
@@ -344,8 +379,8 @@ class PatchMLP:
             # The unperturbed view of the same rows, forward only: layer 2
             # over a1_pre, in the buffer that the perturbed layer 2
             # overwrites next, then the head.
-            weak_a2 = dense_selu(a1_pre, w2, b2, "a2_pre", h2)
-            cache["weak_probs"] = np.clip(head(weak_a2), 1e-15, 1.0 - 1e-15)
+            weak = head(dense_selu(a1_pre, w2, b2, "a2_pre", h2), "weak_probs")
+            cache["weak_probs"] = np.clip(weak, 1e-15, 1.0 - 1e-15, out=weak)
         a1 = a1_pre
         keep1 = keep2 = None
         scale = 1.0
@@ -356,7 +391,7 @@ class PatchMLP:
         a2 = a2_pre
         if perturb is not None and perturb.rate > 0.0:
             a2, keep2, _ = dropout(a2_pre, rng, "a2", "keep2")
-        probs = head(a2)
+        probs = head(a2, "probs")
         cache.update(
             patches=p, a1_pre=a1_pre, a1=a1, a2_pre=a2_pre, a2=a2, probs=probs,
             keep1=keep1, keep2=keep2, scale=scale, ws=ws,
@@ -416,7 +451,9 @@ class PatchMLP:
         a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
         tmp = cache["ws"].scratch
         dtype = self.params.dtype
-        dz3 = np.asarray(dz3, dtype=dtype)
+        dz3_in = dz3
+        dz3 = tmp.take("dz3", np.shape(dz3_in), dtype)
+        np.copyto(dz3, dz3_in)
 
         def backprop_selu(a_pre, keep, upstream):
             # Overwrites a_pre, a chunk of rows at a time, with the delta
@@ -460,7 +497,14 @@ class PatchMLP:
     def grad_from_prob_grad(self, cache: dict, dloss_dprobs: np.ndarray) -> np.ndarray:
         """Parameter gradient from a per-pixel gradient on output probabilities."""
         probs = cache["probs"]
-        dz3 = dloss_dprobs.ravel() * probs * (1.0 - probs)
+        tmp = cache["ws"].scratch
+        dz3 = np.multiply(
+            np.ravel(dloss_dprobs), probs,
+            out=tmp.take("prob_dz3", probs.shape, np.float64),
+        )
+        dz3 *= np.subtract(
+            1.0, probs, out=tmp.take("prob_slope", probs.shape, np.float64)
+        )
         return self.grad_from_logit_grad(cache, dz3)
 
 

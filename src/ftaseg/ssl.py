@@ -268,18 +268,42 @@ def evaluate_volumes(
 def _supervised_batch(
     model: PatchMLP, batch: list[TrainSlice], ws: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
-    # Mean of per-slice weighted BCE, computed in one stacked pass on ws.
+    # Mean of per-slice weighted BCE, computed in one stacked pass on ws
+    # (fresh when None). The loss terms live in buffers of ws's scratch and
+    # take the same operations, so the same bytes, as
+    #   ce = -(t * log(p) + (1 - t) * log1p(-p)),  loss = sum(w * ce) / B,
+    #   dz3 = where(inside, probs - t, 0) * w / B.
+    ws = Workspace() if ws is None else ws
     cache = model.forward_cache_multi([ts.image for ts in batch], ws=ws)
     probs = cache["probs"]
-    targets = np.concatenate([ts.target.ravel() for ts in batch]).astype(np.float64)
-    pixel_w = np.concatenate(
-        [np.full(ts.target.size, ts.weight / ts.target.size) for ts in batch]
-    )
-    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    ce = -(targets * np.log(p) + (1.0 - targets) * np.log1p(-p))
-    loss = float((pixel_w * ce).sum() / len(batch))
-    inside = (probs > BCE_EPS) & (probs < 1.0 - BCE_EPS)
-    dz3 = np.where(inside, probs - targets, 0.0) * pixel_w / len(batch)
+    n, tmp = len(probs), ws.scratch
+
+    def buf(name, dtype=np.float64):
+        return tmp.take(name, (n,), dtype)
+
+    targets, pixel_w = buf("bce_targets"), buf("bce_weights")
+    o = 0
+    for ts in batch:
+        m = ts.target.size
+        targets[o:o + m] = ts.target.ravel()
+        pixel_w[o:o + m] = ts.weight / m
+        o += m
+    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS, out=buf("bce_p"))
+    ce = np.log(p, out=buf("bce_ce"))
+    ce *= targets
+    np.log1p(np.negative(p, out=p), out=p)
+    ce += np.multiply(np.subtract(1.0, targets, out=buf("bce_neg")), p, out=p)
+    np.negative(ce, out=ce)
+    ce *= pixel_w
+    loss = float(ce.sum() / len(batch))
+    inside = np.greater(probs, BCE_EPS, out=buf("bce_inside", bool))
+    outside = np.less(probs, 1.0 - BCE_EPS, out=buf("bce_outside", bool))
+    inside &= outside
+    np.invert(inside, out=outside)
+    dz3 = np.subtract(probs, targets, out=buf("bce_dz3"))
+    np.copyto(dz3, 0.0, where=outside)
+    dz3 *= pixel_w
+    dz3 /= len(batch)
     return loss, model.grad_from_logit_grad(cache, dz3)
 
 
@@ -334,6 +358,19 @@ def run_stage1(
         epoch_losses=epoch_losses,
         warnings=warnings,
     )
+
+
+def _stacked(ws: Workspace, name: str, planes: list[np.ndarray]) -> np.ndarray:
+    # np.stack(planes), written to ws's buffer ``name``.
+    out = ws.take(name, (len(planes), *planes[0].shape), np.result_type(*planes))
+    return np.stack(planes, out=out)
+
+
+def _zeroed(ws: Workspace, shape: tuple[int, ...]) -> np.ndarray:
+    # Zeroed per-row probability gradient of a view, in the view's workspace.
+    out = ws.take("prob_grad", shape, np.float64)
+    out.fill(0.0)
+    return out
 
 
 def _by_shape(shapes: list[tuple[int, int]]) -> dict[tuple[int, int], list[int]]:
@@ -397,8 +434,11 @@ def run_stage2(
     val_reports: list[tuple[str, MetricsReport]] = []
     # One workspace per view. The supervised one, with its own scratch for the
     # worker lane, also serves validation; the other views share ``scratch``.
+    # The augmented pairs of each plane shape have a workspace of their own,
+    # since a step's planes view them until the step ends.
     sup_ws, scratch = Workspace(), Workspace()
     strong_ws, fp_ws = Workspace(scratch), Workspace(scratch)
+    fta_ws: dict[tuple[int, int], Workspace] = {}
     n_val = min(max(1, val_points), sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
@@ -448,12 +488,15 @@ def run_stage2(
                             views.append((j, donor, lam, v == 0 and donor is ts.image))
                 z_w = [None] * len(views)
                 strong_planes = [None] * len(views)
-                for group in _by_shape([d.shape for _, d, _, _ in views]).values():
+                for shape, group in _by_shape([d.shape for _, d, _, _ in views]).items():
+                    ws = fta_ws.setdefault(shape, Workspace())
+                    weak_of = [weak_planes[views[k][0]] for k in group]
                     pair = fta_augment_pair(
-                        np.stack([views[k][1] for k in group]),
-                        np.stack([weak_planes[views[k][0]] for k in group]),
+                        _stacked(ws, "donors", [views[k][1] for k in group]),
+                        _stacked(ws, "weak", weak_of),
                         np.array([views[k][2] for k in group]),
                         fta_cfg,
+                        ws=ws,
                     )
                     for k, zw, zu in zip(group, pair.z_w, pair.z_u):
                         z_w[k], strong_planes[k] = zw, zu
@@ -471,8 +514,12 @@ def run_stage2(
                 # weak view, which is never back-propagated.
                 fp_cache = model.forward_cache_multi(weak_planes, perturb, fp_ws)
                 weak_probs = fp_cache["weak_probs"]
+                confidence = np.subtract(
+                    1.0, weak_probs,
+                    out=scratch.take("confidence", weak_probs.shape, np.float64),
+                )
                 tau_state = update_threshold(
-                    tau_state, np.maximum(weak_probs, 1.0 - weak_probs)
+                    tau_state, np.maximum(weak_probs, confidence, out=confidence)
                 )
                 strong_cache = (
                     model.forward_cache_multi(strong_planes, ws=strong_ws)
@@ -481,9 +528,10 @@ def run_stage2(
 
                 weak_off = np.cumsum([0] + [u.size for u in weak_planes])
                 strong_off = np.cumsum([0] + [u.size for u in strong_planes])
-                fp_grad_flat = np.zeros_like(fp_cache["probs"])
+                fp_grad_flat = _zeroed(fp_ws, fp_cache["probs"].shape)
                 strong_grad_flat = (
-                    np.zeros_like(strong_cache["probs"]) if strong_cache else None
+                    _zeroed(strong_ws, strong_cache["probs"].shape)
+                    if strong_cache else None
                 )
                 unsup_loss = 0.0
                 for j in range(cfg.batch_size):

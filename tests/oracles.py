@@ -86,6 +86,33 @@ def fta_direct(
     return z_w.real, z_u.real
 
 
+def fta_numpy(x_w, x_u, lam, mask: np.ndarray, mode: str):
+    """FTA pair through numpy's whole-array helpers (fft2, fftshift, angle,
+    ifftshift, ifft2) and one expression per blend: the byte reference for
+    the buffered transforms. Returns (z_w, z_u, imag_residue)."""
+
+    def forward(u):
+        spec = np.fft.fftshift(np.fft.fft2(u.astype(np.float64)), axes=(-2, -1))
+        return np.abs(spec), np.angle(spec)
+
+    def inverse(amplitude, phase):
+        z = np.fft.ifft2(np.fft.ifftshift(amplitude * np.exp(1j * phase), axes=(-2, -1)))
+        return z.real.astype(np.float32), float(np.abs(z.imag).max())
+
+    amp_w, phase_w = forward(x_w)
+    amp_u, phase_u = forward(x_u)
+    lam = np.asarray(lam, dtype=np.float64)[..., None, None]
+    inv = 1.0 - mask
+    if mode == "paper-literal":
+        a_w = (1.0 - lam) * amp_w * inv + lam * amp_u * mask
+        a_u = (1.0 - lam) * amp_u * inv + lam * amp_w * mask
+    else:
+        a_w = amp_w * inv + ((1.0 - lam) * amp_w + lam * amp_u) * mask
+        a_u = amp_u * inv + ((1.0 - lam) * amp_u + lam * amp_w) * mask
+    (z_w, res_w), (z_u, res_u) = inverse(a_w, phase_w), inverse(a_u, phase_u)
+    return z_w, z_u, max(res_w, res_u)
+
+
 def mirror_mask(mask: np.ndarray) -> np.ndarray:
     """Union with the conjugate mirror, by explicit per-bin reflection."""
     h, w = mask.shape

@@ -12,7 +12,8 @@ from ftaseg.fourier import (
     make_center_mask,
     symmetrize_mask,
 )
-from oracles import dft2_direct, fta_direct, mirror_mask, shift_direct
+from ftaseg.model import Workspace
+from oracles import dft2_direct, fta_direct, fta_numpy, mirror_mask, shift_direct
 
 
 def slice_of(arr):
@@ -177,6 +178,30 @@ class TestAugmentPair:
         ba = fta_augment_pair(b, a, 0.4, cfg)
         assert np.array_equal(ab.z_w, ba.z_u)
         assert np.array_equal(ab.z_u, ba.z_w)
+
+    @pytest.mark.parametrize("mode", ["paper-literal", "standard-fda"])
+    def test_reused_workspace_gives_numpy_bytes(self, mode):
+        # One workspace across stacks that grow, shrink and change shape,
+        # odd and single-bin sides included, and stacks that take several
+        # chunks (3 pairs of 1,200 pixels, or one 4,900-pixel pair, per
+        # chunk); every call must give the bytes of numpy's whole-array
+        # helpers.
+        rng = np.random.default_rng(18)
+        ws = Workspace()
+        shapes = [(3, 7, 5), (1, 4, 4), (6, 6), (2, 1, 9), (5, 8, 3), (4, 4),
+                  (8, 30, 40), (3, 70, 70), (2, 30, 40)]
+        for shape in shapes:
+            a = rng.random(shape).astype(np.float32)
+            b = rng.random(shape).astype(np.float32)
+            lam = rng.random(shape[:-2])
+            cfg = FtaConfig(mask_fraction=0.4, mode=mode)
+            pair = fta_augment_pair(a, b, lam, cfg, ws)
+            mask = symmetrize_mask(make_center_mask(*shape[-2:], 0.4))
+            z_w, z_u, residue = fta_numpy(a, b, lam, mask, mode)
+            assert pair.z_w.dtype == pair.z_u.dtype == np.float32
+            assert pair.z_w.tobytes() == z_w.tobytes()
+            assert pair.z_u.tobytes() == z_u.tobytes()
+            assert pair.imag_residue == residue
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(15)

@@ -129,6 +129,29 @@ class TestForward:
                 want = mlp_forward_scalar(w1, b1, w2, b2, w3, float(b3), feats)
                 assert probs[r, c] == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("patch", [1, 3, 5, 7])
+    def test_patch_rows_match_np_pad_windows(self, patch):
+        # Reflect padding is built in place in a scratch buffer; it must
+        # give np.pad's bytes down to planes one pixel wider than the pad,
+        # and a workspace reused across plane shapes must not leak rows.
+        pad = patch // 2
+        model = PatchMLP.init_random(ModelShape(patch, 4, 3), 0)
+        rng = np.random.default_rng(patch)
+        sides = [(pad + 1, pad + 1), (pad + 1, pad + 6), (pad + 6, pad + 2),
+                 (pad + 3, pad + 4), (pad + 3, pad + 4)]
+        planes = [rng.random(hw, dtype=np.float32) for hw in sides]
+        ws = Workspace()
+        for run in (planes, planes[::-1], planes[3:]):
+            rows = model._build_patches(run, ws)
+            want = np.concatenate([
+                np.lib.stride_tricks.sliding_window_view(
+                    np.pad(u, pad, mode="reflect"), (patch, patch)
+                ).reshape(-1, patch * patch) * np.float32(2.0) - np.float32(1.0)
+                for u in run
+            ])
+            assert rows.dtype == np.float32
+            assert rows.tobytes() == want.tobytes()
+
     def test_non_finite_params_rejected(self):
         shape = ModelShape(3, 4, 3)
         model = PatchMLP(shape, np.zeros(shape.n_params))

@@ -528,10 +528,10 @@ class TestStage2:
         sched = TrainSchedule(1e-3, 6)
         pairs = []
 
-        def recording(a, b, lam, fta_cfg):
+        def recording(a, b, lam, fta_cfg, ws=None):
             # One call augments a stack of pairs; record each pair.
             pairs.extend((x.shape, y.shape) for x, y in zip(a, b))
-            return fta_augment_pair(a, b, lam, fta_cfg)
+            return fta_augment_pair(a, b, lam, fta_cfg, ws)
 
         monkeypatch.setattr("ftaseg.ssl.fta_augment_pair", recording)
 
