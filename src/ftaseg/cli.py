@@ -105,7 +105,7 @@ def _cmd_train_stage2(args: argparse.Namespace) -> None:
         threshold_momentum=args.momentum, seed=args.seed,
     )
     ckpt, _ = train_stage2_files(
-        args.slices, args.pseudo_slices, args.unlabeled_slices, args.val,
+        args.slices, args.pseudo, args.unlabeled, args.val,
         args.init, args.out, cfg,
         TrainSchedule(args.lr, args.iters), _fta_config(args),
         val_points=args.val_points,
@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-stage2", help="consistency training")
     p.add_argument("--slices", required=True, help="labeled slices directory")
-    p.add_argument("--pseudo-slices", default=None, help="stage-1 pseudo directory")
-    p.add_argument("--unlabeled-slices", default=None)
+    p.add_argument("--pseudo", default=None, help="stage-1 pseudo mask directory")
+    p.add_argument("--unlabeled", default=None, help="windowed unlabeled volumes")
     p.add_argument("--val", default=None, help="windowed validation volumes")
     p.add_argument("--init", required=True, help="stage-1 checkpoint")
     p.add_argument("--out", required=True)

@@ -4,8 +4,8 @@ Every stage reads and writes the on-disk formats (VOL1 volumes, slice
 manifests, SEG1 checkpoints, CSV metrics), so composing the CLI subcommands
 through files reproduces ``run_pipeline`` byte for byte at equal seeds. A run
 directory holds the resolved config snapshot, the run log, the windowed
-volumes, all stage manifests, and the metrics/scores CSVs. Slice manifests
-point into the windowed volumes; training planes are cut at load time.
+volumes, the labeled slice manifest, the stage manifests, the pseudo masks
+and the metrics/scores CSVs; training planes are cut at load time.
 """
 
 from __future__ import annotations
@@ -428,10 +428,9 @@ def load_train_slices(
     slices_dir: Path | str,
     manifest: SliceManifest,
     split: str = "train",
-    weight: float = 1.0,
 ) -> list[TrainSlice]:
     """The ``split`` rows of a manifest in ``slices_dir`` as image and mask
-    planes with loss weight ``weight``, in manifest order."""
+    planes, in manifest order."""
     slices_dir = Path(slices_dir)
     volumes: dict = {}
     masks: dict = {}
@@ -443,25 +442,40 @@ def load_train_slices(
             TrainSlice(
                 image=_cut(e, slices_dir, e.file, _load_normalized, volumes),
                 target=_cut(e, slices_dir, e.mask_file, load_mask, masks),
-                weight=weight,
             )
         )
     return out
 
 
 def load_unlabeled_slices(
-    slices_dir: Path | str,
-    manifest: SliceManifest,
-    exclude_ids: frozenset[str] = frozenset(),
-) -> list[np.ndarray]:
-    """Image planes of every manifest row outside ``exclude_ids``, in order."""
-    slices_dir = Path(slices_dir)
-    volumes: dict = {}
-    return [
-        _cut(e, slices_dir, e.file, _load_normalized, volumes)
-        for e in manifest.entries
-        if e.source_id not in exclude_ids
-    ]
+    unlabeled_dir: Path | str,
+    pseudo_masks: dict[str, Path],
+    pseudo_weight: float = 1.0,
+) -> tuple[list[TrainSlice], list[np.ndarray]]:
+    """Planes of the windowed volumes in ``unlabeled_dir``, each read once:
+    image and mask planes of weight ``pseudo_weight`` for each id with a mask
+    in ``pseudo_masks`` (id -> path), in id order, then the pool's image
+    planes, in file order. A volume's planes come in ``plane_keys`` order."""
+    udir = Path(unlabeled_dir)
+    pseudo: list[TrainSlice] = []
+    for vid, mask_path in sorted(pseudo_masks.items()):
+        path = udir / f"{vid}.vol"
+        try:
+            image = _load_normalized(path).data
+        except OSError as exc:
+            raise DataError(f"cannot read {path} for pseudo mask {mask_path}") from exc
+        target = load_mask(mask_path).data
+        if target.shape != image.shape:
+            raise DataError(f"{mask_path}: dims {target.shape} differ from "
+                            f"{path}'s {image.shape}")
+        pseudo += [TrainSlice(plane(image, *k), plane(target, *k), pseudo_weight)
+                   for k in plane_keys(image.shape)]
+    pool: list[np.ndarray] = []
+    for path in _volume_files(udir):
+        if path.stem not in pseudo_masks:
+            image = _load_normalized(path).data
+            pool += [plane(image, *k) for k in plane_keys(image.shape)]
+    return pseudo, pool
 
 
 def load_val_cases(
@@ -494,9 +508,9 @@ def train_stage1_files(
 
     Only the unlabeled volumes picked for pseudo-annotation are read; the
     headers of all of them, and of the labeled volumes, are checked for
-    plane size before training. The pseudo masks and their slice manifest,
-    stage 2's second training source, go to ``out_dir/pseudo``. Returns the
-    checkpoint path and the pseudo-annotated volume ids.
+    plane size before training. The pseudo masks, stage 2's second training
+    source, replace any in ``out_dir/pseudo`` as ``<id>_mask.vol``. Returns
+    the checkpoint path and the pseudo-annotated volume ids.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -520,16 +534,10 @@ def train_stage1_files(
 
     pseudo_dir = out_dir / "pseudo"
     pseudo_dir.mkdir(exist_ok=True)
-    entries: list[ManifestEntry] = []
-    for p in sorted(result.pseudo, key=lambda label: label.source_id):
-        mask_name = f"{p.source_id}{MASK_SUFFIX}.vol"
-        save_mask(MaskVolume(p.mask), pseudo_dir / mask_name)
-        file = _relpath(udir / f"{p.source_id}.vol", pseudo_dir)
-        entries += [
-            ManifestEntry(file, axis, i, p.source_id, mask_file=mask_name)
-            for axis, i in plane_keys(p.mask.shape)
-        ]
-    write_manifest(SliceManifest(tuple(entries)), pseudo_dir / "manifest.csv")
+    for stale in pseudo_dir.glob(f"*{MASK_SUFFIX}.vol"):
+        stale.unlink()
+    for p in result.pseudo:
+        save_mask(MaskVolume(p.mask), pseudo_dir / f"{p.source_id}{MASK_SUFFIX}.vol")
 
     labeled_ids = {e.source_id for e in manifest.entries}
     lines = [
@@ -551,8 +559,8 @@ def train_stage1_files(
 
 def train_stage2_files(
     slices_dir: Path | str,
-    pseudo_slices_dir: Path | str | None,
-    unlabeled_slices_dir: Path | str | None,
+    pseudo_dir: Path | str | None,
+    unlabeled_windowed_dir: Path | str | None,
     val_windowed_dir: Path | str | None,
     init_checkpoint: Path | str,
     out_dir: Path | str,
@@ -566,10 +574,10 @@ def train_stage2_files(
     validation's per-case reports, which are the checkpoint's scores on
     ``val_windowed_dir`` (empty without one).
 
-    The pseudo-annotated volume ids come from stage 1's pseudo slice
-    manifest; those volumes are excluded from the unlabeled pool. The plane
-    size of the validation volumes and of every volume a slice manifest
-    names is checked before training.
+    Each ``<id>_mask.vol`` in stage 1's ``pseudo_dir`` pairs with ``<id>.vol``
+    in ``unlabeled_windowed_dir``; its other volumes form the unlabeled pool.
+    The plane size of the validation and unlabeled volumes, and of every
+    volume the slice manifest names, is checked before training.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     model, _ = load_checkpoint(init_checkpoint)
@@ -582,20 +590,22 @@ def train_stage2_files(
     manifest = read_manifest(slices_dir / "manifest.csv")
     labeled = load_train_slices(slices_dir, manifest, "train")
     _check_manifest_dims(slices_dir, manifest, patch)
-    pseudo_ids: frozenset[str] = frozenset()
-    if pseudo_slices_dir is not None:
-        pdir = Path(pseudo_slices_dir)
-        pmanifest = read_manifest(pdir / "manifest.csv")
-        pseudo_ids = frozenset(pmanifest.source_ids())
-        labeled += load_train_slices(pdir, pmanifest, "train", cfg.pseudo_weight)
-        _check_manifest_dims(pdir, pmanifest, patch)
-
+    pseudo_masks: dict[str, Path] = {}
+    if pseudo_dir is not None:
+        # Stage 1 writes one <id>_mask.vol per pseudo-annotated volume.
+        if not Path(pseudo_dir).is_dir():
+            raise DataError(f"pseudo directory {pseudo_dir} does not exist")
+        masks = Path(pseudo_dir).glob(f"*{MASK_SUFFIX}.vol")
+        pseudo_masks = {p.stem[:-len(MASK_SUFFIX)]: p for p in masks}
     unlabeled: list[np.ndarray] = []
-    if unlabeled_slices_dir is not None:
-        udir = Path(unlabeled_slices_dir)
-        umanifest = read_manifest(udir / "manifest.csv")
-        unlabeled = load_unlabeled_slices(udir, umanifest, exclude_ids=pseudo_ids)
-        _check_manifest_dims(udir, umanifest, patch)
+    if unlabeled_windowed_dir is not None:
+        udir = Path(unlabeled_windowed_dir)
+        _check_plane_dims(_volume_files(udir), patch, along_z_only=False)
+        pseudo, unlabeled = load_unlabeled_slices(udir, pseudo_masks, cfg.pseudo_weight)
+        labeled += pseudo
+    elif pseudo_masks:
+        raise DataError(f"{min(pseudo_masks.values())}: pseudo masks given "
+                        "without their unlabeled volumes")
 
     val_cases = [] if val_windowed_dir is None else load_val_cases(val_windowed_dir)
 
@@ -618,7 +628,7 @@ def train_stage2_files(
         f"fta_beta = {fta_cfg.mask_fraction}",
         f"labeled_slices = {len(labeled)}",
         f"unlabeled_slices = {len(unlabeled)}",
-        f"pseudo_ids = {','.join(sorted(pseudo_ids))}",
+        f"pseudo_ids = {','.join(sorted(pseudo_masks))}",
         f"val_split_source = original labeled set only",
         f"final_tau = {result.threshold.tau:.6f}",
     ]
@@ -757,19 +767,18 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
             windowed / "labeled", slices / "labeled",
             cfg.val_fraction, cfg.seed, cfg.split_by_volume,
         )
-        if use_unlabeled:
-            slice_dir(windowed / "unlabeled", slices / "unlabeled")
 
     stage("preprocess", preprocess)
 
     stage_cfg = cfg.stage_config()
     if cfg.supervised_only:
         stage_cfg = replace(stage_cfg, stage1_pseudo_count=0)
+    unlabeled_windowed = (windowed / "unlabeled") if use_unlabeled else None
 
     def stage1():
         return train_stage1_files(
             slices / "labeled",
-            (windowed / "unlabeled") if use_unlabeled else None,
+            unlabeled_windowed,
             out / "stage1",
             stage_cfg,
             cfg.model_shape(),
@@ -782,7 +791,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
         return train_stage2_files(
             slices / "labeled",
             out / "stage1" / "pseudo",
-            (slices / "unlabeled") if use_unlabeled else None,
+            unlabeled_windowed,
             (windowed / "val") if val_dir is not None else None,
             stage1_ckpt,
             out / "stage2",

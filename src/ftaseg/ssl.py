@@ -229,7 +229,6 @@ class Stage2Result:
     step: int
     history: list[HistoryRow]
     threshold: ThresholdState
-    iteration_losses: list[float]
     warnings: list[str]
     # Per-case reports of the last validation, on the final model; empty
     # without validation cases.
@@ -430,7 +429,6 @@ def run_stage2(
         return None
 
     history: list[HistoryRow] = []
-    iteration_losses: list[float] = []
     val_reports: list[tuple[str, MetricsReport]] = []
     # One workspace per view. The supervised one, with its own scratch for the
     # worker lane, also serves validation; the other views share ``scratch``.
@@ -453,11 +451,10 @@ def run_stage2(
                 n_lab, size=cfg.batch_size, replace=n_lab < cfg.batch_size
             )
             if supervised_only:
-                loss, grad = _supervised_batch(
+                _, grad = _supervised_batch(
                     model, [labeled[i] for i in l_idx], sup_ws
                 )
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
-                iteration_losses.append(loss)
             else:
                 u_idx = batch_rng.choice(
                     n_unl, size=cfg.batch_size, replace=n_unl < cfg.batch_size
@@ -533,7 +530,6 @@ def run_stage2(
                     _zeroed(strong_ws, strong_cache["probs"].shape)
                     if strong_cache else None
                 )
-                unsup_loss = 0.0
                 for j in range(cfg.batch_size):
                     segs = [k for k, owner in enumerate(strong_owner) if owner == j]
                     view_probs = [
@@ -542,10 +538,9 @@ def run_stage2(
                     ]
                     lo, hi = weak_off[j], weak_off[j + 1]
                     view_probs.append(fp_cache["probs"][lo:hi])
-                    loss_j, view_grads = consistency_loss(
+                    _, view_grads = consistency_loss(
                         weak_probs[lo:hi], view_probs, tau_state.tau
                     )
-                    unsup_loss += loss_j
                     for k, g in zip(segs, view_grads[:-1]):
                         strong_grad_flat[strong_off[k]:strong_off[k + 1]] = g
                     fp_grad_flat[lo:hi] = view_grads[-1]
@@ -557,15 +552,12 @@ def run_stage2(
 
                 # Join; the gradients add in a fixed order whichever lane
                 # finished first.
-                sup_loss, grad = sup.result()
+                _, grad = sup.result()
                 w_u = cfg.unsup_weight / cfg.batch_size
                 grad += w_u * fp_grad
                 if strong_grad is not None:
                     grad += w_u * strong_grad
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
-                iteration_losses.append(
-                    sup_loss + cfg.unsup_weight * unsup_loss / cfg.batch_size
-                )
 
             if val_cases and it + 1 in val_iters:
                 epoch += 1
@@ -582,7 +574,6 @@ def run_stage2(
         step=opt.step,
         history=history,
         threshold=tau_state,
-        iteration_losses=iteration_losses,
         warnings=warnings,
         val_reports=val_reports,
     )

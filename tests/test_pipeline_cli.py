@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -289,11 +290,11 @@ class TestWindowSliceDirs:
 
     def test_loaded_planes_match_slice_volume(self, tmp_path):
         win = tmp_path / "win"
-        window_dir(self.make_raw_dir(tmp_path), win, WindowSpec())
+        window_dir(self.make_raw_dir(tmp_path, n=3), win, WindowSpec())
         out = tmp_path / "slices"
         manifest = slice_dir(win, out, val_fraction=0.2, seed=1)
         expected = {}
-        for vid in ("v0", "v1"):
+        for vid in ("v0", "v1", "v2"):
             vol = load_volume(win / f"{vid}.vol", NORMALIZED)
             mask = Volume(load_mask(win / f"{vid}_mask.vol").data.astype(np.float32))
             for (axis, i, image), (_, _, target) in zip(
@@ -312,11 +313,23 @@ class TestWindowSliceDirs:
                 image, target = expected[key(e)]
                 assert np.array_equal(ts.image, image)
                 assert np.array_equal(ts.target, target)
-        unlabeled = load_unlabeled_slices(out, manifest, exclude_ids=frozenset({"v1"}))
-        rows = [e for e in manifest.entries if e.source_id == "v0"]
-        assert len(unlabeled) == len(rows)
-        for u, e in zip(unlabeled, rows):
-            assert np.array_equal(u, expected[key(e)][0])
+        # The masks of v2 and v0 as pseudo masks: their planes come in id
+        # order, and v1 alone forms the pool.
+        pseudo, pool = load_unlabeled_slices(
+            win, {"v2": win / "v2_mask.vol", "v0": win / "v0_mask.vol"}, 0.5
+        )
+
+        def planes_of(vid):  # in slice_volume order
+            return [planes for k, planes in expected.items() if k[0] == vid]
+
+        assert len(pseudo) == len(planes_of("v0")) + len(planes_of("v2"))
+        for ts, (image, target) in zip(pseudo, planes_of("v0") + planes_of("v2")):
+            assert np.array_equal(ts.image, image)
+            assert np.array_equal(ts.target, target)
+            assert ts.weight == 0.5
+        assert len(pool) == len(planes_of("v1"))
+        for u, (image, _) in zip(pool, planes_of("v1")):
+            assert np.array_equal(u, image)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -336,9 +349,9 @@ class TestWindowSliceDirs:
         )
         with pytest.raises(DataError):
             load_train_slices(out, read_manifest(out / "manifest.csv"))
-        if field != "mask_file":  # unlabeled loading reads no masks
-            with pytest.raises(DataError):
-                load_unlabeled_slices(out, read_manifest(out / "manifest.csv"))
+        if field == "file":  # unlabeled volumes are found by a mask's id
+            with pytest.raises(DataError, match="gone.vol"):
+                load_unlabeled_slices(win, {"gone": win / "v0_mask.vol"})
         rc = main(["train-stage1", "--slices", str(out), "--out", str(tmp_path / "s1"),
                    "--epochs", "1", "--pseudo-count", "0"])
         assert rc == 3
@@ -370,12 +383,16 @@ class TestStage1Files:
         for path in others:  # unreadable unless stage 1 skips them
             path.write_bytes(path.read_bytes()[:-4])
 
+        # A mask an earlier run left behind would train stage 2.
+        (tmp_path / "b" / "pseudo").mkdir(parents=True)
+        save_mask(MaskVolume(np.zeros((2, 2, 2), np.uint8)),
+                  tmp_path / "b" / "pseudo" / "stale_mask.vol")
         ckpt_b, picked_b = stage1("b")
         assert picked_b == picked
         assert ckpt_b.read_bytes() == ckpt_a.read_bytes()
         pseudo_a = sorted(p.name for p in (tmp_path / "a" / "pseudo").iterdir())
         assert pseudo_a == sorted(p.name for p in (tmp_path / "b" / "pseudo").iterdir())
-        assert len(pseudo_a) == 3  # manifest.csv and two masks
+        assert pseudo_a == sorted(f"{vid}_mask.vol" for vid in picked)
         for name in pseudo_a:
             assert (tmp_path / "b" / "pseudo" / name).read_bytes() == (
                 tmp_path / "a" / "pseudo" / name
@@ -480,6 +497,37 @@ class TestRunPipeline:
         run_pipeline(fast_config(seed=3), tmp_path / "run")
         manifest = (tmp_path / "run" / "stage1" / "manifest.txt").read_text()
         assert "merged_volume_count = 3" in manifest  # 2 labeled + 1 pseudo
+
+    @pytest.mark.parametrize("supervised_only", [False, True])
+    def test_run_dir_layout(self, tmp_path, supervised_only):
+        # Only the labeled set has a slice manifest; stage 2 finds the
+        # unlabeled volumes and stage 1's pseudo masks by file name.
+        run = tmp_path / "run"
+        run_pipeline(fast_config(seed=3, supervised_only=supervised_only), run)
+        assert [p.relative_to(run) for p in run.rglob("manifest.csv")] == [
+            Path("slices", "labeled", "manifest.csv")
+        ]
+        manifest = (run / "stage1" / "manifest.txt").read_text().splitlines()
+        picked = dict(line.split(" = ", 1) for line in manifest)["pseudo_selected"]
+        ids = [vid for vid in picked.split(",") if vid]
+        assert len(ids) == (0 if supervised_only else FAST["stage1_pseudo_count"])
+        assert sorted(p.name for p in (run / "stage1" / "pseudo").iterdir()) == [
+            f"{vid}_mask.vol" for vid in sorted(ids)
+        ]
+
+    def test_pseudo_mask_without_its_volume_fails_in_stage2(self, tmp_path, monkeypatch):
+        # A pseudo-annotated volume gone between the stages: stage 2 cannot
+        # pair the mask with it, and the error names the stage and the file.
+        def stage1_then_drop(slices, unlabeled, *args):
+            ckpt, picked = train_stage1_files(slices, unlabeled, *args)
+            for vid in picked:
+                (unlabeled / f"{vid}.vol").unlink()
+            return ckpt, picked
+
+        monkeypatch.setattr("ftaseg.pipeline.train_stage1_files", stage1_then_drop)
+        with pytest.raises(DataError, match=r"^\[stage2\] cannot read .*unl_\d+\.vol "):
+            run_pipeline(fast_config(seed=3), tmp_path / "run")
+        assert "stage stage2 failed" in (tmp_path / "run" / "run.log").read_text()
 
     def test_supervised_only_skips_pseudo_and_unlabeled(self, tmp_path):
         run_pipeline(fast_config(seed=4, supervised_only=True), tmp_path / "run")
@@ -675,22 +723,30 @@ class TestCli:
         assert "thin.vol" in err
         assert not (run / "stage1").exists()
 
-    def thin_stage_inputs(self, tmp_path):
-        # Windowed fast-benchmark sets, the unlabeled and validation ones
-        # with one extra 32 x 32 x 2 volume (and mask), and the labeled
-        # slice manifest.
+    def stage_inputs(self, tmp_path, thin=True):
+        # Windowed fast-benchmark sets and the labeled slice manifest; with
+        # ``thin``, the unlabeled and validation sets hold one extra
+        # 32 x 32 x 2 volume (and mask).
         cfg = fast_config()
         data, win = tmp_path / "data", tmp_path / "win"
         generate_benchmark(cfg.benchmark_spec(), data)
-        thin = np.full((32, 32, 2), 800.0, dtype=np.float32)
-        for sub in ("unlabeled", "val"):
-            save_volume(Volume(thin, RAW), data / sub / "thin.vol")
-            save_mask(MaskVolume(np.zeros(thin.shape, np.uint8)),
+        thin_vol = np.full((32, 32, 2), 800.0, dtype=np.float32)
+        for sub in ("unlabeled", "val") if thin else ():
+            save_volume(Volume(thin_vol, RAW), data / sub / "thin.vol")
+            save_mask(MaskVolume(np.zeros(thin_vol.shape, np.uint8)),
                       data / sub / "thin_mask.vol")
         for sub in ("labeled", "unlabeled", "val"):
             window_dir(data / sub, win / sub, cfg.window())
         slice_dir(win / "labeled", tmp_path / "slices", cfg.val_fraction, cfg.seed)
         return win, tmp_path / "slices"
+
+    @staticmethod
+    def init_checkpoint(tmp_path):
+        init = tmp_path / "init.seg"
+        ftaseg.save_checkpoint(
+            ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0), 0, init
+        )
+        return init
 
     @pytest.mark.parametrize("stage", ["train-stage1", "train-stage2"])
     def test_stage_rejects_thin_labeled_volume_exit_3(
@@ -711,10 +767,7 @@ class TestCli:
         for fn in ("run_stage1", "run_stage2"):
             monkeypatch.setattr(f"ftaseg.pipeline.{fn}",
                                 lambda *args, **kw: pytest.fail("a stage trained"))
-        init = tmp_path / "init.seg"
-        ftaseg.save_checkpoint(
-            ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0), 0, init
-        )
+        init = self.init_checkpoint(tmp_path)
         extra = ["--init", str(init)] if stage == "train-stage2" else []
         out = tmp_path / "out"
         rc = self.run_cli(stage, "--slices", str(slices), "--out", str(out), *extra)
@@ -742,7 +795,7 @@ class TestCli:
     ):
         # Planes cut along the 2-deep axis are 2 pixels wide, too narrow
         # for the 5 x 5 patch: the check runs before stage 1 trains.
-        win, slices = self.thin_stage_inputs(tmp_path)
+        win, slices = self.stage_inputs(tmp_path)
         monkeypatch.setattr("ftaseg.pipeline.run_stage1",
                             lambda *args: pytest.fail("stage 1 trained"))
         out = tmp_path / "stage1"
@@ -760,13 +813,10 @@ class TestCli:
     ):
         # Validation volumes are predicted along z, so their W of 2 is a
         # plane side; the check runs before stage 2 trains.
-        win, slices = self.thin_stage_inputs(tmp_path)
+        win, slices = self.stage_inputs(tmp_path)
         monkeypatch.setattr("ftaseg.pipeline.run_stage2",
                             lambda *args: pytest.fail("stage 2 trained"))
-        init = tmp_path / "init.seg"
-        ftaseg.save_checkpoint(
-            ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0), 0, init
-        )
+        init = self.init_checkpoint(tmp_path)
         out = tmp_path / "stage2"
         rc = self.run_cli("train-stage2", "--slices", str(slices),
                           "--val", str(win / "val"), "--init", str(init),
@@ -775,6 +825,63 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert str(win / "val" / "thin.vol") in err
+        assert not (out / "checkpoint.seg").exists()
+
+    def test_train_stage2_rejects_thin_unlabeled_volume_exit_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Unlabeled planes are cut along all three axes, as in stage 1.
+        win, slices = self.stage_inputs(tmp_path)
+        monkeypatch.setattr("ftaseg.pipeline.run_stage2",
+                            lambda *args: pytest.fail("stage 2 trained"))
+        out = tmp_path / "stage2"
+        rc = self.run_cli("train-stage2", "--slices", str(slices),
+                          "--unlabeled", str(win / "unlabeled"),
+                          "--init", str(self.init_checkpoint(tmp_path)),
+                          "--out", str(out), "--iters", "2")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(win / "unlabeled" / "thin.vol") in err
+        assert not (out / "checkpoint.seg").exists()
+
+    @pytest.mark.parametrize(
+        "case", ["missing-dir", "without-unlabeled", "missing-volume", "dims"]
+    )
+    def test_train_stage2_rejects_bad_pseudo_mask_exit_3(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        # A pseudo mask <id>_mask.vol pairs with the windowed volume
+        # <id>.vol in --unlabeled; each failure names the file.
+        win, slices = self.stage_inputs(tmp_path, thin=False)
+        monkeypatch.setattr("ftaseg.pipeline.run_stage2",
+                            lambda *args: pytest.fail("stage 2 trained"))
+        pseudo, volume = tmp_path / "pseudo", win / "unlabeled" / "unl_000.vol"
+        mask = pseudo / "unl_000_mask.vol"
+        pseudo.mkdir()
+        d, h, w = load_volume(volume).dims
+        save_mask(MaskVolume(np.zeros((d, h, w), np.uint8)), mask)
+        unlabeled = ["--unlabeled", str(win / "unlabeled")]
+        named = mask
+        if case == "missing-dir":
+            shutil.rmtree(pseudo)
+            named = pseudo
+        elif case == "without-unlabeled":
+            unlabeled = []
+        elif case == "missing-volume":
+            volume.unlink()
+            named = volume
+        else:
+            save_mask(MaskVolume(np.zeros((d, h, w - 1), np.uint8)), mask)
+        out = tmp_path / "stage2"
+        rc = self.run_cli("train-stage2", "--slices", str(slices),
+                          "--pseudo", str(pseudo), *unlabeled,
+                          "--init", str(self.init_checkpoint(tmp_path)),
+                          "--out", str(out), "--iters", "2")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(named) in err
         assert not (out / "checkpoint.seg").exists()
 
     def test_pipeline_numeric_error_in_supervised_lane_exit_4(
@@ -892,8 +999,6 @@ class TestComposability:
         assert main(["slice", "--in", str(win / "labeled"), "--out",
                      str(slc / "labeled"), "--val-fraction", str(cfg.val_fraction),
                      "--seed", str(seed)]) == 0
-        assert main(["slice", "--in", str(win / "unlabeled"), "--out",
-                     str(slc / "unlabeled")]) == 0
         assert main(["train-stage1", "--slices", str(slc / "labeled"),
                      "--unlabeled", str(win / "unlabeled"),
                      "--out", str(c / "stage1"),
@@ -902,8 +1007,8 @@ class TestComposability:
                      "--lr", str(cfg.lr), "--batch", str(cfg.batch_size),
                      "--seed", str(seed)]) == 0
         assert main(["train-stage2", "--slices", str(slc / "labeled"),
-                     "--pseudo-slices", str(c / "stage1" / "pseudo"),
-                     "--unlabeled-slices", str(slc / "unlabeled"),
+                     "--pseudo", str(c / "stage1" / "pseudo"),
+                     "--unlabeled", str(win / "unlabeled"),
                      "--val", str(win / "val"),
                      "--init", str(c / "stage1" / "checkpoint.seg"),
                      "--out", str(c / "stage2"),

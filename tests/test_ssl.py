@@ -421,15 +421,12 @@ class TestStage2:
         streams = np.random.SeedSequence(cfg.seed).spawn(5)
         batch_rng = np.random.default_rng(streams[0])
         opt = AdamWState.fresh(model.shape.n_params)
-        losses = []
         for it in range(sched.total_iters):
             lr = poly_lr(sched, it)
             idx = batch_rng.choice(len(labeled), size=cfg.batch_size, replace=False)
-            loss, grad = _supervised_batch(oracle, [labeled[i] for i in idx])
+            _, grad = _supervised_batch(oracle, [labeled[i] for i in idx])
             oracle.params, opt = adamw_step(oracle.params, grad, opt, lr)
-            losses.append(loss)
         assert res.model.params.tobytes() == oracle.params.tobytes()
-        assert res.iteration_losses == losses
 
     def test_supervised_batch_matches_per_slice_mean(self):
         rng = np.random.default_rng(14)
@@ -517,7 +514,6 @@ class TestStage2:
 
         a, b = run(), run()
         assert np.array_equal(a.model.params, b.model.params)
-        assert a.iteration_losses == b.iteration_losses
 
     def test_donor_fallbacks_on_mixed_plane_shapes(self, monkeypatch):
         # Labeled planes are all 8 x 8. A 6 x 9 weak view finds its donor in
@@ -560,7 +556,6 @@ class TestStage2:
         b = run()
         assert len(pairs) == 36
         assert np.array_equal(a.model.params, b.model.params)
-        assert a.iteration_losses == b.iteration_losses
 
     def lanes_run(self, seed=31):
         rng = np.random.default_rng(seed)
@@ -598,8 +593,6 @@ class TestStage2:
         one = self.lanes_run()
         assert lanes and all(lanes)
         assert two.model.params.tobytes() == one.model.params.tobytes()
-        assert (np.array(two.iteration_losses).tobytes()
-                == np.array(one.iteration_losses).tobytes())
         assert two.history and two.history == one.history
         assert two.threshold == one.threshold
 
