@@ -7,6 +7,12 @@ AdamW and poly LR, the two-stage pseudo-label + consistency trainer, and
 seeded phantom volumes for desk-scale benchmarks.
 """
 
+import os
+
+# One BLAS thread unless the user sets another count: the matrices are too
+# small for a second thread to pay. Set before numpy loads, or it is not read.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ConfigError,
     DataError,

@@ -51,8 +51,17 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     print(f"benchmark written to {args.out}")
 
 
+def _add_window_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bottom", type=float, default=WindowSpec.bottom)
+    p.add_argument("--top", type=float, default=WindowSpec.top)
+
+
+def _window(args: argparse.Namespace) -> WindowSpec:
+    return WindowSpec(args.bottom, args.top)
+
+
 def _cmd_window(args: argparse.Namespace) -> None:
-    count = window_dir(args.input, args.out, WindowSpec(args.bottom, args.top))
+    count = window_dir(args.input, args.out, _window(args))
     print(f"windowed {count} volumes into {args.out}")
 
 
@@ -93,7 +102,7 @@ def _cmd_train_stage1(args: argparse.Namespace) -> None:
     )
     shape = ModelShape(args.patch, args.hidden1, args.hidden2)
     ckpt, pseudo_ids = train_stage1_files(
-        args.slices, args.unlabeled, args.out, cfg, shape, args.lr
+        args.slices, args.unlabeled, args.out, _window(args), cfg, shape, args.lr
     )
     print(f"checkpoint {ckpt}; pseudo-annotated: {','.join(sorted(pseudo_ids)) or '-'}")
 
@@ -106,7 +115,7 @@ def _cmd_train_stage2(args: argparse.Namespace) -> None:
     )
     ckpt, _ = train_stage2_files(
         args.slices, args.pseudo, args.unlabeled, args.val,
-        args.init, args.out, cfg,
+        args.init, args.out, _window(args), cfg,
         TrainSchedule(args.lr, args.iters), _fta_config(args),
         val_points=args.val_points,
     )
@@ -122,7 +131,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
 
 def _cmd_score_dir(args: argparse.Namespace) -> None:
-    score_files(args.checkpoint, args.val, args.out)
+    score_files(args.checkpoint, args.val, args.out, _window(args))
     print(f"scores written to {args.out}")
 
 
@@ -160,15 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_synth)
 
-    p = sub.add_parser("window", help="window-normalize raw volumes")
+    p = sub.add_parser("window", help="write window-normalized copies of raw volumes")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bottom", type=float, default=WindowSpec.bottom)
-    p.add_argument("--top", type=float, default=WindowSpec.top)
+    _add_window_args(p)
     p.set_defaults(fn=_cmd_window)
 
     p = sub.add_parser("slice", help="list all planes of each volume in a manifest")
-    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--in", dest="input", required=True, help="raw labeled volumes")
     p.add_argument("--out", required=True)
     p.add_argument("--val-fraction", type=float, default=None)
     p.add_argument("--by-volume", action="store_true")
@@ -186,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-stage1", help="supervised bootstrap + pseudo-labels")
     p.add_argument("--slices", required=True, help="labeled slices directory")
-    p.add_argument("--unlabeled", default=None, help="windowed unlabeled volumes")
+    p.add_argument("--unlabeled", default=None, help="raw unlabeled volumes")
     p.add_argument("--out", required=True, help="also receives pseudo/ masks")
+    _add_window_args(p)
     p.add_argument("--epochs", type=int, default=StageConfig.stage1_epochs)
     p.add_argument("--pseudo-count", type=int, default=StageConfig.stage1_pseudo_count)
     p.add_argument("--lr", type=float, default=TrainSchedule.base_lr)
@@ -201,10 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-stage2", help="consistency training")
     p.add_argument("--slices", required=True, help="labeled slices directory")
     p.add_argument("--pseudo", default=None, help="stage-1 pseudo mask directory")
-    p.add_argument("--unlabeled", default=None, help="windowed unlabeled volumes")
-    p.add_argument("--val", default=None, help="windowed validation volumes")
+    p.add_argument("--unlabeled", default=None, help="raw unlabeled volumes")
+    p.add_argument("--val", default=None, help="raw validation volumes")
     p.add_argument("--init", required=True, help="stage-1 checkpoint")
     p.add_argument("--out", required=True)
+    _add_window_args(p)
     p.add_argument("--iters", type=int, default=TrainSchedule.total_iters)
     p.add_argument("--lr", type=float, default=TrainSchedule.base_lr)
     p.add_argument("--batch", type=int, default=StageConfig.batch_size)
@@ -225,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score-dir", help="score a checkpoint on validation volumes")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--val", required=True)
+    p.add_argument("--val", required=True, help="raw validation volumes")
     p.add_argument("--out", required=True)
+    _add_window_args(p)
     p.set_defaults(fn=_cmd_score_dir)
 
     p = sub.add_parser("overlay", help="render prediction/truth overlay as PPM")

@@ -3,9 +3,9 @@
 Every stage reads and writes the on-disk formats (VOL1 volumes, slice
 manifests, SEG1 checkpoints, CSV metrics), so composing the CLI subcommands
 through files reproduces ``run_pipeline`` byte for byte at equal seeds. A run
-directory holds the resolved config snapshot, the run log, the windowed
-volumes, the labeled slice manifest, the stage manifests, the pseudo masks
-and the metrics/scores CSVs; training planes are cut at load time.
+directory holds the resolved config snapshot, the run log, the labeled slice
+manifest, the stage manifests, the pseudo masks and the metrics/scores CSVs;
+the stages window the raw volumes as they load them and cut planes in memory.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .preprocess import (
     slice_filename,
     slice_volume,
     split_train_val,
+    window_in_place,
     window_normalize,
     write_manifest,
 )
@@ -337,6 +338,13 @@ def _check_plane_dims(paths: list[Path], patch: int, along_z_only: bool) -> None
             )
 
 
+def _load_raw(path: Path) -> Volume:
+    vol = load_volume(path)
+    if not np.isfinite(vol.data).all():
+        raise DataError(f"{path}: raw volume has NaN or infinite values")
+    return vol
+
+
 def window_dir(in_dir: Path | str, out_dir: Path | str, w: WindowSpec) -> int:
     """Window-normalize every volume; companion masks are copied verbatim.
     A raw volume with a NaN or infinite voxel is a DataError."""
@@ -346,10 +354,7 @@ def window_dir(in_dir: Path | str, out_dir: Path | str, w: WindowSpec) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
     for path in _volume_files(in_dir):
-        vol = load_volume(path)
-        if not np.isfinite(vol.data).all():
-            raise DataError(f"{path}: raw volume has NaN or infinite values")
-        save_volume(window_normalize(vol, w), out_dir / path.name)
+        save_volume(window_normalize(_load_raw(path), w), out_dir / path.name)
         mask = _mask_path(path)
         if mask.exists():
             shutil.copyfile(mask, out_dir / mask.name)
@@ -368,7 +373,7 @@ def slice_dir(
     seed: int = 0,
     by_volume: bool = False,
 ) -> SliceManifest:
-    """Manifest every plane along all three axes of each windowed volume in
+    """Manifest every plane along all three axes of each raw volume in
     ``in_dir``; rows point at the volume and its companion mask.
 
     ``val_fraction`` marks a seeded validation split in the manifest; None
@@ -382,7 +387,7 @@ def slice_dir(
     for path in _volume_files(in_dir):
         mask = _mask_path(path)
         entries += build_manifest(
-            slice_volume(load_volume(path, NORMALIZED)),
+            slice_volume(load_volume(path)),
             path.stem,
             file=_relpath(path, out_dir),
             mask_file=_relpath(mask, out_dir) if mask.exists() else "",
@@ -398,8 +403,11 @@ def slice_dir(
 # Slice set loading
 
 
-def _load_normalized(path: Path) -> Volume:
-    return load_volume(path, NORMALIZED)
+def _load_windowed(path: Path, w: WindowSpec) -> Volume:
+    """The raw volume at ``path`` as ``window_normalize`` windows it."""
+    data = _load_raw(path).data
+    data.flags.writeable = True  # the dropped raw Volume's own copy
+    return Volume(window_in_place(data, w), NORMALIZED)
 
 
 def _cut(e: ManifestEntry, root: Path, name: str, load, cache: dict) -> np.ndarray:
@@ -427,10 +435,11 @@ def _check_manifest_dims(slices_dir: Path, manifest: SliceManifest, patch: int) 
 def load_train_slices(
     slices_dir: Path | str,
     manifest: SliceManifest,
+    w: WindowSpec,
     split: str = "train",
 ) -> list[TrainSlice]:
     """The ``split`` rows of a manifest in ``slices_dir`` as image and mask
-    planes, in manifest order."""
+    planes, in manifest order; the images are windowed by ``w``."""
     slices_dir = Path(slices_dir)
     volumes: dict = {}
     masks: dict = {}
@@ -440,7 +449,8 @@ def load_train_slices(
             continue
         out.append(
             TrainSlice(
-                image=_cut(e, slices_dir, e.file, _load_normalized, volumes),
+                image=_cut(e, slices_dir, e.file,
+                           lambda p: _load_windowed(p, w), volumes),
                 target=_cut(e, slices_dir, e.mask_file, load_mask, masks),
             )
         )
@@ -450,18 +460,20 @@ def load_train_slices(
 def load_unlabeled_slices(
     unlabeled_dir: Path | str,
     pseudo_masks: dict[str, Path],
+    w: WindowSpec,
     pseudo_weight: float = 1.0,
 ) -> tuple[list[TrainSlice], list[np.ndarray]]:
-    """Planes of the windowed volumes in ``unlabeled_dir``, each read once:
-    image and mask planes of weight ``pseudo_weight`` for each id with a mask
-    in ``pseudo_masks`` (id -> path), in id order, then the pool's image
-    planes, in file order. A volume's planes come in ``plane_keys`` order."""
+    """Planes of the volumes in ``unlabeled_dir``, each read once and
+    windowed by ``w``: image and mask planes of weight ``pseudo_weight`` for
+    each id with a mask in ``pseudo_masks`` (id -> path), in id order, then
+    the pool's image planes, in file order. A volume's planes come in
+    ``plane_keys`` order."""
     udir = Path(unlabeled_dir)
     pseudo: list[TrainSlice] = []
     for vid, mask_path in sorted(pseudo_masks.items()):
         path = udir / f"{vid}.vol"
         try:
-            image = _load_normalized(path).data
+            image = _load_windowed(path, w).data
         except OSError as exc:
             raise DataError(f"cannot read {path} for pseudo mask {mask_path}") from exc
         target = load_mask(mask_path).data
@@ -473,22 +485,21 @@ def load_unlabeled_slices(
     pool: list[np.ndarray] = []
     for path in _volume_files(udir):
         if path.stem not in pseudo_masks:
-            image = _load_normalized(path).data
+            image = _load_windowed(path, w).data
             pool += [plane(image, *k) for k in plane_keys(image.shape)]
     return pseudo, pool
 
 
 def load_val_cases(
-    windowed_dir: Path | str,
+    val_dir: Path | str, w: WindowSpec
 ) -> list[tuple[str, Volume, MaskVolume]]:
-    """Validation volumes with ground-truth masks from a windowed directory."""
-    windowed_dir = Path(windowed_dir)
+    """Validation volumes windowed by ``w``, with ground-truth masks."""
     cases = []
-    for path in _volume_files(windowed_dir):
+    for path in _volume_files(Path(val_dir)):
         mask = _mask_path(path)
         if not mask.exists():
             raise DataError(f"validation volume {path.name} has no mask")
-        cases.append((path.stem, load_volume(path, NORMALIZED), load_mask(mask)))
+        cases.append((path.stem, _load_windowed(path, w), load_mask(mask)))
     return cases
 
 
@@ -498,13 +509,15 @@ def load_val_cases(
 
 def train_stage1_files(
     slices_dir: Path | str,
-    unlabeled_windowed_dir: Path | str | None,
+    unlabeled_dir: Path | str | None,
     out_dir: Path | str,
+    w: WindowSpec,
     cfg: StageConfig,
     shape: ModelShape,
     base_lr: float,
 ) -> tuple[Path, frozenset[str]]:
-    """Train on labeled slices and pseudo-annotate unlabeled volumes.
+    """Train on labeled slices and pseudo-annotate unlabeled volumes, each
+    windowed by ``w`` as it is read.
 
     Only the unlabeled volumes picked for pseudo-annotation are read; the
     headers of all of them, and of the labeled volumes, are checked for
@@ -515,18 +528,18 @@ def train_stage1_files(
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = read_manifest(slices_dir / "manifest.csv")
-    labeled = load_train_slices(slices_dir, manifest, "train")
+    labeled = load_train_slices(slices_dir, manifest, w, "train")
     _check_manifest_dims(slices_dir, manifest, shape.patch)
 
     unlabeled_ids: list[str] = []
-    if unlabeled_windowed_dir is not None:
-        udir = Path(unlabeled_windowed_dir)
+    if unlabeled_dir is not None:
+        udir = Path(unlabeled_dir)
         ufiles = _volume_files(udir)
         _check_plane_dims(ufiles, shape.patch, along_z_only=False)
         unlabeled_ids = [path.stem for path in ufiles]
 
     def load(vid: str) -> Volume:
-        return _load_normalized(udir / f"{vid}.vol")
+        return _load_windowed(udir / f"{vid}.vol", w)
 
     result = run_stage1(labeled, unlabeled_ids, load, cfg, shape, base_lr)
     ckpt = out_dir / "checkpoint.seg"
@@ -560,10 +573,11 @@ def train_stage1_files(
 def train_stage2_files(
     slices_dir: Path | str,
     pseudo_dir: Path | str | None,
-    unlabeled_windowed_dir: Path | str | None,
-    val_windowed_dir: Path | str | None,
+    unlabeled_dir: Path | str | None,
+    val_dir: Path | str | None,
     init_checkpoint: Path | str,
     out_dir: Path | str,
+    w: WindowSpec,
     cfg: StageConfig,
     sched: TrainSchedule,
     fta_cfg: FtaConfig,
@@ -572,23 +586,23 @@ def train_stage2_files(
     """Consistency training from files; writes checkpoint, metrics history,
     and the stage manifest. Returns the checkpoint path and the last
     validation's per-case reports, which are the checkpoint's scores on
-    ``val_windowed_dir`` (empty without one).
+    ``val_dir`` (empty without one). Volumes are windowed by ``w`` on load.
 
     Each ``<id>_mask.vol`` in stage 1's ``pseudo_dir`` pairs with ``<id>.vol``
-    in ``unlabeled_windowed_dir``; its other volumes form the unlabeled pool.
+    in ``unlabeled_dir``; its other volumes form the unlabeled pool.
     The plane size of the validation and unlabeled volumes, and of every
     volume the slice manifest names, is checked before training.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     model, _ = load_checkpoint(init_checkpoint)
     patch = model.shape.patch
-    if val_windowed_dir is not None:
-        val_files = _volume_files(Path(val_windowed_dir))
+    if val_dir is not None:
+        val_files = _volume_files(Path(val_dir))
         _check_plane_dims(val_files, patch, along_z_only=True)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = read_manifest(slices_dir / "manifest.csv")
-    labeled = load_train_slices(slices_dir, manifest, "train")
+    labeled = load_train_slices(slices_dir, manifest, w, "train")
     _check_manifest_dims(slices_dir, manifest, patch)
     pseudo_masks: dict[str, Path] = {}
     if pseudo_dir is not None:
@@ -598,16 +612,18 @@ def train_stage2_files(
         masks = Path(pseudo_dir).glob(f"*{MASK_SUFFIX}.vol")
         pseudo_masks = {p.stem[:-len(MASK_SUFFIX)]: p for p in masks}
     unlabeled: list[np.ndarray] = []
-    if unlabeled_windowed_dir is not None:
-        udir = Path(unlabeled_windowed_dir)
+    if unlabeled_dir is not None:
+        udir = Path(unlabeled_dir)
         _check_plane_dims(_volume_files(udir), patch, along_z_only=False)
-        pseudo, unlabeled = load_unlabeled_slices(udir, pseudo_masks, cfg.pseudo_weight)
+        pseudo, unlabeled = load_unlabeled_slices(
+            udir, pseudo_masks, w, cfg.pseudo_weight
+        )
         labeled += pseudo
     elif pseudo_masks:
         raise DataError(f"{min(pseudo_masks.values())}: pseudo masks given "
                         "without their unlabeled volumes")
 
-    val_cases = [] if val_windowed_dir is None else load_val_cases(val_windowed_dir)
+    val_cases = [] if val_dir is None else load_val_cases(val_dir, w)
 
     result = run_stage2(
         model, labeled, unlabeled, val_cases, cfg, sched, fta_cfg, val_points
@@ -649,14 +665,16 @@ def write_scores(
 
 def score_files(
     model_ckpt: Path | str,
-    val_windowed_dir: Path | str,
+    val_dir: Path | str,
     out_csv: Path | str,
+    w: WindowSpec,
 ) -> None:
-    """Per-case metric rows plus a mean row for every validation volume."""
+    """Per-case metric rows plus a mean row for every validation volume,
+    windowed by ``w``."""
     from .ssl import evaluate_volumes
 
     model, _ = load_checkpoint(model_ckpt)
-    _, per_case = evaluate_volumes(model, load_val_cases(val_windowed_dir))
+    _, per_case = evaluate_volumes(model, load_val_cases(val_dir, w))
     write_scores(per_case, out_csv)
 
 
@@ -743,7 +761,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
         unlabeled_dir = data / "unlabeled"
         val_dir = data / "val"
 
-    windowed = out / "windowed"
     slices = out / "slices"
     # The supervised-only baseline reads no unlabeled data in either stage.
     use_unlabeled = unlabeled_dir is not None and not cfg.supervised_only
@@ -762,9 +779,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
                 _check_plane_dims(
                     _volume_files(src), cfg.patch, along_z_only=name == "val"
                 )
-                window_dir(src, windowed / name, cfg.window())
         slice_dir(
-            windowed / "labeled", slices / "labeled",
+            labeled_dir, slices / "labeled",
             cfg.val_fraction, cfg.seed, cfg.split_by_volume,
         )
 
@@ -773,13 +789,15 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     stage_cfg = cfg.stage_config()
     if cfg.supervised_only:
         stage_cfg = replace(stage_cfg, stage1_pseudo_count=0)
-    unlabeled_windowed = (windowed / "unlabeled") if use_unlabeled else None
+    unlabeled = unlabeled_dir if use_unlabeled else None
+    window = cfg.window()
 
     def stage1():
         return train_stage1_files(
             slices / "labeled",
-            unlabeled_windowed,
+            unlabeled,
             out / "stage1",
+            window,
             stage_cfg,
             cfg.model_shape(),
             cfg.lr,
@@ -791,10 +809,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
         return train_stage2_files(
             slices / "labeled",
             out / "stage1" / "pseudo",
-            unlabeled_windowed,
-            (windowed / "val") if val_dir is not None else None,
+            unlabeled,
+            val_dir,
             stage1_ckpt,
             out / "stage2",
+            window,
             stage_cfg,
             cfg.train_schedule(),
             cfg.fta_config(),
@@ -811,7 +830,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
         if val_dir is not None:
             write_scores(val_reports, scores_csv)
         else:
-            _score_on_slice_split(stage2_ckpt, slices / "labeled", scores_csv)
+            _score_on_slice_split(stage2_ckpt, slices / "labeled", window, scores_csv)
 
     stage("score", score)
     log("run finished")
@@ -824,12 +843,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     )
 
 
-def _score_on_slice_split(ckpt: Path, slices_dir: Path, out_csv: Path) -> None:
+def _score_on_slice_split(
+    ckpt: Path, slices_dir: Path, w: WindowSpec, out_csv: Path
+) -> None:
     # Fallback scorer when no validation volumes exist: every held-out slice
     # is treated as a 1-deep volume.
     model, _ = load_checkpoint(ckpt)
     manifest = read_manifest(slices_dir / "manifest.csv")
-    val = load_train_slices(slices_dir, manifest, "val")
+    val = load_train_slices(slices_dir, manifest, w, "val")
     if not val:
         raise DataError("no validation slices in the split")
     # load_train_slices keeps manifest order, so the val rows name the planes.

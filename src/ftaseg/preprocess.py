@@ -86,8 +86,14 @@ def window_normalize(v: Volume, w: WindowSpec = WindowSpec()) -> Volume:
     """Clamp raw intensities to the window and rescale onto [0, 1]."""
     if v.value_unit != RAW:
         raise DataError("window_normalize expects a raw-intensity volume")
-    scaled = (v.data - np.float32(w.bottom)) / np.float32(w.top - w.bottom)
-    return Volume(np.clip(scaled, 0.0, 1.0), NORMALIZED)
+    return Volume(window_in_place(np.array(v.data), w), NORMALIZED)
+
+
+def window_in_place(data: np.ndarray, w: WindowSpec) -> np.ndarray:
+    """``window_normalize``'s arithmetic on a float32 array, overwriting it."""
+    data -= np.float32(w.bottom)
+    data /= np.float32(w.top - w.bottom)
+    return np.clip(data, 0.0, 1.0, out=data)
 
 
 def plane(data: np.ndarray, axis: str, index: int) -> np.ndarray:

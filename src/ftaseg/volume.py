@@ -104,7 +104,7 @@ def _write(path: Path | str, dtype_code: int, arr: np.ndarray) -> None:
         f.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _read(path: Path | str) -> tuple[int, tuple[int, int, int], bytes]:
+def _read(path: Path | str) -> tuple[int, tuple[int, int, int], memoryview]:
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size or blob[:4] != MAGIC:
         raise DataError(f"{path}: not a VOL1 file")
@@ -120,7 +120,8 @@ def _read(path: Path | str) -> tuple[int, tuple[int, int, int], bytes]:
             f"{path}: payload length {len(blob) - _HEADER.size} does not match "
             f"dims {d}x{h}x{w}"
         )
-    return dtype_code, (d, h, w), blob[_HEADER.size:]
+    # A view, not a slice: a copy of the payload would double each load.
+    return dtype_code, (d, h, w), memoryview(blob)[_HEADER.size:]
 
 
 def read_dims(path: Path | str) -> tuple[int, int, int]:

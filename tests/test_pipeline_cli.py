@@ -198,19 +198,22 @@ class TestConfig:
         "mode": "fta_mode", "seed": "seed",
     }
 
+    WINDOW_FLAGS = {"bottom": "window_bottom", "top": "window_top"}
+
     @pytest.mark.parametrize("argv,flags", [
-        (["window", "--in", "i", "--out", "o"],
-         {"bottom": "window_bottom", "top": "window_top"}),
+        (["window", "--in", "i", "--out", "o"], WINDOW_FLAGS),
         (["fta", "--a", "a", "--b", "b", "--out-a", "x", "--out-b", "y"], FTA_FLAGS),
         (["train-stage1", "--slices", "s", "--out", "o"],
-         {"epochs": "stage1_epochs", "pseudo_count": "stage1_pseudo_count",
-          "lr": "lr", "batch": "batch_size", "patch": "patch",
-          "hidden1": "hidden1", "hidden2": "hidden2", "seed": "seed"}),
+         {**WINDOW_FLAGS, "epochs": "stage1_epochs",
+          "pseudo_count": "stage1_pseudo_count", "lr": "lr", "batch": "batch_size",
+          "patch": "patch", "hidden1": "hidden1", "hidden2": "hidden2",
+          "seed": "seed"}),
         (["train-stage2", "--slices", "s", "--init", "i", "--out", "o"],
-         {**FTA_FLAGS, "iters": "stage2_iters", "lr": "lr", "batch": "batch_size",
-          "perturb": "perturb_rate", "momentum": "threshold_momentum",
-          "pseudo_weight": "pseudo_weight", "unsup_weight": "unsup_weight",
-          "val_points": "val_points"}),
+         {**FTA_FLAGS, **WINDOW_FLAGS, "iters": "stage2_iters", "lr": "lr",
+          "batch": "batch_size", "perturb": "perturb_rate",
+          "momentum": "threshold_momentum", "pseudo_weight": "pseudo_weight",
+          "unsup_weight": "unsup_weight", "val_points": "val_points"}),
+        (["score-dir", "--checkpoint", "c", "--val", "v", "--out", "o"], WINDOW_FLAGS),
     ])
     def test_cli_defaults_are_the_config_defaults(self, argv, flags):
         args = build_parser().parse_args(argv)
@@ -273,26 +276,27 @@ class TestWindowSliceDirs:
 
     def test_slice_dir_counts_and_mask_slices(self, tmp_path):
         src = self.make_raw_dir(tmp_path, n=1)
-        win = tmp_path / "win"
-        window_dir(src, win, WindowSpec())
         out = tmp_path / "slices"
-        manifest = slice_dir(win, out, val_fraction=0.2, seed=3)
+        manifest = slice_dir(src, out, val_fraction=0.2, seed=3)
         assert len(manifest) == 4 + 5 + 6
         assert len(manifest.subset("val")) == 3  # floor(0.2 * 15)
-        # Every row points back at the windowed volume and its mask; the
-        # slice directory holds nothing but the manifest.
+        # Every row points back at the raw volume and the mask beside it;
+        # the slice directory holds nothing but the manifest.
         for entry in manifest.entries:
-            assert (out / entry.file).resolve() == (win / "v0.vol").resolve()
-            assert (out / entry.mask_file).resolve() == (win / "v0_mask.vol").resolve()
+            assert (out / entry.file).resolve() == (src / "v0.vol").resolve()
+            assert (out / entry.mask_file).resolve() == (src / "v0_mask.vol").resolve()
         assert [p.name for p in out.iterdir()] == ["manifest.csv"]
         reread = read_manifest(out / "manifest.csv")
         assert reread == manifest
 
     def test_loaded_planes_match_slice_volume(self, tmp_path):
-        win = tmp_path / "win"
-        window_dir(self.make_raw_dir(tmp_path, n=3), win, WindowSpec())
+        # The loaders window the raw volumes as they read them; the planes
+        # carry the bytes of ``ftaseg window``'s output for the same window.
+        src, win = self.make_raw_dir(tmp_path, n=3), tmp_path / "win"
+        w = WindowSpec(400, 1900)
+        window_dir(src, win, w)
         out = tmp_path / "slices"
-        manifest = slice_dir(win, out, val_fraction=0.2, seed=1)
+        manifest = slice_dir(src, out, val_fraction=0.2, seed=1)
         expected = {}
         for vid in ("v0", "v1", "v2"):
             vol = load_volume(win / f"{vid}.vol", NORMALIZED)
@@ -306,17 +310,17 @@ class TestWindowSliceDirs:
             return (e.source_id, e.axis, e.index)
 
         for split in ("train", "val"):
-            loaded = load_train_slices(out, manifest, split)
+            loaded = load_train_slices(out, manifest, w, split)
             rows = manifest.subset(split)
             assert len(loaded) == len(rows)
             for ts, e in zip(loaded, rows):
                 image, target = expected[key(e)]
-                assert np.array_equal(ts.image, image)
+                assert ts.image.tobytes() == image.tobytes()
                 assert np.array_equal(ts.target, target)
         # The masks of v2 and v0 as pseudo masks: their planes come in id
         # order, and v1 alone forms the pool.
         pseudo, pool = load_unlabeled_slices(
-            win, {"v2": win / "v2_mask.vol", "v0": win / "v0_mask.vol"}, 0.5
+            src, {"v2": src / "v2_mask.vol", "v0": src / "v0_mask.vol"}, w, 0.5
         )
 
         def planes_of(vid):  # in slice_volume order
@@ -324,12 +328,12 @@ class TestWindowSliceDirs:
 
         assert len(pseudo) == len(planes_of("v0")) + len(planes_of("v2"))
         for ts, (image, target) in zip(pseudo, planes_of("v0") + planes_of("v2")):
-            assert np.array_equal(ts.image, image)
+            assert ts.image.tobytes() == image.tobytes()
             assert np.array_equal(ts.target, target)
             assert ts.weight == 0.5
         assert len(pool) == len(planes_of("v1"))
         for u, (image, _) in zip(pool, planes_of("v1")):
-            assert np.array_equal(u, image)
+            assert u.tobytes() == image.tobytes()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -337,10 +341,9 @@ class TestWindowSliceDirs:
          ("mask_file", "")],
     )
     def test_bad_manifest_row_is_a_data_error(self, tmp_path, field, value):
-        win = tmp_path / "win"
-        window_dir(self.make_raw_dir(tmp_path, n=1), win, WindowSpec())
+        src = self.make_raw_dir(tmp_path, n=1)
         out = tmp_path / "slices"
-        manifest = slice_dir(win, out)
+        manifest = slice_dir(src, out)
         first = manifest.entries[0]
         assert (first.axis, first.index) == ("x", 0)  # x planes run 0..5
         bad = dataclasses.replace(first, **{field: value})
@@ -348,10 +351,10 @@ class TestWindowSliceDirs:
             SliceManifest((bad,) + manifest.entries[1:]), out / "manifest.csv"
         )
         with pytest.raises(DataError):
-            load_train_slices(out, read_manifest(out / "manifest.csv"))
+            load_train_slices(out, read_manifest(out / "manifest.csv"), WindowSpec())
         if field == "file":  # unlabeled volumes are found by a mask's id
             with pytest.raises(DataError, match="gone.vol"):
-                load_unlabeled_slices(win, {"gone": win / "v0_mask.vol"})
+                load_unlabeled_slices(src, {"gone": src / "v0_mask.vol"}, WindowSpec())
         rc = main(["train-stage1", "--slices", str(out), "--out", str(tmp_path / "s1"),
                    "--epochs", "1", "--pseudo-count", "0"])
         assert rc == 3
@@ -364,21 +367,20 @@ class TestWindowSliceDirs:
 class TestStage1Files:
     def test_reads_only_the_unlabeled_volumes_it_picks(self, tmp_path):
         cfg = fast_config(synth_unlabeled=6, stage1_pseudo_count=2, seed=6)
-        generate_benchmark(cfg.benchmark_spec(), tmp_path / "data")
-        win, slc = tmp_path / "win", tmp_path / "slices"
-        for sub in ("labeled", "unlabeled"):
-            window_dir(tmp_path / "data" / sub, win / sub, cfg.window())
-        slice_dir(win / "labeled", slc, cfg.val_fraction, cfg.seed)
+        data, slc = tmp_path / "data", tmp_path / "slices"
+        generate_benchmark(cfg.benchmark_spec(), data)
+        slice_dir(data / "labeled", slc, cfg.val_fraction, cfg.seed)
 
         def stage1(out):
-            return train_stage1_files(slc, win / "unlabeled", tmp_path / out,
-                                      cfg.stage_config(), cfg.model_shape(), cfg.lr)
+            return train_stage1_files(slc, data / "unlabeled", tmp_path / out,
+                                      cfg.window(), cfg.stage_config(),
+                                      cfg.model_shape(), cfg.lr)
 
         ckpt_a, picked = stage1("a")
         assert len(picked) == 2
         manifest = (tmp_path / "a" / "manifest.txt").read_text()
         assert f"pseudo_selected = {','.join(sorted(picked))}\n" in manifest
-        others = [p for p in (win / "unlabeled").glob("*.vol") if p.stem not in picked]
+        others = [p for p in (data / "unlabeled").glob("*.vol") if p.stem not in picked]
         assert len(others) == 4
         for path in others:  # unreadable unless stage 1 skips them
             path.write_bytes(path.read_bytes()[:-4])
@@ -453,7 +455,7 @@ class TestRunPipeline:
         assert (tmp_path / "run" / "run.log").exists()
         assert (tmp_path / "run" / "stage1" / "manifest.txt").exists()
         assert (tmp_path / "run" / "stage2" / "manifest.txt").exists()
-        # Training planes are cut from the windowed volumes, never written.
+        # Training planes are cut from the volumes in memory, never written.
         vols = list((tmp_path / "run").rglob("*.vol"))
         assert vols and all(vol_depth(p) > 1 for p in vols)
 
@@ -482,8 +484,8 @@ class TestRunPipeline:
         mean = paths.scores_csv.read_text().splitlines()[-1].split(",")
         assert mean[0] == "mean"
         assert last[2:6] == [mean[1], mean[2], mean[4], mean[5]]
-        score_files(paths.stage2_ckpt, tmp_path / "run" / "windowed" / "val",
-                    tmp_path / "rescored.csv")
+        score_files(paths.stage2_ckpt, tmp_path / "run" / "data" / "val",
+                    tmp_path / "rescored.csv", cfg.window())
         assert (tmp_path / "rescored.csv").read_text() == paths.scores_csv.read_text()
 
     def test_missing_labeled_dir_fails_in_preprocess(self, tmp_path):
@@ -501,12 +503,23 @@ class TestRunPipeline:
     @pytest.mark.parametrize("supervised_only", [False, True])
     def test_run_dir_layout(self, tmp_path, supervised_only):
         # Only the labeled set has a slice manifest; stage 2 finds the
-        # unlabeled volumes and stage 1's pseudo masks by file name.
-        run = tmp_path / "run"
-        run_pipeline(fast_config(seed=3, supervised_only=supervised_only), run)
+        # unlabeled volumes and stage 1's pseudo masks by file name. The
+        # stages window the volumes as they load them, so the run writes no
+        # volume of its own but the pseudo masks.
+        cfg = fast_config(seed=3, supervised_only=supervised_only)
+        data, run = tmp_path / "data", tmp_path / "run"
+        generate_benchmark(cfg.benchmark_spec(), data)
+        run_pipeline(dataclasses.replace(
+            cfg, labeled_dir=str(data / "labeled"),
+            unlabeled_dir=str(data / "unlabeled"), val_dir=str(data / "val"),
+        ), run)
+        assert not (run / "windowed").exists()
         assert [p.relative_to(run) for p in run.rglob("manifest.csv")] == [
             Path("slices", "labeled", "manifest.csv")
         ]
+        vols = sorted(p.relative_to(run) for p in run.rglob("*.vol"))
+        assert all(p.parent == Path("stage1", "pseudo") for p in vols)
+        assert bool(vols) != supervised_only
         manifest = (run / "stage1" / "manifest.txt").read_text().splitlines()
         picked = dict(line.split(" = ", 1) for line in manifest)["pseudo_selected"]
         ids = [vid for vid in picked.split(",") if vid]
@@ -724,21 +737,19 @@ class TestCli:
         assert not (run / "stage1").exists()
 
     def stage_inputs(self, tmp_path, thin=True):
-        # Windowed fast-benchmark sets and the labeled slice manifest; with
-        # ``thin``, the unlabeled and validation sets hold one extra
-        # 32 x 32 x 2 volume (and mask).
+        # Fast-benchmark sets and the labeled slice manifest; with ``thin``,
+        # the unlabeled and validation sets hold one extra 32 x 32 x 2
+        # volume (and mask).
         cfg = fast_config()
-        data, win = tmp_path / "data", tmp_path / "win"
+        data = tmp_path / "data"
         generate_benchmark(cfg.benchmark_spec(), data)
         thin_vol = np.full((32, 32, 2), 800.0, dtype=np.float32)
         for sub in ("unlabeled", "val") if thin else ():
             save_volume(Volume(thin_vol, RAW), data / sub / "thin.vol")
             save_mask(MaskVolume(np.zeros(thin_vol.shape, np.uint8)),
                       data / sub / "thin_mask.vol")
-        for sub in ("labeled", "unlabeled", "val"):
-            window_dir(data / sub, win / sub, cfg.window())
-        slice_dir(win / "labeled", tmp_path / "slices", cfg.val_fraction, cfg.seed)
-        return win, tmp_path / "slices"
+        slice_dir(data / "labeled", tmp_path / "slices", cfg.val_fraction, cfg.seed)
+        return data, tmp_path / "slices"
 
     @staticmethod
     def init_checkpoint(tmp_path):
@@ -752,17 +763,17 @@ class TestCli:
     def test_stage_rejects_thin_labeled_volume_exit_3(
         self, tmp_path, capsys, monkeypatch, stage
     ):
-        # A 12 x 12 x 2 labeled volume passes window and slice, but its
-        # planes cut along the 2-deep axis are too narrow for the 5 x 5
-        # patch: each stage checks its slice manifest's volumes first.
-        data, win, slices = tmp_path / "data", tmp_path / "win", tmp_path / "slices"
+        # A 12 x 12 x 2 labeled volume passes slice, but its planes cut
+        # along the 2-deep axis are too narrow for the 5 x 5 patch: each
+        # stage checks its slice manifest's volumes first.
+        data, slices = tmp_path / "data", tmp_path / "slices"
         generate_benchmark(fast_config().benchmark_spec(), data)
         thin = np.full((12, 12, 2), 800.0, dtype=np.float32)
         save_volume(Volume(thin, RAW), data / "labeled" / "thin.vol")
         save_mask(MaskVolume(np.zeros(thin.shape, np.uint8)),
                   data / "labeled" / "thin_mask.vol")
-        assert self.run_cli("window", "--in", str(data / "labeled"), "--out", str(win)) == 0
-        assert self.run_cli("slice", "--in", str(win), "--out", str(slices)) == 0
+        rc = self.run_cli("slice", "--in", str(data / "labeled"), "--out", str(slices))
+        assert rc == 0
         capsys.readouterr()
         for fn in ("run_stage1", "run_stage2"):
             monkeypatch.setattr(f"ftaseg.pipeline.{fn}",
@@ -790,22 +801,99 @@ class TestCli:
             f"data error: {raw / 'v.vol'}: raw volume has NaN or infinite values\n"
         )
 
+    @staticmethod
+    def poison(path, bad):
+        # One voxel of the raw volume at ``path`` set to ``bad``.
+        data = load_volume(path).data.copy()
+        data[1, 2, 3] = bad
+        save_volume(Volume(data, RAW), path)
+
+    @staticmethod
+    def named_non_finite(err, prefix):
+        # The file a non-finite error names; labeled volumes are named by
+        # the path the slice manifest reaches them at.
+        suffix = ": raw volume has NaN or infinite values\n"
+        assert err.startswith(prefix) and err.endswith(suffix), err
+        return Path(err[len(prefix):-len(suffix)]).resolve()
+
+    @pytest.mark.parametrize("sub, vid, pseudo_count, stage, bad", [
+        ("labeled", "lab_001", 1, "stage1", np.nan),
+        # Stage 1 reads only the unlabeled volumes it pseudo-annotates; with
+        # none picked, stage 2 reads them first, as its pool.
+        ("unlabeled", "unl_000", 3, "stage1", np.inf),
+        ("unlabeled", "unl_000", 0, "stage2", np.nan),
+        ("val", "val_000", 1, "stage2", -np.inf),
+    ])
+    def test_pipeline_rejects_non_finite_volume_where_first_read_exit_3(
+        self, tmp_path, capsys, sub, vid, pseudo_count, stage, bad
+    ):
+        cfg = fast_config(stage1_pseudo_count=pseudo_count)
+        data = tmp_path / "data"
+        generate_benchmark(cfg.benchmark_spec(), data)
+        self.poison(data / sub / f"{vid}.vol", bad)
+        path = tmp_path / "cfg.txt"
+        write_kv_config(dataclasses.replace(
+            cfg, labeled_dir=str(data / "labeled"),
+            unlabeled_dir=str(data / "unlabeled"), val_dir=str(data / "val"),
+        ), path)
+        run = tmp_path / "run"
+        rc = self.run_cli("pipeline", "--config", str(path), "--out", str(run), "--quiet")
+        assert rc == 3
+        named = self.named_non_finite(capsys.readouterr().err, f"data error: [{stage}] ")
+        assert named == (data / sub / f"{vid}.vol").resolve()
+        assert not (run / "scores.csv").exists()
+
+    @pytest.mark.parametrize("cmd, sub, bad", [
+        ("train-stage1", "labeled", np.nan),
+        ("train-stage1", "unlabeled", np.inf),
+        ("train-stage2", "labeled", -np.inf),
+        ("train-stage2", "unlabeled", np.nan),
+        ("train-stage2", "val", np.inf),
+        ("score-dir", "val", np.nan),
+    ])
+    def test_stage_rejects_non_finite_volume_exit_3(
+        self, tmp_path, capsys, monkeypatch, cmd, sub, bad
+    ):
+        # The stages window each raw volume as they load it; a NaN or
+        # infinite voxel fails before anything is written.
+        data, slices = self.stage_inputs(tmp_path, thin=False)
+        bad_file = sorted((data / sub).glob("*_000.vol"))[0]
+        self.poison(bad_file, bad)
+        monkeypatch.setattr("ftaseg.pipeline.run_stage2",
+                            lambda *args: pytest.fail("stage 2 trained"))
+        init, out = str(self.init_checkpoint(tmp_path)), tmp_path / "out"
+        argv = {
+            "train-stage1": ["--slices", str(slices), "--unlabeled",
+                             str(data / "unlabeled"), "--out", str(out),
+                             "--epochs", "1", "--pseudo-count", "3"],
+            "train-stage2": ["--slices", str(slices), "--unlabeled",
+                             str(data / "unlabeled"), "--val", str(data / "val"),
+                             "--init", init, "--out", str(out), "--iters", "2"],
+            "score-dir": ["--checkpoint", init, "--val", str(data / "val"),
+                          "--out", str(out / "scores.csv")],
+        }[cmd]
+        assert self.run_cli(cmd, *argv) == 3
+        named = self.named_non_finite(capsys.readouterr().err, "data error: ")
+        assert named == bad_file.resolve()
+        assert not (out / "checkpoint.seg").exists()
+        assert not (out / "scores.csv").exists()
+
     def test_train_stage1_rejects_thin_unlabeled_volume_exit_3(
         self, tmp_path, capsys, monkeypatch
     ):
         # Planes cut along the 2-deep axis are 2 pixels wide, too narrow
         # for the 5 x 5 patch: the check runs before stage 1 trains.
-        win, slices = self.stage_inputs(tmp_path)
+        data, slices = self.stage_inputs(tmp_path)
         monkeypatch.setattr("ftaseg.pipeline.run_stage1",
                             lambda *args: pytest.fail("stage 1 trained"))
         out = tmp_path / "stage1"
         rc = self.run_cli("train-stage1", "--slices", str(slices),
-                          "--unlabeled", str(win / "unlabeled"), "--out", str(out),
+                          "--unlabeled", str(data / "unlabeled"), "--out", str(out),
                           "--epochs", "1", "--pseudo-count", "1")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
-        assert str(win / "unlabeled" / "thin.vol") in err
+        assert str(data / "unlabeled" / "thin.vol") in err
         assert not (out / "checkpoint.seg").exists()
 
     def test_train_stage2_rejects_thin_val_volume_exit_3(
@@ -813,36 +901,36 @@ class TestCli:
     ):
         # Validation volumes are predicted along z, so their W of 2 is a
         # plane side; the check runs before stage 2 trains.
-        win, slices = self.stage_inputs(tmp_path)
+        data, slices = self.stage_inputs(tmp_path)
         monkeypatch.setattr("ftaseg.pipeline.run_stage2",
                             lambda *args: pytest.fail("stage 2 trained"))
         init = self.init_checkpoint(tmp_path)
         out = tmp_path / "stage2"
         rc = self.run_cli("train-stage2", "--slices", str(slices),
-                          "--val", str(win / "val"), "--init", str(init),
+                          "--val", str(data / "val"), "--init", str(init),
                           "--out", str(out), "--iters", "2", "--val-points", "1")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
-        assert str(win / "val" / "thin.vol") in err
+        assert str(data / "val" / "thin.vol") in err
         assert not (out / "checkpoint.seg").exists()
 
     def test_train_stage2_rejects_thin_unlabeled_volume_exit_3(
         self, tmp_path, capsys, monkeypatch
     ):
         # Unlabeled planes are cut along all three axes, as in stage 1.
-        win, slices = self.stage_inputs(tmp_path)
+        data, slices = self.stage_inputs(tmp_path)
         monkeypatch.setattr("ftaseg.pipeline.run_stage2",
                             lambda *args: pytest.fail("stage 2 trained"))
         out = tmp_path / "stage2"
         rc = self.run_cli("train-stage2", "--slices", str(slices),
-                          "--unlabeled", str(win / "unlabeled"),
+                          "--unlabeled", str(data / "unlabeled"),
                           "--init", str(self.init_checkpoint(tmp_path)),
                           "--out", str(out), "--iters", "2")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
-        assert str(win / "unlabeled" / "thin.vol") in err
+        assert str(data / "unlabeled" / "thin.vol") in err
         assert not (out / "checkpoint.seg").exists()
 
     @pytest.mark.parametrize(
@@ -851,17 +939,17 @@ class TestCli:
     def test_train_stage2_rejects_bad_pseudo_mask_exit_3(
         self, tmp_path, capsys, monkeypatch, case
     ):
-        # A pseudo mask <id>_mask.vol pairs with the windowed volume
-        # <id>.vol in --unlabeled; each failure names the file.
-        win, slices = self.stage_inputs(tmp_path, thin=False)
+        # A pseudo mask <id>_mask.vol pairs with the volume <id>.vol in
+        # --unlabeled; each failure names the file.
+        data, slices = self.stage_inputs(tmp_path, thin=False)
         monkeypatch.setattr("ftaseg.pipeline.run_stage2",
                             lambda *args: pytest.fail("stage 2 trained"))
-        pseudo, volume = tmp_path / "pseudo", win / "unlabeled" / "unl_000.vol"
+        pseudo, volume = tmp_path / "pseudo", data / "unlabeled" / "unl_000.vol"
         mask = pseudo / "unl_000_mask.vol"
         pseudo.mkdir()
         d, h, w = load_volume(volume).dims
         save_mask(MaskVolume(np.zeros((d, h, w), np.uint8)), mask)
-        unlabeled = ["--unlabeled", str(win / "unlabeled")]
+        unlabeled = ["--unlabeled", str(data / "unlabeled")]
         named = mask
         if case == "missing-dir":
             shutil.rmtree(pseudo)
@@ -950,13 +1038,17 @@ class TestCli:
         assert (tmp_path / "o.ppm").read_bytes().startswith(b"P6\n")
 
     @staticmethod
-    def _child(*args: str) -> subprocess.CompletedProcess:
+    def _child(*args: str, blas_threads: str | None = None):
         # The child imports the same package as this test, installed or not.
+        # ``blas_threads`` sets its OPENBLAS_NUM_THREADS; by default it has none.
         src = str(Path(ftaseg.__file__).parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
         return subprocess.run(
-            [sys.executable, *args],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            [sys.executable, *args], capture_output=True, text=True, env=env,
         )
 
     def test_console_entrypoint(self):
@@ -973,11 +1065,44 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    # Prints the child's OPENBLAS_NUM_THREADS after importing the CLI, then
+    # OpenBLAS's own thread count, or -1 where no get_num_threads symbol of a
+    # loaded OpenBLAS resolves.
+    BLAS_PROBE = """
+import ctypes, os, ftaseg.cli
+threads = -1
+try:
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln.lower()})
+except OSError:
+    libs = []
+for lib in libs:
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(lib), sym, None)
+        if fn is not None and threads == -1:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads = fn()
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+
+    @pytest.mark.parametrize("user_value", [None, "2"])
+    def test_blas_runs_one_thread_unless_the_user_sets_it(self, user_value):
+        proc = self._child("-c", self.BLAS_PROBE, blas_threads=user_value)
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stdout.split()
+        assert value == (user_value or "1")
+        if threads != "-1":
+            # OpenBLAS caps its pool at the cores this process may use.
+            cores = len(os.sched_getaffinity(0))
+            assert int(threads) == min(int(value), cores)
+
 
 class TestComposability:
     def test_subcommands_reproduce_pipeline(self, tmp_path):
+        # A window other than the default, so that each stage's --bottom and
+        # --top must reach its loaders for the bytes to match.
         seed = 11
-        cfg = fast_config(seed=seed)
+        cfg = fast_config(seed=seed, window_bottom=400.0, window_top=1900.0)
         run = tmp_path / "run"
         paths = run_pipeline(cfg, run)
 
@@ -989,18 +1114,14 @@ class TestComposability:
         lines = [f"{f.name} = {getattr(bench, f.name)}"
                  for f in dataclasses.fields(bench)]
         spec.write_text("\n".join(lines) + "\n")
-        data, win, slc = c / "data", c / "win", c / "slices"
+        data, slc = c / "data", c / "slices"
+        window = ["--bottom", str(cfg.window_bottom), "--top", str(cfg.window_top)]
         assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
-        for sub in ("labeled", "unlabeled", "val"):
-            rc = main(["window", "--in", str(data / sub), "--out", str(win / sub),
-                       "--bottom", str(cfg.window_bottom),
-                       "--top", str(cfg.window_top)])
-            assert rc == 0
-        assert main(["slice", "--in", str(win / "labeled"), "--out",
+        assert main(["slice", "--in", str(data / "labeled"), "--out",
                      str(slc / "labeled"), "--val-fraction", str(cfg.val_fraction),
                      "--seed", str(seed)]) == 0
         assert main(["train-stage1", "--slices", str(slc / "labeled"),
-                     "--unlabeled", str(win / "unlabeled"),
+                     "--unlabeled", str(data / "unlabeled"), *window,
                      "--out", str(c / "stage1"),
                      "--epochs", str(cfg.stage1_epochs),
                      "--pseudo-count", str(cfg.stage1_pseudo_count),
@@ -1008,8 +1129,8 @@ class TestComposability:
                      "--seed", str(seed)]) == 0
         assert main(["train-stage2", "--slices", str(slc / "labeled"),
                      "--pseudo", str(c / "stage1" / "pseudo"),
-                     "--unlabeled", str(win / "unlabeled"),
-                     "--val", str(win / "val"),
+                     "--unlabeled", str(data / "unlabeled"),
+                     "--val", str(data / "val"), *window,
                      "--init", str(c / "stage1" / "checkpoint.seg"),
                      "--out", str(c / "stage2"),
                      "--iters", str(cfg.stage2_iters), "--lr", str(cfg.lr),
@@ -1017,7 +1138,7 @@ class TestComposability:
                      "--val-points", str(cfg.val_points),
                      "--seed", str(seed)]) == 0
         assert main(["score-dir", "--checkpoint", str(c / "stage2" / "checkpoint.seg"),
-                     "--val", str(win / "val"),
+                     "--val", str(data / "val"), *window,
                      "--out", str(c / "scores.csv")]) == 0
 
         assert (c / "stage1" / "checkpoint.seg").read_bytes() == \

@@ -66,6 +66,21 @@ class TestWindowNormalize:
         assert (np.diff(out) >= 0).all()
         assert out.min() >= 0.0 and out.max() <= 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-1e4, 1e4, width=32), min_size=1, max_size=64),
+        st.floats(-1000.0, 1000.0),
+        st.floats(1e-3, 3000.0),
+    )
+    def test_bytes_match_out_of_place_arithmetic(self, values, bottom, width):
+        # The windowing runs in place; an out-of-place subtract, divide and
+        # clip in float32 is the reference, bit for bit (signed zeros too).
+        xs = np.asarray(values, dtype=np.float32).reshape(1, 1, -1)
+        w = WindowSpec(bottom, bottom + width)
+        scaled = (xs - np.float32(w.bottom)) / np.float32(w.top - w.bottom)
+        expected = np.clip(scaled, 0.0, 1.0)
+        assert window_normalize(vol_of(xs), w).data.tobytes() == expected.tobytes()
+
 
 class TestSliceVolume:
     def test_paper_slice_count(self):
