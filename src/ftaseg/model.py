@@ -190,18 +190,19 @@ def _alpha_dropout_(
 ) -> float:
     # Writes the dropped-out activations to out and the kept units to keep;
     # returns the rescaling factor. The uniforms are float64 draws whatever
-    # a's dtype, so keep depends only on the generator. The units blend as
-    # keep*a + drop*saturation in a's dtype, exact for finite a and cheaper
-    # than a masked copy, chunk by chunk in the SELU buffer (idle between layers).
-    draws = scratch.take("draws", a.shape, np.float64)
-    rng.random(out=draws)
-    np.greater_equal(draws, rate, out=keep)
-    np.multiply(keep, a, out=out)
+    # a's dtype, so keep depends only on the generator; they are drawn a
+    # chunk of rows at a time, in order, which takes the generator's stream
+    # as one draw over a would. The units blend as keep*a + drop*saturation
+    # in a's dtype, exact for finite a and cheaper than a masked copy, in the
+    # SELU buffer (idle between layers).
     for r0 in range(0, len(a), ROW_CHUNK):
-        d = draws[r0:r0 + ROW_CHUNK]
+        rows = slice(r0, r0 + ROW_CHUNK)
+        d = rng.random(out=scratch.take("draws", a[rows].shape, np.float64))
+        np.greater_equal(d, rate, out=keep[rows])
+        np.multiply(keep[rows], a[rows], out=out[rows])
         drop = np.less(d, rate, out=scratch.take("selu", d.shape, a.dtype))
         drop *= SELU_SATURATION
-        out[r0:r0 + ROW_CHUNK] += drop
+        out[rows] += drop
     q = 1.0 - rate
     scale = (q + SELU_SATURATION**2 * rate * q) ** -0.5
     shift = -scale * rate * SELU_SATURATION

@@ -16,6 +16,7 @@ import shutil
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -413,9 +414,10 @@ def _load_windowed(path: Path, w: WindowSpec) -> Volume:
 def _cut(e: ManifestEntry, root: Path, name: str, load, cache: dict) -> np.ndarray:
     # Manifest rows come grouped by volume, so keeping only the last file
     # loaded into ``cache``, keyed by name, reads every volume and mask once.
+    # Errors name the file by its resolved path.
     if name not in cache:
         cache.clear()
-        path = root / name
+        path = (root / name).resolve()
         try:
             cache[name] = load(path).data
         except OSError as exc:  # also an empty mask_file, which names the dir
@@ -423,12 +425,13 @@ def _cut(e: ManifestEntry, root: Path, name: str, load, cache: dict) -> np.ndarr
     try:
         return plane(cache[name], e.axis, e.index)
     except DataError as exc:
-        raise DataError(f"{root / name}: {exc}") from exc
+        raise DataError(f"{(root / name).resolve()}: {exc}") from exc
 
 
 def _check_manifest_dims(slices_dir: Path, manifest: SliceManifest, patch: int) -> None:
     # Every volume a training manifest names is cut along all three axes.
-    files = [slices_dir / f for f in dict.fromkeys(e.file for e in manifest.entries)]
+    files = [(slices_dir / f).resolve()
+             for f in dict.fromkeys(e.file for e in manifest.entries)]
     _check_plane_dims(files, patch, along_z_only=False)
 
 
@@ -492,15 +495,20 @@ def load_unlabeled_slices(
 
 def load_val_cases(
     val_dir: Path | str, w: WindowSpec
-) -> list[tuple[str, Volume, MaskVolume]]:
-    """Validation volumes windowed by ``w``, with ground-truth masks."""
-    cases = []
-    for path in _volume_files(Path(val_dir)):
-        mask = _mask_path(path)
-        if not mask.exists():
+) -> tuple[list[str], Callable[[str], tuple[Volume, MaskVolume]]]:
+    """Validation ids and a loader of one case, the volume windowed by ``w``
+    and its mask; each volume is read once here to check it, then dropped."""
+    files = _volume_files(Path(val_dir))
+    for path in files:
+        if not _mask_path(path).exists():
             raise DataError(f"validation volume {path.name} has no mask")
-        cases.append((path.stem, _load_windowed(path, w), load_mask(mask)))
-    return cases
+        _load_raw(path)  # finite voxels
+
+    def load(cid: str) -> tuple[Volume, MaskVolume]:
+        path = Path(val_dir) / f"{cid}.vol"
+        return _load_windowed(path, w), load_mask(_mask_path(path))
+
+    return [path.stem for path in files], load
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +631,10 @@ def train_stage2_files(
         raise DataError(f"{min(pseudo_masks.values())}: pseudo masks given "
                         "without their unlabeled volumes")
 
-    val_cases = [] if val_dir is None else load_val_cases(val_dir, w)
+    val_ids, load_val = ([], None) if val_dir is None else load_val_cases(val_dir, w)
 
     result = run_stage2(
-        model, labeled, unlabeled, val_cases, cfg, sched, fta_cfg, val_points
+        model, labeled, unlabeled, val_ids, load_val, cfg, sched, fta_cfg, val_points
     )
 
     ckpt = out_dir / "checkpoint.seg"
@@ -674,7 +682,7 @@ def score_files(
     from .ssl import evaluate_volumes
 
     model, _ = load_checkpoint(model_ckpt)
-    _, per_case = evaluate_volumes(model, load_val_cases(val_dir, w))
+    _, per_case = evaluate_volumes(model, *load_val_cases(val_dir, w))
     write_scores(per_case, out_csv)
 
 

@@ -14,6 +14,7 @@ the consistency views.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -253,14 +254,17 @@ def predict_volume(
 
 def evaluate_volumes(
     model: PatchMLP,
-    cases: list[tuple[str, Volume, MaskVolume]],
+    ids: list[str],
+    load: Callable[[str], tuple[Volume, MaskVolume]],
     ws: Workspace | None = None,
 ) -> tuple[MetricsReport, list[tuple[str, MetricsReport]]]:
-    """Mean metrics over validation volumes, case reports in case-id order."""
-    per_case = [
-        (cid, evaluate_masks(predict_volume(model, vol, ws), gt))
-        for cid, vol, gt in sorted(cases, key=lambda c: c[0])
-    ]
+    """Mean metrics over validation cases, case reports in case-id order.
+    ``load`` maps an id to its volume and mask; one case is held at a time."""
+    per_case = []
+    for cid in sorted(ids):
+        vol, gt = load(cid)
+        per_case.append((cid, evaluate_masks(predict_volume(model, vol, ws), gt)))
+        del vol, gt  # before the next case loads
     return mean_report([r for _, r in per_case]), per_case
 
 
@@ -383,7 +387,8 @@ def run_stage2(
     model: PatchMLP,
     labeled: list[TrainSlice],
     unlabeled: list[np.ndarray],
-    val_cases: list[tuple[str, Volume, MaskVolume]],
+    val_ids: list[str],
+    load_val: Callable[[str], tuple[Volume, MaskVolume]] | None,
     cfg: StageConfig,
     sched: TrainSchedule,
     fta_cfg: FtaConfig,
@@ -395,9 +400,9 @@ def run_stage2(
     is augmented in both directions at once, the labeled half feeding the
     supervised loss and the unlabeled half serving as a strong view. With an
     empty unlabeled pool the loop degrades to supervised-only training and
-    records a warning. Validation metrics are logged min(``val_points``,
-    iterations) times at evenly spread iterations, the last one on the
-    final model.
+    records a warning. Validation over ``val_ids``, read by ``load_val``, is
+    logged min(``val_points``, iterations) times at evenly spread
+    iterations, the last one on the final model.
     """
     if not labeled:
         raise DataError("stage 2 requires a nonempty labeled set")
@@ -436,7 +441,7 @@ def run_stage2(
     # since a step's planes view them until the step ends.
     sup_ws, scratch = Workspace(), Workspace()
     strong_ws, fp_ws = Workspace(scratch), Workspace(scratch)
-    fta_ws: dict[tuple[int, int], Workspace] = {}
+    fta_ws: dict[tuple[int, int], Workspace] = defaultdict(Workspace)
     n_val = min(max(1, val_points), sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
@@ -486,7 +491,7 @@ def run_stage2(
                 z_w = [None] * len(views)
                 strong_planes = [None] * len(views)
                 for shape, group in _by_shape([d.shape for _, d, _, _ in views]).items():
-                    ws = fta_ws.setdefault(shape, Workspace())
+                    ws = fta_ws[shape]
                     weak_of = [weak_planes[views[k][0]] for k in group]
                     pair = fta_augment_pair(
                         _stacked(ws, "donors", [views[k][1] for k in group]),
@@ -559,9 +564,9 @@ def run_stage2(
                     grad += w_u * strong_grad
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
 
-            if val_cases and it + 1 in val_iters:
+            if val_ids and it + 1 in val_iters:
                 epoch += 1
-                mean, val_reports = evaluate_volumes(model, val_cases, sup_ws)
+                mean, val_reports = evaluate_volumes(model, val_ids, load_val, sup_ws)
                 history.append(
                     HistoryRow(
                         epoch, "val", mean.dice, mean.iou, mean.hd_norm,

@@ -266,8 +266,8 @@ def sigmoid_ref(z: np.ndarray) -> np.ndarray:
 
 
 def _alpha_dropout_ref(activations: np.ndarray, rate: float, rng):
-    # A select by mask from float64 uniform draws, computed in the dtype of
-    # the activations.
+    # A select by mask from float64 uniform draws, taken in one draw over
+    # the whole array and computed in the dtype of the activations.
     saturation = -SELU_SCALE_REF * SELU_ALPHA_REF
     keep = rng.random(activations.shape) >= rate
     q = 1.0 - rate

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.model import (
@@ -537,6 +539,36 @@ class TestBranchFreeMasks:
         want, want_keep, _ = _alpha_dropout_ref(a, 0.3, np.random.default_rng(43))
         assert np.array_equal(keep, want_keep)
         assert out.tobytes() == want.tobytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.one_of(
+            st.integers(1, 3),
+            st.builds(lambda k, off: k * ROW_CHUNK + off,
+                      st.integers(1, 2), st.integers(-2, 2)),
+        ),
+        width=st.sampled_from([ModelShape().hidden1, ModelShape().hidden2]),
+        rate=st.one_of(st.floats(0.0, 1e-3), st.floats(0.99, 0.9999)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_draws_match_one_draw(self, rows, width, rate, dtype, seed):
+        # The uniforms are drawn a chunk of rows at a time; the generator's
+        # stream must come out as one draw over the whole array would, on
+        # either side of a chunk boundary and at rates that keep or drop
+        # almost every unit.
+        a = np.random.default_rng(seed).normal(0.0, 2.0, (rows, width)).astype(dtype)
+        out, keep = np.empty_like(a), np.empty(a.shape, dtype=bool)
+        scale = _alpha_dropout_(
+            a, rate, np.random.default_rng(seed), out, keep, Workspace()
+        )
+        want, want_keep, want_scale = _alpha_dropout_ref(
+            a, rate, np.random.default_rng(seed)
+        )
+        assert keep.tobytes() == want_keep.tobytes()
+        assert out.tobytes() == want.tobytes()
+        assert np.float64(scale).tobytes() == np.float64(want_scale).tobytes()
 
 
 class TestFloat32:

@@ -470,9 +470,9 @@ class TestRunPipeline:
         # checkpoint's parameters: nothing predicts the volumes again.
         calls = []
 
-        def counting(model, cases, *args):
-            calls.append(len(cases))
-            return evaluate_volumes(model, cases, *args)
+        def counting(model, ids, load, *args):
+            calls.append(len(ids))
+            return evaluate_volumes(model, ids, load, *args)
 
         monkeypatch.setattr("ftaseg.ssl.evaluate_volumes", counting)
         cfg = fast_config(seed=8, synth_val=3, val_points=3)
@@ -809,12 +809,12 @@ class TestCli:
         save_volume(Volume(data, RAW), path)
 
     @staticmethod
-    def named_non_finite(err, prefix):
-        # The file a non-finite error names; labeled volumes are named by
-        # the path the slice manifest reaches them at.
-        suffix = ": raw volume has NaN or infinite values\n"
-        assert err.startswith(prefix) and err.endswith(suffix), err
-        return Path(err[len(prefix):-len(suffix)]).resolve()
+    def non_finite_error(prefix, path):
+        # The error line of a volume with a non-finite voxel. The unlabeled
+        # and validation volumes are named by the path given for their
+        # directory, labeled ones by their resolved path; under the resolved
+        # tmp_path the two agree.
+        return f"{prefix}{path}: raw volume has NaN or infinite values\n"
 
     @pytest.mark.parametrize("sub, vid, pseudo_count, stage, bad", [
         ("labeled", "lab_001", 1, "stage1", np.nan),
@@ -825,12 +825,17 @@ class TestCli:
         ("val", "val_000", 1, "stage2", -np.inf),
     ])
     def test_pipeline_rejects_non_finite_volume_where_first_read_exit_3(
-        self, tmp_path, capsys, sub, vid, pseudo_count, stage, bad
+        self, tmp_path, capsys, monkeypatch, sub, vid, pseudo_count, stage, bad
     ):
+        # Every case fails before stage 2 trains: stage 2 reads the
+        # validation volumes one at a time as it validates, but checks them
+        # all first.
         cfg = fast_config(stage1_pseudo_count=pseudo_count)
         data = tmp_path / "data"
         generate_benchmark(cfg.benchmark_spec(), data)
         self.poison(data / sub / f"{vid}.vol", bad)
+        monkeypatch.setattr("ftaseg.pipeline.run_stage2",
+                            lambda *args: pytest.fail("stage 2 trained"))
         path = tmp_path / "cfg.txt"
         write_kv_config(dataclasses.replace(
             cfg, labeled_dir=str(data / "labeled"),
@@ -839,8 +844,10 @@ class TestCli:
         run = tmp_path / "run"
         rc = self.run_cli("pipeline", "--config", str(path), "--out", str(run), "--quiet")
         assert rc == 3
-        named = self.named_non_finite(capsys.readouterr().err, f"data error: [{stage}] ")
-        assert named == (data / sub / f"{vid}.vol").resolve()
+        assert capsys.readouterr().err == self.non_finite_error(
+            f"data error: [{stage}] ", data / sub / f"{vid}.vol"
+        )
+        assert not (run / "stage2" / "checkpoint.seg").exists()
         assert not (run / "scores.csv").exists()
 
     @pytest.mark.parametrize("cmd, sub, bad", [
@@ -873,8 +880,9 @@ class TestCli:
                           "--out", str(out / "scores.csv")],
         }[cmd]
         assert self.run_cli(cmd, *argv) == 3
-        named = self.named_non_finite(capsys.readouterr().err, "data error: ")
-        assert named == bad_file.resolve()
+        assert capsys.readouterr().err == self.non_finite_error(
+            "data error: ", bad_file
+        )
         assert not (out / "checkpoint.seg").exists()
         assert not (out / "scores.csv").exists()
 

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -62,6 +63,11 @@ def make_train_set(rng, n=6, hw=8):
         target = (rng.random((hw, hw)) < 0.3).astype(np.uint8)
         out.append(TrainSlice(img, target))
     return out
+
+
+def val_source(cases):
+    # Validation ids and a loader over (id, volume, mask) cases held in memory.
+    return [cid for cid, _, _ in cases], {c[0]: c[1:] for c in cases}.__getitem__
 
 
 class InlineExecutor:
@@ -411,7 +417,7 @@ class TestStage2:
         cfg = StageConfig(seed=9, batch_size=3)
         sched = TrainSchedule(1e-3, 25)
         res = run_stage2(
-            PatchMLP(model.shape, model.params), labeled, [], [], cfg, sched,
+            PatchMLP(model.shape, model.params), labeled, [], [], None, cfg, sched,
             FtaConfig(), val_points=1,
         )
         assert res.warnings and "supervised-only" in res.warnings[0]
@@ -468,7 +474,8 @@ class TestStage2:
         cfg = StageConfig(seed=3, batch_size=2, threshold_momentum=0.9)
         res = run_stage2(
             PatchMLP.init_random(ModelShape(3, 4, 3), 4), labeled, unlabeled,
-            self.val_cases(rng), cfg, TrainSchedule(1e-3, 12), FtaConfig(),
+            *val_source(self.val_cases(rng)), cfg, TrainSchedule(1e-3, 12),
+            FtaConfig(),
             val_points=3,
         )
         assert 0.5 <= res.threshold.tau <= 1.0
@@ -489,12 +496,13 @@ class TestStage2:
         val_cases = self.val_cases(rng)
         res = run_stage2(
             PatchMLP.init_random(ModelShape(3, 4, 3), 7), labeled, unlabeled,
-            val_cases, StageConfig(seed=2, batch_size=2, threshold_momentum=0.9),
+            *val_source(val_cases),
+            StageConfig(seed=2, batch_size=2, threshold_momentum=0.9),
             TrainSchedule(1e-2, iters), FtaConfig(), val_points=val_points,
         )
         n = min(val_points, iters)
         assert [row.epoch for row in res.history] == list(range(1, n + 1))
-        final, _ = evaluate_volumes(res.model, val_cases)
+        final, _ = evaluate_volumes(res.model, *val_source(val_cases))
         last = res.history[-1]
         assert (last.dice, last.iou, last.hd_norm, last.score) == (
             final.dice, final.iou, final.hd_norm, final.score
@@ -509,7 +517,7 @@ class TestStage2:
             cfg = StageConfig(seed=6, batch_size=2)
             return run_stage2(
                 PatchMLP.init_random(ModelShape(3, 4, 3), 5), labeled, unlabeled,
-                [], cfg, TrainSchedule(1e-3, 10), FtaConfig(), val_points=1,
+                [], None, cfg, TrainSchedule(1e-3, 10), FtaConfig(), val_points=1,
             )
 
         a, b = run(), run()
@@ -538,7 +546,7 @@ class TestStage2:
             before = [u.copy() for u in [ts.image for ts in labeled] + unlabeled]
             res = run_stage2(
                 PatchMLP.init_random(ModelShape(3, 4, 3), 8), labeled, unlabeled,
-                [], cfg, sched, FtaConfig(), val_points=1,
+                [], None, cfg, sched, FtaConfig(), val_points=1,
             )
             after = [ts.image for ts in labeled] + unlabeled
             assert all(np.array_equal(x, y) for x, y in zip(before, after))
@@ -563,7 +571,7 @@ class TestStage2:
         unlabeled = [ts.image for ts in make_train_set(rng, 6)]
         return run_stage2(
             PatchMLP.init_random(ModelShape(3, 4, 3), 6), labeled, unlabeled,
-            self.val_cases(rng), StageConfig(seed=4, batch_size=3),
+            *val_source(self.val_cases(rng)), StageConfig(seed=4, batch_size=3),
             TrainSchedule(1e-2, 8), FtaConfig(), val_points=2,
         )
 
@@ -613,7 +621,7 @@ class TestStage2:
         ]
         res = run_stage2(
             PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
-            [ts.image for ts in make_train_set(rng, 6)], cases,
+            [ts.image for ts in make_train_set(rng, 6)], *val_source(cases),
             StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 8), FtaConfig(),
             val_points=3,
         )
@@ -622,7 +630,7 @@ class TestStage2:
         loaded, _ = load_checkpoint(path)
         assert res.model.params.tobytes() == loaded.params.tobytes()
         assert len(res.history) == 3
-        assert res.val_reports == evaluate_volumes(loaded, cases)[1]
+        assert res.val_reports == evaluate_volumes(loaded, *val_source(cases))[1]
         assert [cid for cid, _ in res.val_reports] == ["v0", "v1", "v2"]
         mean = mean_report([r for _, r in res.val_reports])
         last = res.history[-1]
@@ -630,11 +638,47 @@ class TestStage2:
             mean.dice, mean.iou, mean.hd_norm, mean.score
         )
 
+    def test_validation_streams_one_case_at_a_time(self):
+        # The loader builds each case afresh and watches it, and its arrays,
+        # through weak references: when a case loads, no case handed out
+        # earlier may still be alive. Stage 2 loads each case once per
+        # validation point.
+        rng = np.random.default_rng(35)
+        arrays = {cid: (rng.random((3, 7, 5), dtype=np.float32),
+                        (rng.random((3, 7, 5)) < 0.3).astype(np.uint8))
+                  for cid in ("v2", "v0", "v1")}
+        refs, live, loaded = [], [], []
+
+        def load(cid):
+            live.append(sum(r() is not None for r in refs))
+            loaded.append(cid)
+            vol = Volume(arrays[cid][0], NORMALIZED)
+            gt = MaskVolume(arrays[cid][1])
+            refs.extend(weakref.ref(x) for x in (vol, gt, vol.data, gt.data))
+            return vol, gt
+
+        model = PatchMLP.init_random(ModelShape(3, 4, 3), 6)
+        held = [(cid, Volume(v, NORMALIZED), MaskVolume(m))
+                for cid, (v, m) in arrays.items()]
+        _, per_case = evaluate_volumes(model, list(arrays), load)
+        assert live == [0, 0, 0] and loaded == ["v0", "v1", "v2"]
+        assert per_case == evaluate_volumes(model, *val_source(held))[1]
+
+        live.clear()
+        loaded.clear()
+        res = run_stage2(
+            model, make_train_set(rng, 5), [ts.image for ts in make_train_set(rng, 6)],
+            list(arrays), load, StageConfig(seed=4, batch_size=3),
+            TrainSchedule(1e-2, 8), FtaConfig(), val_points=3,
+        )
+        assert loaded == ["v0", "v1", "v2"] * 3 and not any(live)
+        assert [cid for cid, _ in res.val_reports] == ["v0", "v1", "v2"]
+
     def test_without_val_cases_no_reports(self):
         rng = np.random.default_rng(34)
         res = run_stage2(
             PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
-            [], [], StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 3),
+            [], [], None, StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 3),
             FtaConfig(), val_points=1,
         )
         assert res.history == [] and res.val_reports == []
@@ -642,7 +686,7 @@ class TestStage2:
     def test_requires_labeled(self):
         with pytest.raises(DataError):
             run_stage2(
-                PatchMLP.init_random(ModelShape(3, 4, 3), 0), [], [], [],
+                PatchMLP.init_random(ModelShape(3, 4, 3), 0), [], [], [], None,
                 StageConfig(), TrainSchedule(1e-4, 5), FtaConfig(), val_points=1,
             )
 

@@ -79,7 +79,7 @@ def test_model_wraps_count_rows_of_a_two_lane_stage2_run():
     t.install([w for w in tracer.WRAPS if w[2].startswith("model.")])
     try:
         run_stage2(
-            PatchMLP.init_random(ModelShape(), 0), labeled, unlabeled, [],
+            PatchMLP.init_random(ModelShape(), 0), labeled, unlabeled, [], None,
             StageConfig(seed=0, batch_size=2), TrainSchedule(1e-3, 3), FtaConfig(),
             val_points=1,
         )
