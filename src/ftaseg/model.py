@@ -176,8 +176,8 @@ class Perturbation:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"perturbation rate must be in [0, 1), got {self.rate}")
+        if not 0.0 < self.rate < 1.0:
+            raise ConfigError(f"perturbation rate must be in (0, 1), got {self.rate}")
 
 
 def _alpha_dropout_(
@@ -382,15 +382,13 @@ class PatchMLP:
             # overwrites next, then the head.
             weak = head(dense_selu(a1_pre, w2, b2, "a2_pre", h2), "weak_probs")
             cache["weak_probs"] = np.clip(weak, 1e-15, 1.0 - 1e-15, out=weak)
-        a1 = a1_pre
-        keep1 = keep2 = None
-        scale = 1.0
-        if perturb is not None and perturb.rate > 0.0:
             rng = np.random.default_rng(perturb.seed)
             a1, keep1, scale = dropout(a1_pre, rng, "a1", "keep1")
+        else:
+            a1, keep1, scale = a1_pre, None, 1.0
         a2_pre = dense_selu(a1, w2, b2, "a2_pre", h2)
-        a2 = a2_pre
-        if perturb is not None and perturb.rate > 0.0:
+        a2, keep2 = a2_pre, None
+        if perturb is not None:
             a2, keep2, _ = dropout(a2_pre, rng, "a2", "keep2")
         probs = head(a2, "probs")
         cache.update(

@@ -2,10 +2,11 @@
 
 Every stage reads and writes the on-disk formats (VOL1 volumes, slice
 manifests, SEG1 checkpoints, CSV metrics), so composing the CLI subcommands
-through files reproduces ``run_pipeline`` byte for byte at equal seeds. A run
-directory holds the resolved config snapshot, the run log, the labeled slice
-manifest, the stage manifests, the pseudo masks and the metrics/scores CSVs;
-the stages window the raw volumes as they load them and cut planes in memory.
+through files, each given the run's ``config.txt``, reproduces
+``run_pipeline`` byte for byte. A run directory holds the resolved config
+snapshot, the run log, the labeled slice manifest, the stage manifests, the
+pseudo masks and the metrics/scores CSVs; the stages window the raw volumes
+as they load them and cut planes in memory.
 """
 
 from __future__ import annotations
@@ -128,11 +129,6 @@ def _format_kv(cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_benchmark_spec(path: Path | str) -> BenchmarkSpec:
-    kv = _parse_kv(Path(path).read_text())
-    return BenchmarkSpec(**coerce_fields(BenchmarkSpec, kv))
-
-
 # Each sub-config's flat keys: its field names behind a prefix, except the
 # renamed ones.
 _FLAT_KEYS: dict[type, tuple[str, dict[str, str]]] = {
@@ -229,7 +225,9 @@ class PipelineConfig:
         return self._build(FtaConfig)
 
     def stage_config(self) -> StageConfig:
-        return self._build(StageConfig)
+        # The supervised-only baseline pseudo-annotates nothing.
+        cfg = self._build(StageConfig)
+        return replace(cfg, stage1_pseudo_count=0) if self.supervised_only else cfg
 
     def model_shape(self) -> ModelShape:
         return self._build(ModelShape)
@@ -795,8 +793,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     stage("preprocess", preprocess)
 
     stage_cfg = cfg.stage_config()
-    if cfg.supervised_only:
-        stage_cfg = replace(stage_cfg, stage1_pseudo_count=0)
     unlabeled = unlabeled_dir if use_unlabeled else None
     window = cfg.window()
 

@@ -127,7 +127,7 @@ def build_manifest(
     mask_file: str = "",
 ) -> SliceManifest:
     """Rows for ``slice_volume`` planes of the volume ``source_id`` stored at
-    ``file`` (by default ``<source_id>.vol``, the name ``window_dir`` keeps)."""
+    ``file`` (by default ``<source_id>.vol``)."""
     file = f"{source_id}.vol" if file is None else file
     return SliceManifest(tuple(
         ManifestEntry(file, axis, i, source_id, split, mask_file)

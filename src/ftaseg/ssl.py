@@ -404,6 +404,8 @@ def run_stage2(
     logged min(``val_points``, iterations) times at evenly spread
     iterations, the last one on the final model.
     """
+    if val_points < 1:
+        raise ConfigError(f"val_points must be >= 1, got {val_points}")
     if not labeled:
         raise DataError("stage 2 requires a nonempty labeled set")
     warnings: list[str] = []
@@ -442,7 +444,7 @@ def run_stage2(
     sup_ws, scratch = Workspace(), Workspace()
     strong_ws, fp_ws = Workspace(scratch), Workspace(scratch)
     fta_ws: dict[tuple[int, int], Workspace] = defaultdict(Workspace)
-    n_val = min(max(1, val_points), sched.total_iters)
+    n_val = min(val_points, sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
 

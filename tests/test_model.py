@@ -192,6 +192,9 @@ class TestForward:
             ModelShape(4, 4, 3)  # even patch
         with pytest.raises(ConfigError):
             ModelShape(3, 0, 3)
+        for rate in (0.0, 1.0):  # the dropout rate lies in (0, 1)
+            with pytest.raises(ConfigError):
+                Perturbation(rate, 0)
 
 
 def _noisy(shape: ModelShape, seed: int) -> PatchMLP:

@@ -193,34 +193,49 @@ class TestConfig:
         assert cfg.train_schedule() == TrainSchedule()
         assert cfg.benchmark_spec() == BenchmarkSpec()
 
-    FTA_FLAGS = {
-        "lam": "fta_lambda", "lambda_max": "fta_lambda_max", "beta": "fta_beta",
-        "mode": "fta_mode", "seed": "seed",
+    # Each subcommand that takes settings, with its path flags; fta writes
+    # to --out-a and --out-b in place of --out.
+    SETTINGS_ARGV = {
+        "synth": ["--out", "{out}"],
+        "window": ["--in", "raw", "--out", "{out}"],
+        "slice": ["--in", "raw", "--out", "{out}"],
+        "fta": ["--a", "a.vol", "--b", "b.vol", "--out-a", "{out}",
+                "--out-b", "{out}/b.vol"],
+        "train-stage1": ["--slices", "s", "--out", "{out}"],
+        "train-stage2": ["--slices", "s", "--init", "c.seg", "--out", "{out}"],
+        "score-dir": ["--checkpoint", "c.seg", "--val", "v", "--out", "{out}"],
+        "pipeline": ["--quiet", "--out", "{out}"],
     }
 
-    WINDOW_FLAGS = {"bottom": "window_bottom", "top": "window_top"}
-
-    @pytest.mark.parametrize("argv,flags", [
-        (["window", "--in", "i", "--out", "o"], WINDOW_FLAGS),
-        (["fta", "--a", "a", "--b", "b", "--out-a", "x", "--out-b", "y"], FTA_FLAGS),
-        (["train-stage1", "--slices", "s", "--out", "o"],
-         {**WINDOW_FLAGS, "epochs": "stage1_epochs",
-          "pseudo_count": "stage1_pseudo_count", "lr": "lr", "batch": "batch_size",
-          "patch": "patch", "hidden1": "hidden1", "hidden2": "hidden2",
-          "seed": "seed"}),
-        (["train-stage2", "--slices", "s", "--init", "i", "--out", "o"],
-         {**FTA_FLAGS, **WINDOW_FLAGS, "iters": "stage2_iters", "lr": "lr",
-          "batch": "batch_size", "perturb": "perturb_rate",
-          "momentum": "threshold_momentum", "pseudo_weight": "pseudo_weight",
-          "unsup_weight": "unsup_weight", "val_points": "val_points"}),
-        (["score-dir", "--checkpoint", "c", "--val", "v", "--out", "o"], WINDOW_FLAGS),
+    @pytest.mark.parametrize("case, msg", [
+        ("unknown-key", "unknown config key 'nosuch'"),
+        ("malformed-set", "--set expects key=value, got 'seed'"),
+        ("bad-config-value", "bad value for stage2_iters: 'many'"),
     ])
-    def test_cli_defaults_are_the_config_defaults(self, argv, flags):
-        args = build_parser().parse_args(argv)
-        cfg = PipelineConfig()
-        assert {dest: getattr(args, dest) for dest in flags} == {
-            dest: getattr(cfg, key) for dest, key in flags.items()
-        }
+    @pytest.mark.parametrize("cmd", list(SETTINGS_ARGV))
+    def test_settings_rejected_exit_2(self, tmp_path, capsys, cmd, case, msg):
+        # Every setting is a PipelineConfig key, read through --config and
+        # --set; a bad one fails before the subcommand creates its output.
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text("stage2_iters = many\n")
+        extra = {
+            "unknown-key": ["--set", "nosuch=1"],
+            "malformed-set": ["--set", "seed"],
+            "bad-config-value": ["--config", str(cfg)],
+        }[case]
+        argv = [a.format(out=out) for a in self.SETTINGS_ARGV[cmd]]
+        assert main([cmd, *argv, *extra]) == 2
+        assert capsys.readouterr().err == f"config error: {msg}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", list(SETTINGS_ARGV))
+    def test_help_lists_every_config_key(self, cmd):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        parser = sub.choices[cmd]
+        keys = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert ", ".join(keys) in " ".join(parser.format_help().split())
+        # No flag spells a key: --config and --set carry every setting.
+        assert not {a.dest for a in parser._actions} & set(keys)
 
 
 class TestBenchmark:
@@ -356,7 +371,7 @@ class TestWindowSliceDirs:
             with pytest.raises(DataError, match="gone.vol"):
                 load_unlabeled_slices(src, {"gone": src / "v0_mask.vol"}, WindowSpec())
         rc = main(["train-stage1", "--slices", str(out), "--out", str(tmp_path / "s1"),
-                   "--epochs", "1", "--pseudo-count", "0"])
+                   "--set", "stage1_epochs=1", "--set", "stage1_pseudo_count=0"])
         assert rc == 3
 
     def test_missing_dir_raises(self, tmp_path):
@@ -872,10 +887,12 @@ class TestCli:
         argv = {
             "train-stage1": ["--slices", str(slices), "--unlabeled",
                              str(data / "unlabeled"), "--out", str(out),
-                             "--epochs", "1", "--pseudo-count", "3"],
+                             "--set", "stage1_epochs=1",
+                             "--set", "stage1_pseudo_count=3"],
             "train-stage2": ["--slices", str(slices), "--unlabeled",
                              str(data / "unlabeled"), "--val", str(data / "val"),
-                             "--init", init, "--out", str(out), "--iters", "2"],
+                             "--init", init, "--out", str(out),
+                             "--set", "stage2_iters=2"],
             "score-dir": ["--checkpoint", init, "--val", str(data / "val"),
                           "--out", str(out / "scores.csv")],
         }[cmd]
@@ -897,7 +914,7 @@ class TestCli:
         out = tmp_path / "stage1"
         rc = self.run_cli("train-stage1", "--slices", str(slices),
                           "--unlabeled", str(data / "unlabeled"), "--out", str(out),
-                          "--epochs", "1", "--pseudo-count", "1")
+                          "--set", "stage1_epochs=1", "--set", "stage1_pseudo_count=1")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
@@ -916,12 +933,31 @@ class TestCli:
         out = tmp_path / "stage2"
         rc = self.run_cli("train-stage2", "--slices", str(slices),
                           "--val", str(data / "val"), "--init", str(init),
-                          "--out", str(out), "--iters", "2", "--val-points", "1")
+                          "--out", str(out), "--set", "stage2_iters=2",
+                          "--set", "val_points=1")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert str(data / "val" / "thin.vol") in err
         assert not (out / "checkpoint.seg").exists()
+
+    @pytest.mark.parametrize("val_points", ["0", "-3"])
+    def test_train_stage2_rejects_val_points_below_one_exit_2(
+        self, tmp_path, capsys, val_points
+    ):
+        # Rejected as by the pipeline, not clamped to one validation.
+        data, slices = self.stage_inputs(tmp_path, thin=False)
+        out = tmp_path / "stage2"
+        rc = self.run_cli("train-stage2", "--slices", str(slices),
+                          "--val", str(data / "val"),
+                          "--init", str(self.init_checkpoint(tmp_path)),
+                          "--out", str(out), "--set", "stage2_iters=2",
+                          "--set", f"val_points={val_points}")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: stage2_iters and val_points must be >= 1\n"
+        )
+        assert not out.exists()
 
     def test_train_stage2_rejects_thin_unlabeled_volume_exit_3(
         self, tmp_path, capsys, monkeypatch
@@ -934,7 +970,7 @@ class TestCli:
         rc = self.run_cli("train-stage2", "--slices", str(slices),
                           "--unlabeled", str(data / "unlabeled"),
                           "--init", str(self.init_checkpoint(tmp_path)),
-                          "--out", str(out), "--iters", "2")
+                          "--out", str(out), "--set", "stage2_iters=2")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
@@ -973,7 +1009,7 @@ class TestCli:
         rc = self.run_cli("train-stage2", "--slices", str(slices),
                           "--pseudo", str(pseudo), *unlabeled,
                           "--init", str(self.init_checkpoint(tmp_path)),
-                          "--out", str(out), "--iters", "2")
+                          "--out", str(out), "--set", "stage2_iters=2")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
@@ -1007,7 +1043,8 @@ class TestCli:
         rc = self.run_cli(
             "fta", "--a", str(tmp_path / "a.vol"), "--b", str(tmp_path / "b.vol"),
             "--out-a", str(tmp_path / "za.vol"), "--out-b", str(tmp_path / "zb.vol"),
-            "--lambda", "0.0", "--mode", "standard-fda", "--beta", "0.5",
+            "--set", "fta_lambda=0.0", "--set", "fta_mode=standard-fda",
+            "--set", "fta_beta=0.5",
         )
         assert rc == 0
         za = load_volume(tmp_path / "za.vol")
@@ -1022,7 +1059,7 @@ class TestCli:
         rc = self.run_cli(
             "fta", "--a", str(tmp_path / "a.vol"), "--b", str(tmp_path / "b.vol"),
             "--out-a", str(tmp_path / "za.vol"), "--out-b", str(tmp_path / "zb.vol"),
-            "--seed", "5", "--lambda-max", "0.7",
+            "--set", "seed=5", "--set", "fta_lambda_max=0.7",
         )
         assert rc == 0
         lam = np.random.default_rng(5).uniform(0.0, 0.7)
@@ -1106,53 +1143,52 @@ print(os.environ["OPENBLAS_NUM_THREADS"], threads)
 
 
 class TestComposability:
-    def test_subcommands_reproduce_pipeline(self, tmp_path):
-        # A window other than the default, so that each stage's --bottom and
-        # --top must reach its loaders for the bytes to match.
-        seed = 11
-        cfg = fast_config(seed=seed, window_bottom=400.0, window_top=1900.0)
+    # Keys away from their defaults, so that a stage that ignores its config
+    # writes other bytes: the window reaches every loader, the FTA mode and
+    # the perturbation rate reach stage 2.
+    CFG = dict(seed=11, window_bottom=400.0, window_top=1900.0,
+               fta_mode="standard-fda", perturb_rate=0.2)
+
+    def reproduce(self, tmp_path, supervised_only):
+        cfg = fast_config(**self.CFG, supervised_only=supervised_only)
         run = tmp_path / "run"
-        paths = run_pipeline(cfg, run)
+        run_pipeline(cfg, run)
 
-        # same stages through the CLI, file by file
+        # The same stages through the CLI, file by file, each reading the
+        # run's own config.txt. --unlabeled is given in both arms: under
+        # supervised_only the training stages must not read it.
         c = tmp_path / "cli"
-        spec = c / "spec.txt"
-        c.mkdir()
-        bench = cfg.benchmark_spec()
-        lines = [f"{f.name} = {getattr(bench, f.name)}"
-                 for f in dataclasses.fields(bench)]
-        spec.write_text("\n".join(lines) + "\n")
-        data, slc = c / "data", c / "slices"
-        window = ["--bottom", str(cfg.window_bottom), "--top", str(cfg.window_top)]
-        assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
-        assert main(["slice", "--in", str(data / "labeled"), "--out",
-                     str(slc / "labeled"), "--val-fraction", str(cfg.val_fraction),
-                     "--seed", str(seed)]) == 0
-        assert main(["train-stage1", "--slices", str(slc / "labeled"),
-                     "--unlabeled", str(data / "unlabeled"), *window,
-                     "--out", str(c / "stage1"),
-                     "--epochs", str(cfg.stage1_epochs),
-                     "--pseudo-count", str(cfg.stage1_pseudo_count),
-                     "--lr", str(cfg.lr), "--batch", str(cfg.batch_size),
-                     "--seed", str(seed)]) == 0
-        assert main(["train-stage2", "--slices", str(slc / "labeled"),
-                     "--pseudo", str(c / "stage1" / "pseudo"),
+        data, slc = c / "data", c / "slices" / "labeled"
+        conf = ["--config", str(run / "config.txt")]
+        assert main(["synth", "--out", str(data), *conf]) == 0
+        assert main(["slice", "--in", str(data / "labeled"), "--out", str(slc),
+                     *conf]) == 0
+        assert main(["train-stage1", "--slices", str(slc),
                      "--unlabeled", str(data / "unlabeled"),
-                     "--val", str(data / "val"), *window,
+                     "--out", str(c / "stage1"), *conf]) == 0
+        assert main(["train-stage2", "--slices", str(slc),
+                     "--pseudo", str(c / "stage1" / "pseudo"),
+                     "--unlabeled", str(data / "unlabeled"), "--val", str(data / "val"),
                      "--init", str(c / "stage1" / "checkpoint.seg"),
-                     "--out", str(c / "stage2"),
-                     "--iters", str(cfg.stage2_iters), "--lr", str(cfg.lr),
-                     "--batch", str(cfg.batch_size),
-                     "--val-points", str(cfg.val_points),
-                     "--seed", str(seed)]) == 0
+                     "--out", str(c / "stage2"), *conf]) == 0
         assert main(["score-dir", "--checkpoint", str(c / "stage2" / "checkpoint.seg"),
-                     "--val", str(data / "val"), *window,
-                     "--out", str(c / "scores.csv")]) == 0
+                     "--val", str(data / "val"), "--out", str(c / "scores.csv"),
+                     *conf]) == 0
 
-        assert (c / "stage1" / "checkpoint.seg").read_bytes() == \
-            paths.stage1_ckpt.read_bytes()
-        assert (c / "stage2" / "checkpoint.seg").read_bytes() == \
-            paths.stage2_ckpt.read_bytes()
-        assert (c / "stage2" / "metrics.csv").read_text() == \
-            paths.stage2_metrics.read_text()
-        assert (c / "scores.csv").read_text() == paths.scores_csv.read_text()
+        def pseudo(root):
+            return sorted(p.relative_to(root)
+                          for p in (root / "stage1" / "pseudo").iterdir())
+
+        masks = pseudo(run)
+        assert pseudo(c) == masks
+        assert len(masks) == (0 if supervised_only else FAST["stage1_pseudo_count"])
+        for rel in ("stage1/checkpoint.seg", "stage1/manifest.txt",
+                    "stage2/checkpoint.seg", "stage2/manifest.txt",
+                    "stage2/metrics.csv", "scores.csv", *masks):
+            assert (c / rel).read_bytes() == (run / rel).read_bytes(), rel
+
+    def test_subcommands_reproduce_pipeline(self, tmp_path):
+        self.reproduce(tmp_path, supervised_only=False)
+
+    def test_subcommands_reproduce_supervised_only_pipeline(self, tmp_path):
+        self.reproduce(tmp_path, supervised_only=True)

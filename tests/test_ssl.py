@@ -690,6 +690,17 @@ class TestStage2:
                 StageConfig(), TrainSchedule(1e-4, 5), FtaConfig(), val_points=1,
             )
 
+    @pytest.mark.parametrize("val_points", [0, -3])
+    def test_val_points_below_one_rejected(self, val_points):
+        # Rejected, not clamped to one validation, as PipelineConfig rejects it.
+        rng = np.random.default_rng(35)
+        with pytest.raises(ConfigError, match="val_points must be >= 1"):
+            run_stage2(
+                PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
+                [], *val_source(self.val_cases(rng)), StageConfig(seed=4, batch_size=3),
+                TrainSchedule(1e-2, 3), FtaConfig(), val_points=val_points,
+            )
+
 
 def _noisy_model(shape: ModelShape, seed: int, noise: float) -> PatchMLP:
     # Seeded noise on every parameter (biases included) moves the outputs
