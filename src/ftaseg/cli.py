@@ -40,7 +40,14 @@ def _load_slice(path: str, value_unit: str = NORMALIZED) -> np.ndarray:
 
 def _config(args: argparse.Namespace) -> PipelineConfig:
     """The ``--config`` file, or the defaults, with each ``--set`` applied."""
-    cfg = parse_pipeline_config(args.config) if args.config else PipelineConfig()
+    cfg = PipelineConfig()
+    if args.config:
+        try:
+            cfg = parse_pipeline_config(args.config)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read config file {args.config}: {exc.strerror}"
+            ) from exc
     overrides: dict[str, str] = {}
     for item in args.set or []:
         if "=" not in item:

@@ -73,7 +73,8 @@ def _l1_distance_to(targets: np.ndarray) -> np.ndarray:
     ``(D, H, W)`` mask in the ``(k, D, H, W)`` stack ``targets``."""
     # sum(dims) exceeds every L1 distance in the grid, so it stands for "none
     # seen yet" and never wins a minimum against a real distance.
-    d = np.where(targets, 0, sum(targets.shape[1:])).astype(np.int32)
+    none = np.int32(sum(targets.shape[1:]))
+    d = np.where(targets, np.int32(0), none)
     for _ in range(3):
         n = d.shape[1]
         for i in range(1, n):

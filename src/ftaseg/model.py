@@ -43,7 +43,7 @@ SELU_ALPHA = 1.6732632423543772
 SELU_SATURATION = -SELU_SCALE * SELU_ALPHA
 
 # Rows per chunk of the elementwise SELU, SELU-gradient and dropout passes,
-# whose temporaries stay this tall, and the most rows an inference pass stacks.
+# whose temporaries stay this tall.
 ROW_CHUNK = 4096
 
 CHECKPOINT_MAGIC = b"SEG1"

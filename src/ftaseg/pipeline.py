@@ -368,15 +368,13 @@ def _relpath(path: Path, start: Path) -> str:
 def slice_dir(
     in_dir: Path | str,
     out_dir: Path | str,
-    val_fraction: float | None = None,
+    val_fraction: float,
     seed: int = 0,
     by_volume: bool = False,
 ) -> SliceManifest:
     """Manifest every plane along all three axes of each raw volume in
-    ``in_dir``; rows point at the volume and its companion mask.
-
-    ``val_fraction`` marks a seeded validation split in the manifest; None
-    leaves every slice in the train split.
+    ``in_dir``; rows point at the volume and its companion mask, and a
+    seeded ``val_fraction`` of them is marked as the validation split.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     if not in_dir.is_dir():
@@ -391,9 +389,9 @@ def slice_dir(
             file=_relpath(path, out_dir),
             mask_file=_relpath(mask, out_dir) if mask.exists() else "",
         ).entries
-    manifest = SliceManifest(tuple(entries))
-    if val_fraction is not None:
-        manifest = split_train_val(manifest, val_fraction, seed, by_volume)
+    manifest = split_train_val(
+        SliceManifest(tuple(entries)), val_fraction, seed, by_volume
+    )
     write_manifest(manifest, out_dir / "manifest.csv")
     return manifest
 

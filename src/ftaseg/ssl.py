@@ -8,16 +8,17 @@ slices contribute a consistency loss: the confident pixels of a weak view
 feature-perturbed view, gated by a self-adaptive confidence threshold
 tracked as an EMA of batch confidence. Each stage-2 step runs in two lanes:
 a worker thread takes the supervised batch while the calling thread takes
-the consistency views.
+the consistency views. Inference (pseudo-annotation and validation) runs in
+two lanes over volumes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -47,6 +48,45 @@ TAU_FLOOR = 0.5
 
 # Spectrally-augmented strong views per unlabeled slice in stage 2.
 STRONG_VIEWS = 2
+
+# The most rows an inference pass stacks. Two lanes of passes this tall
+# overlap: most of each pass runs in numpy and BLAS calls that release the
+# interpreter lock.
+PREDICT_ROWS = 2 * ROW_CHUNK
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def in_two_lanes(
+    fn: Callable[[T, Workspace], R],
+    items: list[T],
+    ws: Workspace,
+    lane_ws: Workspace,
+    lane: Executor | None = None,
+) -> list[R]:
+    """``[fn(x, ws) for x in items]`` in two lanes: the calling thread maps
+    the first half of ``items`` on ``ws`` while ``lane``, a one-worker
+    executor (a fresh one when None), maps the rest on ``lane_ws``.
+
+    Results keep the order of ``items``. The lane is waited for before this
+    returns or raises. Each lane stops at its first error, and the calling
+    thread's error wins, so the error raised is the one of the first failing
+    item, as in a loop over ``items``. With fewer than two items nothing is
+    submitted.
+    """
+    if len(items) < 2:
+        return [fn(x, ws) for x in items]
+    if lane is None:
+        with ThreadPoolExecutor(max_workers=1) as own:
+            return in_two_lanes(fn, items, ws, lane_ws, own)
+    half = (len(items) + 1) // 2
+    rest = lane.submit(lambda: [fn(x, lane_ws) for x in items[half:]])
+    try:
+        first = [fn(x, ws) for x in items[:half]]
+    finally:
+        rest.exception()  # waits; an error of the calling thread wins
+    return first + rest.result()
 
 
 @dataclass(frozen=True)
@@ -119,12 +159,14 @@ def generate_pseudo_labels(
     load: Callable[[str], Volume],
     count: int,
     seed,
+    ws: Workspace | None = None,
 ) -> list[PseudoLabel]:
     """Argmax pseudo-annotations for a seeded selection of volumes.
 
     Selection is uniform without replacement over ``ids``; ``load`` is
     called only for the selected ids, and the results keep the order of
-    ``ids``.
+    ``ids``. The volumes are predicted in two lanes, the calling thread's
+    on ``ws`` (fresh when None).
     """
     if count > len(ids):
         raise DataError(
@@ -134,10 +176,13 @@ def generate_pseudo_labels(
         return []
     rng = np.random.default_rng(seed)
     chosen = sorted(rng.choice(len(ids), size=count, replace=False).tolist())
-    return [
-        PseudoLabel(ids[i], predict_volume(model, load(ids[i])).data)
-        for i in chosen
-    ]
+
+    def annotate(i: int, lane_ws: Workspace) -> PseudoLabel:
+        return PseudoLabel(ids[i], predict_volume(model, load(ids[i]), lane_ws).data)
+
+    return in_two_lanes(
+        annotate, chosen, Workspace() if ws is None else ws, Workspace()
+    )
 
 
 def consistency_loss(
@@ -240,10 +285,11 @@ def predict_volume(
     model: PatchMLP, v: Volume, ws: Workspace | None = None
 ) -> MaskVolume:
     """Segment a volume on the calling thread in forward-only passes on ``ws``
-    (fresh when None) over stacks of z planes of at most ``ROW_CHUNK`` rows,
-    or one plane; each plane's mask has the bytes of a pass over it alone."""
+    (fresh when None) over stacks of z planes of at most ``PREDICT_ROWS``
+    rows, or one plane; each plane's mask has the bytes of a pass over it
+    alone."""
     depth, h, w = v.dims
-    step = max(1, ROW_CHUNK // (h * w))
+    step = max(1, PREDICT_ROWS // (h * w))
     mask = np.empty(v.dims, dtype=np.uint8)
     ws = Workspace() if ws is None else ws
     for z in range(0, depth, step):
@@ -256,15 +302,21 @@ def evaluate_volumes(
     model: PatchMLP,
     ids: list[str],
     load: Callable[[str], tuple[Volume, MaskVolume]],
-    ws: Workspace | None = None,
+    workspaces: tuple[Workspace, Workspace] | None = None,
+    lane: Executor | None = None,
 ) -> tuple[MetricsReport, list[tuple[str, MetricsReport]]]:
     """Mean metrics over validation cases, case reports in case-id order.
-    ``load`` maps an id to its volume and mask; one case is held at a time."""
-    per_case = []
-    for cid in sorted(ids):
+
+    ``load`` maps an id to its volume and mask. The cases are predicted in
+    two lanes (see ``in_two_lanes``) on ``workspaces`` (fresh when None),
+    and each lane holds one case at a time.
+    """
+    def report(cid: str, ws: Workspace) -> tuple[str, MetricsReport]:
         vol, gt = load(cid)
-        per_case.append((cid, evaluate_masks(predict_volume(model, vol, ws), gt)))
-        del vol, gt  # before the next case loads
+        return cid, evaluate_masks(predict_volume(model, vol, ws), gt)
+
+    ws, lane_ws = (Workspace(), Workspace()) if workspaces is None else workspaces
+    per_case = in_two_lanes(report, sorted(ids), ws, lane_ws, lane)
     return mean_report([r for _, r in per_case]), per_case
 
 
@@ -357,7 +409,9 @@ def run_stage1(
     return Stage1Result(
         model=model,
         step=opt.step,
-        pseudo=generate_pseudo_labels(model, unlabeled_ids, load, count, pseudo_ss),
+        pseudo=generate_pseudo_labels(
+            model, unlabeled_ids, load, count, pseudo_ss, ws
+        ),
         epoch_losses=epoch_losses,
         warnings=warnings,
     )
@@ -437,8 +491,9 @@ def run_stage2(
 
     history: list[HistoryRow] = []
     val_reports: list[tuple[str, MetricsReport]] = []
-    # One workspace per view. The supervised one, with its own scratch for the
-    # worker lane, also serves validation; the other views share ``scratch``.
+    # One workspace per view. The supervised one has its own scratch for the
+    # worker lane; the other views share ``scratch``. Validation's lanes run
+    # on the strong and supervised workspaces, idle between steps.
     # The augmented pairs of each plane shape have a workspace of their own,
     # since a step's planes view them until the step ends.
     sup_ws, scratch = Workspace(), Workspace()
@@ -449,8 +504,8 @@ def run_stage2(
     epoch = 0
 
     # The worker lane only reads model.params and writes only sup_ws; every
-    # random draw stays on this thread. The supervised-only branch never
-    # submits, so no worker thread starts.
+    # random draw stays on this thread. The supervised-only branch submits
+    # only validation cases.
     with ThreadPoolExecutor(max_workers=1) as lane:
         for it in range(sched.total_iters):
             lr = poly_lr(sched, it)
@@ -568,7 +623,9 @@ def run_stage2(
 
             if val_ids and it + 1 in val_iters:
                 epoch += 1
-                mean, val_reports = evaluate_volumes(model, val_ids, load_val, sup_ws)
+                mean, val_reports = evaluate_volumes(
+                    model, val_ids, load_val, (strong_ws, sup_ws), lane
+                )
                 history.append(
                     HistoryRow(
                         epoch, "val", mean.dice, mean.iou, mean.hd_norm,

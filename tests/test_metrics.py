@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,20 @@ class TestDistances:
             ca = [tuple(c) for c in np.argwhere(a.data)]
             cb = [tuple(c) for c in np.argwhere(b.data)]
             assert hausdorff_l1(a, b) == hausdorff_l1_scan(ca, cb)
+
+    def test_peak_memory_of_a_48_cube_pair_stays_under_2_5_mib(self):
+        # The distance transform starts from int32, not int64 cast down.
+        rng = np.random.default_rng(4)
+        a = random_mask(rng, (48, 48, 48), 0.05)
+        b = random_mask(rng, (48, 48, 48), 0.05)
+        hausdorff_l1(a, b)  # warm-up
+        tracemalloc.start()
+        try:
+            hausdorff_l1(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_hausdorff_properties(self):
         rng = np.random.default_rng(3)

@@ -358,9 +358,13 @@ class TestWindowSliceDirs:
     def test_bad_manifest_row_is_a_data_error(self, tmp_path, field, value):
         src = self.make_raw_dir(tmp_path, n=1)
         out = tmp_path / "slices"
-        manifest = slice_dir(src, out)
+        # Sliced at a real split; the corrupted row is a train row, which
+        # every stage loads.
+        manifest = slice_dir(src, out, val_fraction=0.2, seed=0)
         first = manifest.entries[0]
-        assert (first.axis, first.index) == ("x", 0)  # x planes run 0..5
+        assert manifest.subset("val")
+        # x planes run 0..5
+        assert (first.axis, first.index, first.split) == ("x", 0, "train")
         bad = dataclasses.replace(first, **{field: value})
         write_manifest(
             SliceManifest((bad,) + manifest.entries[1:]), out / "manifest.csv"
@@ -656,6 +660,18 @@ class TestCli:
             assert f"config error: {msg}" in capsys.readouterr().err
             # Rejected at parse time: no stage started, so no run dir.
             assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cmd", ["pipeline", "train-stage1"])
+    def test_missing_config_file_exit_2(self, tmp_path, capsys, cmd):
+        # A configuration error, not an i/o error, and nothing is created.
+        cfg, out = tmp_path / "absent.txt", tmp_path / "out"
+        argv = {"pipeline": ["--quiet"], "train-stage1": ["--slices", "s"]}[cmd]
+        rc = self.run_cli(cmd, *argv, "--config", str(cfg), "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {cfg}: No such file or directory\n"
+        )
+        assert not out.exists()
 
     def test_pipeline_unknown_key_exit_2(self, tmp_path, capsys):
         # A key that is not a config field fails instead of being ignored.

@@ -1,8 +1,9 @@
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.fourier import FtaConfig, fta_augment_pair
-from ftaseg.metrics import mean_report
+from ftaseg.metrics import evaluate_masks, mean_report
 from ftaseg.model import (
     AdamWState,
     ModelShape,
@@ -34,6 +35,7 @@ from ftaseg.ssl import (
     consistency_loss,
     evaluate_volumes,
     generate_pseudo_labels,
+    in_two_lanes,
     predict_volume,
     run_stage1,
     run_stage2,
@@ -638,41 +640,50 @@ class TestStage2:
             mean.dice, mean.iou, mean.hd_norm, mean.score
         )
 
-    def test_validation_streams_one_case_at_a_time(self):
+    def test_validation_streams_one_case_per_lane(self):
         # The loader builds each case afresh and watches it, and its arrays,
-        # through weak references: when a case loads, no case handed out
-        # earlier may still be alive. Stage 2 loads each case once per
-        # validation point.
+        # through weak references: when a case loads, no case its lane
+        # loaded earlier may still be alive, and at most the other lane's
+        # case is, so at most two cases are alive. Stage 2 loads each case
+        # once per validation point, on its own lane's thread.
         rng = np.random.default_rng(35)
         arrays = {cid: (rng.random((3, 7, 5), dtype=np.float32),
                         (rng.random((3, 7, 5)) < 0.3).astype(np.uint8))
-                  for cid in ("v2", "v0", "v1")}
-        refs, live, loaded = [], [], []
+                  for cid in ("v2", "v0", "v4", "v1", "v3")}
+        refs, seen, loaded = [], [], {True: [], False: []}
 
         def load(cid):
-            live.append(sum(r() is not None for r in refs))
-            loaded.append(cid)
+            main = threading.current_thread() is threading.main_thread()
+            alive = {(m, c) for m, c, r in list(refs) if r() is not None}
+            seen.append((sum(m == main for m, _ in alive), len(alive)))
+            loaded[main].append(cid)
             vol = Volume(arrays[cid][0], NORMALIZED)
             gt = MaskVolume(arrays[cid][1])
-            refs.extend(weakref.ref(x) for x in (vol, gt, vol.data, gt.data))
+            refs.extend((main, cid, weakref.ref(x))
+                        for x in (vol, gt, vol.data, gt.data))
             return vol, gt
 
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 6)
         held = [(cid, Volume(v, NORMALIZED), MaskVolume(m))
                 for cid, (v, m) in arrays.items()]
         _, per_case = evaluate_volumes(model, list(arrays), load)
-        assert live == [0, 0, 0] and loaded == ["v0", "v1", "v2"]
+        assert loaded == {True: ["v0", "v1", "v2"], False: ["v3", "v4"]}
+        assert all(own == 0 and alive <= 1 for own, alive in seen)
         assert per_case == evaluate_volumes(model, *val_source(held))[1]
 
-        live.clear()
-        loaded.clear()
+        seen.clear()
+        loaded = {True: [], False: []}
+        threads = threading.active_count()
         res = run_stage2(
             model, make_train_set(rng, 5), [ts.image for ts in make_train_set(rng, 6)],
             list(arrays), load, StageConfig(seed=4, batch_size=3),
             TrainSchedule(1e-2, 8), FtaConfig(), val_points=3,
         )
-        assert loaded == ["v0", "v1", "v2"] * 3 and not any(live)
-        assert [cid for cid, _ in res.val_reports] == ["v0", "v1", "v2"]
+        assert threading.active_count() == threads
+        assert loaded == {True: ["v0", "v1", "v2"] * 3, False: ["v3", "v4"] * 3}
+        assert len(seen) == 15
+        assert all(own == 0 and alive <= 1 for own, alive in seen)
+        assert [cid for cid, _ in res.val_reports] == ["v0", "v1", "v2", "v3", "v4"]
 
     def test_without_val_cases_no_reports(self):
         rng = np.random.default_rng(34)
@@ -742,10 +753,13 @@ class TestPredictVolume:
             ((48, 6, 6), [48]),
             ((5, 9, 13), [5]),
             ((7, 16, 6), [7]),
-            ((50, 12, 10), [34, 16]),  # 34 planes of 120 rows fit 4096
-            ((3, 70, 70), [1, 1, 1]),  # one 4900-row plane exceeds 4096
+            ((50, 12, 10), [50]),
+            ((100, 12, 10), [68, 32]),  # 68 planes of 120 rows fit 8192
+            ((3, 70, 70), [1, 1, 1]),  # two 4900-row planes exceed 8192
+            ((2, 95, 90), [1, 1]),  # one 8550-row plane exceeds 8192
         ],
-        ids=["D1", "D2", "D5", "D48", "5x9x13", "7x16x6", "50x12x10", "3x70x70"],
+        ids=["D1", "D2", "D5", "D48", "5x9x13", "7x16x6", "50x12x10", "100x12x10",
+             "3x70x70", "2x95x90"],
     )
     def test_stacked_passes_equal_per_plane_prediction(self, dims, stacks):
         rng = np.random.default_rng(19)
@@ -833,12 +847,12 @@ class TestPredictVolume:
                 raise
 
         model.forward_cache_multi = second_fails
-        vol = Volume(np.zeros((50, 12, 10), dtype=np.float32), NORMALIZED)
+        vol = Volume(np.zeros((100, 12, 10), dtype=np.float32), NORMALIZED)
         threads = threading.active_count()
         with pytest.raises(NumericError) as info:
             predict_volume(model, vol)
         assert info.value is raised[0]
-        assert passes == [34, 16]
+        assert passes == [68, 32]
         assert threading.active_count() == threads
 
     def test_peak_memory_of_a_48_cube_stays_under_8_mib(self):
@@ -855,6 +869,153 @@ class TestPredictVolume:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def lane_cases(rng, n, dims=(5, 9, 7)):
+    # Validation cases v0..v{n-1} as (id, volume, mask), in reverse id order.
+    return [
+        (f"v{i}", Volume(rng.random(dims, dtype=np.float32), NORMALIZED),
+         MaskVolume((rng.random(dims) < 0.3).astype(np.uint8)))
+        for i in reversed(range(n))
+    ]
+
+
+def one_lane_reports(model, cases):
+    # Validation as a loop over the cases in id order, one fresh workspace each.
+    return [(cid, evaluate_masks(predict_volume(model, vol), gt))
+            for cid, vol, gt in sorted(cases, key=lambda c: c[0])]
+
+
+class TestInferenceLanes:
+    def test_split_order_and_workspaces(self):
+        ws, lane_ws = Workspace(), Workspace()
+
+        class NoSubmit(InlineExecutor):
+            def submit(self, fn, *args):
+                raise AssertionError("submitted with fewer than two items")
+
+        def pair(x, w):
+            return x, w
+
+        assert in_two_lanes(pair, [], ws, lane_ws, NoSubmit()) == []
+        assert in_two_lanes(pair, [7], ws, lane_ws, NoSubmit()) == [(7, ws)]
+        assert in_two_lanes(pair, [1, 2], ws, lane_ws, InlineExecutor()) == [
+            (1, ws), (2, lane_ws)
+        ]
+        assert in_two_lanes(pair, [1, 2, 3], ws, lane_ws, InlineExecutor()) == [
+            (1, ws), (2, ws), (3, lane_ws)
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_two_lanes_equal_one_lane(self, n):
+        rng = np.random.default_rng(41)
+        model = _noisy_model(ModelShape(3, 4, 3), 6, 0.3)
+        cases = lane_cases(rng, n)
+        ids, load_case = val_source(cases)
+        on_main = {}
+
+        def load(cid):
+            on_main[cid] = threading.current_thread() is threading.main_thread()
+            return load_case(cid)[0]
+
+        threads = threading.active_count()
+        # Every id is picked, so the labels come in the order of ids.
+        pseudo = generate_pseudo_labels(model, ids, load, n, seed=5)
+        assert [(p.source_id, p.mask.tobytes()) for p in pseudo] == [
+            (cid, predict_volume(model, vol).data.tobytes()) for cid, vol, _ in cases
+        ]
+        first_half = -(-n // 2)
+        assert on_main == {cid: k < first_half for k, cid in enumerate(ids)}
+        assert threading.active_count() == threads
+
+        if n == 0:
+            with pytest.raises(DataError, match="at least one case"):
+                evaluate_volumes(model, ids, load_case)
+            return
+        on_main.clear()
+        mean, per_case = evaluate_volumes(
+            model, ids, lambda cid: (load(cid), load_case(cid)[1])
+        )
+        expected = one_lane_reports(model, cases)
+        assert per_case == expected
+        assert mean == mean_report([r for _, r in expected])
+        assert on_main == {cid: k < first_half for k, cid in enumerate(sorted(ids))}
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ({"v1"}, "v1"),  # the calling thread's lane (v0-v2)
+            ({"v4"}, "v4"),  # the worker lane (v3, v4)
+            ({"v1", "v4"}, "v1"),  # both lanes: the earlier id
+            ({"v3", "v4"}, "v3"),  # the worker lane's first failure
+        ],
+        ids=["calling-lane", "worker-lane", "both-lanes", "worker-lane-twice"],
+    )
+    def test_first_failing_case_surfaces_from_either_lane(self, bad, first):
+        rng = np.random.default_rng(43)
+        model = _noisy_model(ModelShape(3, 4, 3), 6, 0.3)
+        ids, load_case = val_source(lane_cases(rng, 5))
+        loaded = []
+
+        def load(cid):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)  # the worker lane lags behind
+            loaded.append(cid)
+            if cid in bad:
+                raise DataError(f"cannot read {cid}")
+            return load_case(cid)
+
+        def upto_first_bad(lane):
+            return set(lane[:next((k + 1 for k, c in enumerate(lane) if c in bad),
+                                  len(lane))])
+
+        threads = threading.active_count()
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            with pytest.raises(DataError) as info:
+                evaluate_volumes(model, ids, load, (Workspace(), Workspace()), lane)
+            # Each lane stopped at its first failure, and the worker lane had
+            # finished before the error was raised.
+            assert set(loaded) == (
+                upto_first_bad(["v0", "v1", "v2"]) | upto_first_bad(["v3", "v4"])
+            )
+        assert str(info.value) == f"cannot read {first}"
+        assert threading.active_count() == threads
+
+    def test_concurrent_callers_under_fine_switching(self):
+        # Three callers pseudo-label and validate at once, each in two lanes:
+        # six threads on a two-core machine share the model, which is only
+        # read, and each lane keeps to its own workspace and case.
+        rng = np.random.default_rng(47)
+        model = _noisy_model(ModelShape(), 6, 0.3)
+        cases = lane_cases(rng, 4, dims=(9, 12, 10))
+        ids, load_case = val_source(cases)
+
+        def call():
+            pseudo = generate_pseudo_labels(
+                model, ids, lambda cid: load_case(cid)[0], 3, seed=2
+            )
+            per_case = evaluate_volumes(model, ids, load_case)[1]
+            return [(p.source_id, p.mask.tobytes()) for p in pseudo], per_case
+
+        expected = call()
+        assert expected[1] == one_lane_reports(model, cases)
+        results = []
+        callers = [threading.Thread(target=lambda: results.append(call()))
+                   for _ in range(3)]
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [expected] * 3
+        assert threading.active_count() == threads
 
 
 class TestStageConfig:
