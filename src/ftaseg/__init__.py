@@ -23,7 +23,6 @@ from .errors import (
 from .fourier import (
     AugmentedPair,
     FtaConfig,
-    dft2_forward,
     fta_augment_pair,
     make_center_mask,
     symmetrize_mask,

@@ -28,14 +28,17 @@ from .pipeline import (
     train_stage2_files,
     window_dir,
 )
-from .volume import RAW, NORMALIZED, Volume, load_mask, load_volume, save_volume
+from .volume import Volume, load_mask, load_volume, save_volume
 
 
-def _load_slice(path: str, value_unit: str = NORMALIZED) -> np.ndarray:
-    vol = load_volume(path, value_unit)
-    if vol.dims[0] != 1:
-        raise DataError(f"{path}: expected a slice file (depth 1), got {vol.dims}")
-    return vol.data[0]
+def _load_slice(path: str) -> np.ndarray:
+    # A slice file holds windowed intensities: one plane of values in [0, 1].
+    data = load_volume(path).data
+    if not bool(((data >= 0.0) & (data <= 1.0)).all()):
+        raise DataError("normalized volume has values outside [0, 1]")
+    if data.shape[0] != 1:
+        raise DataError(f"{path}: expected a slice file (depth 1), got {data.shape}")
+    return data[0]
 
 
 def _config(args: argparse.Namespace) -> PipelineConfig:
@@ -88,7 +91,7 @@ def _cmd_fta(args: argparse.Namespace) -> None:
     lam = fta_cfg.draw_lambda(np.random.default_rng(cfg.seed))
     pair = fta_augment_pair(_load_slice(args.a), _load_slice(args.b), lam, fta_cfg)
     for plane, path in ((pair.z_w, args.out_a), (pair.z_u, args.out_b)):
-        save_volume(Volume(plane[np.newaxis], RAW), path)
+        save_volume(Volume(plane[np.newaxis]), path)
     print(
         f"lambda={lam:.6f} beta={fta_cfg.mask_fraction} "
         f"residue={pair.imag_residue:.2e}"

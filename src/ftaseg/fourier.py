@@ -116,18 +116,6 @@ def _inverse(
     return z, float(residue.max())
 
 
-def dft2_forward(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized forward 2D DFT over the last two axes as (amplitude,
-    phase), center-shifted."""
-    return _spectrum(u, Workspace(), "x")
-
-
-def _reconstruct(amplitude: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, float]:
-    # Inverse of dft2_forward: the real part and the max-abs imaginary residue.
-    z, residue = _inverse(amplitude, phase, Workspace())
-    return z.real, residue
-
-
 def make_center_mask(h: int, w: int, mask_fraction: float) -> np.ndarray:
     """Centered rectangle of ones, side round(fraction * dim) per axis."""
     if not 0.0 <= mask_fraction <= 1.0:

@@ -132,14 +132,6 @@ def _sigmoid_(z: np.ndarray, scratch: "Workspace") -> np.ndarray:
     return z
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, in z's float dtype (float64 for ints)."""
-    z = np.asarray(z)
-    out = z.astype(np.result_type(z, 1.0))
-    _sigmoid_(out.reshape(-1), Workspace())
-    return out
-
-
 @dataclass(frozen=True)
 class ModelShape:
     """Layer descriptors of the reference model."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .volume import RAW, MaskVolume, Volume
+from .volume import MaskVolume, Volume
 
 PLACEMENT_ATTEMPTS = 1000
 
@@ -133,7 +133,7 @@ def gen_phantom(spec: BenchmarkSpec, seed: int) -> tuple[Volume, MaskVolume]:
     noise = rng.standard_normal(dims)
     std = np.where(mask == 1, spec.fg_std, spec.bg_std)
     data = np.where(mask == 1, fg, spec.bg_mean) + std * noise
-    return Volume(data.astype(np.float32), RAW), MaskVolume(mask)
+    return Volume(data.astype(np.float32)), MaskVolume(mask)
 
 
 def smooth_bias_field(
@@ -163,12 +163,10 @@ def smooth_bias_field(
 def apply_domain_shift(v: Volume, spec: BenchmarkSpec, seed: int) -> Volume:
     """shift_gain * v**shift_gamma + shift_bias + a smooth bias field of
     amplitude shift_field drawn from ``seed``; ground truth is unaffected."""
-    if v.value_unit != RAW:
-        raise DataError("domain shift applies to raw-intensity volumes")
     rng = np.random.default_rng(seed)
     base = v.data.astype(np.float64)
     if spec.shift_gamma != 1.0:  # fractional powers need a non-negative base
         base = np.power(np.maximum(base, 0.0), spec.shift_gamma)
     shifted = spec.shift_gain * base + spec.shift_bias
     shifted = shifted + smooth_bias_field(v.dims, spec.shift_field, rng)
-    return Volume(shifted.astype(np.float32), RAW)
+    return Volume(shifted.astype(np.float32))

@@ -54,7 +54,6 @@ from .ssl import (
     run_stage2,
 )
 from .volume import (
-    NORMALIZED,
     MaskVolume,
     Volume,
     load_mask,
@@ -240,8 +239,13 @@ class PipelineConfig:
 
 
 def parse_pipeline_config(path: Path | str) -> PipelineConfig:
-    kv = _parse_kv(Path(path).read_text())
-    return PipelineConfig(**coerce_fields(PipelineConfig, kv))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path} is not UTF-8 text (byte {exc.start})"
+        ) from exc
+    return PipelineConfig(**coerce_fields(PipelineConfig, _parse_kv(text)))
 
 
 def write_kv_config(cfg, path: Path | str) -> None:
@@ -401,10 +405,11 @@ def slice_dir(
 
 
 def _load_windowed(path: Path, w: WindowSpec) -> Volume:
-    """The raw volume at ``path`` as ``window_normalize`` windows it."""
+    """The raw volume at ``path`` as ``window_normalize`` windows it, windowed
+    in place in the array it was read into."""
     data = _load_raw(path).data
-    data.flags.writeable = True  # the dropped raw Volume's own copy
-    return Volume(window_in_place(data, w), NORMALIZED)
+    data.flags.writeable = True  # the dropped raw Volume's own buffer
+    return Volume(window_in_place(data, w))
 
 
 def _cut(e: ManifestEntry, root: Path, name: str, load, cache: dict) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .volume import NORMALIZED, RAW, Volume
+from .volume import Volume
 
 AXES = ("x", "y", "z")
 SPLITS = ("train", "val")
@@ -84,9 +84,7 @@ class SliceManifest:
 
 def window_normalize(v: Volume, w: WindowSpec = WindowSpec()) -> Volume:
     """Clamp raw intensities to the window and rescale onto [0, 1]."""
-    if v.value_unit != RAW:
-        raise DataError("window_normalize expects a raw-intensity volume")
-    return Volume(window_in_place(np.array(v.data), w), NORMALIZED)
+    return Volume(window_in_place(np.array(v.data), w))
 
 
 def window_in_place(data: np.ndarray, w: WindowSpec) -> np.ndarray:

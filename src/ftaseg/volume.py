@@ -13,6 +13,7 @@ holds D*H*W elements in z-major order.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,36 +26,37 @@ MAGIC = b"VOL1"
 DTYPE_F32 = 1
 DTYPE_U8 = 2
 
-RAW = "raw"
-NORMALIZED = "normalized"
-
 _HEADER = struct.Struct("<4sBIII")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _check_dims(arr: np.ndarray, kind: str) -> None:
+    if arr.ndim != 3:
+        raise DataError(f"{kind} data must be 3D, got ndim={arr.ndim}")
+    if min(arr.shape) < 1:
+        raise DataError(f"{kind} dims must all be >= 1, got {arr.shape}")
+
+
+def _frozen_view(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
 class Volume:
-    """Immutable 3D scalar intensity grid with float32 semantics."""
+    """3D scalar intensity grid, float32.
+
+    ``data`` is a read-only view of the array given, not a copy, unless that
+    array had to be converted to float32. The caller must not write to the
+    array after wrapping it.
+    """
 
     data: np.ndarray
-    value_unit: str = RAW
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float32, copy=True)
-        if arr.ndim != 3:
-            raise DataError(f"volume data must be 3D, got ndim={arr.ndim}")
-        if min(arr.shape) < 1:
-            raise DataError(f"volume dims must all be >= 1, got {arr.shape}")
-        if self.value_unit not in (RAW, NORMALIZED):
-            raise DataError(f"unknown value_unit {self.value_unit!r}")
-        if self.value_unit == NORMALIZED:
-            if not bool(((arr >= 0.0) & (arr <= 1.0)).all()):
-                raise DataError("normalized volume has values outside [0, 1]")
-        object.__setattr__(self, "data", _freeze(arr))
+        arr = np.asarray(self.data, dtype=np.float32)
+        _check_dims(arr, "volume")
+        object.__setattr__(self, "data", _frozen_view(arr))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -63,23 +65,21 @@ class Volume:
 
 @dataclass(frozen=True)
 class MaskVolume:
-    """Immutable 3D binary label grid, one uint8 per voxel in {0, 1}."""
+    """3D binary label grid, one uint8 per voxel in {0, 1}; like ``Volume``,
+    a read-only view of the array given unless it had to be converted."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, copy=True)
-        if arr.ndim != 3:
-            raise DataError(f"mask data must be 3D, got ndim={arr.ndim}")
-        if min(arr.shape) < 1:
-            raise DataError(f"mask dims must all be >= 1, got {arr.shape}")
+        arr = np.asarray(self.data)
+        _check_dims(arr, "mask")
         if arr.dtype != np.uint8:
             if not bool(np.isin(arr, (0, 1)).all()):
                 raise DataError("mask values must be in {0, 1}")
             arr = arr.astype(np.uint8)
         elif arr.max(initial=0) > 1:
             raise DataError("mask values must be in {0, 1}")
-        object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "data", _frozen_view(arr))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -89,14 +89,6 @@ class MaskVolume:
         return int(np.count_nonzero(self.data))
 
 
-def _check_volume(v: Volume) -> None:
-    # Re-run the range invariant: instances forged around the constructor
-    # must not reach disk.
-    if v.value_unit == NORMALIZED:
-        if not bool(((v.data >= 0.0) & (v.data <= 1.0)).all()):
-            raise DataError("normalized volume has values outside [0, 1]")
-
-
 def _write(path: Path | str, dtype_code: int, arr: np.ndarray) -> None:
     d, h, w = arr.shape
     with open(path, "wb") as f:
@@ -104,53 +96,51 @@ def _write(path: Path | str, dtype_code: int, arr: np.ndarray) -> None:
         f.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _read(path: Path | str) -> tuple[int, tuple[int, int, int], memoryview]:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size or blob[:4] != MAGIC:
+def _header(f, path: Path | str) -> tuple[int, int, int, int]:
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size or head[:4] != MAGIC:
         raise DataError(f"{path}: not a VOL1 file")
-    _, dtype_code, d, h, w = _HEADER.unpack_from(blob)
-    if min(d, h, w) < 1:
-        raise DataError(f"{path}: zero dimension in header ({d}x{h}x{w})")
-    if dtype_code not in (DTYPE_F32, DTYPE_U8):
-        raise DataError(f"{path}: unknown dtype code {dtype_code}")
-    elem = 4 if dtype_code == DTYPE_F32 else 1
-    expected = _HEADER.size + d * h * w * elem
-    if len(blob) != expected:
-        raise DataError(
-            f"{path}: payload length {len(blob) - _HEADER.size} does not match "
-            f"dims {d}x{h}x{w}"
-        )
-    # A view, not a slice: a copy of the payload would double each load.
-    return dtype_code, (d, h, w), memoryview(blob)[_HEADER.size:]
+    return _HEADER.unpack(head)[1:]
+
+
+def _read(path: Path | str, dtype_code: int) -> np.ndarray:
+    # The payload is read once, straight into the array returned: a buffer
+    # of the header's size leaves nothing to read ahead past it.
+    with open(path, "rb", buffering=_HEADER.size) as f:
+        code, d, h, w = _header(f, path)
+        if min(d, h, w) < 1:
+            raise DataError(f"{path}: zero dimension in header ({d}x{h}x{w})")
+        if code not in (DTYPE_F32, DTYPE_U8):
+            raise DataError(f"{path}: unknown dtype code {code}")
+        dtype = np.dtype("<f4" if code == DTYPE_F32 else np.uint8)
+        length = os.fstat(f.fileno()).st_size - _HEADER.size
+        if length != d * h * w * dtype.itemsize:
+            raise DataError(
+                f"{path}: payload length {length} does not match dims {d}x{h}x{w}"
+            )
+        if code != dtype_code:
+            kind = "float32 volume" if dtype_code == DTYPE_F32 else "uint8 mask"
+            raise DataError(f"{path}: expected {kind}, found dtype {code}")
+        data = np.empty((d, h, w), dtype)
+        if f.readinto(data) != length:
+            raise DataError(f"{path}: file ended inside its payload")
+    return data
 
 
 def read_dims(path: Path | str) -> tuple[int, int, int]:
     """The (D, H, W) dims of a VOL1 file, read from its header alone."""
     with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-    if len(head) < _HEADER.size or head[:4] != MAGIC:
-        raise DataError(f"{path}: not a VOL1 file")
-    _, _, d, h, w = _HEADER.unpack(head)
-    return d, h, w
+        return _header(f, path)[1:]
 
 
 def save_volume(v: Volume, path: Path | str) -> None:
     """Write an intensity volume as VOL1 (deterministic bytes)."""
-    _check_volume(v)
     _write(path, DTYPE_F32, v.data.astype("<f4", copy=False))
 
 
-def load_volume(path: Path | str, value_unit: str = RAW) -> Volume:
-    """Read a VOL1 intensity volume.
-
-    The format does not persist the value unit; callers that know the
-    provenance pass ``value_unit`` explicitly.
-    """
-    dtype_code, dims, payload = _read(path)
-    if dtype_code != DTYPE_F32:
-        raise DataError(f"{path}: expected float32 volume, found dtype {dtype_code}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    return Volume(data, value_unit)
+def load_volume(path: Path | str) -> Volume:
+    """Read a VOL1 intensity volume."""
+    return Volume(_read(path, DTYPE_F32))
 
 
 def save_mask(m: MaskVolume, path: Path | str) -> None:
@@ -160,10 +150,7 @@ def save_mask(m: MaskVolume, path: Path | str) -> None:
 
 def load_mask(path: Path | str) -> MaskVolume:
     """Read a VOL1 binary mask; any payload byte outside {0, 1} is rejected."""
-    dtype_code, dims, payload = _read(path)
-    if dtype_code != DTYPE_U8:
-        raise DataError(f"{path}: expected uint8 mask, found dtype {dtype_code}")
-    data = np.frombuffer(payload, dtype=np.uint8)
+    data = _read(path, DTYPE_U8)
     if data.max(initial=0) > 1:
         raise DataError(f"{path}: mask payload byte outside {{0, 1}}")
-    return MaskVolume(data.reshape(dims))
+    return MaskVolume(data)

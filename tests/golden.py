@@ -1,0 +1,94 @@
+"""Golden output digests: the arms ``tests/test_golden.py`` runs, and the
+command that rewrites ``tests/golden.json``.
+
+Each arm is a tiny ``run_pipeline`` config on the synthesized benchmark. A
+run's digests are the SHA-256 of its scores, validation history, stage
+manifests, labeled slice manifest, pseudo masks and checkpoints. Checkpoint
+bytes depend on the BLAS kernel (the OpenBLAS core type), so their digests
+are kept per kernel name; the other files are kept once.
+
+Rewrite the file after a change that is meant to change outputs, and name
+each changed digest with the change:
+
+    PYTHONPATH=src python tests/golden.py
+
+This keeps the checkpoint digests of other kernels as they are.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ftaseg.pipeline import PipelineConfig, run_pipeline
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+_TINY = dict(
+    synth_dim=16, synth_labeled=2, synth_unlabeled=4, synth_val=2,
+    synth_radius_min=2.0, synth_radius_max=4.0, stage1_pseudo_count=2,
+    stage1_epochs=1, stage2_iters=20, val_points=2, lr=1e-3,
+)
+
+ARMS = {
+    "full": PipelineConfig(**_TINY),
+    "standard-fda": PipelineConfig(**_TINY, fta_mode="standard-fda"),
+    "supervised-only": PipelineConfig(**_TINY, supervised_only=True),
+}
+
+CHECKPOINTS = ("stage1/checkpoint.seg", "stage2/checkpoint.seg")
+
+
+def blas_core() -> str:
+    """Name of the OpenBLAS kernel numpy's BLAS runs, or ``"unknown"`` when
+    numpy does not bundle scipy-openblas."""
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return "unknown"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_arm(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """Run arm ``name`` into ``out``; returns the digests of its
+    kernel-independent files and of its checkpoints, keyed by relative path."""
+    run_pipeline(ARMS[name], out)
+    files = ["scores.csv", "stage2/metrics.csv", "stage1/manifest.txt",
+             "stage2/manifest.txt", "slices/labeled/manifest.csv"]
+    files += sorted(p.relative_to(out).as_posix()
+                    for p in (out / "stage1" / "pseudo").glob("*.vol"))
+    return ({f: _sha256(out / f) for f in files},
+            {f: _sha256(out / f) for f in CHECKPOINTS})
+
+
+def main() -> int:
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    core = blas_core()
+    files: dict[str, dict[str, str]] = {}
+    ckpts: dict[str, dict[str, str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ARMS:
+            files[name], ckpts[name] = run_arm(name, Path(tmp) / name)
+    checkpoints = {**old.get("checkpoints", {}), core: ckpts}
+    golden = {"files": files, "checkpoints": dict(sorted(checkpoints.items()))}
+    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} (checkpoints for OpenBLAS kernel {core})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,42 @@
+"""Outputs stay byte-identical across commits: each arm in ``golden.py`` is
+run once and its file digests are compared with ``golden.json``.
+
+Checkpoint digests are kept per OpenBLAS kernel. On a kernel that
+``golden.json`` has no entry for, ``test_checkpoint_digests`` is reported
+as skipped, with the kernel's name and the command that adds its entry; the
+other files are checked on every kernel.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from golden import ARMS, GOLDEN, blas_core, run_arm
+
+_EXPECTED = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Digests of every arm, each run once for the module."""
+    out = tmp_path_factory.mktemp("golden")
+    return {name: run_arm(name, out / name) for name in ARMS}
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_output_digests(runs, arm):
+    assert runs[arm][0] == _EXPECTED["files"][arm]
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_checkpoint_digests(runs, arm):
+    core = blas_core()
+    if core not in _EXPECTED["checkpoints"]:
+        pytest.skip(
+            f"golden.json has no checkpoint digests for OpenBLAS kernel {core!r}; "
+            "`PYTHONPATH=src python tests/golden.py` adds them"
+        )
+    assert runs[arm][1] == _EXPECTED["checkpoints"][core][arm]
+

@@ -9,7 +9,6 @@ from ftaseg.phantom import (
     gen_phantom,
     smooth_bias_field,
 )
-from ftaseg.volume import RAW, NORMALIZED, Volume
 
 
 def brute_force_sphere_count(dims, center, radius):
@@ -102,10 +101,6 @@ class TestGenPhantom:
             vol, mask = gen_phantom(spec, seed)
             assert np.all(vol.data[mask.data == 1] == spec.fg_mean)
 
-    def test_raw_tagged(self):
-        vol, _ = gen_phantom(BenchmarkSpec(dim=6, ellipsoids=0), 0)
-        assert vol.value_unit == RAW
-
     def test_placement_error_when_impossible(self):
         spec = BenchmarkSpec(dim=16, ellipsoids=30, radius_min=3, radius_max=3)
         with pytest.raises(DataError, match="place"):
@@ -135,11 +130,6 @@ class TestDomainShift:
         vol, _ = gen_phantom(_small_spec(fg_std=0.0, bg_std=0.0), 3)
         out = apply_domain_shift(vol, _shift(bias=100.0), 0)
         assert np.allclose(out.data, vol.data + 100.0, atol=1e-3)
-
-    def test_requires_raw_volume(self):
-        v = Volume(np.zeros((2, 2, 2), dtype=np.float32), NORMALIZED)
-        with pytest.raises(DataError):
-            apply_domain_shift(v, _shift(), 0)
 
     def test_deterministic_per_seed(self):
         vol, _ = gen_phantom(_small_spec(), 4)

@@ -1,13 +1,17 @@
 import dataclasses
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftaseg
 from ftaseg.cli import build_parser, main
@@ -39,8 +43,6 @@ from ftaseg.preprocess import (
 )
 from ftaseg.ssl import StageConfig, evaluate_volumes
 from ftaseg.volume import (
-    NORMALIZED,
-    RAW,
     MaskVolume,
     Volume,
     load_mask,
@@ -166,6 +168,31 @@ class TestConfig:
         assert tuple(f.name for f in dataclasses.fields(PipelineConfig)) == self.KEYS
         assert len(FLOAT_KEYS) == 22
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(ConfigError, match=re.escape(f"config file {path} is not")):
+            parse_pipeline_config(path)
+
+    # Arbitrary bytes, and lines of known keys with arbitrary values.
+    CONFIG_BYTES = st.one_of(
+        st.binary(max_size=64),
+        st.lists(
+            st.tuples(st.sampled_from(KEYS), st.text(max_size=8)), max_size=4
+        ).map(lambda kv: "".join(f"{k} = {v}\n" for k, v in kv).encode("utf-8")),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=CONFIG_BYTES)
+    def test_any_bytes_parse_or_raise_config_error(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.txt"
+            path.write_bytes(blob)
+            try:  # any other exception fails the test
+                parse_pipeline_config(path)
+            except ConfigError:
+                pass
+
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_float_keys_reject_non_finite_values(self, key, value):
@@ -274,7 +301,7 @@ class TestWindowSliceDirs:
         src = tmp_path / "raw"
         src.mkdir()
         for i in range(n):
-            vol = Volume(rng.uniform(0, 2500, dims).astype(np.float32), RAW)
+            vol = Volume(rng.uniform(0, 2500, dims).astype(np.float32))
             save_volume(vol, src / f"v{i}.vol")
             mask = MaskVolume((rng.random(dims) < 0.3).astype(np.uint8))
             save_mask(mask, src / f"v{i}_mask.vol")
@@ -285,7 +312,7 @@ class TestWindowSliceDirs:
         out = tmp_path / "win"
         count = window_dir(src, out, WindowSpec(500, 2000))
         assert count == 2
-        v = load_volume(out / "v0.vol", NORMALIZED)
+        v = load_volume(out / "v0.vol")
         assert v.data.min() >= 0.0 and v.data.max() <= 1.0
         assert (out / "v0_mask.vol").read_bytes() == (src / "v0_mask.vol").read_bytes()
 
@@ -314,7 +341,8 @@ class TestWindowSliceDirs:
         manifest = slice_dir(src, out, val_fraction=0.2, seed=1)
         expected = {}
         for vid in ("v0", "v1", "v2"):
-            vol = load_volume(win / f"{vid}.vol", NORMALIZED)
+            vol = load_volume(win / f"{vid}.vol")
+            assert vol.data.min() >= 0.0 and vol.data.max() <= 1.0
             mask = Volume(load_mask(win / f"{vid}_mask.vol").data.astype(np.float32))
             for (axis, i, image), (_, _, target) in zip(
                 slice_volume(vol), slice_volume(mask)
@@ -673,6 +701,16 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg, out = tmp_path / "bin.txt", tmp_path / "out"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        rc = self.run_cli("pipeline", "--config", str(cfg), "--out", str(out), "--quiet")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: config file {cfg} is not UTF-8 text (byte 0)\n"
+        )
+        assert not out.exists()
+
     def test_pipeline_unknown_key_exit_2(self, tmp_path, capsys):
         # A key that is not a config field fails instead of being ignored.
         # The fast config keeps a run short should the key be accepted.
@@ -706,7 +744,7 @@ class TestCli:
         val.mkdir()
         rng = np.random.default_rng(6)
         data = rng.random((4, 4, 4)).astype(np.float32)
-        save_volume(Volume(data, NORMALIZED), val / "v0.vol")
+        save_volume(Volume(data), val / "v0.vol")
         save_mask(MaskVolume((data > 0.5).astype(np.uint8)), val / "v0_mask.vol")
         model = ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0)
         ckpt = tmp_path / "old.seg"
@@ -729,7 +767,7 @@ class TestCli:
         val = tmp_path / "val"
         val.mkdir()
         data = np.random.default_rng(7).random((4, 4, 4)).astype(np.float32)
-        save_volume(Volume(data, NORMALIZED), val / "v0.vol")
+        save_volume(Volume(data), val / "v0.vol")
         save_mask(MaskVolume((data > 0.5).astype(np.uint8)), val / "v0_mask.vol")
         ckpt = tmp_path / "bad.seg"
         model = ftaseg.PatchMLP.init_random(ftaseg.ModelShape(), 0)
@@ -750,7 +788,7 @@ class TestCli:
         data = tmp_path / "data"
         generate_benchmark(cfg.benchmark_spec(), data)
         thin = np.full((32, 32, 2), 800.0, dtype=np.float32)
-        save_volume(Volume(thin, RAW), data / "unlabeled" / "thin.vol")
+        save_volume(Volume(thin), data / "unlabeled" / "thin.vol")
         path = tmp_path / "cfg.txt"
         write_kv_config(
             dataclasses.replace(
@@ -776,7 +814,7 @@ class TestCli:
         generate_benchmark(cfg.benchmark_spec(), data)
         thin_vol = np.full((32, 32, 2), 800.0, dtype=np.float32)
         for sub in ("unlabeled", "val") if thin else ():
-            save_volume(Volume(thin_vol, RAW), data / sub / "thin.vol")
+            save_volume(Volume(thin_vol), data / sub / "thin.vol")
             save_mask(MaskVolume(np.zeros(thin_vol.shape, np.uint8)),
                       data / sub / "thin_mask.vol")
         slice_dir(data / "labeled", tmp_path / "slices", cfg.val_fraction, cfg.seed)
@@ -800,7 +838,7 @@ class TestCli:
         data, slices = tmp_path / "data", tmp_path / "slices"
         generate_benchmark(fast_config().benchmark_spec(), data)
         thin = np.full((12, 12, 2), 800.0, dtype=np.float32)
-        save_volume(Volume(thin, RAW), data / "labeled" / "thin.vol")
+        save_volume(Volume(thin), data / "labeled" / "thin.vol")
         save_mask(MaskVolume(np.zeros(thin.shape, np.uint8)),
                   data / "labeled" / "thin_mask.vol")
         rc = self.run_cli("slice", "--in", str(data / "labeled"), "--out", str(slices))
@@ -825,7 +863,7 @@ class TestCli:
         raw.mkdir()
         data = np.full((4, 5, 6), 800.0, dtype=np.float32)
         data[1, 2, 3] = bad
-        save_volume(Volume(data, RAW), raw / "v.vol")
+        save_volume(Volume(data), raw / "v.vol")
         rc = self.run_cli("window", "--in", str(raw), "--out", str(tmp_path / "win"))
         assert rc == 3
         assert capsys.readouterr().err == (
@@ -837,7 +875,7 @@ class TestCli:
         # One voxel of the raw volume at ``path`` set to ``bad``.
         data = load_volume(path).data.copy()
         data[1, 2, 3] = bad
-        save_volume(Volume(data, RAW), path)
+        save_volume(Volume(data), path)
 
     @staticmethod
     def non_finite_error(prefix, path):
@@ -1055,7 +1093,7 @@ class TestCli:
         rng = np.random.default_rng(4)
         for name in ("a", "b"):
             data = rng.random((1, 6, 6)).astype(np.float32)
-            save_volume(Volume(data, NORMALIZED), tmp_path / f"{name}.vol")
+            save_volume(Volume(data), tmp_path / f"{name}.vol")
         rc = self.run_cli(
             "fta", "--a", str(tmp_path / "a.vol"), "--b", str(tmp_path / "b.vol"),
             "--out-a", str(tmp_path / "za.vol"), "--out-b", str(tmp_path / "zb.vol"),
@@ -1071,7 +1109,7 @@ class TestCli:
         rng = np.random.default_rng(7)
         for name in ("a", "b"):
             data = rng.random((1, 6, 6)).astype(np.float32)
-            save_volume(Volume(data, NORMALIZED), tmp_path / f"{name}.vol")
+            save_volume(Volume(data), tmp_path / f"{name}.vol")
         rc = self.run_cli(
             "fta", "--a", str(tmp_path / "a.vol"), "--b", str(tmp_path / "b.vol"),
             "--out-a", str(tmp_path / "za.vol"), "--out-b", str(tmp_path / "zb.vol"),
@@ -1085,7 +1123,7 @@ class TestCli:
     def test_overlay_subcommand(self, tmp_path):
         rng = np.random.default_rng(5)
         save_volume(
-            Volume(rng.random((1, 4, 4)).astype(np.float32), NORMALIZED),
+            Volume(rng.random((1, 4, 4)).astype(np.float32)),
             tmp_path / "s.vol",
         )
         mask = MaskVolume((rng.random((1, 4, 4)) < 0.4).astype(np.uint8))
@@ -1097,6 +1135,32 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "o.ppm").read_bytes().startswith(b"P6\n")
+
+    @pytest.mark.parametrize("cmd", ["fta", "overlay"])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
+    def test_slice_outside_unit_range_exit_3(self, tmp_path, capsys, cmd, bad):
+        # fta and overlay read windowed slices: a voxel outside [0, 1] (or
+        # NaN) is a data error, and nothing is written.
+        ok = np.full((1, 4, 4), 0.5, dtype=np.float32)
+        bad_data = ok.copy()
+        bad_data[0, 1, 2] = bad
+        save_volume(Volume(ok), tmp_path / "ok.vol")
+        save_volume(Volume(bad_data), tmp_path / "bad.vol")
+        save_mask(MaskVolume(np.zeros((1, 4, 4), np.uint8)), tmp_path / "m.vol")
+        bad_path, ok_path, out = (
+            str(tmp_path / "bad.vol"), str(tmp_path / "ok.vol"), tmp_path / "out")
+        argv = {
+            "fta": ["--a", ok_path, "--b", bad_path, "--out-a", str(out),
+                    "--out-b", str(out)],
+            "overlay": ["--slice", bad_path, "--pred", str(tmp_path / "m.vol"),
+                        "--gt", str(tmp_path / "m.vol"), "--out", str(out)],
+        }[cmd]
+        rc = self.run_cli(cmd, *argv)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: normalized volume has values outside [0, 1]\n"
+        )
+        assert not out.exists()
 
     @staticmethod
     def _child(*args: str, blas_threads: str | None = None):

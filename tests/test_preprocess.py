@@ -17,18 +17,17 @@ from ftaseg.preprocess import (
     window_normalize,
     write_manifest,
 )
-from ftaseg.volume import NORMALIZED, RAW, Volume
+from ftaseg.volume import Volume
 
 
 def vol_of(values):
-    return Volume(np.asarray(values, dtype=np.float32), RAW)
+    return Volume(np.asarray(values, dtype=np.float32))
 
 
 class TestWindowNormalize:
     def test_lower_bound_maps_to_zero(self):
         v = window_normalize(vol_of([[[500.0]]]), WindowSpec(500, 2000))
         assert v.data[0, 0, 0] == 0.0
-        assert v.value_unit == NORMALIZED
 
     def test_linear_midpoint(self):
         v = window_normalize(vol_of([[[1250.0]]]), WindowSpec(500, 2000))
@@ -53,10 +52,11 @@ class TestWindowNormalize:
         with pytest.raises(ConfigError):
             WindowSpec(700, 700)
 
-    def test_requires_raw_volume(self):
-        normalized = Volume(np.zeros((1, 1, 1), dtype=np.float32), NORMALIZED)
-        with pytest.raises(DataError):
-            window_normalize(normalized)
+    def test_leaves_its_input_unchanged(self):
+        # Volumes wrap their arrays without a copy, so windowing copies first.
+        raw = np.full((1, 1, 2), 1250.0, dtype=np.float32)
+        window_normalize(Volume(raw))
+        assert (raw == 1250.0).all()
 
     def test_monotone_and_in_range(self):
         rng = np.random.default_rng(0)

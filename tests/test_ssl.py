@@ -41,7 +41,7 @@ from ftaseg.ssl import (
     run_stage2,
     update_threshold,
 )
-from ftaseg.volume import RAW, NORMALIZED, MaskVolume, Volume
+from ftaseg.volume import MaskVolume, Volume
 
 from oracles import (
     bce_ref,
@@ -116,7 +116,7 @@ def fail_in_supervised_lane(monkeypatch) -> list:
 
 def make_volumes(rng, n=5, dim=6):
     return [
-        (f"u{i:02d}", Volume(rng.random((dim, dim, dim), dtype=np.float32), NORMALIZED))
+        (f"u{i:02d}", Volume(rng.random((dim, dim, dim), dtype=np.float32)))
         for i in range(n)
     ]
 
@@ -408,7 +408,7 @@ class TestStage1:
 
 class TestStage2:
     def val_cases(self, rng):
-        vol = Volume(rng.random((4, 6, 6), dtype=np.float32), NORMALIZED)
+        vol = Volume(rng.random((4, 6, 6), dtype=np.float32))
         gt = MaskVolume((rng.random((4, 6, 6)) < 0.3).astype(np.uint8))
         return [("v0", vol, gt)]
 
@@ -617,7 +617,7 @@ class TestStage2:
     def test_final_model_and_validation_are_the_checkpoints(self, tmp_path):
         rng = np.random.default_rng(33)
         cases = self.val_cases(rng) + [
-            (f"v{i}", Volume(rng.random((3, 7, 5), dtype=np.float32), NORMALIZED),
+            (f"v{i}", Volume(rng.random((3, 7, 5), dtype=np.float32)),
              MaskVolume((rng.random((3, 7, 5)) < 0.3).astype(np.uint8)))
             for i in (1, 2)
         ]
@@ -657,14 +657,14 @@ class TestStage2:
             alive = {(m, c) for m, c, r in list(refs) if r() is not None}
             seen.append((sum(m == main for m, _ in alive), len(alive)))
             loaded[main].append(cid)
-            vol = Volume(arrays[cid][0], NORMALIZED)
+            vol = Volume(arrays[cid][0])
             gt = MaskVolume(arrays[cid][1])
             refs.extend((main, cid, weakref.ref(x))
                         for x in (vol, gt, vol.data, gt.data))
             return vol, gt
 
         model = PatchMLP.init_random(ModelShape(3, 4, 3), 6)
-        held = [(cid, Volume(v, NORMALIZED), MaskVolume(m))
+        held = [(cid, Volume(v), MaskVolume(m))
                 for cid, (v, m) in arrays.items()]
         _, per_case = evaluate_volumes(model, list(arrays), load)
         assert loaded == {True: ["v0", "v1", "v2"], False: ["v3", "v4"]}
@@ -735,7 +735,7 @@ class TestPredictVolume:
         # Reference: every z plane stacked into one forward_cache_multi pass.
         rng = np.random.default_rng(17)
         model = _noisy_model(shape, 6, noise)
-        vol = Volume(rng.random(dims, dtype=np.float32), NORMALIZED)
+        vol = Volume(rng.random(dims, dtype=np.float32))
         pred = predict_volume(model, vol)
         planes = [vol.data[z] for z in range(dims[0])]
         probs = model.forward_cache_multi(planes)["probs"].reshape(dims)
@@ -764,7 +764,7 @@ class TestPredictVolume:
     def test_stacked_passes_equal_per_plane_prediction(self, dims, stacks):
         rng = np.random.default_rng(19)
         model = _noisy_model(ModelShape(), 6, 0.3)
-        vol = Volume(rng.random(dims, dtype=np.float32), NORMALIZED)
+        vol = Volume(rng.random(dims, dtype=np.float32))
         passes = []
         forward = model.forward_cache_multi
 
@@ -787,7 +787,7 @@ class TestPredictVolume:
         # whose buffers a larger forward and backward pass left dirty.
         rng = np.random.default_rng(29)
         model = _noisy_model(ModelShape(), 6, 0.3)
-        vol = Volume(rng.random((9, 40, 40), dtype=np.float32), NORMALIZED)
+        vol = Volume(rng.random((9, 40, 40), dtype=np.float32))
         ws = Workspace()
         _supervised_batch(model, make_train_set(rng, n=8, hw=40), ws)
         reused = predict_volume(model, vol, ws)
@@ -797,9 +797,7 @@ class TestPredictVolume:
         # Three callers predict at once: each keeps to its own mask and
         # workspace, and model.params is only read.
         model = _noisy_model(ModelShape(), 6, 0.3)
-        vol = Volume(
-            np.random.default_rng(23).random((9, 12, 10), dtype=np.float32), NORMALIZED
-        )
+        vol = Volume(np.random.default_rng(23).random((9, 12, 10), dtype=np.float32))
         expected = predict_volume(model, vol).data.tobytes()
         results = []
         callers = [
@@ -823,7 +821,7 @@ class TestPredictVolume:
     def test_non_finite_params_raise_numeric_error(self):
         shape = ModelShape(3, 4, 3)
         model = PatchMLP(shape, np.full(shape.n_params, np.nan))
-        vol = Volume(np.zeros((4, 5, 5), dtype=np.float32), NORMALIZED)
+        vol = Volume(np.zeros((4, 5, 5), dtype=np.float32))
         threads = threading.active_count()
         with pytest.raises(NumericError, match="non-finite"):
             predict_volume(model, vol)
@@ -847,7 +845,7 @@ class TestPredictVolume:
                 raise
 
         model.forward_cache_multi = second_fails
-        vol = Volume(np.zeros((100, 12, 10), dtype=np.float32), NORMALIZED)
+        vol = Volume(np.zeros((100, 12, 10), dtype=np.float32))
         threads = threading.active_count()
         with pytest.raises(NumericError) as info:
             predict_volume(model, vol)
@@ -859,7 +857,6 @@ class TestPredictVolume:
         model = _noisy_model(ModelShape(), 6, 0.3)
         vol = Volume(
             np.random.default_rng(17).random((48, 48, 48), dtype=np.float32),
-            NORMALIZED,
         )
         predict_volume(model, vol)  # warm-up
         tracemalloc.start()
@@ -874,7 +871,7 @@ class TestPredictVolume:
 def lane_cases(rng, n, dims=(5, 9, 7)):
     # Validation cases v0..v{n-1} as (id, volume, mask), in reverse id order.
     return [
-        (f"v{i}", Volume(rng.random(dims, dtype=np.float32), NORMALIZED),
+        (f"v{i}", Volume(rng.random(dims, dtype=np.float32)),
          MaskVolume((rng.random(dims) < 0.3).astype(np.uint8)))
         for i in reversed(range(n))
     ]
