@@ -3,9 +3,16 @@ command that rewrites ``tests/golden.json``.
 
 Each arm is a tiny ``run_pipeline`` config on the synthesized benchmark. A
 run's digests are the SHA-256 of its scores, validation history, stage
-manifests, labeled slice manifest, pseudo masks and checkpoints. Checkpoint
+manifests, labeled slice manifest, pseudo masks and checkpoints, and for
+``DATA_ARM`` of every file the run synthesized under ``data/``. Checkpoint
 bytes depend on the BLAS kernel (the OpenBLAS core type), so their digests
 are kept per kernel name; the other files are kept once.
+
+Each spec in ``GENERATED`` is only synthesized, with ``generate_benchmark``,
+and the digests of every file it writes are kept. Together they reach each
+branch of the phantom generator: a per-volume foreground level
+(``fg_spread > 0``), a gamma shift, no bias field (``shift_field = 0``),
+and ellipsoids whose bounding boxes reach the border of the grid.
 
 Rewrite the file after a change that is meant to change outputs, and name
 each changed digest with the change:
@@ -28,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ftaseg.pipeline import PipelineConfig, run_pipeline
+from ftaseg.phantom import BenchmarkSpec
+from ftaseg.pipeline import PipelineConfig, generate_benchmark, run_pipeline
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -42,6 +50,21 @@ ARMS = {
     "full": PipelineConfig(**_TINY),
     "standard-fda": PipelineConfig(**_TINY, fta_mode="standard-fda"),
     "supervised-only": PipelineConfig(**_TINY, supervised_only=True),
+}
+
+# The arms share one benchmark spec, so one arm's data stands for all.
+DATA_ARM = "full"
+
+GENERATED = {
+    # Radii up to nearly half the grid: most ellipsoids touch its border.
+    "border": BenchmarkSpec(
+        dim=16, labeled=2, unlabeled=2, val=2, ellipsoids=2, radius_min=1.5,
+        radius_max=7.5, fg_spread=150.0, shift_gamma=1.15, shift_field=60.0,
+    ),
+    "no-field": BenchmarkSpec(
+        dim=12, labeled=1, unlabeled=1, val=1, ellipsoids=3, radius_min=1.5,
+        radius_max=3.0, shift_field=0.0, seed=1,
+    ),
 }
 
 CHECKPOINTS = ("stage1/checkpoint.seg", "stage2/checkpoint.seg")
@@ -63,6 +86,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _tree(root: Path) -> list[str]:
+    return sorted(p.relative_to(root).as_posix()
+                  for p in root.rglob("*") if p.is_file())
+
+
 def run_arm(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Run arm ``name`` into ``out``; returns the digests of its
     kernel-independent files and of its checkpoints, keyed by relative path."""
@@ -71,8 +99,17 @@ def run_arm(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
              "stage2/manifest.txt", "slices/labeled/manifest.csv"]
     files += sorted(p.relative_to(out).as_posix()
                     for p in (out / "stage1" / "pseudo").glob("*.vol"))
+    if name == DATA_ARM:
+        files += [f"data/{f}" for f in _tree(out / "data")]
     return ({f: _sha256(out / f) for f in files},
             {f: _sha256(out / f) for f in CHECKPOINTS})
+
+
+def generate(name: str, out: Path) -> dict[str, str]:
+    """Synthesize spec ``name`` of ``GENERATED`` into ``out``; returns the
+    digest of every file written, keyed by relative path."""
+    generate_benchmark(GENERATED[name], out)
+    return {f: _sha256(out / f) for f in _tree(out)}
 
 
 def main() -> int:
@@ -83,8 +120,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in ARMS:
             files[name], ckpts[name] = run_arm(name, Path(tmp) / name)
+        generated = {name: generate(name, Path(tmp) / "gen" / name)
+                     for name in GENERATED}
     checkpoints = {**old.get("checkpoints", {}), core: ckpts}
-    golden = {"files": files, "checkpoints": dict(sorted(checkpoints.items()))}
+    golden = {"files": files, "generated": generated,
+              "checkpoints": dict(sorted(checkpoints.items()))}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} (checkpoints for OpenBLAS kernel {core})")
     return 0

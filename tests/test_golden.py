@@ -1,5 +1,6 @@
 """Outputs stay byte-identical across commits: each arm in ``golden.py`` is
-run once and its file digests are compared with ``golden.json``.
+run once, each generation-only spec synthesized once, and their file
+digests are compared with ``golden.json``.
 
 Checkpoint digests are kept per OpenBLAS kernel. On a kernel that
 ``golden.json`` has no entry for, ``test_checkpoint_digests`` is reported
@@ -13,7 +14,7 @@ import json
 
 import pytest
 
-from golden import ARMS, GOLDEN, blas_core, run_arm
+from golden import ARMS, GENERATED, GOLDEN, blas_core, generate, run_arm
 
 _EXPECTED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -40,3 +41,8 @@ def test_checkpoint_digests(runs, arm):
         )
     assert runs[arm][1] == _EXPECTED["checkpoints"][core][arm]
 
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_digests(tmp_path, name):
+    assert generate(name, tmp_path) == _EXPECTED["generated"][name]
