@@ -96,6 +96,21 @@ def _place_ellipsoids(spec: BenchmarkSpec, rng: np.random.Generator) -> list[tup
     return placed
 
 
+def _paint_ellipsoid(mask: np.ndarray, center, radii) -> None:
+    # Sets the voxels of ``mask`` inside the ellipsoid. Only its bounding box
+    # widened by one voxel is tested: beyond that, |offset| >= radius + 1 on
+    # some axis, so that squared term alone exceeds 1.
+    box = []
+    for c, r, n in zip(reversed(center), reversed(radii), mask.shape):
+        box.append(slice(max(0, math.floor(c - r) - 1), min(n, math.ceil(c + r) + 2)))
+    zz, yy, xx = np.ogrid[tuple(box)]
+    cx, cy, cz = center
+    rx, ry, rz = radii
+    mask[tuple(box)] |= (
+        ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 + ((zz - cz) / rz) ** 2
+    ) <= 1.0
+
+
 def ellipsoid_mask(
     dims: tuple[int, int, int],
     center: tuple[float, float, float],
@@ -103,17 +118,13 @@ def ellipsoid_mask(
 ) -> MaskVolume:
     """Exact membership mask of one axis-aligned ellipsoid.
 
-    ``center`` and ``radii`` are (x, y, z) triples; a voxel belongs to the
-    ellipsoid when the normalized squared offsets sum to at most 1.
+    ``center`` and ``radii`` are (x, y, z) triples, the radii positive; a
+    voxel belongs to the ellipsoid when the normalized squared offsets sum
+    to at most 1.
     """
-    d, h, w = dims
-    zz, yy, xx = np.ogrid[:d, :h, :w]
-    cx, cy, cz = center
-    rx, ry, rz = radii
-    inside = (
-        ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 + ((zz - cz) / rz) ** 2
-    ) <= 1.0
-    return MaskVolume(inside.astype(np.uint8))
+    mask = np.zeros(dims, dtype=np.uint8)
+    _paint_ellipsoid(mask, center, radii)
+    return MaskVolume(mask)
 
 
 def gen_phantom(spec: BenchmarkSpec, seed: int) -> tuple[Volume, MaskVolume]:
@@ -129,10 +140,17 @@ def gen_phantom(spec: BenchmarkSpec, seed: int) -> tuple[Volume, MaskVolume]:
     rng = np.random.default_rng(seed)
     mask = np.zeros(dims, dtype=np.uint8)
     for center, radii in _place_ellipsoids(spec, rng):
-        mask |= ellipsoid_mask(dims, tuple(center), tuple(radii)).data
-    noise = rng.standard_normal(dims)
-    std = np.where(mask == 1, spec.fg_std, spec.bg_std)
-    data = np.where(mask == 1, fg, spec.bg_mean) + std * noise
+        _paint_ellipsoid(mask, center, radii)
+    # noise * std + mean: one pass over the grid at the background's values,
+    # then the foreground voxels alone are set from their saved noise.
+    data = rng.standard_normal(dims)
+    inside = np.flatnonzero(mask)
+    fg_data = data.reshape(-1)[inside]
+    fg_data *= spec.fg_std
+    fg_data += fg
+    data *= spec.bg_std
+    data += spec.bg_mean
+    data.reshape(-1)[inside] = fg_data
     return Volume(data.astype(np.float32)), MaskVolume(mask)
 
 
@@ -145,18 +163,20 @@ def smooth_bias_field(
     increment is capped at 0.045 rad per wave, bounding any single-voxel step
     by 2 * (A/2) * 0.045 = 0.09 * A.
     """
+    field = np.zeros(dims)
     if amplitude == 0.0:
-        return np.zeros(dims)
+        return field
     d, h, w = dims
     coords = np.ogrid[:d, :h, :w]
-    field = np.zeros(dims)
     for _ in range(2):
         phase = rng.uniform(0.0, 2.0 * np.pi)
         total = phase
         for axis_coord, n in zip(coords, dims):
             step = min(0.045, np.pi / (n - 1)) if n > 1 else 0.0
             total = total + rng.choice((-1.0, 1.0)) * step * axis_coord
-        field += 0.5 * amplitude * np.cos(total)
+        np.cos(total, out=total)
+        total *= 0.5 * amplitude
+        field += total
     return field
 
 
@@ -166,7 +186,9 @@ def apply_domain_shift(v: Volume, spec: BenchmarkSpec, seed: int) -> Volume:
     rng = np.random.default_rng(seed)
     base = v.data.astype(np.float64)
     if spec.shift_gamma != 1.0:  # fractional powers need a non-negative base
-        base = np.power(np.maximum(base, 0.0), spec.shift_gamma)
-    shifted = spec.shift_gain * base + spec.shift_bias
-    shifted = shifted + smooth_bias_field(v.dims, spec.shift_field, rng)
-    return Volume(shifted.astype(np.float32))
+        np.maximum(base, 0.0, out=base)
+        np.power(base, spec.shift_gamma, out=base)
+    base *= spec.shift_gain
+    base += spec.shift_bias
+    base += smooth_bias_field(v.dims, spec.shift_field, rng)
+    return Volume(base.astype(np.float32))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import shutil
+import time
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
@@ -50,6 +51,7 @@ from .ssl import (
     HISTORY_HEADER,
     StageConfig,
     TrainSlice,
+    in_two_lanes,
     run_stage1,
     run_stage2,
 )
@@ -278,19 +280,34 @@ class RunLog:
 
 
 def generate_benchmark(spec: BenchmarkSpec, out_dir: Path | str) -> None:
-    """Write labeled/, unlabeled/ and val/ volume sets plus a manifest."""
+    """Write labeled/, unlabeled/ and val/ volume sets plus a manifest.
+
+    Each volume's seeds are drawn up front, in volume order, so its bytes do
+    not depend on which of the two lanes (see ``in_two_lanes``) builds it.
+    The manifest rows keep volume order. If a volume fails, the first
+    failing volume's error is raised and no manifest is written.
+    """
     out = Path(out_dir)
     children = np.random.SeedSequence(spec.seed).spawn(
         spec.labeled + 2 * (spec.unlabeled + spec.val)
     )
     seeds = (int(c.generate_state(1)[0]) for c in children)
-    rows = ["id,split,file,mask_file"]
+    jobs = []  # (split, index, phantom seed, shift seed or None, with mask)
+    for split, count, shifted, with_mask in (
+        ("labeled", spec.labeled, False, True),
+        ("unlabeled", spec.unlabeled, True, False),
+        ("val", spec.val, True, True),
+    ):
+        for i in range(count):
+            jobs.append((split, i, next(seeds), next(seeds) if shifted else None,
+                         with_mask))
 
-    def emit(split: str, idx: int, shifted: bool, with_mask: bool) -> None:
+    def emit(job: tuple, _lane: None) -> str:
+        split, idx, seed, shift_seed, with_mask = job
         vid = f"{split[:3]}_{idx:03d}"
-        vol, mask = gen_phantom(spec, next(seeds))
-        if shifted:
-            vol = apply_domain_shift(vol, spec, next(seeds))
+        vol, mask = gen_phantom(spec, seed)
+        if shift_seed is not None:
+            vol = apply_domain_shift(vol, spec, shift_seed)
         sub = out / split
         sub.mkdir(parents=True, exist_ok=True)
         save_volume(vol, sub / f"{vid}.vol")
@@ -298,14 +315,9 @@ def generate_benchmark(spec: BenchmarkSpec, out_dir: Path | str) -> None:
         if with_mask:
             mask_name = f"{vid}{MASK_SUFFIX}.vol"
             save_mask(mask, sub / mask_name)
-        rows.append(f"{vid},{split},{vid}.vol,{mask_name}")
+        return f"{vid},{split},{vid}.vol,{mask_name}"
 
-    for i in range(spec.labeled):
-        emit("labeled", i, shifted=False, with_mask=True)
-    for i in range(spec.unlabeled):
-        emit("unlabeled", i, shifted=True, with_mask=False)
-    for i in range(spec.val):
-        emit("val", i, shifted=True, with_mask=True)
+    rows = ["id,split,file,mask_file", *in_two_lanes(emit, jobs, None, None)]
     (out / "benchmark.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -745,13 +757,16 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     log(f"run started, seed={cfg.seed}")
 
     def stage(name: str, fn):
+        # The timestamps have 1 s resolution, so each stage's end line also
+        # gives its elapsed seconds.
         log(f"stage {name} started")
+        start = time.perf_counter()
         try:
             result = fn()
         except FtasegError as exc:
-            log(f"stage {name} failed: {exc}")
+            log(f"stage {name} failed: {exc} ({time.perf_counter() - start:.3f} s)")
             raise type(exc)(f"[{name}] {exc}") from exc
-        log(f"stage {name} finished")
+        log(f"stage {name} finished ({time.perf_counter() - start:.3f} s)")
         return result
 
     # Resolve data sources, synthesizing the bundled benchmark if needed.

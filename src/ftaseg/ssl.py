@@ -56,18 +56,21 @@ PREDICT_ROWS = 2 * ROW_CHUNK
 
 T = TypeVar("T")
 R = TypeVar("R")
+S = TypeVar("S")
 
 
 def in_two_lanes(
-    fn: Callable[[T, Workspace], R],
+    fn: Callable[[T, S], R],
     items: list[T],
-    ws: Workspace,
-    lane_ws: Workspace,
+    state: S,
+    lane_state: S,
     lane: Executor | None = None,
 ) -> list[R]:
-    """``[fn(x, ws) for x in items]`` in two lanes: the calling thread maps
-    the first half of ``items`` on ``ws`` while ``lane``, a one-worker
-    executor (a fresh one when None), maps the rest on ``lane_ws``.
+    """``[fn(x, state) for x in items]`` in two lanes: the calling thread maps
+    the first half of ``items`` with ``state`` while ``lane``, a one-worker
+    executor (a fresh one when None), maps the rest with ``lane_state``.
+    The states are whatever each lane needs of its own, such as a
+    ``Workspace``, or None.
 
     Results keep the order of ``items``. The lane is waited for before this
     returns or raises. Each lane stops at its first error, and the calling
@@ -76,14 +79,14 @@ def in_two_lanes(
     submitted.
     """
     if len(items) < 2:
-        return [fn(x, ws) for x in items]
+        return [fn(x, state) for x in items]
     if lane is None:
         with ThreadPoolExecutor(max_workers=1) as own:
-            return in_two_lanes(fn, items, ws, lane_ws, own)
+            return in_two_lanes(fn, items, state, lane_state, own)
     half = (len(items) + 1) // 2
-    rest = lane.submit(lambda: [fn(x, lane_ws) for x in items[half:]])
+    rest = lane.submit(lambda: [fn(x, lane_state) for x in items[half:]])
     try:
-        first = [fn(x, ws) for x in items[:half]]
+        first = [fn(x, state) for x in items[:half]]
     finally:
         rest.exception()  # waits; an error of the calling thread wins
     return first + rest.result()

@@ -93,7 +93,7 @@ def _write(path: Path | str, dtype_code: int, arr: np.ndarray) -> None:
     d, h, w = arr.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, dtype_code, d, h, w))
-        f.write(np.ascontiguousarray(arr).tobytes())
+        f.write(np.ascontiguousarray(arr))  # the array's own buffer, no copy
 
 
 def _header(f, path: Path | str) -> tuple[int, int, int, int]:

@@ -365,3 +365,65 @@ def bce_ref(probs: np.ndarray, targets: np.ndarray, eps: float = 1e-7):
         if eps < probs[i] < 1.0 - eps:
             dz3[i] = (probs[i] - t) / n
     return loss / n, dz3
+
+
+def ellipsoid_mask_ref(dims, center, radii) -> np.ndarray:
+    """uint8 membership of one axis-aligned ellipsoid, tested at every voxel
+    of the grid; ``center`` and ``radii`` are (x, y, z) triples."""
+    d, h, w = dims
+    zz, yy, xx = np.ogrid[:d, :h, :w]
+    cx, cy, cz = center
+    rx, ry, rz = radii
+    inside = (
+        ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 + ((zz - cz) / rz) ** 2
+    ) <= 1.0
+    return inside.astype(np.uint8)
+
+
+def gen_phantom_ref(spec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(float32 volume, uint8 mask) of ``gen_phantom``, built with full-grid
+    membership tests and ``np.where`` lookups."""
+    from ftaseg.phantom import _place_ellipsoids
+
+    dims = (spec.dim,) * 3
+    fg = spec.fg_mean
+    if spec.fg_spread > 0:
+        rng = np.random.default_rng(seed)
+        fg = float(rng.uniform(fg - spec.fg_spread, fg + spec.fg_spread))
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(dims, dtype=np.uint8)
+    for center, radii in _place_ellipsoids(spec, rng):
+        mask |= ellipsoid_mask_ref(dims, tuple(center), tuple(radii))
+    noise = rng.standard_normal(dims)
+    std = np.where(mask == 1, spec.fg_std, spec.bg_std)
+    data = np.where(mask == 1, fg, spec.bg_mean) + std * noise
+    return data.astype(np.float32), mask
+
+
+def smooth_bias_field_ref(dims, amplitude: float, rng) -> np.ndarray:
+    """Two plane-wave cosines at amplitude/2 each, summed into zeros."""
+    if amplitude == 0.0:
+        return np.zeros(dims)
+    d, h, w = dims
+    coords = np.ogrid[:d, :h, :w]
+    field = np.zeros(dims)
+    for _ in range(2):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        total = phase
+        for axis_coord, n in zip(coords, dims):
+            step = min(0.045, np.pi / (n - 1)) if n > 1 else 0.0
+            total = total + rng.choice((-1.0, 1.0)) * step * axis_coord
+        field += 0.5 * amplitude * np.cos(total)
+    return field
+
+
+def apply_domain_shift_ref(data: np.ndarray, spec, seed: int) -> np.ndarray:
+    """float32 ``shift_gain * data**shift_gamma + shift_bias + field``, each
+    step into a fresh array."""
+    rng = np.random.default_rng(seed)
+    base = data.astype(np.float64)
+    if spec.shift_gamma != 1.0:
+        base = np.power(np.maximum(base, 0.0), spec.shift_gamma)
+    shifted = spec.shift_gain * base + spec.shift_bias
+    shifted = shifted + smooth_bias_field_ref(data.shape, spec.shift_field, rng)
+    return shifted.astype(np.float32)

@@ -1,5 +1,10 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftaseg.errors import ConfigError, DataError
 from ftaseg.phantom import (
@@ -9,6 +14,8 @@ from ftaseg.phantom import (
     gen_phantom,
     smooth_bias_field,
 )
+from ftaseg.pipeline import generate_benchmark
+from oracles import apply_domain_shift_ref, ellipsoid_mask_ref, gen_phantom_ref
 
 
 def brute_force_sphere_count(dims, center, radius):
@@ -168,3 +175,88 @@ class TestBiasField:
     def test_field_bounded_by_amplitude(self):
         field = smooth_bias_field((16, 16, 16), 50.0, np.random.default_rng(3))
         assert np.abs(field).max() <= 50.0 + 1e-9
+
+
+@st.composite
+def phantom_specs(draw):
+    dim = draw(st.integers(3, 40))
+    radius_min = draw(st.floats(0.5, (dim - 1) / 2))
+    radius_max = draw(st.floats(radius_min, (dim - 1) / 2))
+    return BenchmarkSpec(
+        dim=dim,
+        ellipsoids=draw(st.integers(0, 4)),
+        radius_min=radius_min,
+        radius_max=radius_max,
+        fg_spread=draw(st.sampled_from([0.0, 300.0])),
+        fg_std=draw(st.sampled_from([0.0, 40.0])),
+        shift_gain=draw(st.floats(0.5, 2.0)),
+        shift_bias=draw(st.sampled_from([-0.0, 0.0, 150.0])),
+        shift_gamma=draw(st.sampled_from([1.0, 0.8, 1.2])),
+        shift_field=draw(st.sampled_from([0.0, 140.0])),
+    )
+
+
+class TestAgainstReference:
+    """The generator gives the bytes of the full-grid reference in
+    ``oracles.py``: box-limited membership tests, foreground-only lookups
+    and in-place arithmetic change no operand and no rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=phantom_specs(), seed=st.integers(0, 2**32 - 1),
+           shift_seed=st.integers(0, 2**32 - 1))
+    def test_volume_mask_and_shift_are_byte_equal(self, spec, seed, shift_seed):
+        try:
+            ref_vol, ref_mask = gen_phantom_ref(spec, seed)
+        except DataError as exc:  # no placement: both fail alike
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                gen_phantom(spec, seed)
+            return
+        vol, mask = gen_phantom(spec, seed)
+        assert vol.data.tobytes() == ref_vol.tobytes()
+        assert mask.data.tobytes() == ref_mask.tobytes()
+        shifted = apply_domain_shift(vol, spec, shift_seed)
+        ref_shifted = apply_domain_shift_ref(ref_vol, spec, shift_seed)
+        assert shifted.data.tobytes() == ref_shifted.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 12)] * 3),
+        center=st.tuples(*[st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 11.0, 11.5]),
+                                     st.floats(-3.0, 15.0))] * 3),
+        radii=st.tuples(*[st.floats(0.25, 8.0)] * 3),
+    )
+    def test_ellipsoid_mask_at_edges(self, dims, center, radii):
+        # Centres on, beyond and near the border, so boxes are clipped.
+        mask = ellipsoid_mask(dims, center, radii)
+        assert mask.data.tobytes() == ellipsoid_mask_ref(dims, center, radii).tobytes()
+
+
+class TestMemory:
+    """Traced peaks at 48^3, as multiples of one float64 volume."""
+
+    DIM = 48
+    F64 = 8 * DIM**3
+
+    @classmethod
+    def peak(cls, fn) -> float:
+        fn()  # first-call allocations (imports, caches) are not the call's
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / cls.F64
+        finally:
+            tracemalloc.stop()
+
+    def test_gen_phantom(self):
+        spec = BenchmarkSpec(dim=self.DIM)
+        assert self.peak(lambda: gen_phantom(spec, 3)) <= 2.5
+
+    def test_apply_domain_shift(self):
+        spec = BenchmarkSpec(dim=self.DIM, shift_gamma=1.1)
+        vol, _ = gen_phantom(spec, 3)
+        assert self.peak(lambda: apply_domain_shift(vol, spec, 4)) <= 4.0
+
+    def test_generate_benchmark(self, tmp_path):
+        # Two volumes are in flight, one per lane.
+        spec = BenchmarkSpec(dim=self.DIM, labeled=2, unlabeled=4, val=2)
+        assert self.peak(lambda: generate_benchmark(spec, tmp_path)) <= 9.0

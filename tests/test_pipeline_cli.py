@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,100 @@ class TestBenchmark:
         assert float(unl.data.mean()) > 1.5 * float(lab.data.mean())
 
 
+    def test_two_lanes_keep_rows_and_bytes_of_one_lane(self, tmp_path, monkeypatch):
+        spec = BenchmarkSpec(dim=10, labeled=2, unlabeled=3, val=2, ellipsoids=1,
+                             radius_min=2.0, radius_max=3.0, seed=7)
+        save = ftaseg.pipeline.save_volume
+        on_main = {}
+
+        def saving(vol, path):
+            on_main[Path(path).stem] = (
+                threading.current_thread() is threading.main_thread()
+            )
+            save(vol, path)
+
+        monkeypatch.setattr("ftaseg.pipeline.save_volume", saving)
+        threads = threading.active_count()
+        generate_benchmark(spec, tmp_path / "two")
+        assert threading.active_count() == threads
+        ids = ["lab_000", "lab_001", "unl_000", "unl_001", "unl_002",
+               "val_000", "val_001"]
+        # The calling thread builds the first half of the volumes.
+        assert on_main == {vid: k < 4 for k, vid in enumerate(ids)}
+        assert (tmp_path / "two" / "benchmark.csv").read_text().splitlines() == [
+            "id,split,file,mask_file",
+            "lab_000,labeled,lab_000.vol,lab_000_mask.vol",
+            "lab_001,labeled,lab_001.vol,lab_001_mask.vol",
+            "unl_000,unlabeled,unl_000.vol,",
+            "unl_001,unlabeled,unl_001.vol,",
+            "unl_002,unlabeled,unl_002.vol,",
+            "val_000,val,val_000.vol,val_000_mask.vol",
+            "val_001,val,val_001.vol,val_001_mask.vol",
+        ]
+        # Each volume has its own seeds: a loop over the volumes in one lane
+        # writes the same bytes.
+        monkeypatch.setattr("ftaseg.pipeline.in_two_lanes",
+                            lambda fn, items, *_: [fn(x, None) for x in items])
+        generate_benchmark(spec, tmp_path / "one")
+        files = sorted(p.relative_to(tmp_path / "one")
+                       for p in (tmp_path / "one").rglob("*") if p.is_file())
+        assert len(files) == 12
+        for rel in files:
+            assert (tmp_path / "two" / rel).read_bytes() == (
+                tmp_path / "one" / rel).read_bytes()
+
+    def test_unplaceable_spec_raises_the_placement_error(self, tmp_path):
+        spec = BenchmarkSpec(dim=16, labeled=2, unlabeled=2, val=1, ellipsoids=30,
+                             radius_min=3.0, radius_max=3.0)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="^could not place 30 non-overlapping "
+                                            "ellipsoids after 1000 attempts$"):
+            generate_benchmark(spec, tmp_path)
+        assert threading.active_count() == threads
+        assert not (tmp_path / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ({"lab_001"}, "lab_001"),  # the calling thread's lane (lab_*, unl_000)
+            ({"val_000"}, "val_000"),  # the worker lane (unl_001, val_000)
+            ({"unl_000", "unl_001"}, "unl_000"),  # both lanes: the earlier volume
+        ],
+        ids=["calling-lane", "worker-lane", "both-lanes"],
+    )
+    def test_first_failing_volume_surfaces_from_either_lane(
+        self, tmp_path, monkeypatch, bad, first
+    ):
+        spec = BenchmarkSpec(dim=10, labeled=2, unlabeled=2, val=1, ellipsoids=1,
+                             radius_min=2.0, radius_max=3.0, seed=3)
+        save = ftaseg.pipeline.save_volume
+        saved = []
+
+        def saving(vol, path):
+            vid = Path(path).stem
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)  # the worker lane lags behind
+            if vid in bad:
+                raise DataError(f"cannot write {vid}")
+            save(vol, path)
+            saved.append(vid)
+
+        def upto_first_bad(lane):
+            return set(lane[:next((k for k, v in enumerate(lane) if v in bad),
+                                  len(lane))])
+
+        monkeypatch.setattr("ftaseg.pipeline.save_volume", saving)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=f"^cannot write {first}$"):
+            generate_benchmark(spec, tmp_path)
+        # Each lane stopped at its first failure, and the worker lane had
+        # finished before the error was raised.
+        assert set(saved) == (upto_first_bad(["lab_000", "lab_001", "unl_000"])
+                              | upto_first_bad(["unl_001", "val_000"]))
+        assert threading.active_count() == threads
+        assert not (tmp_path / "benchmark.csv").exists()
+
+
 class TestWindowSliceDirs:
     def make_raw_dir(self, tmp_path, n=2, dims=(4, 5, 6)):
         rng = np.random.default_rng(0)
@@ -541,6 +637,26 @@ class TestRunPipeline:
             run_pipeline(cfg, tmp_path / "run")
         log = (tmp_path / "run" / "run.log").read_text()
         assert "preprocess failed" in log
+
+    def test_stage_end_lines_give_elapsed_seconds(self, tmp_path):
+        # "<timestamp> stage <name> finished (<seconds> s)", and a failure's
+        # message before the seconds.
+        def ends(run):
+            log = (tmp_path / run / "run.log").read_text()
+            end = r"^\S+ stage (\w+) (finished|failed: .*) \(\d+\.\d{3} s\)$"
+            return re.findall(end, log, re.M)
+
+        run_pipeline(fast_config(seed=5), tmp_path / "ok")
+        assert ends("ok") == [
+            (name, "finished")
+            for name in ("synth", "preprocess", "stage1", "stage2", "score")
+        ]
+        missing = tmp_path / "missing"
+        with pytest.raises(DataError):
+            run_pipeline(fast_config(labeled_dir=str(missing)), tmp_path / "bad")
+        assert ends("bad") == [
+            ("preprocess", f"failed: labeled directory {missing} does not exist")
+        ]
 
     def test_merged_volume_arithmetic(self, tmp_path):
         run_pipeline(fast_config(seed=3), tmp_path / "run")

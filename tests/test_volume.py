@@ -196,6 +196,23 @@ class TestLoadMemory:
         assert self.peak_ratio(windowed, path, 4 * 48**3) <= 1.3
 
 
+class TestSaveMemory:
+    """A save writes the array's own buffer: one save of a 48^3 volume or
+    mask allocates only the file object's fixed buffers, no payload copy."""
+
+    DIMS = TestLoadMemory.DIMS
+
+    def test_save_volume_copies_no_payload(self, tmp_path):
+        v = random_volume(np.random.default_rng(3), self.DIMS)
+        save = lambda p: save_volume(v, p)  # noqa: E731
+        assert TestLoadMemory.peak_ratio(save, tmp_path / "v.vol", 4 * 48**3) <= 0.05
+
+    def test_save_mask_copies_no_payload(self, tmp_path):
+        m = random_mask(np.random.default_rng(4), self.DIMS)
+        save = lambda p: save_mask(m, p)  # noqa: E731
+        assert TestLoadMemory.peak_ratio(save, tmp_path / "m.vol", 48**3) <= 0.1
+
+
 class TestVoxelSet:
     """The foreground voxel set of a mask, counted by MaskVolume.voxel_count."""
 
