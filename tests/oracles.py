@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+# The phantom oracles check no placement draw, so they share the package's.
+from ftaseg.phantom import _place_ellipsoids
+
 
 def dft2_direct(img: np.ndarray) -> np.ndarray:
     """O(n^4) forward DFT by direct double summation, unshifted layout."""
@@ -383,8 +386,6 @@ def ellipsoid_mask_ref(dims, center, radii) -> np.ndarray:
 def gen_phantom_ref(spec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(float32 volume, uint8 mask) of ``gen_phantom``, built with full-grid
     membership tests and ``np.where`` lookups."""
-    from ftaseg.phantom import _place_ellipsoids
-
     dims = (spec.dim,) * 3
     fg = spec.fg_mean
     if spec.fg_spread > 0:

@@ -311,7 +311,14 @@ class TestBenchmark:
 
         monkeypatch.setattr("ftaseg.pipeline.save_volume", saving)
         threads = threading.active_count()
-        generate_benchmark(spec, tmp_path / "two")
+        # A short switch interval makes the lanes interleave finely; both
+        # create the unlabeled/ directory.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            generate_benchmark(spec, tmp_path / "two")
+        finally:
+            sys.setswitchinterval(interval)
         assert threading.active_count() == threads
         ids = ["lab_000", "lab_001", "unl_000", "unl_001", "unl_002",
                "val_000", "val_001"]
