@@ -31,12 +31,21 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from ftaseg.phantom import BenchmarkSpec
 from ftaseg.pipeline import PipelineConfig, generate_benchmark, run_pipeline
+from ftaseg.volume import (
+    MaskVolume,
+    Volume,
+    load_mask,
+    load_volume,
+    save_mask,
+    save_volume,
+)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -46,14 +55,30 @@ _TINY = dict(
     stage1_epochs=1, stage2_iters=20, val_points=2, lr=1e-3,
 )
 
+NON_CUBIC = "non-cubic"
+
 ARMS = {
     "full": PipelineConfig(**_TINY),
     "standard-fda": PipelineConfig(**_TINY, fta_mode="standard-fda"),
     "supervised-only": PipelineConfig(**_TINY, supervised_only=True),
+    NON_CUBIC: PipelineConfig(**_TINY),
 }
 
 # The arms share one benchmark spec, so one arm's data stands for all.
 DATA_ARM = "full"
+
+# The NON_CUBIC arm's dims, keyed by volume id or else by directory; a
+# volume with neither keeps its synthesized 16^3. The pool keeps POOL_ID
+# (stage 1 pseudo-annotates unl_001 and unl_003), and no labeled plane has
+# the shapes of its planes, so their strong views take donors from the
+# pool, unpaired with any labeled plane.
+CROPS = {
+    "labeled": (16, 14, 12),
+    "val": (16, 14, 12),
+    "unl_000": (10, 12, 12),
+    "unl_002": (12, 16, 14),
+}
+POOL_ID = "unl_000"
 
 GENERATED = {
     # Radii up to nearly half the grid: most ellipsoids touch its border.
@@ -91,10 +116,33 @@ def _tree(root: Path) -> list[str]:
                   for p in root.rglob("*") if p.is_file())
 
 
+def _cropped_data(out: Path) -> dict[str, str]:
+    """Synthesize ``DATA_ARM``'s benchmark under ``out/synth`` and write its
+    volumes, cropped to ``CROPS``, under ``out/data``; returns the data
+    directory keys of a ``PipelineConfig``."""
+    generate_benchmark(ARMS[DATA_ARM].benchmark_spec(), out / "synth")
+    dirs = {}
+    for sub in ("labeled", "unlabeled", "val"):
+        (out / "data" / sub).mkdir(parents=True)
+        for path in sorted((out / "synth" / sub).glob("*.vol")):
+            vid = path.stem.removesuffix("_mask")
+            d, h, w = CROPS.get(vid, CROPS.get(sub, (None,) * 3))
+            dst = out / "data" / sub / path.name
+            if path.stem.endswith("_mask"):
+                save_mask(MaskVolume(load_mask(path).data[:d, :h, :w]), dst)
+            else:
+                save_volume(Volume(load_volume(path).data[:d, :h, :w]), dst)
+        dirs[f"{sub}_dir"] = str(out / "data" / sub)
+    return dirs
+
+
 def run_arm(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Run arm ``name`` into ``out``; returns the digests of its
     kernel-independent files and of its checkpoints, keyed by relative path."""
-    run_pipeline(ARMS[name], out)
+    cfg = ARMS[name]
+    if name == NON_CUBIC:
+        cfg = replace(cfg, **_cropped_data(out))
+    run_pipeline(cfg, out)
     files = ["scores.csv", "stage2/metrics.csv", "stage1/manifest.txt",
              "stage2/manifest.txt", "slices/labeled/manifest.csv"]
     files += sorted(p.relative_to(out).as_posix()

@@ -14,15 +14,31 @@ import json
 
 import pytest
 
-from golden import ARMS, GENERATED, GOLDEN, blas_core, generate, run_arm
+from golden import (
+    ARMS,
+    CROPS,
+    GENERATED,
+    GOLDEN,
+    NON_CUBIC,
+    POOL_ID,
+    blas_core,
+    generate,
+    run_arm,
+)
+
+from ftaseg.volume import read_dims
 
 _EXPECTED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    """Digests of every arm, each run once for the module."""
-    out = tmp_path_factory.mktemp("golden")
+def out(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def runs(out):
+    """Digests of every arm, each run once for the module into ``out``."""
     return {name: run_arm(name, out / name) for name in ARMS}
 
 
@@ -41,6 +57,15 @@ def test_checkpoint_digests(runs, arm):
         )
     assert runs[arm][1] == _EXPECTED["checkpoints"][core][arm]
 
+
+def test_non_cubic_arm_trains_on_a_pool_volume_of_other_dims(runs, out):
+    run = out / NON_CUBIC
+    manifest = (run / "stage2" / "manifest.txt").read_text(encoding="utf-8")
+    pseudo_ids = next(line.split(" = ")[1] for line in manifest.splitlines()
+                      if line.startswith("pseudo_ids = "))
+    assert POOL_ID not in pseudo_ids.split(",")
+    dims = read_dims(run / "data" / "unlabeled" / f"{POOL_ID}.vol")
+    assert dims == CROPS[POOL_ID] != CROPS["labeled"]
 
 
 @pytest.mark.parametrize("name", list(GENERATED))
