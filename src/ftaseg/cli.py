@@ -31,10 +31,10 @@ from .pipeline import (
 from .volume import Volume, load_mask, load_volume, save_volume
 
 
-def _load_slice(path: str) -> np.ndarray:
-    # A slice file holds windowed intensities: one plane of values in [0, 1].
-    data = load_volume(path).data
-    if not bool(((data >= 0.0) & (data <= 1.0)).all()):
+def _load_slice(path: str, mask: bool = False) -> np.ndarray:
+    # A slice file holds one plane: windowed intensities in [0, 1], or labels.
+    data = (load_mask if mask else load_volume)(path).data
+    if not mask and not bool(((data >= 0.0) & (data <= 1.0)).all()):
         raise DataError("normalized volume has values outside [0, 1]")
     if data.shape[0] != 1:
         raise DataError(f"{path}: expected a slice file (depth 1), got {data.shape}")
@@ -131,8 +131,7 @@ def _cmd_score_dir(args: argparse.Namespace) -> None:
 
 
 def _cmd_overlay(args: argparse.Namespace) -> None:
-    pred = load_mask(args.pred).data[0]
-    gt = load_mask(args.gt).data[0]
+    pred, gt = _load_slice(args.pred, mask=True), _load_slice(args.gt, mask=True)
     render_overlay(_load_slice(args.slice), pred, gt, args.out)
     print(f"overlay written to {args.out}")
 

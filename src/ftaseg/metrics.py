@@ -51,21 +51,23 @@ def _overlap_counts(a: MaskVolume, b: MaskVolume) -> tuple[int, int, int]:
     return inter, a.voxel_count(), b.voxel_count()
 
 
+def _dice(inter: int, na: int, nb: int) -> float:
+    return 1.0 if na + nb == 0 else 2.0 * inter / (na + nb)
+
+
+def _iou(inter: int, na: int, nb: int) -> float:
+    union = na + nb - inter
+    return 1.0 if union == 0 else inter / union
+
+
 def dice(a: MaskVolume, b: MaskVolume) -> float:
     """2*|A intersect B| / (|A| + |B|); 1.0 when both masks are empty."""
-    inter, na, nb = _overlap_counts(a, b)
-    if na + nb == 0:
-        return 1.0
-    return 2.0 * inter / (na + nb)
+    return _dice(*_overlap_counts(a, b))
 
 
 def iou(a: MaskVolume, b: MaskVolume) -> float:
     """|A intersect B| / |A union B|; 1.0 when both masks are empty."""
-    inter, na, nb = _overlap_counts(a, b)
-    union = na + nb - inter
-    if union == 0:
-        return 1.0
-    return inter / union
+    return _iou(*_overlap_counts(a, b))
 
 
 def _l1_distance_to(targets: np.ndarray) -> np.ndarray:
@@ -130,9 +132,8 @@ def evaluate_masks(pred: MaskVolume, gt: MaskVolume) -> MetricsReport:
     distance term. When exactly one mask is empty the distance is undefined
     and scored at the worst case (hd_norm = 1).
     """
-    d = dice(pred, gt)
-    j = iou(pred, gt)
-    np_, ng = pred.voxel_count(), gt.voxel_count()
+    inter, np_, ng = _overlap_counts(pred, gt)
+    d, j = _dice(inter, np_, ng), _iou(inter, np_, ng)
     if np_ == 0 and ng == 0:
         hd_raw, hd_norm = 0.0, 0.0
     elif np_ == 0 or ng == 0:

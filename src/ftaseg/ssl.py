@@ -190,37 +190,59 @@ def generate_pseudo_labels(
 
 def consistency_loss(
     weak_probs: np.ndarray,
-    views_probs: list[np.ndarray],
+    perturbed_probs: np.ndarray,
     tau: float,
-    eps: float = BCE_EPS,
-) -> tuple[float, list[np.ndarray]]:
-    """Masked cross-entropy of each view against the weak view's hard labels.
+    strong_probs: np.ndarray,
+    strong_owner: list[int],
+    sizes: list[int],
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients dL/dp of the perturbed and the strong views of a batch of
+    planes. L sums over planes the cross-entropy of each view of a plane
+    against its weak view's hard labels on the plane's confident pixels
+    (max(p, 1 - p) >= tau), over their count times the plane's view count;
+    a pixel clipped by BCE_EPS gets no gradient.
 
-    Averaged over confident pixels and views; returns the loss and the
-    per-view gradient dL/dp. Zero everywhere when no pixel is confident.
+    Plane j has ``sizes[j]`` rows, in plane order in the weak and perturbed
+    views; strong view k holds a view of plane ``strong_owner[k]``. The
+    gradients are written to ``out`` (fresh when None).
     """
     weak = np.asarray(weak_probs, dtype=np.float64)
-    views = [np.asarray(v, dtype=np.float64) for v in views_probs]
-    for v in views:
-        if v.shape != weak.shape:
-            raise DataError(f"view shape {v.shape} does not match weak {weak.shape}")
-    labels = (weak >= 0.5).astype(np.float64)
-    confident = np.maximum(weak, 1.0 - weak) >= tau
-    n_conf = int(confident.sum())
-    if n_conf == 0 or not views:
-        return 0.0, [np.zeros_like(weak) for _ in views]
-    denom = n_conf * len(views)
-    total = 0.0
-    grads: list[np.ndarray] = []
-    for v in views:
-        p = np.clip(v, eps, 1.0 - eps)
-        ce = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
-        total += float(ce[confident].sum())
-        g = np.zeros_like(weak)
-        inside = confident & (v > eps) & (v < 1.0 - eps)
-        g[inside] = (v[inside] - labels[inside]) / (v[inside] * (1.0 - v[inside])) / denom
-        grads.append(g)
-    return total / denom, grads
+    views = (np.asarray(perturbed_probs, dtype=np.float64),
+             np.asarray(strong_probs, dtype=np.float64))
+    sizes = np.asarray(sizes, dtype=np.intp)
+    owners = (np.arange(sizes.size), np.asarray(strong_owner, dtype=np.intp))
+    shapes = [a.shape for a in (weak, *views)]
+    planes = [(sizes[o].sum(),) for o in owners[:1] + owners]
+    if sizes.min(initial=1) < 1 or shapes != planes:
+        raise DataError(f"weak, perturbed and strong view shapes {shapes} do not "
+                        f"match planes of sizes {sizes.tolist()}")
+    # A chunk of rows at a time, so temporaries stay chunk-sized as in the model.
+    confident = np.empty(weak.shape, dtype=bool)
+    for r0 in range(0, weak.size, ROW_CHUNK):
+        w = weak[r0:r0 + ROW_CHUNK]
+        np.greater_equal(np.maximum(w, 1.0 - w), tau, out=confident[r0:r0 + ROW_CHUNK])
+    labels = weak >= 0.5
+    starts = np.cumsum(sizes) - sizes
+    denom = np.add.reduceat(confident, starts) * (
+        1 + np.bincount(owners[1], minlength=sizes.size)
+    )
+    out = (np.empty_like(views[0]), np.empty_like(views[1])) if out is None else out
+    for v, o, g in zip(views, owners, out):
+        ends = np.cumsum(sizes[o])
+        shift = starts[o] - ends + sizes[o]  # from a view's row to its weak row
+        for r0 in range(0, v.size, ROW_CHUNK):
+            rows = np.arange(r0, min(r0 + ROW_CHUNK, v.size))
+            k = np.searchsorted(ends, rows, side="right")
+            rows += shift[k]
+            vc, gc = v[r0:r0 + ROW_CHUNK], g[r0:r0 + ROW_CHUNK]
+            # Element by element, as a pass over one plane computes it.
+            inside = confident[rows] & (vc > BCE_EPS) & (vc < 1.0 - BCE_EPS)
+            gc.fill(0.0)
+            np.subtract(vc, labels[rows], out=gc, where=inside)
+            np.divide(gc, vc * (1.0 - vc), out=gc, where=inside)
+            np.divide(gc, denom[o[k]], out=gc, where=inside)
+    return out
 
 
 @dataclass(frozen=True)
@@ -426,13 +448,6 @@ def _stacked(ws: Workspace, name: str, planes: list[np.ndarray]) -> np.ndarray:
     return np.stack(planes, out=out)
 
 
-def _zeroed(ws: Workspace, shape: tuple[int, ...]) -> np.ndarray:
-    # Zeroed per-row probability gradient of a view, in the view's workspace.
-    out = ws.take("prob_grad", shape, np.float64)
-    out.fill(0.0)
-    return out
-
-
 def _by_shape(shapes: list[tuple[int, int]]) -> dict[tuple[int, int], list[int]]:
     groups: dict[tuple[int, int], list[int]] = {}
     for i, s in enumerate(shapes):
@@ -588,39 +603,23 @@ def run_stage2(
                     if strong_planes else None
                 )
 
-                weak_off = np.cumsum([0] + [u.size for u in weak_planes])
-                strong_off = np.cumsum([0] + [u.size for u in strong_planes])
-                fp_grad_flat = _zeroed(fp_ws, fp_cache["probs"].shape)
-                strong_grad_flat = (
-                    _zeroed(strong_ws, strong_cache["probs"].shape)
-                    if strong_cache else None
+                strong_probs = strong_cache["probs"] if strong_cache else np.empty(0)
+                fp_grad, strong_grad = consistency_loss(
+                    weak_probs, fp_cache["probs"], tau_state.tau, strong_probs,
+                    strong_owner, [u.size for u in weak_planes],
+                    out=(fp_ws.take("prob_grad", weak_probs.shape, np.float64),
+                         strong_ws.take("prob_grad", strong_probs.shape, np.float64)),
                 )
-                for j in range(cfg.batch_size):
-                    segs = [k for k, owner in enumerate(strong_owner) if owner == j]
-                    view_probs = [
-                        strong_cache["probs"][strong_off[k]:strong_off[k + 1]]
-                        for k in segs
-                    ]
-                    lo, hi = weak_off[j], weak_off[j + 1]
-                    view_probs.append(fp_cache["probs"][lo:hi])
-                    _, view_grads = consistency_loss(
-                        weak_probs[lo:hi], view_probs, tau_state.tau
-                    )
-                    for k, g in zip(segs, view_grads[:-1]):
-                        strong_grad_flat[strong_off[k]:strong_off[k + 1]] = g
-                    fp_grad_flat[lo:hi] = view_grads[-1]
-                fp_grad = model.grad_from_prob_grad(fp_cache, fp_grad_flat)
-                strong_grad = (
-                    model.grad_from_prob_grad(strong_cache, strong_grad_flat)
-                    if strong_cache is not None else None
-                )
+                fp_grad = model.grad_from_prob_grad(fp_cache, fp_grad)
+                if strong_cache is not None:
+                    strong_grad = model.grad_from_prob_grad(strong_cache, strong_grad)
 
                 # Join; the gradients add in a fixed order whichever lane
                 # finished first.
                 _, grad = sup.result()
                 w_u = cfg.unsup_weight / cfg.batch_size
                 grad += w_u * fp_grad
-                if strong_grad is not None:
+                if strong_cache is not None:
                     grad += w_u * strong_grad
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
 

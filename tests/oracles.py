@@ -370,6 +370,38 @@ def bce_ref(probs: np.ndarray, targets: np.ndarray, eps: float = 1e-7):
     return loss / n, dz3
 
 
+def consistency_loss_ref(
+    weak_probs: np.ndarray,
+    views_probs: list[np.ndarray],
+    tau: float,
+    eps: float = 1e-7,
+) -> tuple[float, list[np.ndarray]]:
+    """Masked cross-entropy of each view of one plane against the weak
+    view's hard labels, averaged over confident pixels and views, and the
+    per-view gradient dL/dp; zero everywhere when no pixel is confident.
+    Probabilities are clipped to [eps, 1 - eps] for the loss, and a clipped
+    pixel gets no gradient."""
+    weak = np.asarray(weak_probs, dtype=np.float64)
+    views = [np.asarray(v, dtype=np.float64) for v in views_probs]
+    labels = (weak >= 0.5).astype(np.float64)
+    confident = np.maximum(weak, 1.0 - weak) >= tau
+    n_conf = int(confident.sum())
+    if n_conf == 0 or not views:
+        return 0.0, [np.zeros_like(weak) for _ in views]
+    denom = n_conf * len(views)
+    total = 0.0
+    grads: list[np.ndarray] = []
+    for v in views:
+        p = np.clip(v, eps, 1.0 - eps)
+        ce = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
+        total += float(ce[confident].sum())
+        g = np.zeros_like(weak)
+        inside = confident & (v > eps) & (v < 1.0 - eps)
+        g[inside] = (v[inside] - labels[inside]) / (v[inside] * (1.0 - v[inside])) / denom
+        grads.append(g)
+    return total / denom, grads
+
+
 def ellipsoid_mask_ref(dims, center, radii) -> np.ndarray:
     """uint8 membership of one axis-aligned ellipsoid, tested at every voxel
     of the grid; ``center`` and ``radii`` are (x, y, z) triples."""

@@ -1259,6 +1259,27 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "o.ppm").read_bytes().startswith(b"P6\n")
 
+    @pytest.mark.parametrize("flag", ["--pred", "--gt"])
+    def test_overlay_rejects_a_multi_plane_mask_exit_3(self, tmp_path, capsys, flag):
+        # Only one plane of a deeper mask would be drawn; it is a data error
+        # naming the file, and nothing is written.
+        save_volume(Volume(np.full((1, 4, 4), 0.5, np.float32)), tmp_path / "s.vol")
+        save_mask(MaskVolume(np.zeros((1, 4, 4), np.uint8)), tmp_path / "m.vol")
+        save_mask(MaskVolume(np.ones((2, 4, 4), np.uint8)), tmp_path / "deep.vol")
+        paths = {"--pred": str(tmp_path / "m.vol"), "--gt": str(tmp_path / "m.vol")}
+        paths[flag] = str(tmp_path / "deep.vol")
+        out = tmp_path / "o.ppm"
+        rc = self.run_cli(
+            "overlay", "--slice", str(tmp_path / "s.vol"), "--pred", paths["--pred"],
+            "--gt", paths["--gt"], "--out", str(out),
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'deep.vol'}: expected a slice file (depth 1), "
+            "got (2, 4, 4)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", ["fta", "overlay"])
     @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
     def test_slice_outside_unit_range_exit_3(self, tmp_path, capsys, cmd, bad):

@@ -14,6 +14,7 @@ from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.fourier import FtaConfig, fta_augment_pair
 from ftaseg.metrics import evaluate_masks, mean_report
 from ftaseg.model import (
+    ROW_CHUNK,
     AdamWState,
     ModelShape,
     PatchMLP,
@@ -27,6 +28,7 @@ from ftaseg.model import (
     save_checkpoint,
 )
 from ftaseg.ssl import (
+    BCE_EPS,
     STRONG_VIEWS,
     StageConfig,
     ThresholdState,
@@ -45,6 +47,7 @@ from ftaseg.volume import MaskVolume, Volume
 
 from oracles import (
     bce_ref,
+    consistency_loss_ref,
     finite_diff_grad,
     mlp_forward_rows_ref,
     mlp_grad_ref,
@@ -264,52 +267,142 @@ class TestFeaturePerturb:
         assert np.unique(np.round(out[changed], 9)).size == 1
 
 
+def stacked_consistency(weak, views, tau):
+    # The gradients of consistency_loss on one plane: views[:-1] are its
+    # strong views, views[-1] its perturbed view; the same order as
+    # consistency_loss_ref's gradients.
+    strong = np.concatenate([np.empty(0), *views[:-1]])
+    g_p, g_s = consistency_loss(
+        weak, views[-1], tau, strong, [0] * (len(views) - 1), [len(weak)]
+    )
+    return [*np.split(g_s, len(views) - 1), g_p] if len(views) > 1 else [g_p]
+
+
+_EDGE_PROBS = [0.0, BCE_EPS, 1.0 - BCE_EPS, 1.0, 0.5]
+
+
 class TestConsistencyLoss:
     def test_hand_computed_masked_ce(self):
         weak = np.array([0.9, 0.6])
         view = np.array([0.8, 0.5])  # on the confident pixel: p(label=1) = 0.8
-        loss, grads = consistency_loss(weak, [view], tau=0.7)
-        assert loss == pytest.approx(-np.log(0.8), rel=1e-9)
-        assert grads[0][1] == 0.0  # masked pixel contributes nothing
+        (grad,) = stacked_consistency(weak, [view], tau=0.7)
+        # d/dp of -log(p) over 1 confident pixel and 1 view.
+        assert grad[0] == pytest.approx(-1.0 / 0.8, rel=1e-12)
+        assert grad[1] == 0.0  # masked pixel contributes nothing
 
     def test_fully_masked_returns_zero(self):
         weak = np.array([0.6, 0.55])
         views = [np.array([0.1, 0.9])]
-        loss, grads = consistency_loss(weak, views, tau=0.95)
-        assert loss == 0.0
+        grads = stacked_consistency(weak, views, tau=0.95)
         assert np.array_equal(grads[0], np.zeros(2))
-
-    def test_perfect_consistency_near_zero(self):
-        weak = np.array([0.99, 0.01])
-        views = [np.array([1.0 - 1e-7, 1e-7]), np.array([1.0 - 1e-7, 1e-7])]
-        loss, _ = consistency_loss(weak, views, tau=0.9)
-        assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
-            consistency_loss(np.zeros(3), [np.zeros(4)], 0.5)
+            consistency_loss(np.zeros(3), np.zeros(4), 0.5, np.empty(0), [], [3])
+        with pytest.raises(DataError):
+            consistency_loss(np.zeros(3), np.zeros(3), 0.5, np.zeros(2), [0], [3])
+        with pytest.raises(DataError):
+            consistency_loss(np.zeros(3), np.zeros(3), 0.5, np.empty(0), [], [2])
+        with pytest.raises(DataError):  # a plane of no rows
+            consistency_loss(np.zeros(3), np.zeros(3), 0.5, np.empty(0), [], [3, 0])
 
     def test_nonnegative_and_averaged(self):
+        # Each gradient pulls its view toward the weak labels (its product
+        # with 1 - 2 * label is nonnegative), and with 3 views each has a
+        # third of the gradient that view would have alone.
         rng = np.random.default_rng(7)
         weak = rng.random(50)
         views = [rng.random(50) for _ in range(3)]
-        loss, grads = consistency_loss(weak, views, tau=0.5)
-        assert loss >= 0.0
+        grads = stacked_consistency(weak, views, tau=0.5)
         assert len(grads) == 3
+        for v, g in zip(views, grads):
+            assert (g * (1.0 - 2.0 * (weak >= 0.5)) >= 0.0).all()
+            (alone,) = stacked_consistency(weak, [v], tau=0.5)
+            np.testing.assert_allclose(g, alone / 3, rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         weak = rng.random(12)
         views = [rng.uniform(0.05, 0.95, 12) for _ in range(2)]
-        _, grads = consistency_loss(weak, views, tau=0.6)
+        grads = stacked_consistency(weak, views, tau=0.6)
         for vi in range(2):
             def loss_at(v):
                 vs = [view.copy() for view in views]
                 vs[vi] = v
-                return consistency_loss(weak, vs, tau=0.6)[0]
+                return consistency_loss_ref(weak, vs, tau=0.6)[0]
 
             fd = finite_diff_grad(loss_at, views[vi], h=1e-7)
             assert np.abs(grads[vi] - fd).max() < 1e-5
+
+    def test_writes_into_out(self):
+        rng = np.random.default_rng(9)
+        weak, perturbed, strong = rng.random(6), rng.random(6), rng.random(6)
+        args = (weak, perturbed, 0.6, strong, [1, 0], [4, 2])
+        out = (np.full(6, np.nan), np.full(6, np.nan))
+        got = consistency_loss(*args, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        for g, fresh in zip(got, consistency_loss(*args)):
+            assert g.tobytes() == fresh.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stacked_gradients_are_the_per_plane_reference_bytes(self, data):
+        # Mixed plane sizes, 0 to 2 strong views per plane in any order,
+        # planes with no confident pixel, and probabilities at the clip
+        # edges; each plane's rows must have the reference's bytes.
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        n_strong = [data.draw(st.integers(0, STRONG_VIEWS)) for _ in sizes]
+        owner = data.draw(
+            st.permutations([j for j, k in enumerate(n_strong) for _ in range(k)])
+        )
+        tau = data.draw(st.sampled_from([0.5, 1.0]) | st.floats(0.5, 1.0))
+        prob = st.sampled_from(_EDGE_PROBS) | st.floats(0.0, 1.0)
+
+        def probs(n):
+            return np.array(data.draw(st.lists(prob, min_size=n, max_size=n)))
+
+        weak, perturbed = probs(sum(sizes)), probs(sum(sizes))
+        assert_per_plane_reference_bytes(
+            weak, perturbed, tau, [probs(sizes[j]) for j in owner], owner, sizes
+        )
+
+    def test_views_across_row_chunks_are_the_per_plane_reference_bytes(self):
+        # The rows are taken a ROW_CHUNK at a time; these views run across
+        # chunk boundaries, and the strong views are out of plane order.
+        rng = np.random.default_rng(10)
+        sizes = [ROW_CHUNK - 5, 9, ROW_CHUNK + 3, 2 * ROW_CHUNK // 3]
+        owner = [2, 0, 3, 2, 0]
+
+        def probs(n):
+            p = rng.random(n)
+            edge = rng.random(n) < 0.05
+            p[edge] = rng.choice(_EDGE_PROBS, size=edge.sum())
+            return p
+
+        weak, perturbed = probs(sum(sizes)), probs(sum(sizes))
+        weak[:sizes[0]] = 0.55  # a plane with no confident pixel
+        assert_per_plane_reference_bytes(
+            weak, perturbed, 0.6, [probs(sizes[j]) for j in owner], owner, sizes
+        )
+
+
+def assert_per_plane_reference_bytes(weak, perturbed, tau, strong, owner, sizes):
+    # One consistency_loss call over the stacked planes gives each plane's
+    # rows the bytes of consistency_loss_ref over that plane alone.
+    got_p, got_s = consistency_loss(
+        weak, perturbed, tau, np.concatenate([np.empty(0), *strong]), owner, sizes
+    )
+    rows = np.cumsum([0, *sizes])
+    strong_rows = np.cumsum([0, *(sizes[j] for j in owner)])
+    for j in range(len(sizes)):
+        mine = slice(rows[j], rows[j + 1])
+        ks = [k for k, o in enumerate(owner) if o == j]
+        _, want = consistency_loss_ref(
+            weak[mine], [strong[k] for k in ks] + [perturbed[mine]], tau
+        )
+        assert got_p[mine].tobytes() == want[-1].tobytes()
+        for k, g in zip(ks, want):
+            assert got_s[strong_rows[k]:strong_rows[k + 1]].tobytes() == g.tobytes()
 
 
 class TestUnsupervisedGradient:
@@ -327,11 +420,16 @@ class TestUnsupervisedGradient:
         weak = rng.random(40)
 
         def loss_at(params):
-            cache = PatchMLP(shape, params).forward_cache_multi(views, perturb)
-            return consistency_loss(weak, [cache["probs"]], tau=0.6)[0]
+            probs = PatchMLP(shape, params).forward_cache_multi(views, perturb)["probs"]
+            return sum(
+                consistency_loss_ref(weak[rows], [probs[rows]], tau=0.6)[0]
+                for rows in (slice(0, 20), slice(20, 40))
+            )
 
         cache = model.forward_cache_multi(views, perturb)
-        _, (dloss_dprobs,) = consistency_loss(weak, [cache["probs"]], tau=0.6)
+        dloss_dprobs, _ = consistency_loss(
+            weak, cache["probs"], 0.6, np.empty(0), [], [20, 20]
+        )
         grad = model.grad_from_prob_grad(cache, dloss_dprobs)
         fd = finite_diff_grad(loss_at, model.params)
         assert np.abs(fd).max() > 1e-3
