@@ -213,8 +213,8 @@ def consistency_loss(
     sizes = np.asarray(sizes, dtype=np.intp)
     owners = (np.arange(sizes.size), np.asarray(strong_owner, dtype=np.intp))
     shapes = [a.shape for a in (weak, *views)]
-    planes = [(sizes[o].sum(),) for o in owners[:1] + owners]
-    if sizes.min(initial=1) < 1 or shapes != planes:
+    n, n_strong = sizes.sum(), sizes[owners[1]].sum()
+    if sizes.min(initial=1) < 1 or shapes != [(n,), (n,), (n_strong,)]:
         raise DataError(f"weak, perturbed and strong view shapes {shapes} do not "
                         f"match planes of sizes {sizes.tolist()}")
     # A chunk of rows at a time, so temporaries stay chunk-sized as in the model.
