@@ -56,12 +56,17 @@ _TINY = dict(
 )
 
 NON_CUBIC = "non-cubic"
+# Reads the synthesized labeled and unlabeled sets from data directories,
+# with no validation set: the slice split holds one labeled volume out whole,
+# and the score stage scores its planes.
+BY_VOLUME = "by-volume"
 
 ARMS = {
     "full": PipelineConfig(**_TINY),
     "standard-fda": PipelineConfig(**_TINY, fta_mode="standard-fda"),
     "supervised-only": PipelineConfig(**_TINY, supervised_only=True),
     NON_CUBIC: PipelineConfig(**_TINY),
+    BY_VOLUME: PipelineConfig(**_TINY, split_by_volume=True),
 }
 
 # The arms share one benchmark spec, so one arm's data stands for all.
@@ -142,6 +147,10 @@ def run_arm(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
     cfg = ARMS[name]
     if name == NON_CUBIC:
         cfg = replace(cfg, **_cropped_data(out))
+    elif name == BY_VOLUME:
+        generate_benchmark(cfg.benchmark_spec(), out / "data")
+        cfg = replace(cfg, labeled_dir=str(out / "data" / "labeled"),
+                      unlabeled_dir=str(out / "data" / "unlabeled"))
     run_pipeline(cfg, out)
     files = ["scores.csv", "stage2/metrics.csv", "stage1/manifest.txt",
              "stage2/manifest.txt", "slices/labeled/manifest.csv"]

@@ -16,6 +16,7 @@ import pytest
 
 from golden import (
     ARMS,
+    BY_VOLUME,
     CROPS,
     GENERATED,
     GOLDEN,
@@ -26,6 +27,7 @@ from golden import (
     run_arm,
 )
 
+from ftaseg.preprocess import read_manifest
 from ftaseg.volume import read_dims
 
 _EXPECTED = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -66,6 +68,16 @@ def test_non_cubic_arm_trains_on_a_pool_volume_of_other_dims(runs, out):
     assert POOL_ID not in pseudo_ids.split(",")
     dims = read_dims(run / "data" / "unlabeled" / f"{POOL_ID}.vol")
     assert dims == CROPS[POOL_ID] != CROPS["labeled"]
+
+
+def test_by_volume_arm_scores_the_planes_of_one_held_out_volume(runs, out):
+    run = out / BY_VOLUME
+    manifest = read_manifest(run / "slices" / "labeled" / "manifest.csv")
+    held_out = manifest.subset("val")
+    assert len({e.source_id for e in held_out}) == 1
+    assert len(held_out) == 3 * ARMS[BY_VOLUME].synth_dim
+    rows = (run / "scores.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + len(held_out) + 1  # header, planes, mean
 
 
 @pytest.mark.parametrize("name", list(GENERATED))
