@@ -62,11 +62,6 @@ def _config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _unlabeled(cfg: PipelineConfig, unlabeled: str | None) -> str | None:
-    # The supervised-only baseline reads no unlabeled data, as in run_pipeline.
-    return None if cfg.supervised_only else unlabeled
-
-
 def _cmd_synth(args: argparse.Namespace) -> None:
     generate_benchmark(_config(args).benchmark_spec(), args.out)
     print(f"benchmark written to {args.out}")
@@ -78,10 +73,7 @@ def _cmd_window(args: argparse.Namespace) -> None:
 
 
 def _cmd_slice(args: argparse.Namespace) -> None:
-    cfg = _config(args)
-    manifest = slice_dir(
-        args.input, args.out, cfg.val_fraction, cfg.seed, cfg.split_by_volume
-    )
+    manifest = slice_dir(args.input, args.out, _config(args))
     print(f"listed {len(manifest)} slices in {Path(args.out) / 'manifest.csv'}")
 
 
@@ -99,20 +91,16 @@ def _cmd_fta(args: argparse.Namespace) -> None:
 
 
 def _cmd_train_stage1(args: argparse.Namespace) -> None:
-    cfg = _config(args)
     ckpt, pseudo_ids = train_stage1_files(
-        args.slices, _unlabeled(cfg, args.unlabeled), args.out, cfg.window(),
-        cfg.stage_config(), cfg.model_shape(), cfg.lr,
+        args.slices, args.unlabeled, args.out, _config(args)
     )
     print(f"checkpoint {ckpt}; pseudo-annotated: {','.join(sorted(pseudo_ids)) or '-'}")
 
 
 def _cmd_train_stage2(args: argparse.Namespace) -> None:
-    cfg = _config(args)
     ckpt, _ = train_stage2_files(
-        args.slices, args.pseudo, _unlabeled(cfg, args.unlabeled), args.val,
-        args.init, args.out, cfg.window(), cfg.stage_config(),
-        cfg.train_schedule(), cfg.fta_config(), val_points=cfg.val_points,
+        args.slices, args.pseudo, args.unlabeled, args.val, args.init, args.out,
+        _config(args),
     )
     print(f"checkpoint {ckpt}")
 

@@ -1,12 +1,13 @@
 """File-level pipeline: config, stage orchestration, and result rendering.
 
 Every stage reads and writes the on-disk formats (VOL1 volumes, slice
-manifests, SEG1 checkpoints, CSV metrics), so composing the CLI subcommands
-through files, each given the run's ``config.txt``, reproduces
-``run_pipeline`` byte for byte. A run directory holds the resolved config
-snapshot, the run log, the labeled slice manifest, the stage manifests, the
-pseudo masks and the metrics/scores CSVs; the stages window the raw volumes
-as they load them and cut planes in memory.
+manifests, SEG1 checkpoints, CSV metrics) and takes the run's
+``PipelineConfig``, so composing the CLI subcommands through files, each
+given the run's ``config.txt``, reproduces ``run_pipeline`` byte for byte.
+A run directory holds the resolved config snapshot, the run log, the labeled
+slice manifest, the stage manifests, the pseudo masks and the metrics/scores
+CSVs; the stages window the raw volumes as they load them and cut planes in
+memory.
 """
 
 from __future__ import annotations
@@ -382,15 +383,12 @@ def _relpath(path: Path, start: Path) -> str:
 
 
 def slice_dir(
-    in_dir: Path | str,
-    out_dir: Path | str,
-    val_fraction: float,
-    seed: int = 0,
-    by_volume: bool = False,
+    in_dir: Path | str, out_dir: Path | str, cfg: PipelineConfig
 ) -> SliceManifest:
     """Manifest every plane along all three axes of each raw volume in
     ``in_dir``; rows point at the volume and its companion mask, and a
-    seeded ``val_fraction`` of them is marked as the validation split.
+    seeded ``val_fraction`` of them (of whole volumes with
+    ``split_by_volume``) is marked as the validation split.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     if not in_dir.is_dir():
@@ -406,7 +404,7 @@ def slice_dir(
             mask_file=_relpath(mask, out_dir) if mask.exists() else "",
         ).entries
     manifest = split_train_val(
-        SliceManifest(tuple(entries)), val_fraction, seed, by_volume
+        SliceManifest(tuple(entries)), cfg.val_fraction, cfg.seed, cfg.split_by_volume
     )
     write_manifest(manifest, out_dir / "manifest.csv")
     return manifest
@@ -439,13 +437,6 @@ def _cut(e: ManifestEntry, root: Path, name: str, load, cache: dict) -> np.ndarr
         return plane(cache[name], e.axis, e.index)
     except DataError as exc:
         raise DataError(f"{(root / name).resolve()}: {exc}") from exc
-
-
-def _check_manifest_dims(slices_dir: Path, manifest: SliceManifest, patch: int) -> None:
-    # Every volume a training manifest names is cut along all three axes.
-    files = [(slices_dir / f).resolve()
-             for f in dict.fromkeys(e.file for e in manifest.entries)]
-    _check_plane_dims(files, patch, along_z_only=False)
 
 
 def load_train_slices(
@@ -528,17 +519,40 @@ def load_val_cases(
 # Training stages over files
 
 
+def _train_planes(
+    slices_dir: Path, w: WindowSpec, patch: int
+) -> tuple[SliceManifest, list[TrainSlice]]:
+    # The slice manifest and its train planes; every volume it names is cut
+    # along all three axes, so their plane sides are checked.
+    manifest = read_manifest(slices_dir / "manifest.csv")
+    labeled = load_train_slices(slices_dir, manifest, w, "train")
+    files = [(slices_dir / f).resolve()
+             for f in dict.fromkeys(e.file for e in manifest.entries)]
+    _check_plane_dims(files, patch, along_z_only=False)
+    return manifest, labeled
+
+
+def _unlabeled_files(
+    cfg: PipelineConfig, unlabeled_dir: Path | str | None, patch: int
+) -> list[Path] | None:
+    # The unlabeled volumes a stage trains on, their plane sides checked;
+    # None without a directory, and for the supervised-only baseline, which
+    # reads no unlabeled data.
+    if unlabeled_dir is None or cfg.supervised_only:
+        return None
+    files = _volume_files(Path(unlabeled_dir))
+    _check_plane_dims(files, patch, along_z_only=False)
+    return files
+
+
 def train_stage1_files(
     slices_dir: Path | str,
     unlabeled_dir: Path | str | None,
     out_dir: Path | str,
-    w: WindowSpec,
-    cfg: StageConfig,
-    shape: ModelShape,
-    base_lr: float,
+    cfg: PipelineConfig,
 ) -> tuple[Path, frozenset[str]]:
     """Train on labeled slices and pseudo-annotate unlabeled volumes, each
-    windowed by ``w`` as it is read.
+    windowed by ``cfg.window()`` as it is read.
 
     Only the unlabeled volumes picked for pseudo-annotation are read; the
     headers of all of them, and of the labeled volumes, are checked for
@@ -548,21 +562,17 @@ def train_stage1_files(
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = read_manifest(slices_dir / "manifest.csv")
-    labeled = load_train_slices(slices_dir, manifest, w, "train")
-    _check_manifest_dims(slices_dir, manifest, shape.patch)
-
-    unlabeled_ids: list[str] = []
-    if unlabeled_dir is not None:
-        udir = Path(unlabeled_dir)
-        ufiles = _volume_files(udir)
-        _check_plane_dims(ufiles, shape.patch, along_z_only=False)
-        unlabeled_ids = [path.stem for path in ufiles]
+    w = cfg.window()
+    manifest, labeled = _train_planes(slices_dir, w, cfg.patch)
+    ufiles = _unlabeled_files(cfg, unlabeled_dir, cfg.patch) or []
+    unlabeled_ids = [path.stem for path in ufiles]
 
     def load(vid: str) -> Volume:
-        return _load_windowed(udir / f"{vid}.vol", w)
+        return _load_windowed(Path(unlabeled_dir) / f"{vid}.vol", w)
 
-    result = run_stage1(labeled, unlabeled_ids, load, cfg, shape, base_lr)
+    result = run_stage1(
+        labeled, unlabeled_ids, load, cfg.stage_config(), cfg.model_shape(), cfg.lr
+    )
     ckpt = out_dir / "checkpoint.seg"
     save_checkpoint(result.model, result.step, ckpt)
 
@@ -579,7 +589,7 @@ def train_stage1_files(
         f"seed = {cfg.seed}",
         f"epochs = {cfg.stage1_epochs}",
         f"batch_size = {cfg.batch_size}",
-        f"base_lr = {base_lr}",
+        f"base_lr = {cfg.lr}",
         f"labeled_volumes = {','.join(sorted(labeled_ids))}",
         f"unlabeled_volumes = {','.join(unlabeled_ids)}",
         f"pseudo_selected = {','.join(result.selected_ids)}",
@@ -598,16 +608,13 @@ def train_stage2_files(
     val_dir: Path | str | None,
     init_checkpoint: Path | str,
     out_dir: Path | str,
-    w: WindowSpec,
-    cfg: StageConfig,
-    sched: TrainSchedule,
-    fta_cfg: FtaConfig,
-    val_points: int,
+    cfg: PipelineConfig,
 ) -> tuple[Path, list[tuple[str, MetricsReport]]]:
     """Consistency training from files; writes checkpoint, metrics history,
     and the stage manifest. Returns the checkpoint path and the last
     validation's per-case reports, which are the checkpoint's scores on
-    ``val_dir`` (empty without one). Volumes are windowed by ``w`` on load.
+    ``val_dir`` (empty without one). Volumes are windowed by
+    ``cfg.window()`` on load.
 
     Each ``<id>_mask.vol`` in stage 1's ``pseudo_dir`` pairs with ``<id>.vol``
     in ``unlabeled_dir``; its other volumes form the unlabeled pool.
@@ -618,13 +625,11 @@ def train_stage2_files(
     model, _ = load_checkpoint(init_checkpoint)
     patch = model.shape.patch
     if val_dir is not None:
-        val_files = _volume_files(Path(val_dir))
-        _check_plane_dims(val_files, patch, along_z_only=True)
+        _check_plane_dims(_volume_files(Path(val_dir)), patch, along_z_only=True)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = read_manifest(slices_dir / "manifest.csv")
-    labeled = load_train_slices(slices_dir, manifest, w, "train")
-    _check_manifest_dims(slices_dir, manifest, patch)
+    w, stage_cfg = cfg.window(), cfg.stage_config()
+    _, labeled = _train_planes(slices_dir, w, patch)
     pseudo_masks: dict[str, Path] = {}
     if pseudo_dir is not None:
         # Stage 1 writes one <id>_mask.vol per pseudo-annotated volume.
@@ -633,11 +638,9 @@ def train_stage2_files(
         masks = Path(pseudo_dir).glob(f"*{MASK_SUFFIX}.vol")
         pseudo_masks = {p.stem[:-len(MASK_SUFFIX)]: p for p in masks}
     unlabeled: list[np.ndarray] = []
-    if unlabeled_dir is not None:
-        udir = Path(unlabeled_dir)
-        _check_plane_dims(_volume_files(udir), patch, along_z_only=False)
+    if _unlabeled_files(cfg, unlabeled_dir, patch) is not None:
         pseudo, unlabeled = load_unlabeled_slices(
-            udir, pseudo_masks, w, cfg.pseudo_weight
+            unlabeled_dir, pseudo_masks, w, stage_cfg.pseudo_weight
         )
         labeled += pseudo
     elif pseudo_masks:
@@ -647,7 +650,8 @@ def train_stage2_files(
     val_ids, load_val = ([], None) if val_dir is None else load_val_cases(val_dir, w)
 
     result = run_stage2(
-        model, labeled, unlabeled, val_ids, load_val, cfg, sched, fta_cfg, val_points
+        model, labeled, unlabeled, val_ids, load_val, stage_cfg,
+        cfg.train_schedule(), cfg.fta_config(), cfg.val_points,
     )
 
     ckpt = out_dir / "checkpoint.seg"
@@ -658,11 +662,11 @@ def train_stage2_files(
     lines = [
         "stage = stage2",
         f"seed = {cfg.seed}",
-        f"iterations = {sched.total_iters}",
-        f"base_lr = {sched.base_lr}",
+        f"iterations = {cfg.stage2_iters}",
+        f"base_lr = {cfg.lr}",
         f"batch_size = {cfg.batch_size}",
-        f"fta_mode = {fta_cfg.mode}",
-        f"fta_beta = {fta_cfg.mask_fraction}",
+        f"fta_mode = {cfg.fta_mode}",
+        f"fta_beta = {cfg.fta_beta}",
         f"labeled_slices = {len(labeled)}",
         f"unlabeled_slices = {len(unlabeled)}",
         f"pseudo_ids = {','.join(sorted(pseudo_masks))}",
@@ -785,9 +789,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
         unlabeled_dir = data / "unlabeled"
         val_dir = data / "val"
 
-    slices = out / "slices"
-    # The supervised-only baseline reads no unlabeled data in either stage.
-    use_unlabeled = unlabeled_dir is not None and not cfg.supervised_only
+    slices = out / "slices" / "labeled"
 
     def preprocess():
         for name, src in (
@@ -799,50 +801,22 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
                 continue
             if not src.is_dir():
                 raise DataError(f"{name} directory {src} does not exist")
-            if name != "unlabeled" or use_unlabeled:
+            if name == "unlabeled":
+                _unlabeled_files(cfg, src, cfg.patch)
+            else:
                 _check_plane_dims(
                     _volume_files(src), cfg.patch, along_z_only=name == "val"
                 )
-        slice_dir(
-            labeled_dir, slices / "labeled",
-            cfg.val_fraction, cfg.seed, cfg.split_by_volume,
-        )
+        slice_dir(labeled_dir, slices, cfg)
 
     stage("preprocess", preprocess)
-
-    stage_cfg = cfg.stage_config()
-    unlabeled = unlabeled_dir if use_unlabeled else None
-    window = cfg.window()
-
-    def stage1():
-        return train_stage1_files(
-            slices / "labeled",
-            unlabeled,
-            out / "stage1",
-            window,
-            stage_cfg,
-            cfg.model_shape(),
-            cfg.lr,
-        )[0]
-
-    stage1_ckpt = stage("stage1", stage1)
-
-    def stage2():
-        return train_stage2_files(
-            slices / "labeled",
-            out / "stage1" / "pseudo",
-            unlabeled,
-            val_dir,
-            stage1_ckpt,
-            out / "stage2",
-            window,
-            stage_cfg,
-            cfg.train_schedule(),
-            cfg.fta_config(),
-            val_points=cfg.val_points,
-        )
-
-    stage2_ckpt, val_reports = stage("stage2", stage2)
+    stage1_ckpt, _ = stage("stage1", lambda: train_stage1_files(
+        slices, unlabeled_dir, out / "stage1", cfg
+    ))
+    stage2_ckpt, val_reports = stage("stage2", lambda: train_stage2_files(
+        slices, out / "stage1" / "pseudo", unlabeled_dir, val_dir, stage1_ckpt,
+        out / "stage2", cfg,
+    ))
 
     scores_csv = out / "scores.csv"
 
@@ -852,7 +826,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
         if val_dir is not None:
             write_scores(val_reports, scores_csv)
         else:
-            _score_on_slice_split(stage2_ckpt, slices / "labeled", window, scores_csv)
+            _score_on_slice_split(stage2_ckpt, slices, cfg.window(), scores_csv)
 
     stage("score", score)
     log("run finished")

@@ -422,7 +422,7 @@ class TestWindowSliceDirs:
     def test_slice_dir_counts_and_mask_slices(self, tmp_path):
         src = self.make_raw_dir(tmp_path, n=1)
         out = tmp_path / "slices"
-        manifest = slice_dir(src, out, val_fraction=0.2, seed=3)
+        manifest = slice_dir(src, out, fast_config(val_fraction=0.2, seed=3))
         assert len(manifest) == 4 + 5 + 6
         assert len(manifest.subset("val")) == 3  # floor(0.2 * 15)
         # Every row points back at the raw volume and the mask beside it;
@@ -441,7 +441,7 @@ class TestWindowSliceDirs:
         w = WindowSpec(400, 1900)
         window_dir(src, win, w)
         out = tmp_path / "slices"
-        manifest = slice_dir(src, out, val_fraction=0.2, seed=1)
+        manifest = slice_dir(src, out, fast_config(val_fraction=0.2, seed=1))
         expected = {}
         for vid in ("v0", "v1", "v2"):
             vol = load_volume(win / f"{vid}.vol")
@@ -491,7 +491,7 @@ class TestWindowSliceDirs:
         out = tmp_path / "slices"
         # Sliced at a real split; the corrupted row is a train row, which
         # every stage loads.
-        manifest = slice_dir(src, out, val_fraction=0.2, seed=0)
+        manifest = slice_dir(src, out, fast_config(val_fraction=0.2, seed=0))
         first = manifest.entries[0]
         assert manifest.subset("val")
         # x planes run 0..5
@@ -519,12 +519,10 @@ class TestStage1Files:
         cfg = fast_config(synth_unlabeled=6, stage1_pseudo_count=2, seed=6)
         data, slc = tmp_path / "data", tmp_path / "slices"
         generate_benchmark(cfg.benchmark_spec(), data)
-        slice_dir(data / "labeled", slc, cfg.val_fraction, cfg.seed)
+        slice_dir(data / "labeled", slc, cfg)
 
         def stage1(out):
-            return train_stage1_files(slc, data / "unlabeled", tmp_path / out,
-                                      cfg.window(), cfg.stage_config(),
-                                      cfg.model_shape(), cfg.lr)
+            return train_stage1_files(slc, data / "unlabeled", tmp_path / out, cfg)
 
         ckpt_a, picked = stage1("a")
         assert len(picked) == 2
@@ -940,7 +938,7 @@ class TestCli:
             save_volume(Volume(thin_vol), data / sub / "thin.vol")
             save_mask(MaskVolume(np.zeros(thin_vol.shape, np.uint8)),
                       data / sub / "thin_mask.vol")
-        slice_dir(data / "labeled", tmp_path / "slices", cfg.val_fraction, cfg.seed)
+        slice_dir(data / "labeled", tmp_path / "slices", cfg)
         return data, tmp_path / "slices"
 
     @staticmethod
