@@ -501,12 +501,16 @@ def load_val_cases(
     val_dir: Path | str, w: WindowSpec
 ) -> tuple[list[str], Callable[[str], tuple[Volume, MaskVolume]]]:
     """Validation ids and a loader of one case, the volume windowed by ``w``
-    and its mask; each volume is read once here to check it, then dropped."""
+    and its mask; each volume is read once here to check it, then dropped,
+    and each mask's header is checked against its volume's dims."""
     files = _volume_files(Path(val_dir))
     for path in files:
-        if not _mask_path(path).exists():
+        mask = _mask_path(path)
+        if not mask.exists():
             raise DataError(f"validation volume {path.name} has no mask")
-        _load_raw(path)  # finite voxels
+        dims, mask_dims = _load_raw(path).dims, read_dims(mask)  # finite voxels
+        if mask_dims != dims:
+            raise DataError(f"{mask}: dims {mask_dims} differ from {path}'s {dims}")
 
     def load(cid: str) -> tuple[Volume, MaskVolume]:
         path = Path(val_dir) / f"{cid}.vol"

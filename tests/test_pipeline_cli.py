@@ -1191,6 +1191,35 @@ class TestCli:
         assert str(named) in err
         assert not (out / "checkpoint.seg").exists()
 
+    @pytest.mark.parametrize("cmd", ["train-stage2", "score-dir"])
+    def test_val_mask_dims_differ_exit_3(self, tmp_path, capsys, monkeypatch, cmd):
+        # A validation mask is checked against its volume's dims with the
+        # other validation checks: stage 2 fails before its first step and
+        # score-dir before it predicts, and the error names the mask.
+        data, slices = self.stage_inputs(tmp_path, thin=False)
+        mask = data / "val" / "val_000_mask.vol"
+        d, h, w = load_mask(mask).dims
+        save_mask(MaskVolume(np.zeros((d, h, w - 1), np.uint8)), mask)
+        monkeypatch.setattr("ftaseg.pipeline.run_stage2",
+                            lambda *args: pytest.fail("stage 2 trained"))
+        monkeypatch.setattr("ftaseg.ssl.evaluate_volumes",
+                            lambda *args: pytest.fail("score-dir predicted"))
+        init, out = str(self.init_checkpoint(tmp_path)), tmp_path / "out"
+        argv = {
+            "train-stage2": ["--slices", str(slices), "--val", str(data / "val"),
+                             "--init", init, "--out", str(out),
+                             "--set", "stage2_iters=2"],
+            "score-dir": ["--checkpoint", init, "--val", str(data / "val"),
+                          "--out", str(out / "scores.csv")],
+        }[cmd]
+        assert self.run_cli(cmd, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {mask}: dims {(d, h, w - 1)} differ from "
+            f"{data / 'val' / 'val_000.vol'}'s {(d, h, w)}\n"
+        )
+        assert not (out / "checkpoint.seg").exists()
+        assert not (out / "scores.csv").exists()
+
     def test_pipeline_numeric_error_in_supervised_lane_exit_4(
         self, tmp_path, capsys, monkeypatch
     ):
