@@ -347,10 +347,12 @@ def evaluate_volumes(
 
 def _supervised_batch(
     model: PatchMLP, batch: list[TrainSlice], ws: Workspace | None = None
-) -> tuple[float, np.ndarray]:
-    # Mean of per-slice weighted BCE, computed in one stacked pass on ws
-    # (fresh when None). The loss terms live in buffers of ws's scratch and
-    # take the same operations, so the same bytes, as
+) -> tuple[Callable[[], float], np.ndarray]:
+    # Mean of per-slice weighted BCE over one stacked pass on ws (fresh when
+    # None): the parameter gradient, and a function that computes the loss
+    # value of the same pass when called before ws's next pass (stage 1
+    # calls it; stage 2 has no use for it). The terms live in buffers of
+    # ws's scratch and take the same operations, so the same bytes, as
     #   ce = -(t * log(p) + (1 - t) * log1p(-p)),  loss = sum(w * ce) / B,
     #   dz3 = where(inside, probs - t, 0) * w / B.
     ws = Workspace() if ws is None else ws
@@ -368,14 +370,17 @@ def _supervised_batch(
         targets[o:o + m] = ts.target.ravel()
         pixel_w[o:o + m] = ts.weight / m
         o += m
-    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS, out=buf("bce_p"))
-    ce = np.log(p, out=buf("bce_ce"))
-    ce *= targets
-    np.log1p(np.negative(p, out=p), out=p)
-    ce += np.multiply(np.subtract(1.0, targets, out=buf("bce_neg")), p, out=p)
-    np.negative(ce, out=ce)
-    ce *= pixel_w
-    loss = float(ce.sum() / len(batch))
+
+    def loss() -> float:
+        p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS, out=buf("bce_p"))
+        ce = np.log(p, out=buf("bce_ce"))
+        ce *= targets
+        np.log1p(np.negative(p, out=p), out=p)
+        ce += np.multiply(np.subtract(1.0, targets, out=buf("bce_neg")), p, out=p)
+        np.negative(ce, out=ce)
+        ce *= pixel_w
+        return float(ce.sum() / len(batch))
+
     inside = np.greater(probs, BCE_EPS, out=buf("bce_inside", bool))
     outside = np.less(probs, 1.0 - BCE_EPS, out=buf("bce_outside", bool))
     inside &= outside
@@ -421,8 +426,8 @@ def run_stage1(
         for start in range(0, n, cfg.batch_size):
             batch = [labeled[i] for i in order[start:start + cfg.batch_size]]
             loss, grad = _supervised_batch(model, batch, ws)
+            epoch_loss += loss()
             model.params, opt = adamw_step(model.params, grad, opt, poly_lr(sched, it))
-            epoch_loss += loss
             it += 1
         epoch_losses.append(epoch_loss / per_epoch)
 

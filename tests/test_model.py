@@ -305,7 +305,7 @@ class TestLoss:
         model = PatchMLP(shape, np.zeros(shape.n_params))
         batch = [train_slice(np.random.default_rng(i), 4, 3 + i) for i in range(3)]
         loss, _ = _supervised_batch(model, batch)
-        assert loss == pytest.approx(math.log(2.0), rel=1e-12)
+        assert loss() == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_bce_perfect_prediction_near_zero(self):
         # Zero weights and an output bias of +-40 predict 1 or 0 everywhere;
@@ -317,7 +317,7 @@ class TestLoss:
             params[-1] = bias
             batch = [TrainSlice(s, np.full((4, 4), label, dtype=np.uint8))]
             loss, grad = _supervised_batch(PatchMLP(shape, params), batch)
-            assert loss == pytest.approx(0.0, abs=1e-6)
+            assert loss() == pytest.approx(0.0, abs=1e-6)
             assert not grad.any()
 
     def test_bce_shape_mismatch(self):
@@ -340,7 +340,7 @@ class TestLoss:
             _, grad = _supervised_batch(model, batch)
 
             def loss_at(params):
-                return _supervised_batch(PatchMLP(shape, params), batch)[0]
+                return _supervised_batch(PatchMLP(shape, params), batch)[0]()
 
             fd = finite_diff_grad(loss_at, model.params)
             rel = np.abs(grad - fd) / np.maximum.reduce(
@@ -355,7 +355,7 @@ class TestLoss:
         scaled = [TrainSlice(ts.image, ts.target, 0.25) for ts in batch]
         l1, g1 = _supervised_batch(model, batch)
         l2, g2 = _supervised_batch(model, scaled)
-        assert l2 == pytest.approx(0.25 * l1)
+        assert l2() == pytest.approx(0.25 * l1())
         assert np.allclose(g2, 0.25 * g1)
 
 
@@ -636,7 +636,8 @@ class TestTrainingSmoke:
         sched = TrainSchedule(5e-3, 500)
         loss = None
         for i in range(500):
-            loss, grad = _supervised_batch(model, batch)
+            loss_of, grad = _supervised_batch(model, batch)
+            loss = loss_of()
             if loss < 0.1:
                 break
             model.params, state = adamw_step(

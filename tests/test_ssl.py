@@ -548,7 +548,7 @@ class TestStage2:
             l, dz3 = bce_ref(ref["probs"], ts.target.ravel())
             want_loss += ts.weight * l / 4
             want_grad += ts.weight * mlp_grad_ref(model.params, dims, ref, dz3) / 4
-        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert loss() == pytest.approx(want_loss, rel=1e-12)
         assert np.allclose(grad, want_grad, atol=1e-15)
 
     def test_reused_workspace_keeps_a_batch_under_4_mib(self):
@@ -703,6 +703,21 @@ class TestStage2:
         assert two.model.params.tobytes() == one.model.params.tobytes()
         assert two.history and two.history == one.history
         assert two.threshold == one.threshold
+
+    def test_never_computes_the_supervised_loss(self, monkeypatch):
+        # Stage 2 reads only the supervised gradient, on either branch.
+        def gradient_only(*args):
+            _, grad = _supervised_batch(*args)
+            return lambda: pytest.fail("stage 2 computed the loss"), grad
+
+        monkeypatch.setattr("ftaseg.ssl._supervised_batch", gradient_only)
+        self.lanes_run()
+        rng = np.random.default_rng(32)
+        run_stage2(
+            PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5), [],
+            [], None, StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 4),
+            FtaConfig(), val_points=1,
+        )
 
     def test_numeric_error_in_supervised_lane_surfaces_unchanged(self, monkeypatch):
         raised = fail_in_supervised_lane(monkeypatch)
