@@ -188,6 +188,12 @@ def generate_pseudo_labels(
     )
 
 
+def weak_confidence(weak_probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(p, 1 - p) of each weak-view probability, written to ``out``
+    (fresh when None)."""
+    return np.maximum(weak_probs, np.subtract(1.0, weak_probs, out=out), out=out)
+
+
 def consistency_loss(
     weak_probs: np.ndarray,
     perturbed_probs: np.ndarray,
@@ -195,6 +201,7 @@ def consistency_loss(
     strong_probs: np.ndarray,
     strong_owner: list[int],
     sizes: list[int],
+    confidence: np.ndarray | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients dL/dp of the perturbed and the strong views of a batch of
@@ -204,8 +211,9 @@ def consistency_loss(
     a pixel clipped by BCE_EPS gets no gradient.
 
     Plane j has ``sizes[j]`` rows, in plane order in the weak and perturbed
-    views; strong view k holds a view of plane ``strong_owner[k]``. The
-    gradients are written to ``out`` (fresh when None).
+    views; strong view k holds a view of plane ``strong_owner[k]``.
+    ``confidence`` is ``weak_confidence`` of the weak rows (computed when
+    None). The gradients are written to ``out`` (fresh when None).
     """
     weak = np.asarray(weak_probs, dtype=np.float64)
     views = (np.asarray(perturbed_probs, dtype=np.float64),
@@ -217,17 +225,15 @@ def consistency_loss(
     if sizes.min(initial=1) < 1 or shapes != [(n,), (n,), (n_strong,)]:
         raise DataError(f"weak, perturbed and strong view shapes {shapes} do not "
                         f"match planes of sizes {sizes.tolist()}")
-    # A chunk of rows at a time, so temporaries stay chunk-sized as in the model.
-    confident = np.empty(weak.shape, dtype=bool)
-    for r0 in range(0, weak.size, ROW_CHUNK):
-        w = weak[r0:r0 + ROW_CHUNK]
-        np.greater_equal(np.maximum(w, 1.0 - w), tau, out=confident[r0:r0 + ROW_CHUNK])
+    confidence = weak_confidence(weak) if confidence is None else confidence
+    confident = np.greater_equal(confidence, tau)
     labels = weak >= 0.5
     starts = np.cumsum(sizes) - sizes
     denom = np.add.reduceat(confident, starts) * (
         1 + np.bincount(owners[1], minlength=sizes.size)
     )
     out = (np.empty_like(views[0]), np.empty_like(views[1])) if out is None else out
+    # A chunk of rows at a time, so temporaries stay chunk-sized as in the model.
     for v, o, g in zip(views, owners, out):
         ends = np.cumsum(sizes[o])
         shift = starts[o] - ends + sizes[o]  # from a view's row to its weak row
@@ -596,13 +602,10 @@ def run_stage2(
                 # weak view, which is never back-propagated.
                 fp_cache = model.forward_cache_multi(weak_planes, perturb, fp_ws)
                 weak_probs = fp_cache["weak_probs"]
-                confidence = np.subtract(
-                    1.0, weak_probs,
-                    out=scratch.take("confidence", weak_probs.shape, np.float64),
+                confidence = weak_confidence(
+                    weak_probs, scratch.take("confidence", weak_probs.shape, np.float64)
                 )
-                tau_state = update_threshold(
-                    tau_state, np.maximum(weak_probs, confidence, out=confidence)
-                )
+                tau_state = update_threshold(tau_state, confidence)
                 strong_cache = (
                     model.forward_cache_multi(strong_planes, ws=strong_ws)
                     if strong_planes else None
@@ -611,7 +614,7 @@ def run_stage2(
                 strong_probs = strong_cache["probs"] if strong_cache else np.empty(0)
                 fp_grad, strong_grad = consistency_loss(
                     weak_probs, fp_cache["probs"], tau_state.tau, strong_probs,
-                    strong_owner, [u.size for u in weak_planes],
+                    strong_owner, [u.size for u in weak_planes], confidence,
                     out=(fp_ws.take("prob_grad", weak_probs.shape, np.float64),
                          strong_ws.take("prob_grad", strong_probs.shape, np.float64)),
                 )

@@ -42,6 +42,7 @@ from ftaseg.ssl import (
     run_stage1,
     run_stage2,
     update_threshold,
+    weak_confidence,
 )
 from ftaseg.volume import MaskVolume, Volume
 
@@ -343,6 +344,19 @@ class TestConsistencyLoss:
         assert got[0] is out[0] and got[1] is out[1]
         for g, fresh in zip(got, consistency_loss(*args)):
             assert g.tobytes() == fresh.tobytes()
+
+    def test_reads_the_given_confidence(self):
+        # run_stage2 passes the confidences it updated tau with: the
+        # gradients equal those without them, and come from them.
+        rng = np.random.default_rng(10)
+        weak, perturbed, strong = rng.random(6), rng.random(6), rng.random(6)
+        args = (weak, perturbed, 0.6, strong, [1, 0], [4, 2])
+        conf = weak_confidence(weak, np.full(6, np.nan))
+        assert conf.tobytes() == np.maximum(weak, 1.0 - weak).tobytes()
+        for g, fresh in zip(consistency_loss(*args, conf), consistency_loss(*args)):
+            assert g.tobytes() == fresh.tobytes()
+        for g in consistency_loss(*args, np.zeros(6)):  # no confident pixel
+            assert not g.any()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
