@@ -632,7 +632,7 @@ def train_stage2_files(
         _check_plane_dims(_volume_files(Path(val_dir)), patch, along_z_only=True)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    w, stage_cfg = cfg.window(), cfg.stage_config()
+    w = cfg.window()
     _, labeled = _train_planes(slices_dir, w, patch)
     pseudo_masks: dict[str, Path] = {}
     if pseudo_dir is not None:
@@ -644,7 +644,7 @@ def train_stage2_files(
     unlabeled: list[np.ndarray] = []
     if _unlabeled_files(cfg, unlabeled_dir, patch) is not None:
         pseudo, unlabeled = load_unlabeled_slices(
-            unlabeled_dir, pseudo_masks, w, stage_cfg.pseudo_weight
+            unlabeled_dir, pseudo_masks, w, cfg.pseudo_weight
         )
         labeled += pseudo
     elif pseudo_masks:
@@ -654,7 +654,7 @@ def train_stage2_files(
     val_ids, load_val = ([], None) if val_dir is None else load_val_cases(val_dir, w)
 
     result = run_stage2(
-        model, labeled, unlabeled, val_ids, load_val, stage_cfg,
+        model, labeled, unlabeled, val_ids, load_val, cfg.stage_config(),
         cfg.train_schedule(), cfg.fta_config(), cfg.val_points,
     )
 
