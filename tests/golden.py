@@ -6,7 +6,10 @@ run's digests are the SHA-256 of its scores, validation history, stage
 manifests, labeled slice manifest, pseudo masks and checkpoints, and for
 ``DATA_ARM`` of every file the run synthesized under ``data/``. Checkpoint
 bytes depend on the BLAS kernel (the OpenBLAS core type), so their digests
-are kept per kernel name; the other files are kept once.
+are kept per kernel name; the other files are kept once. Each mask file
+(``*_mask.vol``) also has the digest of the array it decodes to, kept under
+``decoded_masks``: a change of mask encoding changes the file digests of
+masks and nothing else.
 
 Each spec in ``GENERATED`` is only synthesized, with ``generate_benchmark``,
 and the digests of every file it writes are kept. Together they reach each
@@ -19,7 +22,8 @@ each changed digest with the change:
 
     PYTHONPATH=src python tests/golden.py
 
-This keeps the checkpoint digests of other kernels as they are.
+This keeps the checkpoint digests of other kernels as they are, and prints
+each digest that changed, was added or was dropped.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ from pathlib import Path
 import numpy as np
 
 from ftaseg.phantom import BenchmarkSpec
-from ftaseg.pipeline import PipelineConfig, generate_benchmark, run_pipeline
+from ftaseg.pipeline import (
+    MASK_SUFFIX,
+    PipelineConfig,
+    generate_benchmark,
+    run_pipeline,
+)
 from ftaseg.volume import (
     MaskVolume,
     Volume,
@@ -116,6 +125,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _decoded_masks(root: Path, files: list[str]) -> dict[str, str]:
+    """SHA-256 of the decoded array of each mask among ``files``."""
+    return {f: hashlib.sha256(load_mask(root / f).data.tobytes()).hexdigest()
+            for f in files if f.endswith(f"{MASK_SUFFIX}.vol")}
+
+
 def _tree(root: Path) -> list[str]:
     return sorted(p.relative_to(root).as_posix()
                   for p in root.rglob("*") if p.is_file())
@@ -141,9 +156,12 @@ def _cropped_data(out: Path) -> dict[str, str]:
     return dirs
 
 
-def run_arm(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
+def run_arm(
+    name: str, out: Path
+) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
     """Run arm ``name`` into ``out``; returns the digests of its
-    kernel-independent files and of its checkpoints, keyed by relative path."""
+    kernel-independent files, of its checkpoints and of its decoded masks,
+    keyed by relative path."""
     cfg = ARMS[name]
     if name == NON_CUBIC:
         cfg = replace(cfg, **_cropped_data(out))
@@ -159,14 +177,46 @@ def run_arm(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
     if name == DATA_ARM:
         files += [f"data/{f}" for f in _tree(out / "data")]
     return ({f: _sha256(out / f) for f in files},
-            {f: _sha256(out / f) for f in CHECKPOINTS})
+            {f: _sha256(out / f) for f in CHECKPOINTS},
+            _decoded_masks(out, files))
 
 
-def generate(name: str, out: Path) -> dict[str, str]:
+def generate(name: str, out: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Synthesize spec ``name`` of ``GENERATED`` into ``out``; returns the
-    digest of every file written, keyed by relative path."""
+    digests of every file written and of its decoded masks, keyed by
+    relative path."""
     generate_benchmark(GENERATED[name], out)
-    return {f: _sha256(out / f) for f in _tree(out)}
+    files = _tree(out)
+    return {f: _sha256(out / f) for f in files}, _decoded_masks(out, files)
+
+
+def _leaves(tree: dict, prefix: tuple[str, ...] = ()) -> dict[tuple[str, ...], str]:
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, (*prefix, key)))
+        else:
+            out[(*prefix, key)] = value
+    return out
+
+
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per digest that differs between two ``golden.json`` trees:
+    ``changed``, ``added`` or ``dropped``, then its section, its arm, spec
+    or kernel, and its key."""
+    before, after = _leaves(old), _leaves(new)
+    lines = []
+    for key in sorted(before.keys() | after.keys()):
+        if key not in after:
+            status = "dropped"
+        elif key not in before:
+            status = "added"
+        elif before[key] != after[key]:
+            status = "changed"
+        else:
+            continue
+        lines.append(f"{status} {' / '.join(key)}")
+    return lines
 
 
 def main() -> int:
@@ -174,16 +224,23 @@ def main() -> int:
     core = blas_core()
     files: dict[str, dict[str, str]] = {}
     ckpts: dict[str, dict[str, str]] = {}
+    generated: dict[str, dict[str, str]] = {}
+    decoded: dict[str, dict[str, dict[str, str]]] = {"files": {}, "generated": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name in ARMS:
-            files[name], ckpts[name] = run_arm(name, Path(tmp) / name)
-        generated = {name: generate(name, Path(tmp) / "gen" / name)
-                     for name in GENERATED}
+            files[name], ckpts[name], decoded["files"][name] = run_arm(
+                name, Path(tmp) / name)
+        for name in GENERATED:
+            generated[name], decoded["generated"][name] = generate(
+                name, Path(tmp) / "gen" / name)
     checkpoints = {**old.get("checkpoints", {}), core: ckpts}
     golden = {"files": files, "generated": generated,
-              "checkpoints": dict(sorted(checkpoints.items()))}
+              "checkpoints": dict(sorted(checkpoints.items())),
+              "decoded_masks": decoded}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} (checkpoints for OpenBLAS kernel {core})")
+    lines = changes(old, golden)
+    print("\n".join(lines) if lines else "no digest changed")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Outputs stay byte-identical across commits: each arm in ``golden.py`` is
 run once, each generation-only spec synthesized once, and their file
-digests are compared with ``golden.json``.
+digests, and the digests of the arrays their masks decode to, are compared
+with ``golden.json``.
 
 Checkpoint digests are kept per OpenBLAS kernel. On a kernel that
 ``golden.json`` has no entry for, ``test_checkpoint_digests`` is reported
@@ -23,6 +24,7 @@ from golden import (
     NON_CUBIC,
     POOL_ID,
     blas_core,
+    changes,
     generate,
     run_arm,
 )
@@ -42,6 +44,12 @@ def out(tmp_path_factory):
 def runs(out):
     """Digests of every arm, each run once for the module into ``out``."""
     return {name: run_arm(name, out / name) for name in ARMS}
+
+
+@pytest.fixture(scope="module")
+def generated(out):
+    """Digests of every generation-only spec, each synthesized once."""
+    return {name: generate(name, out / "gen" / name) for name in GENERATED}
 
 
 @pytest.mark.parametrize("arm", list(ARMS))
@@ -81,5 +89,26 @@ def test_by_volume_arm_scores_the_planes_of_one_held_out_volume(runs, out):
 
 
 @pytest.mark.parametrize("name", list(GENERATED))
-def test_generated_digests(tmp_path, name):
-    assert generate(name, tmp_path) == _EXPECTED["generated"][name]
+def test_generated_digests(generated, name):
+    assert generated[name][0] == _EXPECTED["generated"][name]
+
+
+@pytest.mark.parametrize(
+    "section, name",
+    [("files", arm) for arm in ARMS] + [("generated", spec) for spec in GENERATED],
+)
+def test_decoded_mask_digests(runs, generated, section, name):
+    decoded = runs[name][2] if section == "files" else generated[name][1]
+    assert decoded == _EXPECTED["decoded_masks"][section][name]
+    # Every mask file whose bytes are pinned has its array pinned too.
+    digests = _EXPECTED[section][name]
+    assert sorted(decoded) == sorted(f for f in digests if f.endswith("_mask.vol"))
+
+
+def test_changes_names_each_changed_added_and_dropped_digest():
+    old = {"files": {"a": {"x": "1", "y": "2"}}, "checkpoints": {"K": {"a": {"c": "3"}}}}
+    new = {"files": {"a": {"x": "9", "z": "4"}}, "checkpoints": {"K": {"a": {"c": "3"}}}}
+    assert changes(old, new) == [
+        "changed files / a / x", "dropped files / a / y", "added files / a / z",
+    ]
+    assert changes(new, new) == []
