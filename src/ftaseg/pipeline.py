@@ -354,6 +354,17 @@ def _check_plane_dims(paths: list[Path], patch: int, along_z_only: bool) -> None
             )
 
 
+def _check_val_masks(paths: list[Path]) -> None:
+    # Each validation volume needs a mask of its dims; headers only.
+    for path in paths:
+        mask = _mask_path(path)
+        if not mask.exists():
+            raise DataError(f"validation volume {path.name} has no mask")
+        dims, mask_dims = read_dims(path), read_dims(mask)
+        if mask_dims != dims:
+            raise DataError(f"{mask}: dims {mask_dims} differ from {path}'s {dims}")
+
+
 def _load_raw(path: Path) -> Volume:
     vol = load_volume(path)
     if not np.isfinite(vol.data).all():
@@ -501,16 +512,12 @@ def load_val_cases(
     val_dir: Path | str, w: WindowSpec
 ) -> tuple[list[str], Callable[[str], tuple[Volume, MaskVolume]]]:
     """Validation ids and a loader of one case, the volume windowed by ``w``
-    and its mask; each volume is read once here to check it, then dropped,
-    and each mask's header is checked against its volume's dims."""
+    and its mask; each mask's header is checked against its volume's, and
+    each volume is read once here to check it, then dropped."""
     files = _volume_files(Path(val_dir))
+    _check_val_masks(files)
     for path in files:
-        mask = _mask_path(path)
-        if not mask.exists():
-            raise DataError(f"validation volume {path.name} has no mask")
-        dims, mask_dims = _load_raw(path).dims, read_dims(mask)  # finite voxels
-        if mask_dims != dims:
-            raise DataError(f"{mask}: dims {mask_dims} differ from {path}'s {dims}")
+        _load_raw(path)  # finite voxels
 
     def load(cid: str) -> tuple[Volume, MaskVolume]:
         path = Path(val_dir) / f"{cid}.vol"
@@ -807,10 +814,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
                 raise DataError(f"{name} directory {src} does not exist")
             if name == "unlabeled":
                 _unlabeled_files(cfg, src, cfg.patch)
-            else:
-                _check_plane_dims(
-                    _volume_files(src), cfg.patch, along_z_only=name == "val"
-                )
+                continue
+            files = _volume_files(src)
+            _check_plane_dims(files, cfg.patch, along_z_only=name == "val")
+            if name == "val":
+                _check_val_masks(files)
         slice_dir(labeled_dir, slices, cfg)
 
     stage("preprocess", preprocess)

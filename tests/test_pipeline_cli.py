@@ -1239,6 +1239,37 @@ class TestCli:
                           str(tmp_path / "run"), "--quiet")
         assert rc == 3
 
+    @pytest.mark.parametrize("case", ["dims", "missing"])
+    def test_pipeline_bad_val_mask_fails_in_preprocess_exit_3(
+        self, tmp_path, capsys, case
+    ):
+        # A validation mask is checked with the other inputs, before stage 1
+        # trains or writes anything.
+        cfg = fast_config()
+        data = tmp_path / "data"
+        generate_benchmark(cfg.benchmark_spec(), data)
+        mask = data / "val" / "val_000_mask.vol"
+        d, h, w = load_mask(mask).dims
+        if case == "dims":
+            save_mask(MaskVolume(np.zeros((d, h, w - 1), np.uint8)), mask)
+            named = str(mask)
+        else:
+            mask.unlink()
+            named = "val_000.vol"
+        path, run = tmp_path / "cfg.txt", tmp_path / "run"
+        write_kv_config(dataclasses.replace(
+            cfg, labeled_dir=str(data / "labeled"),
+            unlabeled_dir=str(data / "unlabeled"), val_dir=str(data / "val"),
+        ), path)
+        rc = self.run_cli("pipeline", "--config", str(path), "--out", str(run),
+                          "--quiet")
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("data error: [preprocess] ")
+        failed = [line for line in (run / "run.log").read_text().splitlines()
+                  if "stage preprocess failed" in line]
+        assert len(failed) == 1 and named in failed[0]
+        assert not (run / "stage1").exists()
+
     def test_fta_subcommand(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         for name in ("a", "b"):
