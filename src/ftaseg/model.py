@@ -203,6 +203,13 @@ def _alpha_dropout_(
     return scale
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    # The bits of a.sum(axis=0) for a C-contiguous 2D array. einsum adds the
+    # rows in order, as sum does at width >= 2, several times faster; at
+    # width 1 sum adds pairwise, so it keeps that case.
+    return np.einsum("ij->j", a) if a.shape[1] > 1 else a.sum(axis=0)
+
+
 class Workspace:
     """Grow-only named buffers for forward and backward passes.
 
@@ -442,6 +449,7 @@ class PatchMLP:
         a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
         tmp = cache["ws"].scratch
         dtype = self.params.dtype
+        scale = dtype.type(cache["scale"])
         dz3_in = dz3
         dz3 = tmp.take("dz3", np.shape(dz3_in), dtype)
         np.copyto(dz3, dz3_in)
@@ -456,10 +464,12 @@ class PatchMLP:
                 g = _selu_grad_(d, tmp)
                 upstream(rows, d)
                 if keep is not None:
-                    d *= np.multiply(
-                        keep[rows], cache["scale"],
-                        out=tmp.take("keep_scale", d.shape, dtype),
-                    )
+                    # keep*scale in the pass dtype: the same values as a
+                    # float64 product cast down, without its casting loop.
+                    keep_scale = tmp.take("keep_scale", d.shape, dtype)
+                    np.copyto(keep_scale, keep[rows])
+                    keep_scale *= scale
+                    d *= keep_scale
                 d *= g
             return a_pre
 
@@ -473,13 +483,13 @@ class PatchMLP:
             lambda rows, out: np.multiply(dz3_col[rows], w3, out=out),
         )
         gw2 = dz2.T @ a1
-        gb2 = dz2.sum(axis=0)
+        gb2 = _column_sums(dz2)
         dz1 = backprop_selu(
             cache["a1_pre"], cache["keep1"],
             lambda rows, out: np.matmul(dz2[rows], w2, out=out),
         )
         gw1 = dz1.T @ p
-        gb1 = dz1.sum(axis=0)
+        gb1 = _column_sums(dz1)
         return np.concatenate(
             [gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, np.array([gb3])],
             dtype=np.float64,

@@ -17,6 +17,7 @@ from ftaseg.model import (
     TrainSchedule,
     Workspace,
     _alpha_dropout_,
+    _column_sums,
     _selu_grad_,
     _sigmoid_,
     adamw_step,
@@ -572,6 +573,25 @@ class TestBranchFreeMasks:
         assert keep.tobytes() == want_keep.tobytes()
         assert out.tobytes() == want.tobytes()
         assert np.float64(scale).tobytes() == np.float64(want_scale).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.one_of(
+            st.integers(1, 5),
+            st.builds(lambda k, off: k * ROW_CHUNK + off,
+                      st.integers(1, 2), st.integers(-2, 2)),
+        ),
+        width=st.integers(1, 64),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_sums_match_sum(self, rows, width, dtype, seed):
+        # The backward pass's bias gradients: the bytes of .sum(axis=0) at
+        # every width, the one-unit layer included.
+        a = np.random.default_rng(seed).normal(0.0, 2.0, (rows, width)).astype(dtype)
+        got, want = _column_sums(a), a.sum(axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFloat32:
