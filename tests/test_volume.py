@@ -1,8 +1,11 @@
+import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ftaseg.errors import DataError
@@ -26,6 +29,20 @@ def random_volume(rng, dims):
 
 def random_mask(rng, dims):
     return MaskVolume((rng.random(dims) < 0.4).astype(np.uint8))
+
+
+def vol1(code, dims, payload):
+    """A VOL1 file's bytes, built by hand: header, then the payload as given."""
+    return struct.pack("<4sBIII", b"VOL1", code, *dims) + bytes(payload)
+
+
+def packed_bits(data):
+    """The bytes of a code-3 payload: voxel i is bit i % 8 of byte i // 8."""
+    flat = np.ravel(data)
+    out = bytearray(-(-flat.size // 8))
+    for i in np.flatnonzero(flat):
+        out[i // 8] |= 1 << (i % 8)
+    return bytes(out)
 
 
 class TestVolumeInvariants:
@@ -117,12 +134,8 @@ class TestVol1RoundTrip:
         assert np.array_equal(load_mask(path).data, m.data)
 
     def test_mask_payload_byte_outside_binary(self, tmp_path):
-        m = MaskVolume(np.zeros((2, 2, 2), dtype=np.uint8))
         path = tmp_path / "m.vol"
-        save_mask(m, path)
-        blob = bytearray(path.read_bytes())
-        blob[-1] = 2
-        path.write_bytes(bytes(blob))
+        path.write_bytes(vol1(2, (2, 2, 2), [0] * 7 + [2]))
         with pytest.raises(DataError, match="outside"):
             load_mask(path)
 
@@ -147,9 +160,6 @@ class TestVol1RoundTrip:
         seed=st.integers(0, 10**6),
     )
     def test_round_trip_property(self, d, h, w, seed):
-        import tempfile
-        from pathlib import Path
-
         rng = np.random.default_rng(seed)
         with tempfile.TemporaryDirectory() as tmp_str:
             tmp = Path(tmp_str)
@@ -161,9 +171,80 @@ class TestVol1RoundTrip:
             assert np.array_equal(load_mask(tmp / "m.vol").data, m.data)
 
 
+class TestBitPackedMasks:
+    """Masks are saved with dtype code 3, one bit per voxel; code 2, one
+    byte per voxel, is still read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.one_of(
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+            # Several chunks of packing, the last one short.
+            st.tuples(st.integers(1, 3), st.integers(60, 90), st.integers(60, 90)),
+        ),
+        density=st.sampled_from([0.0, 0.4, 1.0]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_round_trip_with_padding(self, dims, density, seed):
+        assume(np.prod(dims) % 8 != 0)
+        data = (np.random.default_rng(seed).random(dims) < density).astype(np.uint8)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.vol"
+            save_mask(MaskVolume(data), path)
+            assert path.read_bytes() == vol1(3, dims, packed_bits(data))
+            loaded = load_mask(path)
+        assert loaded.data.dtype == np.uint8
+        assert loaded.data.tobytes() == data.tobytes()
+
+    def test_bit_order_is_little(self, tmp_path):
+        # Voxel 0 is bit 0 of byte 0; voxel 9 is bit 1 of byte 1; the
+        # 6 padding bits of byte 1 are zero.
+        data = np.zeros((1, 1, 10), np.uint8)
+        data[0, 0, [0, 9]] = 1
+        save_mask(MaskVolume(data), tmp_path / "m.vol")
+        assert (tmp_path / "m.vol").read_bytes()[17:] == bytes([0b1, 0b10])
+
+    def test_non_contiguous_mask_saves_its_voxels(self, tmp_path):
+        data = (np.random.default_rng(6).random((4, 6, 7)) < 0.5).astype(np.uint8)
+        view = data[:, 1:5, ::2]
+        save_mask(MaskVolume(view), tmp_path / "m.vol")
+        assert np.array_equal(load_mask(tmp_path / "m.vol").data, view)
+
+    @pytest.mark.parametrize("bit", range(3, 8))
+    def test_set_padding_bit_rejected(self, tmp_path, bit):
+        # 3 x 1 x 1 voxels: bits 3..7 of the only byte are padding.
+        path = tmp_path / "m.vol"
+        path.write_bytes(vol1(3, (3, 1, 1), [0b101 | 1 << bit]))
+        with pytest.raises(DataError, match="padding") as err:
+            load_mask(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_payload_length_rejected(self, tmp_path, extra):
+        # 4 x 5 x 3 = 60 voxels take 8 bytes.
+        path = tmp_path / "m.vol"
+        path.write_bytes(vol1(3, (4, 5, 3), bytes(8 + extra)))
+        with pytest.raises(DataError, match="payload length") as err:
+            load_mask(path)
+        assert str(path) in str(err.value)
+
+    def test_load_volume_rejects_a_packed_mask(self, tmp_path):
+        path = tmp_path / "m.vol"
+        save_mask(MaskVolume(np.ones((2, 2, 2), np.uint8)), path)
+        with pytest.raises(DataError, match="expected float32 volume, found dtype 3"):
+            load_volume(path)
+
+    def test_byte_per_voxel_mask_still_loads(self, tmp_path):
+        data = (np.random.default_rng(7).random((3, 4, 5)) < 0.5).astype(np.uint8)
+        path = tmp_path / "m.vol"
+        path.write_bytes(vol1(2, data.shape, data.tobytes()))
+        assert load_mask(path).data.tobytes() == data.tobytes()
+
+
 class TestLoadMemory:
-    """A load reads the payload once into the array it returns: the traced
-    peak of one load of a 48^3 file stays near the payload's size."""
+    """A load reads the payload into the array it returns, once or, for a
+    packed mask, a bounded chunk at a time: the traced peak of one load of a
+    48^3 file stays near the size of the array it returns."""
 
     DIMS = (48, 48, 48)
 
@@ -197,8 +278,8 @@ class TestLoadMemory:
 
 
 class TestSaveMemory:
-    """A save writes the array's own buffer: one save of a 48^3 volume or
-    mask allocates only the file object's fixed buffers, no payload copy."""
+    """A save writes the array's own buffer, or packs it a bounded chunk at
+    a time: one save of a 48^3 volume or mask allocates no payload copy."""
 
     DIMS = TestLoadMemory.DIMS
 
