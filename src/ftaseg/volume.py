@@ -146,7 +146,7 @@ def _unpack_bits(f, path: Path | str, data: np.ndarray) -> None:
     flat = data.reshape(-1)
     whole, rest = divmod(flat.size, 8)
     words = flat[:8 * whole].view("<u8")
-    packed = np.empty(min(whole, _BITS_CHUNK // 8) or 1, np.uint8)
+    packed = np.empty(_BITS_CHUNK // 8, np.uint8)
     for b0 in range(0, whole, packed.size):
         word = words[b0:b0 + packed.size]
         chunk = packed[:word.size]
