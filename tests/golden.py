@@ -5,8 +5,9 @@ Each arm is a tiny ``run_pipeline`` config on the synthesized benchmark. A
 run's digests are the SHA-256 of its scores, validation history, stage
 manifests, labeled slice manifest, pseudo masks and checkpoints, and for
 ``DATA_ARM`` of every file the run synthesized under ``data/``. Checkpoint
-bytes depend on the BLAS kernel (the OpenBLAS core type), so their digests
-are kept per kernel name; the other files are kept once. Each mask file
+bytes depend on the BLAS kernel (the OpenBLAS core type) and on the number
+of threads BLAS runs, so their digests are kept per kernel and thread count
+(see ``blas_key``); the other files are kept once. Each mask file
 (``*_mask.vol``) also has the digest of the array it decodes to, kept under
 ``decoded_masks``: a change of mask encoding changes the file digests of
 masks and nothing else.
@@ -22,8 +23,10 @@ each changed digest with the change:
 
     PYTHONPATH=src python tests/golden.py
 
-This keeps the checkpoint digests of other kernels as they are, and prints
-each digest that changed, was added or was dropped.
+This keeps the checkpoint digests of other kernels and thread counts as
+they are, and prints each digest that changed, was added or was dropped.
+``OPENBLAS_NUM_THREADS=1`` before the command writes the one-thread entry,
+the count an ``ftaseg`` run uses.
 """
 
 from __future__ import annotations
@@ -109,16 +112,29 @@ GENERATED = {
 CHECKPOINTS = ("stage1/checkpoint.seg", "stage2/checkpoint.seg")
 
 
-def blas_core() -> str:
-    """Name of the OpenBLAS kernel numpy's BLAS runs, or ``"unknown"`` when
-    numpy does not bundle scipy-openblas."""
+def blas_key() -> str:
+    """Name of the OpenBLAS kernel numpy's BLAS runs and the number of
+    threads it runs with, as ``"<kernel>, threads=<n>"``: the key of the
+    checkpoint digests. The kernel is ``"unknown"`` when numpy does not
+    bundle scipy-openblas, and so is the count when the library cannot
+    report it."""
+    core, threads = "unknown", "unknown"
     libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
-        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_char_p
-            return fn().decode()
-    return "unknown"
+        handle = ctypes.CDLL(path)
+        name = getattr(handle, "scipy_openblas_get_corename64_", None)
+        if name is None:
+            continue
+        name.argtypes, name.restype = [], ctypes.c_char_p
+        core = name().decode()
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            count = getattr(handle, sym, None)
+            if count is not None:
+                count.argtypes, count.restype = [], ctypes.c_int
+                threads = str(count())
+                break
+        break
+    return f"{core}, threads={threads}"
 
 
 def _sha256(path: Path) -> str:
@@ -221,7 +237,7 @@ def changes(old: dict, new: dict) -> list[str]:
 
 def main() -> int:
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    core = blas_core()
+    key = blas_key()
     files: dict[str, dict[str, str]] = {}
     ckpts: dict[str, dict[str, str]] = {}
     generated: dict[str, dict[str, str]] = {}
@@ -233,12 +249,12 @@ def main() -> int:
         for name in GENERATED:
             generated[name], decoded["generated"][name] = generate(
                 name, Path(tmp) / "gen" / name)
-    checkpoints = {**old.get("checkpoints", {}), core: ckpts}
+    checkpoints = {**old.get("checkpoints", {}), key: ckpts}
     golden = {"files": files, "generated": generated,
               "checkpoints": dict(sorted(checkpoints.items())),
               "decoded_masks": decoded}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN} (checkpoints for OpenBLAS kernel {core})")
+    print(f"wrote {GOLDEN} (checkpoints for OpenBLAS {key})")
     lines = changes(old, golden)
     print("\n".join(lines) if lines else "no digest changed")
     return 0

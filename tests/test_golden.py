@@ -3,10 +3,10 @@ run once, each generation-only spec synthesized once, and their file
 digests, and the digests of the arrays their masks decode to, are compared
 with ``golden.json``.
 
-Checkpoint digests are kept per OpenBLAS kernel. On a kernel that
-``golden.json`` has no entry for, ``test_checkpoint_digests`` is reported
-as skipped, with the kernel's name and the command that adds its entry; the
-other files are checked on every kernel.
+Checkpoint digests are kept per OpenBLAS kernel and BLAS thread count. On a
+kernel and count that ``golden.json`` has no entry for,
+``test_checkpoint_digests`` is reported as skipped, naming both and the
+command that adds their entry; the other files are checked on every kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from golden import (
     GOLDEN,
     NON_CUBIC,
     POOL_ID,
-    blas_core,
+    blas_key,
     changes,
     generate,
     run_arm,
@@ -59,13 +59,14 @@ def test_output_digests(runs, arm):
 
 @pytest.mark.parametrize("arm", list(ARMS))
 def test_checkpoint_digests(runs, arm):
-    core = blas_core()
-    if core not in _EXPECTED["checkpoints"]:
+    key = blas_key()
+    if key not in _EXPECTED["checkpoints"]:
         pytest.skip(
-            f"golden.json has no checkpoint digests for OpenBLAS kernel {core!r}; "
-            "`PYTHONPATH=src python tests/golden.py` adds them"
+            f"golden.json has no checkpoint digests for OpenBLAS {key!r} "
+            "(kernel, thread count); `PYTHONPATH=src python tests/golden.py` "
+            "under the same OPENBLAS_NUM_THREADS adds them"
         )
-    assert runs[arm][1] == _EXPECTED["checkpoints"][core][arm]
+    assert runs[arm][1] == _EXPECTED["checkpoints"][key][arm]
 
 
 def test_non_cubic_arm_trains_on_a_pool_volume_of_other_dims(runs, out):
