@@ -98,7 +98,7 @@ def _cmd_train_stage1(args: argparse.Namespace) -> None:
 
 
 def _cmd_train_stage2(args: argparse.Namespace) -> None:
-    ckpt, _ = train_stage2_files(
+    ckpt, _, _ = train_stage2_files(
         args.slices, args.pseudo, args.unlabeled, args.val, args.init, args.out,
         _config(args),
     )

@@ -77,16 +77,36 @@ def poly_lr(sched: TrainSchedule, i: int) -> float:
     return sched.base_lr * (1.0 - i / sched.total_iters) ** LR_POWER
 
 
+# Read-only blocks of zeros, ROW_CHUNK rows tall, one per (row width, dtype),
+# shared by every lane. Nothing writes them, so two lanes that race to make
+# one only make a duplicate.
+_ZEROS: dict[tuple[int, np.dtype], np.ndarray] = {}
+
+
+def _zeros(width: int, dtype: np.dtype) -> np.ndarray:
+    zeros = _ZEROS.get((width, dtype))
+    if zeros is None:
+        zeros = np.zeros((ROW_CHUNK, width), dtype)
+        zeros.flags.writeable = False
+        _ZEROS[(width, dtype)] = zeros
+    return zeros
+
+
 def _selu_(z: np.ndarray, scratch: "Workspace") -> np.ndarray:
-    # SELU written over z a chunk of rows at a time, with a chunk-sized
-    # scratch buffer: one transcendental, no boolean select.
+    # SELU written over the 2D array z a chunk of rows at a time, with a
+    # chunk-sized scratch buffer: one transcendental, no boolean select. The
+    # min and max take a block of zeros, not the scalar 0.0: numpy's loop
+    # for a scalar operand ran about 3x slower than the one for two arrays
+    # of one shape, for the same values.
+    zeros = _zeros(z.shape[1], z.dtype)
     for r0 in range(0, len(z), ROW_CHUNK):
         zc = z[r0:r0 + ROW_CHUNK]
+        zero = zeros[:len(zc)]
         tmp = scratch.take("selu", zc.shape, z.dtype)
-        np.minimum(zc, 0.0, out=tmp)
+        np.minimum(zc, zero, out=tmp)
         np.expm1(tmp, out=tmp)
         tmp *= SELU_ALPHA
-        np.maximum(zc, 0.0, out=zc)
+        np.maximum(zc, zero, out=zc)
         zc += tmp
         zc *= SELU_SCALE
     return z
@@ -210,6 +230,19 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij->j", a) if a.shape[1] > 1 else a.sum(axis=0)
 
 
+def _windows(planes: np.ndarray, k: int) -> np.ndarray:
+    # The read-only k x k windows of a stack of planes, shape (n, h - k + 1,
+    # w - k + 1, k, k): the view sliding_window_view(planes, (k, k),
+    # axis=(1, 2)) makes, strided straight over the stack's buffer without
+    # that function's argument checks.
+    n, h, w = planes.shape
+    s0, s1, s2 = planes.strides
+    return np.lib.stride_tricks.as_strided(
+        planes, (n, h - k + 1, w - k + 1, k, k), (s0, s1, s2, s1, s2),
+        writeable=False,
+    )
+
+
 class Workspace:
     """Grow-only named buffers for forward and backward passes.
 
@@ -222,9 +255,9 @@ class Workspace:
     (patches, activations, keep masks) and the probabilities live in the
     workspace of their role; temporaries live in ``scratch``, which several
     workspaces may share as long as their passes never run at the same
-    time. A cache returned by a forward pass views these buffers, so it is
-    valid only until the next forward pass on the same workspace, and a
-    backward pass consumes it.
+    time, or in the scratch a backward pass is given. A cache returned by a
+    forward pass views these buffers, so it is valid only until the next
+    forward pass on the same workspace, and a backward pass consumes it.
     """
 
     def __init__(self, scratch: "Workspace | None" = None):
@@ -320,9 +353,7 @@ class PatchMLP:
             for i in range(1, pad + 1):
                 data[:, :, pad - i] = data[:, :, pad + i]
                 data[:, :, pad + w - 1 + i] = data[:, :, pad + w - 1 - i]
-            windows = np.lib.stride_tricks.sliding_window_view(
-                data, (k, k), axis=(1, 2)
-            )
+            windows = _windows(data, k)
             n = len(data) * h * w
             dst = rows[o:o + n].reshape(windows.shape)
             np.multiply(windows, 2.0, out=dst)
@@ -435,19 +466,22 @@ class PatchMLP:
         probs = self.forward_cache(plane, perturb, ws)["probs"].reshape(plane.shape)
         return np.clip(probs, 1e-15, 1.0 - 1e-15)
 
-    def grad_from_logit_grad(self, cache: dict, dz3: np.ndarray) -> np.ndarray:
+    def grad_from_logit_grad(
+        self, cache: dict, dz3: np.ndarray, scratch: Workspace | None = None
+    ) -> np.ndarray:
         """Parameter gradient (float64) from a per-row gradient on the
         output logits.
 
         The pass runs in the parameters' dtype and consumes its cache: its
         deltas overwrite the cache's ``a2_pre`` and ``a1_pre`` (and
         ``a2``/``a1`` when they are the same buffers), so each cache serves
-        one backward pass. Its temporaries live in the scratch of the
-        cache's workspace.
+        one backward pass. Its temporaries live in ``scratch``, by default
+        the scratch of the cache's workspace; a backward pass that runs on
+        another thread than its forward pass passes its own thread's.
         """
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
         a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
-        tmp = cache["ws"].scratch
+        tmp = cache["ws"].scratch if scratch is None else scratch
         dtype = self.params.dtype
         scale = dtype.type(cache["scale"])
         dz3_in = dz3
@@ -495,10 +529,16 @@ class PatchMLP:
             dtype=np.float64,
         )
 
-    def grad_from_prob_grad(self, cache: dict, dloss_dprobs: np.ndarray) -> np.ndarray:
-        """Parameter gradient from a per-pixel gradient on output probabilities."""
+    def grad_from_prob_grad(
+        self,
+        cache: dict,
+        dloss_dprobs: np.ndarray,
+        scratch: Workspace | None = None,
+    ) -> np.ndarray:
+        """Parameter gradient from a per-pixel gradient on output
+        probabilities; ``scratch`` as for ``grad_from_logit_grad``."""
         probs = cache["probs"]
-        tmp = cache["ws"].scratch
+        tmp = cache["ws"].scratch if scratch is None else scratch
         dz3 = np.multiply(
             np.ravel(dloss_dprobs), probs,
             out=tmp.take("prob_dz3", probs.shape, np.float64),
@@ -506,7 +546,7 @@ class PatchMLP:
         dz3 *= np.subtract(
             1.0, probs, out=tmp.take("prob_slope", probs.shape, np.float64)
         )
-        return self.grad_from_logit_grad(cache, dz3)
+        return self.grad_from_logit_grad(cache, dz3, tmp)
 
 
 @dataclass

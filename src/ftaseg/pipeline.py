@@ -50,6 +50,7 @@ from .preprocess import (
 )
 from .ssl import (
     HISTORY_HEADER,
+    LaneTimes,
     StageConfig,
     TrainSlice,
     in_two_lanes,
@@ -592,7 +593,8 @@ def train_stage1_files(
     for stale in pseudo_dir.glob(f"*{MASK_SUFFIX}.vol"):
         stale.unlink()
     for p in result.pseudo:
-        save_mask(MaskVolume(p.mask), pseudo_dir / f"{p.source_id}{MASK_SUFFIX}.vol")
+        save_mask(MaskVolume._of_binary(p.mask),
+                  pseudo_dir / f"{p.source_id}{MASK_SUFFIX}.vol")
 
     labeled_ids = {e.source_id for e in manifest.entries}
     lines = [
@@ -620,12 +622,13 @@ def train_stage2_files(
     init_checkpoint: Path | str,
     out_dir: Path | str,
     cfg: PipelineConfig,
-) -> tuple[Path, list[tuple[str, MetricsReport]]]:
+) -> tuple[Path, list[tuple[str, MetricsReport]], LaneTimes]:
     """Consistency training from files; writes checkpoint, metrics history,
-    and the stage manifest. Returns the checkpoint path and the last
+    and the stage manifest. Returns the checkpoint path, the last
     validation's per-case reports, which are the checkpoint's scores on
-    ``val_dir`` (empty without one). Volumes are windowed by
-    ``cfg.window()`` on load.
+    ``val_dir`` (empty without one), and the busy and wait times of the
+    training steps' two lanes. Volumes are windowed by ``cfg.window()`` on
+    load.
 
     Each ``<id>_mask.vol`` in stage 1's ``pseudo_dir`` pairs with ``<id>.vol``
     in ``unlabeled_dir``; its other volumes form the unlabeled pool.
@@ -686,7 +689,7 @@ def train_stage2_files(
     ]
     lines += [f"warning = {w}" for w in result.warnings]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ckpt, result.val_reports
+    return ckpt, result.val_reports, result.lanes
 
 
 def write_scores(
@@ -825,10 +828,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
     stage1_ckpt, _ = stage("stage1", lambda: train_stage1_files(
         slices, unlabeled_dir, out / "stage1", cfg
     ))
-    stage2_ckpt, val_reports = stage("stage2", lambda: train_stage2_files(
+    stage2_ckpt, val_reports, lanes = stage("stage2", lambda: train_stage2_files(
         slices, out / "stage1" / "pseudo", unlabeled_dir, val_dir, stage1_ckpt,
         out / "stage2", cfg,
     ))
+    log(str(lanes))
 
     scores_csv = out / "scores.csv"
 
@@ -870,7 +874,9 @@ def _score_on_slice_split(
     rows = [CSV_HEADER]
     for e, ts in cases:
         probs = model.predict_probs(ts.image)
-        pred = MaskVolume((probs >= 0.5).astype(np.uint8).reshape(1, *probs.shape))
+        pred = MaskVolume._of_binary(
+            (probs >= 0.5).astype(np.uint8).reshape(1, *probs.shape)
+        )
         gt = MaskVolume(ts.target.reshape(1, *ts.target.shape))
         report = evaluate_masks(pred, gt)
         rows.append(report.csv_row(slice_filename(e.source_id, e.index, e.axis)))

@@ -7,16 +7,20 @@ slices contribute a consistency loss: the confident pixels of a weak view
 (identity or flip) supervise two spectrally-augmented strong views and one
 feature-perturbed view, gated by a self-adaptive confidence threshold
 tracked as an EMA of batch confidence. Each stage-2 step runs in two lanes:
-a worker thread takes the supervised batch while the calling thread takes
-the consistency views. Inference (pseudo-annotation and validation) runs in
-two lanes over volumes.
+a worker thread takes the strong views' forward pass and then the
+supervised batch, while the calling thread takes the perturbed (and weak)
+pass and the threshold update, then the consistency loss and the backward
+passes of the perturbed and strong views. Each pass takes its temporaries
+from its own lane's scratch. Inference (pseudo-annotation and validation)
+runs in two lanes over volumes.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import defaultdict
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, TypeVar
 
@@ -301,6 +305,20 @@ class Stage1Result:
 
 
 @dataclass
+class LaneTimes:
+    """Seconds of stage 2's training steps: the calling thread's busy time,
+    the worker lane's, and the calling thread's waits on the worker."""
+
+    calling_s: float = 0.0
+    worker_s: float = 0.0
+    wait_s: float = 0.0
+
+    def __str__(self) -> str:
+        return (f"stage2 lanes: calling {self.calling_s:.3f} s busy, worker "
+                f"{self.worker_s:.3f} s busy, calling waited {self.wait_s:.3f} s")
+
+
+@dataclass
 class Stage2Result:
     model: PatchMLP
     step: int
@@ -310,6 +328,7 @@ class Stage2Result:
     # Per-case reports of the last validation, on the final model; empty
     # without validation cases.
     val_reports: list[tuple[str, MetricsReport]]
+    lanes: LaneTimes
 
 
 def predict_volume(
@@ -326,7 +345,7 @@ def predict_volume(
     for z in range(0, depth, step):
         probs = model.forward_cache_multi(list(v.data[z:z + step]), ws=ws)["probs"]
         mask[z:z + step] = probs.reshape(-1, h, w) >= 0.5
-    return MaskVolume(mask)
+    return MaskVolume._of_binary(mask)
 
 
 def evaluate_volumes(
@@ -520,23 +539,43 @@ def run_stage2(
 
     history: list[HistoryRow] = []
     val_reports: list[tuple[str, MetricsReport]] = []
-    # One workspace per view. The supervised one has its own scratch for the
-    # worker lane; the other views share ``scratch``. Validation's lanes run
-    # on the strong and supervised workspaces, idle between steps.
-    # The augmented pairs of each plane shape have a workspace of their own,
-    # since a step's planes view them until the step ends.
+    # One workspace per view. Each lane's passes take their temporaries
+    # from that lane's scratch: the worker's is ``sup_ws`` itself, which the
+    # strong views' forward pass shares, and the calling thread's is
+    # ``scratch``, which the perturbed pass and both consistency backward
+    # passes use. Validation's lanes run on the perturbed and supervised
+    # workspaces, idle between steps. The augmented pairs of each plane
+    # shape have a workspace of their own, since a step's planes view them
+    # until the step ends.
     sup_ws, scratch = Workspace(), Workspace()
-    strong_ws, fp_ws = Workspace(scratch), Workspace(scratch)
+    strong_ws, fp_ws = Workspace(sup_ws), Workspace(scratch)
     fta_ws: dict[tuple[int, int], Workspace] = defaultdict(Workspace)
     n_val = min(val_points, sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
+    lanes = LaneTimes()
 
-    # The worker lane only reads model.params and writes only sup_ws; every
-    # random draw stays on this thread. The supervised-only branch submits
-    # only validation cases.
+    def on_worker(fn: Callable[..., R], *args) -> R:
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            lanes.worker_s += time.perf_counter() - start
+
+    def wait(future: Future[R]) -> R:
+        start = time.perf_counter()
+        try:
+            return future.result()
+        finally:
+            lanes.wait_s += time.perf_counter() - start
+
+    # The worker lane only reads model.params and the step's planes, and
+    # writes only the strong and supervised workspaces; every random draw
+    # stays on this thread. The supervised-only branch submits only
+    # validation cases.
     with ThreadPoolExecutor(max_workers=1) as lane:
         for it in range(sched.total_iters):
+            step_start, step_wait = time.perf_counter(), lanes.wait_s
             lr = poly_lr(sched, it)
             l_idx = batch_rng.choice(
                 n_lab, size=cfg.batch_size, replace=n_lab < cfg.batch_size
@@ -596,20 +635,27 @@ def run_stage2(
                 perturb = Perturbation(
                     cfg.perturb_rate, int(perturb_rng.integers(2**32))
                 )
-                sup = lane.submit(_supervised_batch, model, sup_batch, sup_ws)
+                # The worker lane: the strong views' forward pass, then the
+                # supervised batch.
+                strong = None
+                if strong_planes:
+                    strong = lane.submit(
+                        on_worker, model.forward_cache_multi, strong_planes,
+                        None, strong_ws,
+                    )
+                sup = lane.submit(
+                    on_worker, _supervised_batch, model, sup_batch, sup_ws
+                )
 
-                # The consistency lane. The perturbed pass also yields the
-                # weak view, which is never back-propagated.
+                # The calling lane. The perturbed pass also yields the weak
+                # view, which is never back-propagated.
                 fp_cache = model.forward_cache_multi(weak_planes, perturb, fp_ws)
                 weak_probs = fp_cache["weak_probs"]
                 confidence = weak_confidence(
                     weak_probs, scratch.take("confidence", weak_probs.shape, np.float64)
                 )
                 tau_state = update_threshold(tau_state, confidence)
-                strong_cache = (
-                    model.forward_cache_multi(strong_planes, ws=strong_ws)
-                    if strong_planes else None
-                )
+                strong_cache = wait(strong) if strong is not None else None
 
                 strong_probs = strong_cache["probs"] if strong_cache else np.empty(0)
                 fp_grad, strong_grad = consistency_loss(
@@ -620,21 +666,26 @@ def run_stage2(
                 )
                 fp_grad = model.grad_from_prob_grad(fp_cache, fp_grad)
                 if strong_cache is not None:
-                    strong_grad = model.grad_from_prob_grad(strong_cache, strong_grad)
+                    strong_grad = model.grad_from_prob_grad(
+                        strong_cache, strong_grad, scratch
+                    )
 
                 # Join; the gradients add in a fixed order whichever lane
                 # finished first.
-                _, grad = sup.result()
+                _, grad = wait(sup)
                 w_u = cfg.unsup_weight / cfg.batch_size
                 grad += w_u * fp_grad
                 if strong_cache is not None:
                     grad += w_u * strong_grad
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
+            lanes.calling_s += (
+                time.perf_counter() - step_start - (lanes.wait_s - step_wait)
+            )
 
             if val_ids and it + 1 in val_iters:
                 epoch += 1
                 mean, val_reports = evaluate_volumes(
-                    model, val_ids, load_val, (strong_ws, sup_ws), lane
+                    model, val_ids, load_val, (fp_ws, sup_ws), lane
                 )
                 history.append(
                     HistoryRow(
@@ -650,4 +701,5 @@ def run_stage2(
         threshold=tau_state,
         warnings=warnings,
         val_reports=val_reports,
+        lanes=lanes,
     )

@@ -99,6 +99,14 @@ class MaskVolume:
             raise DataError("mask values must be in {0, 1}")
         object.__setattr__(self, "data", _frozen_view(arr))
 
+    @classmethod
+    def _of_binary(cls, arr: np.ndarray) -> "MaskVolume":
+        # A mask over a 3D uint8 array whose maker already holds it to
+        # {0, 1}, such as a loaded or a thresholded one: no pass rescans it.
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "data", _frozen_view(arr))
+        return mask
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
@@ -217,4 +225,4 @@ def load_mask(path: Path | str) -> MaskVolume:
     """Read a VOL1 binary mask, bit-packed (code 3) or one byte per voxel
     (code 2); a set padding bit, or a code-2 byte outside {0, 1}, is
     rejected."""
-    return MaskVolume(_read(path, (DTYPE_BITS, DTYPE_U8)))
+    return MaskVolume._of_binary(_read(path, (DTYPE_BITS, DTYPE_U8)))

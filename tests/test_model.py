@@ -18,8 +18,11 @@ from ftaseg.model import (
     Workspace,
     _alpha_dropout_,
     _column_sums,
+    _selu_,
     _selu_grad_,
     _sigmoid_,
+    _windows,
+    _zeros,
     adamw_step,
     load_checkpoint,
     poly_lr,
@@ -30,6 +33,7 @@ from ftaseg.ssl import TrainSlice, _supervised_batch
 from oracles import (
     _alpha_dropout_ref,
     _selu_grad_ref,
+    _selu_ref,
     adam_plain,
     finite_diff_grad,
     mlp_forward_rows_ref,
@@ -154,6 +158,26 @@ class TestForward:
             ])
             assert rows.dtype == np.float32
             assert rows.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.sampled_from([1, 3, 5, 7]),
+        n=st.integers(1, 3),
+        extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        step=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_windows_equal_sliding_window_view(self, k, n, extra, step, dtype):
+        # Also over a strided stack, whose rows and columns are not
+        # adjacent in memory.
+        h, w = k + extra[0], k + extra[1]
+        base = np.arange(n * h * step[0] * w * step[1], dtype=dtype)
+        planes = base.reshape(n, h * step[0], w * step[1])[:, ::step[0], ::step[1]]
+        got = _windows(planes, k)
+        want = np.lib.stride_tricks.sliding_window_view(planes, (k, k), axis=(1, 2))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
     def test_non_finite_params_rejected(self):
         shape = ModelShape(3, 4, 3)
@@ -494,6 +518,57 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + bytes(2 * 4 * n))
         with pytest.raises(DataError, match=f"{4 * n}-byte .* found {12 * n} bytes"):
             load_checkpoint(path)
+
+
+class TestSeluOperands:
+    """``_selu_`` takes its min and max against a shared read-only block of
+    zeros; it must give the bytes of the same operations against the scalar
+    0.0 (``_selu_ref``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.one_of(
+            st.integers(1, 5),
+            st.builds(lambda k, off: k * ROW_CHUNK + off,
+                      st.integers(1, 2), st.integers(-3, 3)),
+        ),
+        width=st.sampled_from([1, 3, ModelShape().hidden2, ModelShape().hidden1]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        edges=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+    )
+    def test_array_operands_match_scalar_operand_bytes(
+        self, rows, width, dtype, seed, edges
+    ):
+        # Signed zeros, subnormals on both sides, and negatives far past
+        # where expm1 saturates at -1, scattered over normals; row counts on
+        # either side of a chunk boundary.
+        info = np.finfo(dtype)
+        special = np.array(
+            [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+             info.tiny / 2, -info.tiny / 2, -40.0, -1e4, -1e30, info.max / 4],
+            dtype=dtype,
+        )
+        rng = np.random.default_rng(seed)
+        z = rng.normal(0.0, 3.0, (rows, width)).astype(dtype)
+        spots = rng.integers(0, z.size, len(edges))
+        z.reshape(-1)[spots] = special[edges]
+        got = _selu_(z.copy(), Workspace())
+        assert got.dtype == dtype
+        assert got.tobytes() == _selu_ref(z).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_zeros_are_read_only_and_stay_zero(self, dtype):
+        z = np.random.default_rng(7).normal(size=(ROW_CHUNK + 1, 4)).astype(dtype)
+        _selu_(z, Workspace())
+        zeros = _zeros(4, np.dtype(dtype))
+        assert zeros.shape == (ROW_CHUNK, 4) and zeros.dtype == dtype
+        assert zeros is _zeros(4, np.dtype(dtype))
+        assert not zeros.any()
+        with pytest.raises(ValueError, match="read-only"):
+            zeros[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.maximum(z[:ROW_CHUNK], 1.0, out=zeros)
 
 
 class TestBranchFreeMasks:

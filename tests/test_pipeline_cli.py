@@ -643,6 +643,29 @@ class TestRunPipeline:
         log = (tmp_path / "run" / "run.log").read_text()
         assert "preprocess failed" in log
 
+    def test_run_log_has_one_lane_time_line_and_outputs_keep_their_bytes(
+        self, tmp_path
+    ):
+        # Stage 2's lane times go to run.log alone: two runs of one config
+        # differ in their timings but in no other file.
+        for run in ("a", "b"):
+            run_pipeline(fast_config(seed=5), tmp_path / run)
+        lanes = re.findall(
+            r"^\S+ stage2 lanes: calling (\d+\.\d{3}) s busy, worker "
+            r"(\d+\.\d{3}) s busy, calling waited (\d+\.\d{3}) s$",
+            (tmp_path / "a" / "run.log").read_text(), re.M,
+        )
+        assert len(lanes) == 1 and float(lanes[0][1]) > 0
+        files = sorted(p.relative_to(tmp_path / "a")
+                       for p in (tmp_path / "a").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "b")
+                               for p in (tmp_path / "b").rglob("*") if p.is_file())
+        for f in files:
+            if f.name not in ("run.log", "config.txt"):
+                text = (tmp_path / "a" / f).read_bytes()
+                assert text == (tmp_path / "b" / f).read_bytes(), f
+                assert b"lanes" not in text
+
     def test_stage_end_lines_give_elapsed_seconds(self, tmp_path):
         # "<timestamp> stage <name> finished (<seconds> s)", and a failure's
         # message before the seconds.

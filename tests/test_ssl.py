@@ -689,17 +689,53 @@ class TestStage2:
             TrainSchedule(1e-2, 8), FtaConfig(), val_points=2,
         )
 
-    def test_two_lanes_equal_one_inline_lane(self, monkeypatch):
-        # The supervised batch runs on a worker thread; run inline, before
-        # the consistency views, it must give the same bytes.
-        threads = threading.active_count()
-        lanes = []
+    @staticmethod
+    def record_passes(monkeypatch) -> dict[str, list]:
+        """Record, on the calling thread or not, stage 2's supervised
+        batches, its forward passes with their workspace and whether they
+        are perturbed, and its backward passes from probabilities with the
+        workspace of the cache they consume."""
+        passes = {"supervised": [], "forward": [], "prob_backward": []}
+        forward = PatchMLP.forward_cache_multi
+        prob_backward = PatchMLP.grad_from_prob_grad
 
-        def recording(*args):
-            lanes.append(threading.current_thread() is threading.main_thread())
+        def on_main():
+            return threading.current_thread() is threading.main_thread()
+
+        def supervised(*args):
+            passes["supervised"].append(on_main())
             return _supervised_batch(*args)
 
-        monkeypatch.setattr("ftaseg.ssl._supervised_batch", recording)
+        def recording_forward(self, planes, perturb=None, ws=None):
+            passes["forward"].append((on_main(), perturb is not None, ws))
+            return forward(self, planes, perturb, ws)
+
+        def recording_prob_backward(self, cache, grad, scratch=None):
+            passes["prob_backward"].append((on_main(), cache["ws"]))
+            return prob_backward(self, cache, grad, scratch)
+
+        monkeypatch.setattr("ftaseg.ssl._supervised_batch", supervised)
+        monkeypatch.setattr(PatchMLP, "forward_cache_multi", recording_forward)
+        monkeypatch.setattr(PatchMLP, "grad_from_prob_grad", recording_prob_backward)
+        return passes
+
+    def test_two_lanes_equal_one_inline_lane(self, monkeypatch):
+        # The strong views' forward pass and the supervised batch run on a
+        # worker thread, and both consistency backward passes on the calling
+        # one; run inline, before the perturbed pass, they must give the
+        # same bytes.
+        threads = threading.active_count()
+        passes = self.record_passes(monkeypatch)
+
+        def strong_forwards():
+            # The consistency caches are the perturbed pass's and the strong
+            # views'; the strong views' pass is the unperturbed one.
+            consistency = {id(ws) for _, ws in passes["prob_backward"]}
+            perturbed = {id(ws) for _, p, ws in passes["forward"] if p}
+            strong = consistency - perturbed
+            assert len(strong) == len(perturbed) == 1
+            return [main for main, _, ws in passes["forward"] if id(ws) in strong]
+
         # A short switch interval makes the lanes interleave finely.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -708,15 +744,78 @@ class TestStage2:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
-        assert lanes and not any(lanes)
+        assert passes["supervised"] and not any(passes["supervised"])
+        assert len(strong_forwards()) == 8 and not any(strong_forwards())
+        assert len(passes["prob_backward"]) == 16
+        assert all(main for main, _ in passes["prob_backward"])
 
         monkeypatch.setattr("ftaseg.ssl.ThreadPoolExecutor", InlineExecutor)
-        lanes.clear()
+        for seen in passes.values():
+            seen.clear()
         one = self.lanes_run()
-        assert lanes and all(lanes)
+        assert passes["supervised"] and all(passes["supervised"])
+        assert len(strong_forwards()) == 8 and all(strong_forwards())
         assert two.model.params.tobytes() == one.model.params.tobytes()
         assert two.history and two.history == one.history
         assert two.threshold == one.threshold
+
+    def test_lanes_share_no_scratch_within_a_step(self, monkeypatch):
+        # Every pass takes its temporaries from a scratch workspace: a
+        # forward pass its workspace's, a backward pass the one it is given
+        # or else its cache workspace's. Within a step (and the validation
+        # after it), no scratch that a pass on the worker lane uses may be
+        # used by a pass on the calling thread.
+        step, used = [0], []
+        forward = PatchMLP.forward_cache_multi
+        backward = PatchMLP.grad_from_logit_grad
+        update = adamw_step
+
+        def on_main():
+            return threading.current_thread() is threading.main_thread()
+
+        def recording_forward(self, planes, perturb=None, ws=None):
+            used.append((step[0], on_main(), id(ws.scratch)))
+            return forward(self, planes, perturb, ws)
+
+        def recording_backward(self, cache, dz3, scratch=None):
+            tmp = cache["ws"].scratch if scratch is None else scratch
+            used.append((step[0], on_main(), id(tmp)))
+            return backward(self, cache, dz3, scratch)
+
+        def counting_update(*args):
+            step[0] += 1
+            return update(*args)
+
+        monkeypatch.setattr(PatchMLP, "forward_cache_multi", recording_forward)
+        monkeypatch.setattr(PatchMLP, "grad_from_logit_grad", recording_backward)
+        monkeypatch.setattr("ftaseg.ssl.adamw_step", counting_update)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self.lanes_run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert step[0] == 8
+        for s in range(step[0] + 1):
+            main = {tmp for i, m, tmp in used if i == s and m}
+            worker = {tmp for i, m, tmp in used if i == s and not m}
+            assert main.isdisjoint(worker)
+            # After the last step only validation's one case runs, on the
+            # calling thread.
+            assert main and (worker or s == step[0])
+
+    def test_lane_times_cover_the_training_steps(self):
+        # Both lanes work in a step with unlabeled planes; in the
+        # supervised-only branch the worker runs no training work.
+        lanes = self.lanes_run().lanes
+        assert lanes.calling_s > 0 and lanes.worker_s > 0 and lanes.wait_s >= 0
+        rng = np.random.default_rng(36)
+        alone = run_stage2(
+            PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
+            [], [], None, StageConfig(seed=4, batch_size=3), TrainSchedule(1e-2, 4),
+            FtaConfig(), val_points=1,
+        ).lanes
+        assert alone.calling_s > 0 and alone.worker_s == alone.wait_s == 0
 
     def test_never_computes_the_supervised_loss(self, monkeypatch):
         # Stage 2 reads only the supervised gradient, on either branch.

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ftaseg.errors import DataError
+from ftaseg.model import ModelShape, PatchMLP
 from ftaseg.pipeline import _load_windowed
 from ftaseg.preprocess import WindowSpec
+from ftaseg.ssl import predict_volume
 from ftaseg.volume import (
     MaskVolume,
     Volume,
@@ -67,10 +69,35 @@ class TestVolumeInvariants:
 
     def test_mask_values_enforced(self):
         MaskVolume(np.ones((2, 2, 2), dtype=np.uint8))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"mask values must be in \{0, 1\}"):
             MaskVolume(np.full((2, 2, 2), 2, dtype=np.uint8))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"mask values must be in \{0, 1\}"):
             MaskVolume(np.full((2, 2, 2), 0.5))
+
+    def test_loaded_and_predicted_masks_skip_the_value_scan(
+        self, tmp_path, monkeypatch
+    ):
+        # The loader has checked or unpacked a mask's values to {0, 1}, and a
+        # prediction thresholds them there, so neither runs the public
+        # constructor's scan; their masks are read-only like its masks.
+        data = (np.random.default_rng(9).random((3, 4, 5)) < 0.5).astype(np.uint8)
+        packed, bytewise = tmp_path / "packed.vol", tmp_path / "bytewise.vol"
+        save_mask(MaskVolume(data), packed)
+        bytewise.write_bytes(vol1(2, data.shape, data.tobytes()))
+        model = PatchMLP.init_random(ModelShape(3, 4, 3), 0)
+        vol = Volume(np.random.default_rng(10).random((3, 6, 5), dtype=np.float32))
+
+        def no_scan(self):
+            pytest.fail("a known-binary mask was scanned")
+
+        monkeypatch.setattr(MaskVolume, "__post_init__", no_scan)
+        masks = [load_mask(packed), load_mask(bytewise), predict_volume(model, vol)]
+        monkeypatch.undo()
+        for m in masks:
+            assert type(m) is MaskVolume and m.data.dtype == np.uint8
+            assert not m.data.flags.writeable
+        assert masks[0].data.tobytes() == masks[1].data.tobytes() == data.tobytes()
+        assert masks[2].data.tobytes() == MaskVolume(masks[2].data).data.tobytes()
 
 
 class TestVol1RoundTrip:
