@@ -91,7 +91,7 @@ def _cmd_fta(args: argparse.Namespace) -> None:
 
 
 def _cmd_train_stage1(args: argparse.Namespace) -> None:
-    ckpt, pseudo_ids = train_stage1_files(
+    ckpt, pseudo_ids, _ = train_stage1_files(
         args.slices, args.unlabeled, args.out, _config(args)
     )
     print(f"checkpoint {ckpt}; pseudo-annotated: {','.join(sorted(pseudo_ids)) or '-'}")

@@ -8,6 +8,18 @@ grad_from_prob_grad, then adamw_step; inference calls forward_cache_multi
 alone. A perturbed forward pass also returns the unperturbed probabilities
 of the same rows, and a backward pass consumes the cache it reads.
 
+Given a ``Lane`` (a one-worker executor and its scratch), an unperturbed
+forward pass splits its planes at the plane boundary nearest half the rows,
+if that leaves each lane at least ``SPLIT_ROWS`` rows: the calling thread
+runs the first planes end to end while the lane's worker runs the rest,
+each lane writing its own rows of the workspace's buffers and taking its
+temporaries from its own scratch. A backward pass given the lane splits its
+row-wise delta passes at the same cut; its weight-gradient reductions stay
+whole on the calling thread, since two half sums would round differently.
+A row of a layer's product has the same bytes in any block of at least
+that many rows (tests/test_model.py checks the default layer shapes under
+the BLAS it runs on), so a split pass has the bytes of a pass in one lane.
+
 A model computes in the dtype of its parameters: float32 from
 ``init_random``, ``adamw_step`` and ``load_checkpoint``, the precision a
 checkpoint stores. Patches, activations and weight gradients are in that
@@ -30,8 +42,10 @@ import itertools
 import math
 import os
 import struct
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -45,6 +59,14 @@ SELU_SATURATION = -SELU_SCALE * SELU_ALPHA
 # Rows per chunk of the elementwise SELU, SELU-gradient and dropout passes,
 # whose temporaries stay this tall.
 ROW_CHUNK = 4096
+
+# The fewest rows each lane of a split pass gets. Below it the hand-off to
+# the worker costs more than the lane saves: on a 2-core machine a split
+# supervised batch took 1.1-1.5x the time of one lane at 1,024 rows per
+# lane, 0.9-1.2x at 2,048 and 0.75x at 4,096. Blocks this tall also keep
+# each layer's product on the BLAS path of the whole pass (see
+# tests/test_model.py's row-block test).
+SPLIT_ROWS = ROW_CHUNK // 2
 
 CHECKPOINT_MAGIC = b"SEG1"
 _CKPT_HEADER = struct.Struct("<4sIIIIQ")
@@ -255,9 +277,11 @@ class Workspace:
     (patches, activations, keep masks) and the probabilities live in the
     workspace of their role; temporaries live in ``scratch``, which several
     workspaces may share as long as their passes never run at the same
-    time, or in the scratch a backward pass is given. A cache returned by a
-    forward pass views these buffers, so it is valid only until the next
-    forward pass on the same workspace, and a backward pass consumes it.
+    time, or in the scratch a backward pass is given. A split pass's worker
+    half takes its temporaries from its ``Lane``'s scratch instead. A cache
+    returned by a forward pass views these buffers, so it is valid only
+    until the next forward pass on the same workspace, and a backward pass
+    consumes it.
     """
 
     def __init__(self, scratch: "Workspace | None" = None):
@@ -276,6 +300,80 @@ class Workspace:
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._flat[name] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+S = TypeVar("S")
+
+
+def in_two_lanes(
+    fn: Callable[[T, S], R],
+    items: list[T],
+    state: S,
+    lane_state: S,
+    lane: Executor | None = None,
+) -> list[R]:
+    """``[fn(x, state) for x in items]`` in two lanes: the calling thread maps
+    the first half of ``items`` with ``state`` while ``lane``, a one-worker
+    executor (a fresh one when None), maps the rest with ``lane_state``.
+    The states are whatever each lane needs of its own, such as a
+    ``Workspace``, or None.
+
+    Results keep the order of ``items``. The lane is waited for before this
+    returns or raises. Each lane stops at its first error, and the calling
+    thread's error wins, so the error raised is the one of the first failing
+    item, as in a loop over ``items``. With fewer than two items nothing is
+    submitted.
+    """
+    if len(items) < 2:
+        return [fn(x, state) for x in items]
+    if lane is None:
+        with ThreadPoolExecutor(max_workers=1) as own:
+            return in_two_lanes(fn, items, state, lane_state, own)
+    half = (len(items) + 1) // 2
+    rest = lane.submit(lambda: [fn(x, lane_state) for x in items[half:]])
+    try:
+        first = [fn(x, state) for x in items[:half]]
+    finally:
+        rest.exception()  # waits; an error of the calling thread wins
+    return first + rest.result()
+
+
+@dataclass(frozen=True)
+class Lane:
+    """A one-worker executor and the scratch workspace that the passes it
+    runs take their temporaries from."""
+
+    executor: Executor
+    scratch: Workspace
+
+
+def _in_lanes(
+    fn: Callable[[tuple[int, int], Workspace], None],
+    n: int,
+    cut: int,
+    scratch: Workspace,
+    lane: Lane | None,
+) -> None:
+    # fn over the span [0, n): with a lane and 0 < cut < n, the calling
+    # thread runs [0, cut) on scratch while the lane runs [cut, n) on its
+    # own; otherwise the calling thread runs all of it and nothing is
+    # submitted.
+    if lane is None or not 0 < cut < n:
+        fn((0, n), scratch)
+    else:
+        in_two_lanes(fn, [(0, cut), (cut, n)], scratch, lane.scratch, lane.executor)
+
+
+def _cut(sizes: list[int]) -> int:
+    # The number of planes before the plane boundary nearest half the rows,
+    # the earlier boundary on a tie; len(sizes) when there is none or it
+    # leaves a lane fewer than SPLIT_ROWS rows.
+    ends = [0, *itertools.accumulate(sizes)]
+    n = ends[-1]
+    j = min(range(1, len(sizes)), key=lambda j: abs(2 * ends[j] - n), default=0)
+    return j if min(ends[j], n - ends[j]) >= SPLIT_ROWS else len(sizes)
 
 
 class PatchMLP:
@@ -324,17 +422,18 @@ class PatchMLP:
         b3 = vec[o]
         return w1, b1, w2, b2, w3, b3
 
-    def _build_patches(self, planes: list[np.ndarray], ws: Workspace) -> np.ndarray:
+    def _build_patches(
+        self, planes: list[np.ndarray], rows: np.ndarray, scratch: Workspace
+    ) -> None:
         # Each plane's k x k reflect-padded windows, mapped from [0, 1]
-        # intensities to [-1, 1] features, written straight into the
-        # workspace's patch rows in plane order. Each run of equal-shape
-        # planes is stacked into a scratch buffer, padded there and windowed
-        # once. The padding copies rows, then columns over the padded
-        # height, as np.pad(mode="reflect") does.
+        # intensities to [-1, 1] features, written straight into ``rows`` in
+        # plane order. Each run of equal-shape planes is stacked into a
+        # scratch buffer, padded there and windowed once. The padding copies
+        # rows, then columns over the padded height, as
+        # np.pad(mode="reflect") does.
         k = self.shape.patch
         pad = k // 2
         dtype = self.params.dtype
-        rows = ws.take("patches", (sum(u.size for u in planes), k * k), dtype)
         o = 0
         for (h, w), run in itertools.groupby(planes, key=lambda u: u.shape):
             if pad > 0 and min(h, w) <= pad:
@@ -342,7 +441,7 @@ class PatchMLP:
                     f"plane {(h, w)} too small for reflect padding of {pad}"
                 )
             run = list(run)
-            data = ws.scratch.take(
+            data = scratch.take(
                 "padded", (len(run), h + 2 * pad, w + 2 * pad), dtype
             )
             cols = slice(pad, pad + w)
@@ -359,72 +458,88 @@ class PatchMLP:
             np.multiply(windows, 2.0, out=dst)
             dst -= 1.0
             o += n
-        return rows
 
-    def _forward_rows(
+    def _forward(
         self,
-        p: np.ndarray,
+        planes: list[np.ndarray],
         perturb: Perturbation | None,
         ws: Workspace,
-        sizes: list[int],
+        lane: Lane | None,
     ) -> dict:
         # Rows are independent pixels, so any number of planes can share one
-        # forward pass once their patch rows are stacked; ``sizes`` gives
-        # each plane's row count.
+        # forward pass once their patch rows are stacked, and any run of
+        # whole planes can be computed apart from the others.
         if not np.all(np.isfinite(self.params)):
             raise NumericError("model parameters contain non-finite values")
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
-        n, h1, h2 = len(p), self.shape.hidden1, self.shape.hidden2
+        sizes = [u.size for u in planes]
+        starts = [0, *itertools.accumulate(sizes)]
+        n, h1, h2 = starts[-1], self.shape.hidden1, self.shape.hidden2
         dtype = self.params.dtype
-        tmp = ws.scratch
-        ends = np.cumsum(sizes)
+        p = ws.take("patches", (n, self.shape.n_inputs), dtype)
+        a1_pre = ws.take("a1_pre", (n, h1), dtype)
+        a2_pre = ws.take("a2_pre", (n, h2), dtype)
+        # An unperturbed pass writes its probabilities; a perturbed one
+        # first computes its unperturbed view of the same rows.
+        clean = ws.take("probs" if perturb is None else "weak_probs", (n,), np.float64)
 
-        def dense_selu(x, w, b, name, width):
-            z = np.matmul(x, w.T, out=ws.take(name, (n, width), dtype))
+        def dense_selu(x, w, b, z, scratch):
+            np.matmul(x, w.T, out=z)
             z += b
-            return _selu_(z, tmp)
+            return _selu_(z, scratch)
+
+        def head(a, plane_sizes, probs, scratch):
+            # One matrix-vector product per plane, as a pass over that plane
+            # alone computes it: the product can round a row differently
+            # with the number of rows it is given, so one product over all
+            # planes would not give each plane's bytes. The logits are
+            # widened to float64 into ``probs``, where the sigmoid
+            # overwrites them with the probabilities.
+            z = scratch.take("logits", (len(a),), dtype)
+            o = 0
+            for m in plane_sizes:
+                np.matmul(a[o:o + m], w3, out=z[o:o + m])
+                o += m
+            z += b3
+            probs[...] = z
+            _sigmoid_(probs, scratch)
+
+        def unperturbed(span, scratch):
+            # Planes [i, j) end to end, into their own rows of the buffers.
+            i, j = span
+            rows = slice(starts[i], starts[j])
+            self._build_patches(planes[i:j], p[rows], scratch)
+            dense_selu(p[rows], w1, b1, a1_pre[rows], scratch)
+            dense_selu(a1_pre[rows], w2, b2, a2_pre[rows], scratch)
+            head(a2_pre[rows], sizes[i:j], clean[rows], scratch)
+
+        # Dropout draws one generator stream in row order, so a perturbed
+        # pass is not split.
+        cut = len(planes) if perturb is not None else _cut(sizes)
+        _in_lanes(unperturbed, len(planes), cut, ws.scratch, lane)
+        cache = dict(patches=p, a1_pre=a1_pre, a2_pre=a2_pre, ws=ws, cut=starts[cut])
+        if perturb is None:
+            cache.update(a1=a1_pre, a2=a2_pre, probs=clean, keep1=None, keep2=None,
+                         scale=1.0)
+            return cache
+
+        tmp = ws.scratch
 
         def dropout(a, rng, name, keep_name):
             out = ws.take(name, a.shape, dtype)
             keep = ws.take(keep_name, a.shape, bool)
             return out, keep, _alpha_dropout_(a, perturb.rate, rng, out, keep, tmp)
 
-        def head(a, name):
-            # One matrix-vector product per plane, as a pass over that plane
-            # alone computes it: the product can round a row differently
-            # with the number of rows it is given, so one product over all
-            # planes would not give each plane's bytes. The logits are
-            # widened to float64 into the named buffer, where the sigmoid
-            # overwrites them with the probabilities.
-            z = tmp.take("logits", (n,), dtype)
-            for m, e in zip(sizes, ends):
-                np.matmul(a[e - m:e], w3, out=z[e - m:e])
-            z += b3
-            probs = ws.take(name, (n,), np.float64)
-            probs[...] = z
-            return _sigmoid_(probs, tmp)
-
-        a1_pre = dense_selu(p, w1, b1, "a1_pre", h1)
-        cache: dict = {}
-        if perturb is not None:
-            # The unperturbed view of the same rows, forward only: layer 2
-            # over a1_pre, in the buffer that the perturbed layer 2
-            # overwrites next, then the head.
-            weak = head(dense_selu(a1_pre, w2, b2, "a2_pre", h2), "weak_probs")
-            cache["weak_probs"] = np.clip(weak, 1e-15, 1.0 - 1e-15, out=weak)
-            rng = np.random.default_rng(perturb.seed)
-            a1, keep1, scale = dropout(a1_pre, rng, "a1", "keep1")
-        else:
-            a1, keep1, scale = a1_pre, None, 1.0
-        a2_pre = dense_selu(a1, w2, b2, "a2_pre", h2)
-        a2, keep2 = a2_pre, None
-        if perturb is not None:
-            a2, keep2, _ = dropout(a2_pre, rng, "a2", "keep2")
-        probs = head(a2, "probs")
-        cache.update(
-            patches=p, a1_pre=a1_pre, a1=a1, a2_pre=a2_pre, a2=a2, probs=probs,
-            keep1=keep1, keep2=keep2, scale=scale, ws=ws,
-        )
+        cache["weak_probs"] = np.clip(clean, 1e-15, 1.0 - 1e-15, out=clean)
+        rng = np.random.default_rng(perturb.seed)
+        a1, keep1, scale = dropout(a1_pre, rng, "a1", "keep1")
+        # Layer 2 again, over the dropped-out a1, in the buffer the
+        # unperturbed view is done with.
+        dense_selu(a1, w2, b2, a2_pre, tmp)
+        a2, keep2, _ = dropout(a2_pre, rng, "a2", "keep2")
+        probs = ws.take("probs", (n,), np.float64)
+        head(a2, sizes, probs, tmp)
+        cache.update(a1=a1, a2=a2, probs=probs, keep1=keep1, keep2=keep2, scale=scale)
         return cache
 
     def forward_cache(
@@ -436,25 +551,24 @@ class PatchMLP:
         """One forward pass over a 2D plane. The cache views ``ws`` (a fresh
         workspace when None) and is valid until its next forward pass."""
         ws = Workspace() if ws is None else ws
-        return self._forward_rows(
-            self._build_patches([plane], ws), perturb, ws, [plane.size]
-        )
+        return self._forward([plane], perturb, ws, None)
 
     def forward_cache_multi(
         self,
         planes: list[np.ndarray],
         perturb: Perturbation | None = None,
         ws: Workspace | None = None,
+        lane: Lane | None = None,
     ) -> dict:
         """One forward pass over several 2D planes; probabilities stay
         stacked in plane order. The cache is valid until the next forward
         pass on ``ws``. With ``perturb``, ``"weak_probs"`` also holds the
         unperturbed probabilities of the same rows, clipped like
-        ``predict_probs``."""
+        ``predict_probs``. With ``lane``, an unperturbed pass over two or
+        more planes runs its later planes on the lane (see the module
+        docstring); the bytes are those of a pass without it."""
         ws = Workspace() if ws is None else ws
-        return self._forward_rows(
-            self._build_patches(planes, ws), perturb, ws, [u.size for u in planes]
-        )
+        return self._forward(planes, perturb, ws, lane)
 
     def predict_probs(
         self,
@@ -467,7 +581,11 @@ class PatchMLP:
         return np.clip(probs, 1e-15, 1.0 - 1e-15)
 
     def grad_from_logit_grad(
-        self, cache: dict, dz3: np.ndarray, scratch: Workspace | None = None
+        self,
+        cache: dict,
+        dz3: np.ndarray,
+        scratch: Workspace | None = None,
+        lane: Lane | None = None,
     ) -> np.ndarray:
         """Parameter gradient (float64) from a per-row gradient on the
         output logits.
@@ -477,7 +595,9 @@ class PatchMLP:
         ``a2``/``a1`` when they are the same buffers), so each cache serves
         one backward pass. Its temporaries live in ``scratch``, by default
         the scratch of the cache's workspace; a backward pass that runs on
-        another thread than its forward pass passes its own thread's.
+        another thread than its forward pass passes its own thread's. With
+        ``lane``, the row-wise delta passes of an unperturbed pass's later
+        planes run on the lane, split where its forward pass splits them.
         """
         w1, b1, w2, b2, w3, b3 = self._unpack(self.params)
         a2, a1, p = cache["a2"], cache["a1"], cache["patches"]
@@ -492,19 +612,24 @@ class PatchMLP:
             # Overwrites a_pre, a chunk of rows at a time, with the delta
             # upstream * keep*scale (dropout) * selu'(z); each chunk's
             # derivative is taken before its rows are overwritten.
-            for r0 in range(0, len(a_pre), ROW_CHUNK):
-                rows = slice(r0, r0 + ROW_CHUNK)
-                d = a_pre[rows]
-                g = _selu_grad_(d, tmp)
-                upstream(rows, d)
-                if keep is not None:
-                    # keep*scale in the pass dtype: the same values as a
-                    # float64 product cast down, without its casting loop.
-                    keep_scale = tmp.take("keep_scale", d.shape, dtype)
-                    np.copyto(keep_scale, keep[rows])
-                    keep_scale *= scale
-                    d *= keep_scale
-                d *= g
+            def delta(span, s):
+                lo, hi = span
+                for r0 in range(lo, hi, ROW_CHUNK):
+                    rows = slice(r0, min(r0 + ROW_CHUNK, hi))
+                    d = a_pre[rows]
+                    g = _selu_grad_(d, s)
+                    upstream(rows, d)
+                    if keep is not None:
+                        # keep*scale in the pass dtype: the same values as
+                        # a float64 product cast down, without its casting
+                        # loop.
+                        keep_scale = s.take("keep_scale", d.shape, dtype)
+                        np.copyto(keep_scale, keep[rows])
+                        keep_scale *= scale
+                        d *= keep_scale
+                    d *= g
+
+            _in_lanes(delta, len(a_pre), cache["cut"], tmp, lane)
             return a_pre
 
         # Each weight gradient is formed before the deltas overwrite the

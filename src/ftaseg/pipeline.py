@@ -29,6 +29,7 @@ from .metrics import CSV_HEADER, MetricsReport, evaluate_masks, mean_report
 from .model import (
     ModelShape,
     TrainSchedule,
+    in_two_lanes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -53,7 +54,6 @@ from .ssl import (
     LaneTimes,
     StageConfig,
     TrainSlice,
-    in_two_lanes,
     run_stage1,
     run_stage2,
 )
@@ -562,7 +562,7 @@ def train_stage1_files(
     unlabeled_dir: Path | str | None,
     out_dir: Path | str,
     cfg: PipelineConfig,
-) -> tuple[Path, frozenset[str]]:
+) -> tuple[Path, frozenset[str], LaneTimes]:
     """Train on labeled slices and pseudo-annotate unlabeled volumes, each
     windowed by ``cfg.window()`` as it is read.
 
@@ -570,7 +570,8 @@ def train_stage1_files(
     headers of all of them, and of the labeled volumes, are checked for
     plane size before training. The pseudo masks, stage 2's second training
     source, replace any in ``out_dir/pseudo`` as ``<id>_mask.vol``. Returns
-    the checkpoint path and the pseudo-annotated volume ids.
+    the checkpoint path, the pseudo-annotated volume ids, and the busy and
+    wait times of the training steps' two lanes.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -611,7 +612,7 @@ def train_stage1_files(
     ]
     lines += [f"warning = {w}" for w in result.warnings]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ckpt, frozenset(result.selected_ids)
+    return ckpt, frozenset(result.selected_ids), result.lanes
 
 
 def train_stage2_files(
@@ -825,9 +826,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: Path | str, echo: bool = False) -
         slice_dir(labeled_dir, slices, cfg)
 
     stage("preprocess", preprocess)
-    stage1_ckpt, _ = stage("stage1", lambda: train_stage1_files(
+    stage1_ckpt, _, lanes = stage("stage1", lambda: train_stage1_files(
         slices, unlabeled_dir, out / "stage1", cfg
     ))
+    log(str(lanes))
     stage2_ckpt, val_reports, lanes = stage("stage2", lambda: train_stage2_files(
         slices, out / "stage1" / "pseudo", unlabeled_dir, val_dir, stage1_ckpt,
         out / "stage2", cfg,

@@ -11,8 +11,11 @@ a worker thread takes the strong views' forward pass and then the
 supervised batch, while the calling thread takes the perturbed (and weak)
 pass and the threshold update, then the consistency loss and the backward
 passes of the perturbed and strong views. Each pass takes its temporaries
-from its own lane's scratch. Inference (pseudo-annotation and validation)
-runs in two lanes over volumes.
+from its own lane's scratch. Stage 1's training steps, and stage 2's when
+it has no unlabeled planes, split each supervised batch by planes across
+the calling thread and a one-worker lane (see ``model``). Inference
+(pseudo-annotation and validation) runs in two lanes over volumes, on the
+stage's worker thread and buffers.
 """
 
 from __future__ import annotations
@@ -32,12 +35,14 @@ from .metrics import MetricsReport, evaluate_masks, mean_report
 from .model import (
     ROW_CHUNK,
     AdamWState,
+    Lane,
     ModelShape,
     PatchMLP,
     Perturbation,
     TrainSchedule,
     Workspace,
     adamw_step,
+    in_two_lanes,
     poly_lr,
 )
 from .volume import MaskVolume, Volume
@@ -58,42 +63,7 @@ STRONG_VIEWS = 2
 # interpreter lock.
 PREDICT_ROWS = 2 * ROW_CHUNK
 
-T = TypeVar("T")
 R = TypeVar("R")
-S = TypeVar("S")
-
-
-def in_two_lanes(
-    fn: Callable[[T, S], R],
-    items: list[T],
-    state: S,
-    lane_state: S,
-    lane: Executor | None = None,
-) -> list[R]:
-    """``[fn(x, state) for x in items]`` in two lanes: the calling thread maps
-    the first half of ``items`` with ``state`` while ``lane``, a one-worker
-    executor (a fresh one when None), maps the rest with ``lane_state``.
-    The states are whatever each lane needs of its own, such as a
-    ``Workspace``, or None.
-
-    Results keep the order of ``items``. The lane is waited for before this
-    returns or raises. Each lane stops at its first error, and the calling
-    thread's error wins, so the error raised is the one of the first failing
-    item, as in a loop over ``items``. With fewer than two items nothing is
-    submitted.
-    """
-    if len(items) < 2:
-        return [fn(x, state) for x in items]
-    if lane is None:
-        with ThreadPoolExecutor(max_workers=1) as own:
-            return in_two_lanes(fn, items, state, lane_state, own)
-    half = (len(items) + 1) // 2
-    rest = lane.submit(lambda: [fn(x, lane_state) for x in items[half:]])
-    try:
-        first = [fn(x, state) for x in items[:half]]
-    finally:
-        rest.exception()  # waits; an error of the calling thread wins
-    return first + rest.result()
 
 
 @dataclass(frozen=True)
@@ -166,14 +136,15 @@ def generate_pseudo_labels(
     load: Callable[[str], Volume],
     count: int,
     seed,
-    ws: Workspace | None = None,
+    workspaces: tuple[Workspace, Workspace] | None = None,
+    lane: Executor | None = None,
 ) -> list[PseudoLabel]:
     """Argmax pseudo-annotations for a seeded selection of volumes.
 
     Selection is uniform without replacement over ``ids``; ``load`` is
     called only for the selected ids, and the results keep the order of
-    ``ids``. The volumes are predicted in two lanes, the calling thread's
-    on ``ws`` (fresh when None).
+    ``ids``. The volumes are predicted in two lanes (see ``in_two_lanes``)
+    on ``workspaces`` (fresh when None).
     """
     if count > len(ids):
         raise DataError(
@@ -187,9 +158,8 @@ def generate_pseudo_labels(
     def annotate(i: int, lane_ws: Workspace) -> PseudoLabel:
         return PseudoLabel(ids[i], predict_volume(model, load(ids[i]), lane_ws).data)
 
-    return in_two_lanes(
-        annotate, chosen, Workspace() if ws is None else ws, Workspace()
-    )
+    ws, lane_ws = (Workspace(), Workspace()) if workspaces is None else workspaces
+    return in_two_lanes(annotate, chosen, ws, lane_ws, lane)
 
 
 def weak_confidence(weak_probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -292,30 +262,70 @@ HISTORY_HEADER = "epoch,split,dice,iou,hd_norm,score,tau"
 
 
 @dataclass
+class LaneTimes:
+    """Seconds of a stage's training steps: the calling thread's busy time,
+    the worker lane's, and the calling thread's waits on the worker."""
+
+    stage: str
+    calling_s: float = 0.0
+    worker_s: float = 0.0
+    wait_s: float = 0.0
+
+    def __str__(self) -> str:
+        return (f"{self.stage} lanes: calling {self.calling_s:.3f} s busy, worker "
+                f"{self.worker_s:.3f} s busy, calling waited {self.wait_s:.3f} s")
+
+
+class _TimedFuture:
+    # A future whose waits count as the calling thread's.
+    def __init__(self, future: Future, times: LaneTimes):
+        self._future, self._times = future, times
+
+    def _waited(self, get: Callable[[], R]) -> R:
+        start = time.perf_counter()
+        try:
+            return get()
+        finally:
+            self._times.wait_s += time.perf_counter() - start
+
+    def result(self):
+        return self._waited(self._future.result)
+
+    def exception(self):
+        return self._waited(self._future.exception)
+
+
+class TimedLane(Executor):
+    """A one-worker executor that counts into ``times`` the seconds its
+    worker spends in each submitted call and the seconds the calling thread
+    waits on the results. Each field has one writing thread."""
+
+    def __init__(self, executor: Executor, times: LaneTimes):
+        self._executor, self.times = executor, times
+
+    def submit(self, fn, /, *args):
+        def timed():
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.times.worker_s += time.perf_counter() - start
+
+        return _TimedFuture(self._executor.submit(timed), self.times)
+
+
+@dataclass
 class Stage1Result:
     model: PatchMLP
     step: int
     pseudo: list[PseudoLabel]
     epoch_losses: list[float]
     warnings: list[str]
+    lanes: LaneTimes
 
     @property
     def selected_ids(self) -> list[str]:
         return sorted(p.source_id for p in self.pseudo)
-
-
-@dataclass
-class LaneTimes:
-    """Seconds of stage 2's training steps: the calling thread's busy time,
-    the worker lane's, and the calling thread's waits on the worker."""
-
-    calling_s: float = 0.0
-    worker_s: float = 0.0
-    wait_s: float = 0.0
-
-    def __str__(self) -> str:
-        return (f"stage2 lanes: calling {self.calling_s:.3f} s busy, worker "
-                f"{self.worker_s:.3f} s busy, calling waited {self.wait_s:.3f} s")
 
 
 @dataclass
@@ -371,17 +381,24 @@ def evaluate_volumes(
 
 
 def _supervised_batch(
-    model: PatchMLP, batch: list[TrainSlice], ws: Workspace | None = None
+    model: PatchMLP,
+    batch: list[TrainSlice],
+    ws: Workspace | None = None,
+    lane: Lane | None = None,
 ) -> tuple[Callable[[], float], np.ndarray]:
     # Mean of per-slice weighted BCE over one stacked pass on ws (fresh when
-    # None): the parameter gradient, and a function that computes the loss
-    # value of the same pass when called before ws's next pass (stage 1
-    # calls it; stage 2 has no use for it). The terms live in buffers of
-    # ws's scratch and take the same operations, so the same bytes, as
+    # None), its later planes' rows on lane when given: the parameter
+    # gradient, and a function that computes the loss value of the same
+    # pass when called before ws's next pass (stage 1 calls it; stage 2 has
+    # no use for it). The terms live in buffers of ws's scratch and take the
+    # same operations, so the same bytes, as
     #   ce = -(t * log(p) + (1 - t) * log1p(-p)),  loss = sum(w * ce) / B,
     #   dz3 = where(inside, probs - t, 0) * w / B.
     ws = Workspace() if ws is None else ws
-    cache = model.forward_cache_multi([ts.image for ts in batch], ws=ws)
+    # The lane is passed only when given, so a stand-in for either pass
+    # written for calls without one still serves the batches that have none.
+    split = {} if lane is None else {"lane": lane}
+    cache = model.forward_cache_multi([ts.image for ts in batch], ws=ws, **split)
     probs = cache["probs"]
     n, tmp = len(probs), ws.scratch
 
@@ -414,7 +431,7 @@ def _supervised_batch(
     np.copyto(dz3, 0.0, where=outside)
     dz3 *= pixel_w
     dz3 /= len(batch)
-    return loss, model.grad_from_logit_grad(cache, dz3)
+    return loss, model.grad_from_logit_grad(cache, dz3, **split)
 
 
 def run_stage1(
@@ -443,32 +460,43 @@ def run_stage1(
     per_epoch = -(-n // cfg.batch_size)
     sched = TrainSchedule(base_lr, cfg.stage1_epochs * per_epoch)
     epoch_losses: list[float] = []
-    ws = Workspace()
-    it = 0
-    for _ in range(cfg.stage1_epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = [labeled[i] for i in order[start:start + cfg.batch_size]]
-            loss, grad = _supervised_batch(model, batch, ws)
-            epoch_loss += loss()
-            model.params, opt = adamw_step(model.params, grad, opt, poly_lr(sched, it))
-            it += 1
-        epoch_losses.append(epoch_loss / per_epoch)
-
     warnings: list[str] = []
     count = cfg.stage1_pseudo_count
     if count > len(unlabeled_ids):
         warnings.append(f"pseudo count clamped from {count} to {len(unlabeled_ids)}")
         count = len(unlabeled_ids)
+    # The calling thread's passes take their temporaries from ws's scratch
+    # and the worker's from lane_ws, in training and in pseudo-annotation.
+    ws, lane_ws, lanes = Workspace(), Workspace(), LaneTimes("stage1")
+    it = 0
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        lane = Lane(TimedLane(executor, lanes), lane_ws)
+        for _ in range(cfg.stage1_epochs):
+            order = shuffle_rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                step_start, step_wait = time.perf_counter(), lanes.wait_s
+                batch = [labeled[i] for i in order[start:start + cfg.batch_size]]
+                loss, grad = _supervised_batch(model, batch, ws, lane)
+                epoch_loss += loss()
+                model.params, opt = adamw_step(
+                    model.params, grad, opt, poly_lr(sched, it)
+                )
+                it += 1
+                lanes.calling_s += (
+                    time.perf_counter() - step_start - (lanes.wait_s - step_wait)
+                )
+            epoch_losses.append(epoch_loss / per_epoch)
+        pseudo = generate_pseudo_labels(
+            model, unlabeled_ids, load, count, pseudo_ss, (ws, lane_ws), executor
+        )
     return Stage1Result(
         model=model,
         step=opt.step,
-        pseudo=generate_pseudo_labels(
-            model, unlabeled_ids, load, count, pseudo_ss, ws
-        ),
+        pseudo=pseudo,
         epoch_losses=epoch_losses,
         warnings=warnings,
+        lanes=lanes,
     )
 
 
@@ -543,37 +571,24 @@ def run_stage2(
     # from that lane's scratch: the worker's is ``sup_ws`` itself, which the
     # strong views' forward pass shares, and the calling thread's is
     # ``scratch``, which the perturbed pass and both consistency backward
-    # passes use. Validation's lanes run on the perturbed and supervised
-    # workspaces, idle between steps. The augmented pairs of each plane
-    # shape have a workspace of their own, since a step's planes view them
-    # until the step ends.
+    # passes use. The supervised-only branch trains on the perturbed
+    # workspace, its worker half on ``sup_ws``. Validation's lanes run on
+    # the perturbed and supervised workspaces, idle between steps. The
+    # augmented pairs of each plane shape have a workspace of their own,
+    # since a step's planes view them until the step ends.
     sup_ws, scratch = Workspace(), Workspace()
     strong_ws, fp_ws = Workspace(sup_ws), Workspace(scratch)
     fta_ws: dict[tuple[int, int], Workspace] = defaultdict(Workspace)
     n_val = min(val_points, sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
-    lanes = LaneTimes()
-
-    def on_worker(fn: Callable[..., R], *args) -> R:
-        start = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            lanes.worker_s += time.perf_counter() - start
-
-    def wait(future: Future[R]) -> R:
-        start = time.perf_counter()
-        try:
-            return future.result()
-        finally:
-            lanes.wait_s += time.perf_counter() - start
+    lanes = LaneTimes("stage2")
 
     # The worker lane only reads model.params and the step's planes, and
-    # writes only the strong and supervised workspaces; every random draw
-    # stays on this thread. The supervised-only branch submits only
-    # validation cases.
+    # writes only the strong and supervised workspaces and its rows of a
+    # split pass; every random draw stays on this thread.
     with ThreadPoolExecutor(max_workers=1) as lane:
+        timed = TimedLane(lane, lanes)
         for it in range(sched.total_iters):
             step_start, step_wait = time.perf_counter(), lanes.wait_s
             lr = poly_lr(sched, it)
@@ -582,7 +597,7 @@ def run_stage2(
             )
             if supervised_only:
                 _, grad = _supervised_batch(
-                    model, [labeled[i] for i in l_idx], sup_ws
+                    model, [labeled[i] for i in l_idx], fp_ws, Lane(timed, sup_ws)
                 )
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
             else:
@@ -639,13 +654,10 @@ def run_stage2(
                 # supervised batch.
                 strong = None
                 if strong_planes:
-                    strong = lane.submit(
-                        on_worker, model.forward_cache_multi, strong_planes,
-                        None, strong_ws,
+                    strong = timed.submit(
+                        model.forward_cache_multi, strong_planes, None, strong_ws
                     )
-                sup = lane.submit(
-                    on_worker, _supervised_batch, model, sup_batch, sup_ws
-                )
+                sup = timed.submit(_supervised_batch, model, sup_batch, sup_ws)
 
                 # The calling lane. The perturbed pass also yields the weak
                 # view, which is never back-propagated.
@@ -655,7 +667,7 @@ def run_stage2(
                     weak_probs, scratch.take("confidence", weak_probs.shape, np.float64)
                 )
                 tau_state = update_threshold(tau_state, confidence)
-                strong_cache = wait(strong) if strong is not None else None
+                strong_cache = strong.result() if strong is not None else None
 
                 strong_probs = strong_cache["probs"] if strong_cache else np.empty(0)
                 fp_grad, strong_grad = consistency_loss(
@@ -672,7 +684,7 @@ def run_stage2(
 
                 # Join; the gradients add in a fixed order whichever lane
                 # finished first.
-                _, grad = wait(sup)
+                _, grad = sup.result()
                 w_u = cfg.unsup_weight / cfg.batch_size
                 grad += w_u * fp_grad
                 if strong_cache is not None:

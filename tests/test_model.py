@@ -1,16 +1,23 @@
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftaseg import model as model_module
 from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.model import (
     ROW_CHUNK,
     SELU_ALPHA,
     SELU_SCALE,
+    SPLIT_ROWS,
     AdamWState,
+    Lane,
     ModelShape,
     PatchMLP,
     Perturbation,
@@ -30,6 +37,7 @@ from ftaseg.model import (
 )
 from ftaseg.ssl import TrainSlice, _supervised_batch
 
+from golden import blas_key
 from oracles import (
     _alpha_dropout_ref,
     _selu_grad_ref,
@@ -149,7 +157,8 @@ class TestForward:
         planes = [rng.random(hw, dtype=np.float32) for hw in sides]
         ws = Workspace()
         for run in (planes, planes[::-1], planes[3:]):
-            rows = model._build_patches(run, ws)
+            rows = ws.take("patches", (sum(u.size for u in run), patch**2), np.float32)
+            model._build_patches(run, rows, ws)
             want = np.concatenate([
                 np.lib.stride_tricks.sliding_window_view(
                     np.pad(u, pad, mode="reflect"), (patch, patch)
@@ -315,6 +324,153 @@ class TestWorkspacePasses:
         want = np.concatenate([model.predict_probs(u).ravel() for u in planes])
         assert cache["weak_probs"].tobytes() == want.tobytes()
         _check_backward(model, cache, _ref_forward(model, planes, perturb), rng)
+
+
+class CountingPool:
+    """A one-worker thread pool that counts the calls submitted to it."""
+
+    def __init__(self, pool: ThreadPoolExecutor):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return self.pool.submit(fn, *args)
+
+
+class TestSplitPass:
+    """A pass split across a lane has the bytes of a pass in one lane."""
+
+    @pytest.mark.parametrize(
+        "sides",
+        [
+            [(32, 32)] * 8,
+            [(48, 48)] * 8,  # more than ROW_CHUNK rows per lane
+            [(32, 32), (40, 27), (40, 27), (32, 32), (48, 40), (9, 9)],
+            [(32, 36)] * 5,
+            [(64, 64)],
+            [(16, 16)] * 8,  # SPLIT_ROWS rows in all
+        ],
+        ids=["8x32x32", "8x48x48", "mixed", "odd", "one-plane", "too-few-rows"],
+    )
+    def test_split_forward_and_backward_keep_every_byte(self, sides, monkeypatch):
+        model = PatchMLP.init_random(ModelShape(), 3)
+        rng = np.random.default_rng(len(sides))
+        model.params += rng.normal(0.0, 0.3, model.params.size).astype(np.float32)
+        planes = [rand_slice(rng, h, w) for h, w in sides]
+        dz3 = rng.normal(size=sum(u.size for u in planes))
+        names = ("patches", "a1_pre", "a2_pre", "probs")
+
+        def run(lane):
+            cache = model.forward_cache_multi(planes, ws=Workspace(), lane=lane)
+            forward = [cache[k].tobytes() for k in names]
+            grad = model.grad_from_logit_grad(cache, dz3, lane=lane)
+            return forward, [cache[k].tobytes() for k in names], grad.tobytes()
+
+        one = run(None)
+        # Each pass's temporaries, seen where SELU and its gradient take
+        # them: by thread, the scratch workspaces used.
+        used = {True: set(), False: set()}
+        for name in ("_selu_", "_selu_grad_"):
+            def recording(a, scratch, fn=getattr(model_module, name)):
+                used[threading.current_thread() is threading.main_thread()].add(
+                    id(scratch))
+                return fn(a, scratch)
+
+            monkeypatch.setattr(model_module, name, recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                lane = Lane(CountingPool(pool), Workspace())
+                two = run(lane)
+        finally:
+            sys.setswitchinterval(interval)
+        assert two == one
+        if len(planes) == 1 or sum(u.size for u in planes) < 2 * SPLIT_ROWS:
+            assert lane.executor.submitted == 0 and not used[False]
+        else:
+            # One forward half and two delta passes on the worker.
+            assert lane.executor.submitted == 3
+            assert used[False] == {id(lane.scratch)}
+            assert id(lane.scratch) not in used[True]
+
+    def test_error_in_the_worker_half_surfaces_once_both_lanes_stop(
+        self, monkeypatch
+    ):
+        # 2304, 2304 and 2400 rows: the boundary nearest half the rows falls
+        # after the second plane, so the 2 x 1200 plane, too small for
+        # reflect padding of 2, is the worker's. The calling lane is slower,
+        # and it still finishes its planes before the worker's error is
+        # raised.
+        model = PatchMLP.init_random(ModelShape(5, 4, 3), 0)
+        rng = np.random.default_rng(8)
+        planes = [rand_slice(rng, 48, 48) for _ in range(2)]
+        planes.append(rand_slice(rng, 2, 1200))
+        raised, finished = [], []
+        build, sigmoid = PatchMLP._build_patches, model_module._sigmoid_
+
+        def recording_build(self, run, rows, scratch):
+            try:
+                return build(self, run, rows, scratch)
+            except DataError as exc:
+                raised.append((threading.current_thread(), exc))
+                raise
+
+        def slow_sigmoid(z, scratch):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.05)
+                finished.append(len(raised))
+            return sigmoid(z, scratch)
+
+        monkeypatch.setattr(PatchMLP, "_build_patches", recording_build)
+        monkeypatch.setattr(model_module, "_sigmoid_", slow_sigmoid)
+        threads = threading.active_count()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(DataError, match=r"plane \(2, 1200\) too small") as info:
+                model.forward_cache_multi(planes, lane=Lane(pool, Workspace()))
+        ((thread, exc),) = raised
+        assert thread is not threading.main_thread() and info.value is exc
+        assert finished == [1]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [2 * SPLIT_ROWS, 8 * 1024, 6209, 16 * 2304 + 7])
+    def test_row_blocks_of_a_layer_product_are_its_rows(self, rows, dtype):
+        # What a split pass rests on: a row of each product of the default
+        # model has the same bytes whether the product runs over all rows or
+        # over a block of at least SPLIT_ROWS of them. The forward products
+        # (patches by W1^T, a1 by W2^T) run over the whole pass or one block
+        # per lane; dz2 by W2 runs in ROW_CHUNK chunks, from row 0 or from
+        # each lane's first row. A BLAS whose kernel choice depends on the
+        # block's height can break this; golden would then fail without
+        # saying why, so this names the kernel.
+        shape = ModelShape()
+        k2, h1, h2 = shape.n_inputs, shape.hidden1, shape.hidden2
+        rng = np.random.default_rng(rows)
+        w1, w2 = rng.normal(0, 0.2, (h1, k2)), rng.normal(0, 0.2, (h2, h1))
+        products = {
+            "patches @ w1.T": (rng.uniform(-1, 1, (rows, k2)), w1.T, rows),
+            "a1 @ w2.T": (rng.normal(0, 1, (rows, h1)), w2.T, rows),
+            "dz2 @ w2": (rng.normal(0, 1e-3, (rows, h2)), w2, ROW_CHUNK),
+        }
+
+        def blocks(x, w, starts, height):
+            out = np.empty((len(x), w.shape[1]), x.dtype)
+            for lo, hi in zip(starts, [*starts[1:], len(x)]):
+                for r0 in range(lo, hi, height):
+                    r1 = min(r0 + height, hi)
+                    np.matmul(x[r0:r1], w, out=out[r0:r1])
+            return out.tobytes()
+
+        cuts = range(SPLIT_ROWS, rows - SPLIT_ROWS + 1, 173)
+        for name, (x, w, height) in products.items():
+            x, w = x.astype(dtype), w.astype(dtype)
+            one_lane = blocks(x, w, [0], height)
+            for cut in [*cuts, rows - SPLIT_ROWS]:
+                assert blocks(x, w, [0, cut], height) == one_lane, (
+                    f"{name} ({np.dtype(dtype).name}) split at row {cut} of "
+                    f"{rows} differs from one lane's under BLAS {blas_key()}"
+                )
 
 
 def train_slice(rng, h=4, w=4, weight=1.0):

@@ -524,7 +524,7 @@ class TestStage1Files:
         def stage1(out):
             return train_stage1_files(slc, data / "unlabeled", tmp_path / out, cfg)
 
-        ckpt_a, picked = stage1("a")
+        ckpt_a, picked, _ = stage1("a")
         assert len(picked) == 2
         manifest = (tmp_path / "a" / "manifest.txt").read_text()
         assert f"pseudo_selected = {','.join(sorted(picked))}\n" in manifest
@@ -537,7 +537,7 @@ class TestStage1Files:
         (tmp_path / "b" / "pseudo").mkdir(parents=True)
         save_mask(MaskVolume(np.zeros((2, 2, 2), np.uint8)),
                   tmp_path / "b" / "pseudo" / "stale_mask.vol")
-        ckpt_b, picked_b = stage1("b")
+        ckpt_b, picked_b, _ = stage1("b")
         assert picked_b == picked
         assert ckpt_b.read_bytes() == ckpt_a.read_bytes()
         pseudo_a = sorted(p.name for p in (tmp_path / "a" / "pseudo").iterdir())
@@ -666,6 +666,23 @@ class TestRunPipeline:
                 assert text == (tmp_path / "b" / f).read_bytes(), f
                 assert b"lanes" not in text
 
+    def test_run_log_has_a_lane_time_line_per_training_stage(self, tmp_path):
+        # On 32^3 volumes a batch of 32 x 32 planes splits across the lanes,
+        # in stage 1 and in the supervised-only branch of stage 2, so both
+        # stages' workers were busy.
+        run_pipeline(fast_config(seed=5, synth_dim=32, supervised_only=True),
+                     tmp_path / "run")
+        log = (tmp_path / "run" / "run.log").read_text()
+        lanes = re.findall(
+            r"^\S+ (stage\d) lanes: calling (\d+\.\d{3}) s busy, worker "
+            r"(\d+\.\d{3}) s busy, calling waited (\d+\.\d{3}) s$",
+            log, re.M,
+        )
+        assert [stage for stage, *_ in lanes] == ["stage1", "stage2"]
+        assert all(float(worker) > 0 for _, _, worker, _ in lanes)
+        assert log.index("stage stage1 finished") < log.index("stage1 lanes") < (
+            log.index("stage stage2 started"))
+
     def test_stage_end_lines_give_elapsed_seconds(self, tmp_path):
         # "<timestamp> stage <name> finished (<seconds> s)", and a failure's
         # message before the seconds.
@@ -723,10 +740,10 @@ class TestRunPipeline:
         # A pseudo-annotated volume gone between the stages: stage 2 cannot
         # pair the mask with it, and the error names the stage and the file.
         def stage1_then_drop(slices, unlabeled, *args):
-            ckpt, picked = train_stage1_files(slices, unlabeled, *args)
+            ckpt, picked, lanes = train_stage1_files(slices, unlabeled, *args)
             for vid in picked:
                 (unlabeled / f"{vid}.vol").unlink()
-            return ckpt, picked
+            return ckpt, picked, lanes
 
         monkeypatch.setattr("ftaseg.pipeline.train_stage1_files", stage1_then_drop)
         with pytest.raises(DataError, match=r"^\[stage2\] cannot read .*unl_\d+\.vol "):

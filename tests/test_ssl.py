@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftaseg import model as model_module
 from ftaseg.errors import ConfigError, DataError, NumericError
 from ftaseg.fourier import FtaConfig, fta_augment_pair
 from ftaseg.metrics import evaluate_masks, mean_report
@@ -495,6 +496,55 @@ class TestStage1:
         for pa, pb in zip(a.pseudo, b.pseudo):
             assert np.array_equal(pa.mask, pb.mask)
 
+    def test_split_steps_equal_one_lane(self, monkeypatch):
+        # Batches of four 32 x 32 planes split across the lanes; with the
+        # lane withheld each runs in one, with the same bytes.
+        def run():
+            rng = np.random.default_rng(38)
+            cfg = StageConfig(stage1_epochs=2, stage1_pseudo_count=2, seed=5,
+                              batch_size=4)
+            ids, load, _ = ids_and_load(make_volumes(rng, 3, dim=12))
+            return run_stage1(make_train_set(rng, 10, hw=32), ids, load, cfg)
+
+        two = run()
+
+        def one_lane(model, batch, ws=None, lane=None):
+            return _supervised_batch(model, batch, ws)
+
+        monkeypatch.setattr("ftaseg.ssl._supervised_batch", one_lane)
+        one = run()
+        assert two.lanes.worker_s > 0 and one.lanes.worker_s == 0
+        assert two.model.params.tobytes() == one.model.params.tobytes()
+        assert two.epoch_losses == one.epoch_losses
+        assert [(p.source_id, p.mask.tobytes()) for p in two.pseudo] == [
+            (p.source_id, p.mask.tobytes()) for p in one.pseudo
+        ]
+
+    def test_one_worker_serves_training_and_pseudo_annotation(self, monkeypatch):
+        # Stage 1 makes one one-worker executor; its split training steps
+        # and the pseudo-annotation's second lane both run on its thread.
+        made, workers = [], set()
+
+        class Counting(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        def recording(a, scratch, fn=model_module._selu_):
+            if threading.current_thread() is not threading.main_thread():
+                workers.add(threading.get_ident())
+            return fn(a, scratch)
+
+        monkeypatch.setattr("ftaseg.ssl.ThreadPoolExecutor", Counting)
+        monkeypatch.setattr("ftaseg.model.ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(model_module, "_selu_", recording)
+        rng = np.random.default_rng(39)
+        cfg = StageConfig(stage1_epochs=1, stage1_pseudo_count=2, seed=5, batch_size=4)
+        ids, load, loaded = ids_and_load(make_volumes(rng, 3, dim=12))
+        res = run_stage1(make_train_set(rng, 4, hw=32), ids, load, cfg)
+        assert res.lanes.worker_s > 0 and len(loaded) == 2
+        assert len(made) == 1 and len(workers) == 1
+
     def test_model_equals_its_checkpoint(self, tmp_path):
         rng = np.random.default_rng(35)
         cfg = StageConfig(stage1_epochs=2, stage1_pseudo_count=1, seed=3)
@@ -525,10 +575,19 @@ class TestStage2:
         return [("v0", vol, gt)]
 
     def test_empty_pool_equals_supervised_trajectory(self):
+        self.check_supervised_trajectory(ModelShape(3, 4, 3), 8, 3)
+
+    def test_split_batches_equal_the_one_lane_trajectory(self):
+        # Batches of four 32 x 32 planes split across the lanes; the
+        # reference loop runs each in one.
+        assert self.check_supervised_trajectory(ModelShape(), 32, 4).worker_s > 0
+
+    @staticmethod
+    def check_supervised_trajectory(shape, hw, batch_size):
         rng = np.random.default_rng(13)
-        labeled = make_train_set(rng, 5)
-        model = PatchMLP.init_random(ModelShape(3, 4, 3), 2)
-        cfg = StageConfig(seed=9, batch_size=3)
+        labeled = make_train_set(rng, 5, hw)
+        model = PatchMLP.init_random(shape, 2)
+        cfg = StageConfig(seed=9, batch_size=batch_size)
         sched = TrainSchedule(1e-3, 25)
         res = run_stage2(
             PatchMLP(model.shape, model.params), labeled, [], [], None, cfg, sched,
@@ -547,6 +606,7 @@ class TestStage2:
             _, grad = _supervised_batch(oracle, [labeled[i] for i in idx])
             oracle.params, opt = adamw_step(oracle.params, grad, opt, lr)
         assert res.model.params.tobytes() == oracle.params.tobytes()
+        return res.lanes
 
     def test_supervised_batch_matches_per_slice_mean(self):
         rng = np.random.default_rng(14)
@@ -706,9 +766,9 @@ class TestStage2:
             passes["supervised"].append(on_main())
             return _supervised_batch(*args)
 
-        def recording_forward(self, planes, perturb=None, ws=None):
+        def recording_forward(self, planes, perturb=None, ws=None, lane=None):
             passes["forward"].append((on_main(), perturb is not None, ws))
-            return forward(self, planes, perturb, ws)
+            return forward(self, planes, perturb, ws, lane)
 
         def recording_prob_backward(self, cache, grad, scratch=None):
             passes["prob_backward"].append((on_main(), cache["ws"]))
@@ -762,53 +822,73 @@ class TestStage2:
     def test_lanes_share_no_scratch_within_a_step(self, monkeypatch):
         # Every pass takes its temporaries from a scratch workspace: a
         # forward pass its workspace's, a backward pass the one it is given
-        # or else its cache workspace's. Within a step (and the validation
-        # after it), no scratch that a pass on the worker lane uses may be
-        # used by a pass on the calling thread.
+        # or else its cache workspace's, and the worker half of a split pass
+        # its lane's. They are recorded where SELU and its gradient take
+        # them, on the thread that runs each half. Within a step (and the
+        # validation or pseudo-annotation after it), no scratch that the
+        # worker lane uses may be used by the calling thread: in stage 2
+        # with unlabeled planes, in its supervised-only branch, whose
+        # batches split across the lanes, and in stage 1.
         step, used = [0], []
-        forward = PatchMLP.forward_cache_multi
-        backward = PatchMLP.grad_from_logit_grad
         update = adamw_step
 
         def on_main():
             return threading.current_thread() is threading.main_thread()
 
-        def recording_forward(self, planes, perturb=None, ws=None):
-            used.append((step[0], on_main(), id(ws.scratch)))
-            return forward(self, planes, perturb, ws)
+        for name in ("_selu_", "_selu_grad_"):
+            def recording(a, scratch, fn=getattr(model_module, name)):
+                used.append((step[0], on_main(), id(scratch)))
+                return fn(a, scratch)
 
-        def recording_backward(self, cache, dz3, scratch=None):
-            tmp = cache["ws"].scratch if scratch is None else scratch
-            used.append((step[0], on_main(), id(tmp)))
-            return backward(self, cache, dz3, scratch)
+            monkeypatch.setattr(model_module, name, recording)
 
         def counting_update(*args):
             step[0] += 1
             return update(*args)
 
-        monkeypatch.setattr(PatchMLP, "forward_cache_multi", recording_forward)
-        monkeypatch.setattr(PatchMLP, "grad_from_logit_grad", recording_backward)
         monkeypatch.setattr("ftaseg.ssl.adamw_step", counting_update)
+        rng = np.random.default_rng(37)
+        big = make_train_set(rng, 8, hw=32)  # a batch of 4 splits
+        cases = lane_cases(rng, 2, dims=(2, 48, 48))
+        runs = {
+            "stage2": self.lanes_run,
+            "supervised-only": lambda: run_stage2(
+                PatchMLP.init_random(ModelShape(), 6), big, [], *val_source(cases),
+                StageConfig(seed=4, batch_size=4), TrainSchedule(1e-2, 3),
+                FtaConfig(), val_points=1,
+            ),
+            "stage1": lambda: run_stage1(
+                big, *ids_and_load([(cid, vol) for cid, vol, _ in cases])[:2],
+                StageConfig(stage1_epochs=1, stage1_pseudo_count=2, seed=4,
+                            batch_size=4),
+            ),
+        }
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            self.lanes_run()
+            for name, run in runs.items():
+                step[0] = 0
+                used.clear()
+                run()
+                steps = {"stage2": 8, "supervised-only": 3, "stage1": 2}[name]
+                assert step[0] == steps, name
+                for s in range(steps + 1):
+                    main = {tmp for i, m, tmp in used if i == s and m}
+                    worker = {tmp for i, m, tmp in used if i == s and not m}
+                    assert main.isdisjoint(worker), (name, s)
+                    # After stage 2's last step only validation's one case
+                    # runs, on the calling thread.
+                    assert main and (worker or (name, s) == ("stage2", steps))
         finally:
             sys.setswitchinterval(interval)
-        assert step[0] == 8
-        for s in range(step[0] + 1):
-            main = {tmp for i, m, tmp in used if i == s and m}
-            worker = {tmp for i, m, tmp in used if i == s and not m}
-            assert main.isdisjoint(worker)
-            # After the last step only validation's one case runs, on the
-            # calling thread.
-            assert main and (worker or s == step[0])
 
     def test_lane_times_cover_the_training_steps(self):
-        # Both lanes work in a step with unlabeled planes; in the
-        # supervised-only branch the worker runs no training work.
+        # Both lanes work in a step with unlabeled planes. In the
+        # supervised-only branch and in stage 1 the worker runs half of each
+        # batch too large for one lane, and no work for a smaller batch.
         lanes = self.lanes_run().lanes
         assert lanes.calling_s > 0 and lanes.worker_s > 0 and lanes.wait_s >= 0
+        assert str(lanes).startswith("stage2 lanes: calling ")
         rng = np.random.default_rng(36)
         alone = run_stage2(
             PatchMLP.init_random(ModelShape(3, 4, 3), 6), make_train_set(rng, 5),
@@ -816,6 +896,19 @@ class TestStage2:
             FtaConfig(), val_points=1,
         ).lanes
         assert alone.calling_s > 0 and alone.worker_s == alone.wait_s == 0
+        big = make_train_set(rng, 8, hw=32)
+        split = run_stage2(
+            PatchMLP.init_random(ModelShape(), 6), big, [], [], None,
+            StageConfig(seed=4, batch_size=4), TrainSchedule(1e-2, 4), FtaConfig(),
+            val_points=1,
+        ).lanes
+        assert split.calling_s > 0 and split.worker_s > 0 and split.wait_s >= 0
+        cfg = StageConfig(stage1_epochs=1, stage1_pseudo_count=0, seed=4)
+        for labeled, worker in ((big, True), (make_train_set(rng, 5), False)):
+            stage1 = run_stage1(labeled, [], {}.__getitem__, cfg).lanes
+            assert str(stage1).startswith("stage1 lanes: calling ")
+            assert stage1.calling_s > 0 and (stage1.worker_s > 0) == worker
+            assert stage1.wait_s >= 0
 
     def test_never_computes_the_supervised_loss(self, monkeypatch):
         # Stage 2 reads only the supervised gradient, on either branch.
