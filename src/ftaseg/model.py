@@ -8,17 +8,21 @@ grad_from_prob_grad, then adamw_step; inference calls forward_cache_multi
 alone. A perturbed forward pass also returns the unperturbed probabilities
 of the same rows, and a backward pass consumes the cache it reads.
 
-Given a ``Lane`` (a one-worker executor and its scratch), an unperturbed
-forward pass splits its planes at the plane boundary nearest half the rows,
-if that leaves each lane at least ``SPLIT_ROWS`` rows: the calling thread
-runs the first planes end to end while the lane's worker runs the rest,
-each lane writing its own rows of the workspace's buffers and taking its
-temporaries from its own scratch. A backward pass given the lane splits its
-row-wise delta passes at the same cut; its weight-gradient reductions stay
-whole on the calling thread, since two half sums would round differently.
-A row of a layer's product has the same bytes in any block of at least
-that many rows (tests/test_model.py checks the default layer shapes under
-the BLAS it runs on), so a split pass has the bytes of a pass in one lane.
+Two-lane work goes through a ``Lane``, the one place the package starts a
+thread: a one-worker thread, the scratch workspace of the passes it runs,
+and both lanes' busy and wait seconds while it is open. ``in_two_lanes``
+maps items across the calling thread and a lane, and ``Lane.submit`` hands
+the worker one call. Given a lane, an unperturbed forward pass splits its
+planes at the plane boundary nearest half the rows, if that leaves each
+lane at least ``SPLIT_ROWS`` rows: the calling thread runs the first planes
+end to end while the lane's worker runs the rest, each lane writing its own
+rows of the workspace's buffers and taking its temporaries from its own
+scratch. A backward pass given the lane splits its row-wise delta passes at
+the same cut; its weight-gradient reductions stay whole on the calling
+thread, since two half sums would round differently. A row of a layer's
+product has the same bytes in any block of at least that many rows
+(tests/test_model.py checks the default layer shapes under the BLAS it runs
+on), so a split pass has the bytes of a pass in one lane.
 
 A model computes in the dtype of its parameters: float32 from
 ``init_random``, ``adamw_step`` and ``load_checkpoint``, the precision a
@@ -42,7 +46,8 @@ import itertools
 import math
 import os
 import struct
-from concurrent.futures import Executor, ThreadPoolExecutor
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -304,21 +309,72 @@ class Workspace:
 
 T = TypeVar("T")
 R = TypeVar("R")
-S = TypeVar("S")
+
+
+@dataclass
+class LaneTimes:
+    """Seconds a ``Lane`` was open: the calling thread's time outside its
+    waits on the worker, the worker's busy time, and those waits."""
+
+    stage: str
+    calling_s: float = 0.0
+    worker_s: float = 0.0
+    wait_s: float = 0.0
+
+    def __str__(self) -> str:
+        return (f"{self.stage} lanes: calling {self.calling_s:.3f} s busy, worker "
+                f"{self.worker_s:.3f} s busy, calling waited {self.wait_s:.3f} s")
+
+
+class Lane:
+    """A one-worker thread that the calling thread hands work to, the
+    ``scratch`` workspace of the passes it runs, and the ``times`` of both
+    lanes while it is open (``with Lane() as lane:``; closing waits for the
+    worker). Each field of ``times`` has one writing thread."""
+
+    def __init__(self, stage: str = "lane"):
+        self.scratch = Workspace()
+        self.times = LaneTimes(stage)
+
+    def __enter__(self) -> "Lane":
+        self._worker = ThreadPoolExecutor(max_workers=1)
+        self._opened = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._worker.shutdown()
+        self.times.calling_s = time.perf_counter() - self._opened - self.times.wait_s
+
+    def submit(self, fn: Callable[..., R], /, *args) -> Future:
+        """Run ``fn(*args)`` on the worker after what it runs already,
+        counting the worker's busy time."""
+        def timed() -> R:
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.times.worker_s += time.perf_counter() - start
+
+        return self._worker.submit(timed)
+
+    def wait(self, future: Future) -> Future:
+        """``future`` once it is done, the wait counted as the calling
+        thread's."""
+        start = time.perf_counter()
+        future.exception()
+        self.times.wait_s += time.perf_counter() - start
+        return future
 
 
 def in_two_lanes(
-    fn: Callable[[T, S], R],
+    fn: Callable[[T, Workspace | None], R],
     items: list[T],
-    state: S,
-    lane_state: S,
-    lane: Executor | None = None,
+    ws: Workspace | None,
+    lane: Lane | None = None,
 ) -> list[R]:
-    """``[fn(x, state) for x in items]`` in two lanes: the calling thread maps
-    the first half of ``items`` with ``state`` while ``lane``, a one-worker
-    executor (a fresh one when None), maps the rest with ``lane_state``.
-    The states are whatever each lane needs of its own, such as a
-    ``Workspace``, or None.
+    """``[fn(x, ws) for x in items]`` in two lanes: the calling thread maps
+    the first half of ``items`` with ``ws`` while ``lane`` (a fresh one when
+    None) maps the rest with its scratch.
 
     Results keep the order of ``items``. The lane is waited for before this
     returns or raises. Each lane stops at its first error, and the calling
@@ -327,43 +383,22 @@ def in_two_lanes(
     submitted.
     """
     if len(items) < 2:
-        return [fn(x, state) for x in items]
+        return [fn(x, ws) for x in items]
     if lane is None:
-        with ThreadPoolExecutor(max_workers=1) as own:
-            return in_two_lanes(fn, items, state, lane_state, own)
+        with Lane() as own:
+            return in_two_lanes(fn, items, ws, own)
     half = (len(items) + 1) // 2
-    rest = lane.submit(lambda: [fn(x, lane_state) for x in items[half:]])
+    rest = lane.submit(lambda: [fn(x, lane.scratch) for x in items[half:]])
     try:
-        first = [fn(x, state) for x in items[:half]]
+        first = [fn(x, ws) for x in items[:half]]
     finally:
-        rest.exception()  # waits; an error of the calling thread wins
+        lane.wait(rest)  # an error of the calling thread wins
     return first + rest.result()
 
 
-@dataclass(frozen=True)
-class Lane:
-    """A one-worker executor and the scratch workspace that the passes it
-    runs take their temporaries from."""
-
-    executor: Executor
-    scratch: Workspace
-
-
-def _in_lanes(
-    fn: Callable[[tuple[int, int], Workspace], None],
-    n: int,
-    cut: int,
-    scratch: Workspace,
-    lane: Lane | None,
-) -> None:
-    # fn over the span [0, n): with a lane and 0 < cut < n, the calling
-    # thread runs [0, cut) on scratch while the lane runs [cut, n) on its
-    # own; otherwise the calling thread runs all of it and nothing is
-    # submitted.
-    if lane is None or not 0 < cut < n:
-        fn((0, n), scratch)
-    else:
-        in_two_lanes(fn, [(0, cut), (cut, n)], scratch, lane.scratch, lane.executor)
+def _spans(n: int, cut: int, lane: Lane | None) -> list[tuple[int, int]]:
+    # [0, n) split at cut for a lane when 0 < cut < n, else whole.
+    return [(0, cut), (cut, n)] if lane is not None and 0 < cut < n else [(0, n)]
 
 
 def _cut(sizes: list[int]) -> int:
@@ -516,7 +551,7 @@ class PatchMLP:
         # Dropout draws one generator stream in row order, so a perturbed
         # pass is not split.
         cut = len(planes) if perturb is not None else _cut(sizes)
-        _in_lanes(unperturbed, len(planes), cut, ws.scratch, lane)
+        in_two_lanes(unperturbed, _spans(len(planes), cut, lane), ws.scratch, lane)
         cache = dict(patches=p, a1_pre=a1_pre, a2_pre=a2_pre, ws=ws, cut=starts[cut])
         if perturb is None:
             cache.update(a1=a1_pre, a2=a2_pre, probs=clean, keep1=None, keep2=None,
@@ -629,7 +664,7 @@ class PatchMLP:
                         d *= keep_scale
                     d *= g
 
-            _in_lanes(delta, len(a_pre), cache["cut"], tmp, lane)
+            in_two_lanes(delta, _spans(len(a_pre), cache["cut"], lane), tmp, lane)
             return a_pre
 
         # Each weight gradient is formed before the deltas overwrite the

@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, FtasegError
 from .fourier import FtaConfig
 from .metrics import CSV_HEADER, MetricsReport, evaluate_masks, mean_report
 from .model import (
+    LaneTimes,
     ModelShape,
     TrainSchedule,
     in_two_lanes,
@@ -51,7 +52,6 @@ from .preprocess import (
 )
 from .ssl import (
     HISTORY_HEADER,
-    LaneTimes,
     StageConfig,
     TrainSlice,
     run_stage1,
@@ -304,7 +304,7 @@ def generate_benchmark(spec: BenchmarkSpec, out_dir: Path | str) -> None:
             jobs.append((split, i, next(seeds), next(seeds) if shifted else None,
                          with_mask))
 
-    def emit(job: tuple, _lane: None) -> str:
+    def emit(job: tuple, _ws) -> str:
         split, idx, seed, shift_seed, with_mask = job
         vid = f"{split[:3]}_{idx:03d}"
         vol, mask = gen_phantom(spec, seed)
@@ -319,7 +319,7 @@ def generate_benchmark(spec: BenchmarkSpec, out_dir: Path | str) -> None:
             save_mask(mask, sub / mask_name)
         return f"{vid},{split},{vid}.vol,{mask_name}"
 
-    rows = ["id,split,file,mask_file", *in_two_lanes(emit, jobs, None, None)]
+    rows = ["id,split,file,mask_file", *in_two_lanes(emit, jobs, None)]
     (out / "benchmark.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -571,7 +571,7 @@ def train_stage1_files(
     plane size before training. The pseudo masks, stage 2's second training
     source, replace any in ``out_dir/pseudo`` as ``<id>_mask.vol``. Returns
     the checkpoint path, the pseudo-annotated volume ids, and the busy and
-    wait times of the training steps' two lanes.
+    wait times of the two lanes of training and pseudo-annotation.
     """
     slices_dir, out_dir = Path(slices_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -628,8 +628,8 @@ def train_stage2_files(
     and the stage manifest. Returns the checkpoint path, the last
     validation's per-case reports, which are the checkpoint's scores on
     ``val_dir`` (empty without one), and the busy and wait times of the
-    training steps' two lanes. Volumes are windowed by ``cfg.window()`` on
-    load.
+    two lanes of training and validation. Volumes are windowed by
+    ``cfg.window()`` on load.
 
     Each ``<id>_mask.vol`` in stage 1's ``pseudo_dir`` pairs with ``<id>.vol``
     in ``unlabeled_dir``; its other volumes form the unlabeled pool.

@@ -6,26 +6,26 @@ labeled set. Stage 2 continues training on the merged set while unlabeled
 slices contribute a consistency loss: the confident pixels of a weak view
 (identity or flip) supervise two spectrally-augmented strong views and one
 feature-perturbed view, gated by a self-adaptive confidence threshold
-tracked as an EMA of batch confidence. Each stage-2 step runs in two lanes:
-a worker thread takes the strong views' forward pass and then the
-supervised batch, while the calling thread takes the perturbed (and weak)
-pass and the threshold update, then the consistency loss and the backward
-passes of the perturbed and strong views. Each pass takes its temporaries
-from its own lane's scratch. Stage 1's training steps, and stage 2's when
-it has no unlabeled planes, split each supervised batch by planes across
-the calling thread and a one-worker lane (see ``model``). Inference
-(pseudo-annotation and validation) runs in two lanes over volumes, on the
-stage's worker thread and buffers.
+tracked as an EMA of batch confidence.
+
+Each stage opens one ``model.Lane``, whose worker serves its training steps
+and its inference (pseudo-annotation, validation) and whose times cover
+both. Each stage-2 step runs in two lanes: the worker takes the strong
+views' forward pass and then the supervised batch, while the calling thread
+takes the perturbed (and weak) pass and the threshold update, then the
+consistency loss and the backward passes of the perturbed and strong views.
+Each pass takes its temporaries from its own lane's scratch. Stage 1's
+training steps, and stage 2's when it has no unlabeled planes, split each
+supervised batch by planes across the two lanes (see ``model``). Inference
+runs in two lanes over volumes, on the stage's lane and buffers.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .model import (
     ROW_CHUNK,
     AdamWState,
     Lane,
+    LaneTimes,
     ModelShape,
     PatchMLP,
     Perturbation,
@@ -62,8 +63,6 @@ STRONG_VIEWS = 2
 # overlap: most of each pass runs in numpy and BLAS calls that release the
 # interpreter lock.
 PREDICT_ROWS = 2 * ROW_CHUNK
-
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -136,15 +135,15 @@ def generate_pseudo_labels(
     load: Callable[[str], Volume],
     count: int,
     seed,
-    workspaces: tuple[Workspace, Workspace] | None = None,
-    lane: Executor | None = None,
+    ws: Workspace | None = None,
+    lane: Lane | None = None,
 ) -> list[PseudoLabel]:
     """Argmax pseudo-annotations for a seeded selection of volumes.
 
     Selection is uniform without replacement over ``ids``; ``load`` is
     called only for the selected ids, and the results keep the order of
-    ``ids``. The volumes are predicted in two lanes (see ``in_two_lanes``)
-    on ``workspaces`` (fresh when None).
+    ``ids``. The volumes are predicted in two lanes (see ``in_two_lanes``),
+    the calling thread's on ``ws`` (fresh when None).
     """
     if count > len(ids):
         raise DataError(
@@ -155,11 +154,10 @@ def generate_pseudo_labels(
     rng = np.random.default_rng(seed)
     chosen = sorted(rng.choice(len(ids), size=count, replace=False).tolist())
 
-    def annotate(i: int, lane_ws: Workspace) -> PseudoLabel:
-        return PseudoLabel(ids[i], predict_volume(model, load(ids[i]), lane_ws).data)
+    def annotate(i: int, ws: Workspace) -> PseudoLabel:
+        return PseudoLabel(ids[i], predict_volume(model, load(ids[i]), ws).data)
 
-    ws, lane_ws = (Workspace(), Workspace()) if workspaces is None else workspaces
-    return in_two_lanes(annotate, chosen, ws, lane_ws, lane)
+    return in_two_lanes(annotate, chosen, Workspace() if ws is None else ws, lane)
 
 
 def weak_confidence(weak_probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -262,59 +260,6 @@ HISTORY_HEADER = "epoch,split,dice,iou,hd_norm,score,tau"
 
 
 @dataclass
-class LaneTimes:
-    """Seconds of a stage's training steps: the calling thread's busy time,
-    the worker lane's, and the calling thread's waits on the worker."""
-
-    stage: str
-    calling_s: float = 0.0
-    worker_s: float = 0.0
-    wait_s: float = 0.0
-
-    def __str__(self) -> str:
-        return (f"{self.stage} lanes: calling {self.calling_s:.3f} s busy, worker "
-                f"{self.worker_s:.3f} s busy, calling waited {self.wait_s:.3f} s")
-
-
-class _TimedFuture:
-    # A future whose waits count as the calling thread's.
-    def __init__(self, future: Future, times: LaneTimes):
-        self._future, self._times = future, times
-
-    def _waited(self, get: Callable[[], R]) -> R:
-        start = time.perf_counter()
-        try:
-            return get()
-        finally:
-            self._times.wait_s += time.perf_counter() - start
-
-    def result(self):
-        return self._waited(self._future.result)
-
-    def exception(self):
-        return self._waited(self._future.exception)
-
-
-class TimedLane(Executor):
-    """A one-worker executor that counts into ``times`` the seconds its
-    worker spends in each submitted call and the seconds the calling thread
-    waits on the results. Each field has one writing thread."""
-
-    def __init__(self, executor: Executor, times: LaneTimes):
-        self._executor, self.times = executor, times
-
-    def submit(self, fn, /, *args):
-        def timed():
-            start = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                self.times.worker_s += time.perf_counter() - start
-
-        return _TimedFuture(self._executor.submit(timed), self.times)
-
-
-@dataclass
 class Stage1Result:
     model: PatchMLP
     step: int
@@ -346,8 +291,9 @@ def predict_volume(
 ) -> MaskVolume:
     """Segment a volume on the calling thread in forward-only passes on ``ws``
     (fresh when None) over stacks of z planes of at most ``PREDICT_ROWS``
-    rows, or one plane; each plane's mask has the bytes of a pass over it
-    alone."""
+    rows, or one plane. The mask has the bytes of those stacked passes on
+    any thread; they equal one-plane passes only on planes large enough that
+    BLAS keeps one kernel (76 rows for the default shape under SkylakeX)."""
     depth, h, w = v.dims
     step = max(1, PREDICT_ROWS // (h * w))
     mask = np.empty(v.dims, dtype=np.uint8)
@@ -362,21 +308,20 @@ def evaluate_volumes(
     model: PatchMLP,
     ids: list[str],
     load: Callable[[str], tuple[Volume, MaskVolume]],
-    workspaces: tuple[Workspace, Workspace] | None = None,
-    lane: Executor | None = None,
+    ws: Workspace | None = None,
+    lane: Lane | None = None,
 ) -> tuple[MetricsReport, list[tuple[str, MetricsReport]]]:
     """Mean metrics over validation cases, case reports in case-id order.
 
     ``load`` maps an id to its volume and mask. The cases are predicted in
-    two lanes (see ``in_two_lanes``) on ``workspaces`` (fresh when None),
-    and each lane holds one case at a time.
+    two lanes (see ``in_two_lanes``), the calling thread's on ``ws`` (fresh
+    when None), and each lane holds one case at a time.
     """
     def report(cid: str, ws: Workspace) -> tuple[str, MetricsReport]:
         vol, gt = load(cid)
         return cid, evaluate_masks(predict_volume(model, vol, ws), gt)
 
-    ws, lane_ws = (Workspace(), Workspace()) if workspaces is None else workspaces
-    per_case = in_two_lanes(report, sorted(ids), ws, lane_ws, lane)
+    per_case = in_two_lanes(report, sorted(ids), Workspace() if ws is None else ws, lane)
     return mean_report([r for _, r in per_case]), per_case
 
 
@@ -395,10 +340,7 @@ def _supervised_batch(
     #   ce = -(t * log(p) + (1 - t) * log1p(-p)),  loss = sum(w * ce) / B,
     #   dz3 = where(inside, probs - t, 0) * w / B.
     ws = Workspace() if ws is None else ws
-    # The lane is passed only when given, so a stand-in for either pass
-    # written for calls without one still serves the batches that have none.
-    split = {} if lane is None else {"lane": lane}
-    cache = model.forward_cache_multi([ts.image for ts in batch], ws=ws, **split)
+    cache = model.forward_cache_multi([ts.image for ts in batch], ws=ws, lane=lane)
     probs = cache["probs"]
     n, tmp = len(probs), ws.scratch
 
@@ -431,7 +373,7 @@ def _supervised_batch(
     np.copyto(dz3, 0.0, where=outside)
     dz3 *= pixel_w
     dz3 /= len(batch)
-    return loss, model.grad_from_logit_grad(cache, dz3, **split)
+    return loss, model.grad_from_logit_grad(cache, dz3, lane=lane)
 
 
 def run_stage1(
@@ -466,16 +408,14 @@ def run_stage1(
         warnings.append(f"pseudo count clamped from {count} to {len(unlabeled_ids)}")
         count = len(unlabeled_ids)
     # The calling thread's passes take their temporaries from ws's scratch
-    # and the worker's from lane_ws, in training and in pseudo-annotation.
-    ws, lane_ws, lanes = Workspace(), Workspace(), LaneTimes("stage1")
+    # and the worker's from the lane's, in training and in pseudo-annotation.
+    ws = Workspace()
     it = 0
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        lane = Lane(TimedLane(executor, lanes), lane_ws)
+    with Lane("stage1") as lane:
         for _ in range(cfg.stage1_epochs):
             order = shuffle_rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
-                step_start, step_wait = time.perf_counter(), lanes.wait_s
                 batch = [labeled[i] for i in order[start:start + cfg.batch_size]]
                 loss, grad = _supervised_batch(model, batch, ws, lane)
                 epoch_loss += loss()
@@ -483,12 +423,9 @@ def run_stage1(
                     model.params, grad, opt, poly_lr(sched, it)
                 )
                 it += 1
-                lanes.calling_s += (
-                    time.perf_counter() - step_start - (lanes.wait_s - step_wait)
-                )
             epoch_losses.append(epoch_loss / per_epoch)
         pseudo = generate_pseudo_labels(
-            model, unlabeled_ids, load, count, pseudo_ss, (ws, lane_ws), executor
+            model, unlabeled_ids, load, count, pseudo_ss, ws, lane
         )
     return Stage1Result(
         model=model,
@@ -496,7 +433,7 @@ def run_stage1(
         pseudo=pseudo,
         epoch_losses=epoch_losses,
         warnings=warnings,
-        lanes=lanes,
+        lanes=lane.times,
     )
 
 
@@ -567,37 +504,35 @@ def run_stage2(
 
     history: list[HistoryRow] = []
     val_reports: list[tuple[str, MetricsReport]] = []
-    # One workspace per view. Each lane's passes take their temporaries
-    # from that lane's scratch: the worker's is ``sup_ws`` itself, which the
-    # strong views' forward pass shares, and the calling thread's is
-    # ``scratch``, which the perturbed pass and both consistency backward
-    # passes use. The supervised-only branch trains on the perturbed
-    # workspace, its worker half on ``sup_ws``. Validation's lanes run on
-    # the perturbed and supervised workspaces, idle between steps. The
-    # augmented pairs of each plane shape have a workspace of their own,
-    # since a step's planes view them until the step ends.
-    sup_ws, scratch = Workspace(), Workspace()
-    strong_ws, fp_ws = Workspace(sup_ws), Workspace(scratch)
-    fta_ws: dict[tuple[int, int], Workspace] = defaultdict(Workspace)
     n_val = min(val_points, sched.total_iters)
     val_iters = {-(-k * sched.total_iters // n_val) for k in range(1, n_val + 1)}
     epoch = 0
-    lanes = LaneTimes("stage2")
 
     # The worker lane only reads model.params and the step's planes, and
     # writes only the strong and supervised workspaces and its rows of a
     # split pass; every random draw stays on this thread.
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        timed = TimedLane(lane, lanes)
+    with Lane("stage2") as lane:
+        # One workspace per view. Each lane's passes take their temporaries
+        # from that lane's scratch: the worker's is the supervised batch's
+        # workspace ``sup_ws`` itself, which the strong views' forward pass
+        # shares, and the calling thread's is ``scratch``, which the
+        # perturbed pass and both consistency backward passes use. The
+        # supervised-only branch trains on the perturbed workspace, its
+        # worker half on ``sup_ws``. Validation's lanes run on the perturbed
+        # and supervised workspaces, idle between steps. The augmented pairs
+        # of each plane shape have a workspace of their own, since a step's
+        # planes view them until the step ends.
+        sup_ws, scratch = lane.scratch, Workspace()
+        strong_ws, fp_ws = Workspace(sup_ws), Workspace(scratch)
+        fta_ws: dict[tuple[int, int], Workspace] = defaultdict(Workspace)
         for it in range(sched.total_iters):
-            step_start, step_wait = time.perf_counter(), lanes.wait_s
             lr = poly_lr(sched, it)
             l_idx = batch_rng.choice(
                 n_lab, size=cfg.batch_size, replace=n_lab < cfg.batch_size
             )
             if supervised_only:
                 _, grad = _supervised_batch(
-                    model, [labeled[i] for i in l_idx], fp_ws, Lane(timed, sup_ws)
+                    model, [labeled[i] for i in l_idx], fp_ws, lane
                 )
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
             else:
@@ -654,10 +589,10 @@ def run_stage2(
                 # supervised batch.
                 strong = None
                 if strong_planes:
-                    strong = timed.submit(
+                    strong = lane.submit(
                         model.forward_cache_multi, strong_planes, None, strong_ws
                     )
-                sup = timed.submit(_supervised_batch, model, sup_batch, sup_ws)
+                sup = lane.submit(_supervised_batch, model, sup_batch, sup_ws)
 
                 # The calling lane. The perturbed pass also yields the weak
                 # view, which is never back-propagated.
@@ -667,7 +602,7 @@ def run_stage2(
                     weak_probs, scratch.take("confidence", weak_probs.shape, np.float64)
                 )
                 tau_state = update_threshold(tau_state, confidence)
-                strong_cache = strong.result() if strong is not None else None
+                strong_cache = lane.wait(strong).result() if strong else None
 
                 strong_probs = strong_cache["probs"] if strong_cache else np.empty(0)
                 fp_grad, strong_grad = consistency_loss(
@@ -684,20 +619,17 @@ def run_stage2(
 
                 # Join; the gradients add in a fixed order whichever lane
                 # finished first.
-                _, grad = sup.result()
+                _, grad = lane.wait(sup).result()
                 w_u = cfg.unsup_weight / cfg.batch_size
                 grad += w_u * fp_grad
                 if strong_cache is not None:
                     grad += w_u * strong_grad
                 model.params, opt = adamw_step(model.params, grad, opt, lr)
-            lanes.calling_s += (
-                time.perf_counter() - step_start - (lanes.wait_s - step_wait)
-            )
 
             if val_ids and it + 1 in val_iters:
                 epoch += 1
                 mean, val_reports = evaluate_volumes(
-                    model, val_ids, load_val, (fp_ws, sup_ws), lane
+                    model, val_ids, load_val, fp_ws, lane
                 )
                 history.append(
                     HistoryRow(
@@ -713,5 +645,5 @@ def run_stage2(
         threshold=tau_state,
         warnings=warnings,
         val_reports=val_reports,
-        lanes=lanes,
+        lanes=lane.times,
     )

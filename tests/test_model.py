@@ -1,8 +1,10 @@
+import ast
 import math
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,12 +331,18 @@ class TestWorkspacePasses:
 class CountingPool:
     """A one-worker thread pool that counts the calls submitted to it."""
 
-    def __init__(self, pool: ThreadPoolExecutor):
-        self.pool, self.submitted = pool, 0
+    made: list["CountingPool"] = []
+
+    def __init__(self, max_workers: int):
+        self.pool, self.submitted = ThreadPoolExecutor(max_workers), 0
+        CountingPool.made.append(self)
 
     def submit(self, fn, *args):
         self.submitted += 1
         return self.pool.submit(fn, *args)
+
+    def shutdown(self):
+        self.pool.shutdown()
 
 
 class TestSplitPass:
@@ -377,20 +385,22 @@ class TestSplitPass:
                 return fn(a, scratch)
 
             monkeypatch.setattr(model_module, name, recording)
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor", CountingPool)
+        CountingPool.made.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                lane = Lane(CountingPool(pool), Workspace())
+            with Lane() as lane:
                 two = run(lane)
         finally:
             sys.setswitchinterval(interval)
         assert two == one
+        (pool,) = CountingPool.made
         if len(planes) == 1 or sum(u.size for u in planes) < 2 * SPLIT_ROWS:
-            assert lane.executor.submitted == 0 and not used[False]
+            assert pool.submitted == 0 and not used[False]
         else:
             # One forward half and two delta passes on the worker.
-            assert lane.executor.submitted == 3
+            assert pool.submitted == 3
             assert used[False] == {id(lane.scratch)}
             assert id(lane.scratch) not in used[True]
 
@@ -425,9 +435,9 @@ class TestSplitPass:
         monkeypatch.setattr(PatchMLP, "_build_patches", recording_build)
         monkeypatch.setattr(model_module, "_sigmoid_", slow_sigmoid)
         threads = threading.active_count()
-        with ThreadPoolExecutor(max_workers=1) as pool:
+        with Lane() as lane:
             with pytest.raises(DataError, match=r"plane \(2, 1200\) too small") as info:
-                model.forward_cache_multi(planes, lane=Lane(pool, Workspace()))
+                model.forward_cache_multi(planes, lane=lane)
         ((thread, exc),) = raised
         assert thread is not threading.main_thread() and info.value is exc
         assert finished == [1]
@@ -476,6 +486,75 @@ class TestSplitPass:
 def train_slice(rng, h=4, w=4, weight=1.0):
     target = (rng.random((h, w)) < 0.4).astype(np.uint8)
     return TrainSlice(rand_slice(rng, h, w), target, weight)
+
+
+class TestLane:
+    def test_worker_counts_its_busy_time(self):
+        with Lane() as lane:
+            assert lane.wait(lane.submit(time.sleep, 0.02)).result() is None
+        assert lane.times.worker_s >= 0.02
+
+    def test_calling_thread_counts_its_waits_and_the_rest_of_the_open_time(self):
+        start = time.perf_counter()
+        with Lane("stage9") as lane:
+            first = time.perf_counter()
+            sleeping = lane.submit(time.sleep, 0.05)
+            lane.wait(sleeping)
+            waited = time.perf_counter() - first
+            time.sleep(0.02)
+            last = time.perf_counter()
+        end = time.perf_counter()
+        times = lane.times
+        # The worker's sleep began before the wait did.
+        assert 0.03 <= times.wait_s <= waited
+        assert last - first <= times.calling_s + times.wait_s <= end - start
+        assert times.calling_s >= 0.02
+        assert str(times).startswith("stage9 lanes: calling ")
+
+    def test_close_waits_for_the_worker_and_leaves_no_thread(self):
+        threads = threading.active_count()
+        with Lane() as lane:
+            lane.submit(time.sleep, 0.02)
+        assert lane.times.worker_s >= 0.02
+        assert threading.active_count() == threads
+
+        with pytest.raises(RuntimeError, match="body"):
+            with Lane() as lane:
+                lane.submit(time.sleep, 0.02)
+                raise RuntimeError("body")
+        assert threading.active_count() == threads
+
+        def fail():
+            raise DataError("worker")
+
+        with pytest.raises(DataError, match="worker"):
+            with Lane() as lane:
+                lane.wait(lane.submit(fail)).result()
+        with Lane() as lane:
+            failed = lane.submit(fail)  # never read
+        assert isinstance(failed.exception(), DataError)
+        assert threading.active_count() == threads
+
+
+def test_threads_start_only_in_lane():
+    # Lane is the one place in the package that starts a thread.
+    def starts(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("ThreadPoolExecutor", "Thread"):
+                    yield owner
+            inner = child.name if isinstance(child, ast.ClassDef) else owner
+            yield from starts(child, inner)
+
+    package = Path(model_module.__file__).parent
+    found = [
+        (path.name, owner)
+        for path in sorted(package.glob("*.py"))
+        for owner in starts(ast.parse(path.read_text(encoding="utf-8")), None)
+    ]
+    assert found == [("model.py", "Lane")]
 
 
 class TestLoss:

@@ -683,6 +683,23 @@ class TestRunPipeline:
         assert log.index("stage stage1 finished") < log.index("stage1 lanes") < (
             log.index("stage stage2 started"))
 
+    def test_lane_lines_count_pseudo_annotation_and_validation(self, tmp_path):
+        # Batches of four 24 x 24 planes are too small to split, and stage 1
+        # pseudo-annotates the whole pool, so stage 2 trains supervised-only:
+        # each stage's worker ran only the second lane of its inference.
+        cfg = fast_config(seed=5, synth_dim=24, synth_unlabeled=4, synth_val=4,
+                          stage1_pseudo_count=4, batch_size=4)
+        run_pipeline(cfg, tmp_path / "run")
+        assert "warning = empty unlabeled pool" in (
+            tmp_path / "run" / "stage2" / "manifest.txt").read_text()
+        lanes = re.findall(
+            r"^\S+ (stage\d) lanes: calling \d+\.\d{3} s busy, worker "
+            r"(\d+\.\d{3}) s busy, calling waited \d+\.\d{3} s$",
+            (tmp_path / "run" / "run.log").read_text(), re.M,
+        )
+        assert [stage for stage, _ in lanes] == ["stage1", "stage2"]
+        assert all(float(worker) > 0 for _, worker in lanes)
+
     def test_stage_end_lines_give_elapsed_seconds(self, tmp_path):
         # "<timestamp> stage <name> finished (<seconds> s)", and a failure's
         # message before the seconds.

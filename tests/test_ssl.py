@@ -17,6 +17,7 @@ from ftaseg.metrics import evaluate_masks, mean_report
 from ftaseg.model import (
     ROW_CHUNK,
     AdamWState,
+    Lane,
     ModelShape,
     PatchMLP,
     TrainSchedule,
@@ -24,6 +25,7 @@ from ftaseg.model import (
     Workspace,
     _alpha_dropout_,
     adamw_step,
+    in_two_lanes,
     load_checkpoint,
     poly_lr,
     save_checkpoint,
@@ -38,7 +40,6 @@ from ftaseg.ssl import (
     consistency_loss,
     evaluate_volumes,
     generate_pseudo_labels,
-    in_two_lanes,
     predict_volume,
     run_stage1,
     run_stage2,
@@ -89,6 +90,9 @@ class InlineExecutor:
 
     def __exit__(self, *exc):
         return False
+
+    def shutdown(self):
+        pass
 
     def submit(self, fn, *args):
         future = Future()
@@ -499,21 +503,33 @@ class TestStage1:
     def test_split_steps_equal_one_lane(self, monkeypatch):
         # Batches of four 32 x 32 planes split across the lanes; with the
         # lane withheld each runs in one, with the same bytes.
+        given = []  # per training pass: whether it was given the lane
+        forward = PatchMLP.forward_cache_multi
+
+        def recording_forward(self, planes, perturb=None, ws=None, lane=None):
+            if planes[0].shape == (32, 32):
+                given.append(lane is not None)
+            return forward(self, planes, perturb, ws, lane)
+
         def run():
+            given.clear()
             rng = np.random.default_rng(38)
             cfg = StageConfig(stage1_epochs=2, stage1_pseudo_count=2, seed=5,
                               batch_size=4)
             ids, load, _ = ids_and_load(make_volumes(rng, 3, dim=12))
             return run_stage1(make_train_set(rng, 10, hw=32), ids, load, cfg)
 
+        monkeypatch.setattr(PatchMLP, "forward_cache_multi", recording_forward)
         two = run()
+        assert given == [True] * 6
 
         def one_lane(model, batch, ws=None, lane=None):
             return _supervised_batch(model, batch, ws)
 
         monkeypatch.setattr("ftaseg.ssl._supervised_batch", one_lane)
         one = run()
-        assert two.lanes.worker_s > 0 and one.lanes.worker_s == 0
+        assert given == [False] * 6
+        assert two.lanes.worker_s > 0
         assert two.model.params.tobytes() == one.model.params.tobytes()
         assert two.epoch_losses == one.epoch_losses
         assert [(p.source_id, p.mask.tobytes()) for p in two.pseudo] == [
@@ -535,7 +551,6 @@ class TestStage1:
                 workers.add(threading.get_ident())
             return fn(a, scratch)
 
-        monkeypatch.setattr("ftaseg.ssl.ThreadPoolExecutor", Counting)
         monkeypatch.setattr("ftaseg.model.ThreadPoolExecutor", Counting)
         monkeypatch.setattr(model_module, "_selu_", recording)
         rng = np.random.default_rng(39)
@@ -809,7 +824,7 @@ class TestStage2:
         assert len(passes["prob_backward"]) == 16
         assert all(main for main, _ in passes["prob_backward"])
 
-        monkeypatch.setattr("ftaseg.ssl.ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr("ftaseg.model.ThreadPoolExecutor", InlineExecutor)
         for seen in passes.values():
             seen.clear()
         one = self.lanes_run()
@@ -1203,8 +1218,8 @@ def one_lane_reports(model, cases):
 
 
 class TestInferenceLanes:
-    def test_split_order_and_workspaces(self):
-        ws, lane_ws = Workspace(), Workspace()
+    def test_split_order_and_workspaces(self, monkeypatch):
+        ws = Workspace()
 
         class NoSubmit(InlineExecutor):
             def submit(self, fn, *args):
@@ -1213,14 +1228,20 @@ class TestInferenceLanes:
         def pair(x, w):
             return x, w
 
-        assert in_two_lanes(pair, [], ws, lane_ws, NoSubmit()) == []
-        assert in_two_lanes(pair, [7], ws, lane_ws, NoSubmit()) == [(7, ws)]
-        assert in_two_lanes(pair, [1, 2], ws, lane_ws, InlineExecutor()) == [
-            (1, ws), (2, lane_ws)
-        ]
-        assert in_two_lanes(pair, [1, 2, 3], ws, lane_ws, InlineExecutor()) == [
-            (1, ws), (2, ws), (3, lane_ws)
-        ]
+        monkeypatch.setattr("ftaseg.model.ThreadPoolExecutor", NoSubmit)
+        with Lane() as lane:
+            assert in_two_lanes(pair, [], ws, lane) == []
+            assert in_two_lanes(pair, [7], ws, lane) == [(7, ws)]
+        monkeypatch.setattr("ftaseg.model.ThreadPoolExecutor", InlineExecutor)
+        with Lane() as lane:
+            assert in_two_lanes(pair, [1, 2], ws, lane) == [(1, ws), (2, lane.scratch)]
+            assert in_two_lanes(pair, [1, 2, 3], ws, lane) == [
+                (1, ws), (2, ws), (3, lane.scratch)
+            ]
+        # Without a lane, a fresh one maps the rest on its own scratch.
+        first, rest = in_two_lanes(pair, [1, 2], ws)
+        assert first == (1, ws) and rest[0] == 2
+        assert isinstance(rest[1], Workspace) and rest[1] is not ws
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_two_lanes_equal_one_lane(self, n):
@@ -1287,9 +1308,9 @@ class TestInferenceLanes:
                                   len(lane))])
 
         threads = threading.active_count()
-        with ThreadPoolExecutor(max_workers=1) as lane:
+        with Lane() as lane:
             with pytest.raises(DataError) as info:
-                evaluate_volumes(model, ids, load, (Workspace(), Workspace()), lane)
+                evaluate_volumes(model, ids, load, Workspace(), lane)
             # Each lane stopped at its first failure, and the worker lane had
             # finished before the error was raised.
             assert set(loaded) == (

@@ -101,8 +101,8 @@ def test_consistency_wrap_counts_one_call_and_the_weak_views_per_step(monkeypatc
     forward = PatchMLP.forward_cache_multi
     update = ssl.update_threshold
 
-    def recording_forward(self, planes, perturb=None, ws=None):
-        cache = forward(self, planes, perturb, ws)
+    def recording_forward(self, planes, perturb=None, ws=None, lane=None):
+        cache = forward(self, planes, perturb, ws, lane)
         if perturb is not None:
             weak_views.append(cache["weak_probs"].copy())
         return cache
